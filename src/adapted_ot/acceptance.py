@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .estimate import (_propagate, _propagate_transformed, closed_form_cost,
-                       convergence_study, counterexample_nonmarkov, rho_scan,
-                       stability_study, sync_distance_mc)
+from .estimate import (_propagate, closed_form_cost, convergence_study,
+                       counterexample_nonmarkov, rho_scan, stability_study,
+                       sync_distance_mc)
 from .lattice import build_lattice, check_fosd, fosd_sufficient_condition
 from .model import (DiscretePathMeasure, MarkovLattice, TimeGrid, affine,
                     constant, growth_bounds, ou, table)
 from .noise import (exit_probability_bounds, fourth_moment_truncation_error,
                     replicate_rng, truncate_increments, truncation_level)
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, get_preset, mollified_abs_ladder
 from .sde import zvonkin_transform
 from .transport import (bicausal_dp, causal_lp, coupled_cost, kr_coupling,
                         metric_suite, tree_bicausal_dp)
@@ -341,7 +341,7 @@ def criterion_10_zvonkin(seed=DEFAULT_SEED, quick=False):
             dw[r] = rng.standard_normal(n_steps) * math.sqrt(h)
         deltas, _ = truncate_increments(dw[..., None], barrier)
         p_direct, _, _ = _propagate(b, s, h, deltas, 0.0)
-        p_trans, _, _ = _propagate_transformed(s, transform, h, deltas, 0.0)
+        p_trans, _, _ = _propagate(b, s, h, deltas, 0.0, transform)
         direct[lo:lo + nb] = p_direct[:, -1]
         transformed[lo:lo + nb] = p_trans[:, -1]
     ks = float(ks_2samp(direct, transformed).statistic)
@@ -375,15 +375,7 @@ def criterion_11_counterexample(seed=DEFAULT_SEED, quick=False):
 def criterion_12_stability(seed=DEFAULT_SEED, quick=False):
     """Sync costs under mollified |x| drifts converge to the target cost."""
     n_samples = 5000 if quick else 20000
-    knots_exact = np.unique(np.concatenate([np.linspace(-8, 8, 33), [0.0]]))
-    b_target = table(knots_exact, np.abs(knots_exact))
-    s1 = constant(1.0, role="diffusion")
-    approx = []
-    for j in range(6):
-        spacing = 2.0 ** (-j)
-        knots = np.concatenate([[-8.0], np.arange(-8 + spacing / 2, 8, spacing),
-                                [8.0]])
-        approx.append((table(knots, np.abs(knots)), s1))
+    b_target, s1, approx = mollified_abs_ladder(6)
     rows, target = stability_study(b_target, s1, approx, constant(0.0), s1,
                                    TimeGrid(32), 2, n_samples, seed=seed)
     gaps = [r.gap for r in rows]

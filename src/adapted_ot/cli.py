@@ -17,17 +17,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .estimate import (convergence_study, counterexample_nonmarkov, rho_scan,
                        stability_study)
 from .lattice import build_lattice, check_fosd
 from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     MarkovLattice, DiscretePathMeasure, TimeGrid,
-                    parse_coefficient, constant, table)
+                    parse_coefficient, constant)
 from .noise import sample_correlated_pair, constant_rho
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, get_preset, mollified_abs_ladder
 from .sde import euler_maruyama, monotone_em, transformed_monotone_em
 from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
@@ -164,15 +162,7 @@ def _cmd_convergence(args):
 
 
 def _cmd_stability(args):
-    knots = np.unique(np.concatenate([np.linspace(-8, 8, 33), [0.0]]))
-    b_target = table(knots, np.abs(knots))
-    vol = constant(1.0, role="diffusion")
-    approx = []
-    for level in range(args.levels):
-        spacing = 2.0 ** (-level)
-        ks = np.concatenate([[-8.0], np.arange(-8 + spacing / 2, 8, spacing),
-                             [8.0]])
-        approx.append((table(ks, np.abs(ks)), vol))
+    b_target, vol, approx = mollified_abs_ladder(args.levels)
     rows, target = stability_study(b_target, vol, approx, constant(0.0), vol,
                                    TimeGrid(args.n_steps), args.p,
                                    args.samples, seed=args.seed,
@@ -241,9 +231,7 @@ def build_parser():
     aw = subs.add_parser("aw-distance", help="bi-causal DP between lattices")
     aw.add_argument("--lattice-x", required=True)
     aw.add_argument("--lattice-y", required=True)
-    aw.add_argument("--p", type=float, default=2)
-    aw.add_argument("--scaled", action="store_true", default=True,
-                    help="stage weights h (the default)")
+    aw.add_argument("--p", type=float, default=2.0)
     aw.add_argument("--unscaled", action="store_true",
                     help="stage weights 1 instead of h")
     aw.add_argument("--out", required=True)
@@ -252,14 +240,14 @@ def build_parser():
     met = subs.add_parser("metrics", help="metric suite on two tree JSONs")
     met.add_argument("--tree-mu", required=True)
     met.add_argument("--tree-nu", required=True)
-    met.add_argument("--p", type=float, default=2)
+    met.add_argument("--p", type=float, default=2.0)
     met.add_argument("--out", default=None)
     met.set_defaults(func=_cmd_metrics)
 
     rho = subs.add_parser("rho-scan", help="coupled cost per correlation")
     _add_pair_flags(rho)
     rho.add_argument("--rhos", default="-1,-0.5,0,0.5,0.9,1")
-    rho.add_argument("--p", type=float, default=2)
+    rho.add_argument("--p", type=float, default=2.0)
     rho.add_argument("--n-steps", type=int, default=32)
     rho.add_argument("--samples", type=int, default=20000)
     rho.add_argument("--seed", type=int, default=0)
@@ -269,7 +257,7 @@ def build_parser():
 
     conv = subs.add_parser("convergence", help="scaled DP vs closed forms")
     _add_pair_flags(conv)
-    conv.add_argument("--p", type=float, default=2)
+    conv.add_argument("--p", type=float, default=2.0)
     conv.add_argument("--n-list", default="2,4,8,16")
     conv.add_argument("--atoms", type=int, default=5)
     conv.add_argument("--max-support", type=int, default=40)
@@ -282,7 +270,7 @@ def build_parser():
 
     stab = subs.add_parser("stability", help="mollified-drift stability study")
     stab.add_argument("--levels", type=int, default=6)
-    stab.add_argument("--p", type=float, default=2)
+    stab.add_argument("--p", type=float, default=2.0)
     stab.add_argument("--n-steps", type=int, default=32)
     stab.add_argument("--samples", type=int, default=20000)
     stab.add_argument("--seed", type=int, default=0)
@@ -316,7 +304,8 @@ def _run(parser, argv):
         payload = json.loads(Path(args.sidecar).read_text())
         replay = [payload["command"]]
         for key, value in payload["config"].items():
-            if key in ("command", "func"):
+            # "scaled" was a no-op aw-distance flag that old sidecars carry
+            if key in ("command", "func", "scaled"):
                 continue
             flag = "--" + key.replace("_", "-")
             if isinstance(value, bool):

@@ -66,9 +66,13 @@ def path_integral_cost(x_paths, y_paths, h, p, sigma_gap=None):
     return out
 
 
-def _propagate(b, sigma, h, deltas, x0):
+def _propagate(b, sigma, h, deltas, x0, transform=None):
     """Vectorized one-step recursion across a batch of replicates.
 
+    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta.  With
+    a drift-removing transform T it is the driftless step
+    y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y);
+    T^{-1} stays inside its table, so only the direct recursion can diverge.
     Returns (paths, sigma values per step, diverged mask); diverged
     replicates are frozen at x0 so the batch can finish.
     """
@@ -78,34 +82,22 @@ def _propagate(b, sigma, h, deltas, x0):
     sig = np.empty((n_rep, n))
     bad = np.zeros(n_rep, dtype=bool)
     x = np.full(n_rep, float(x0))
+    if transform is not None:
+        y = np.full(n_rep, float(transform.forward(x0)))
     for k in range(n):
-        bv = np.asarray(b.evaluate(x), dtype=float)
         sv = np.asarray(sigma.evaluate(x), dtype=float)
         sig[:, k] = sv
-        x = x + h * bv + sv * deltas[:, k]
+        if transform is None:
+            x = x + h * np.asarray(b.evaluate(x), dtype=float) + sv * deltas[:, k]
+        else:
+            y = y + np.asarray(transform.derivative(x), dtype=float) * sv * deltas[:, k]
+            x = np.asarray(transform.inverse(y), dtype=float)
         newly_bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_THRESHOLD)
         if newly_bad.any():
             bad |= newly_bad
             x = np.where(newly_bad, x0, x)
         paths[:, k + 1] = x
     return paths, sig, bad
-
-
-def _propagate_transformed(sigma, transform, h, deltas, x0):
-    """Driftless recursion in transformed coordinates, mapped back per step."""
-    n_rep, n = deltas.shape
-    paths = np.empty((n_rep, n + 1))
-    paths[:, 0] = x0
-    sig = np.empty((n_rep, n))
-    x = np.full(n_rep, float(x0))
-    y = np.full(n_rep, float(transform.forward(x0)))
-    for k in range(n):
-        sv = np.asarray(sigma.evaluate(x), dtype=float)
-        sig[:, k] = sv
-        y = y + np.asarray(transform.derivative(x), dtype=float) * sv * deltas[:, k]
-        x = np.asarray(transform.inverse(y), dtype=float)
-        paths[:, k + 1] = x
-    return paths, sig, np.zeros(n_rep, dtype=bool)
 
 
 def _resolve_threads(threads):
@@ -122,6 +114,18 @@ def _batch_ranges(n_samples, n_batches):
     return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
+def _batch_means_result(sums, counts, n_diverged=0):
+    """Pooled estimate of per-batch cost sums over per-batch counts, with
+    the batch-means standard error."""
+    means = sums / np.maximum(counts, 1)
+    if means.size > 1:
+        stderr = float(np.std(means, ddof=1) / math.sqrt(means.size))
+    else:
+        stderr = 0.0
+    return MCResult(estimate=float(sums.sum() / counts.sum()), stderr=stderr,
+                    n_samples=int(counts.sum()), n_diverged=n_diverged)
+
+
 def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
                      scheme="em", m_sub=1, trunc_k=4, x0=0.0,
                      n_batches=DEFAULT_BATCHES, threads=None,
@@ -132,7 +136,7 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         raise ConfigError(f"unknown scheme {scheme!r}")
     h = grid.h
     barrier = truncation_level(h, trunc_k) if scheme != "em" else None
-    transforms = None
+    transforms = (None, None)
     if scheme == "zvonkin-em":
         transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
                       zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
@@ -151,12 +155,8 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         else:
             dx, _ = truncate_increments(dw, barrier)
             dy, _ = truncate_increments(dw_bar, barrier)
-        if scheme == "zvonkin-em":
-            xp, sig_x, bad_x = _propagate_transformed(sigma_x, transforms[0], h, dx, x0)
-            yp, sig_y, bad_y = _propagate_transformed(sigma_y, transforms[1], h, dy, x0)
-        else:
-            xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0)
-            yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0)
+        xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0, transforms[0])
+        yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0, transforms[1])
         bad = bad_x | bad_y
         costs = path_integral_cost(xp, yp, h, p, sigma_gap=sig_x - sig_y)
         good = ~bad
@@ -176,14 +176,7 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         raise DivergenceError(
             f"{n_div}/{n_samples} replicates diverged (> 0.1%); "
             f"scheme={scheme} N={grid.n_steps}")
-    batch_means = sums / np.maximum(counts, 1)
-    estimate = float(sums.sum() / counts.sum())
-    if len(batch_means) > 1:
-        stderr = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
-    else:
-        stderr = 0.0
-    return MCResult(estimate=estimate, stderr=stderr,
-                    n_samples=int(counts.sum()), n_diverged=n_div)
+    return _batch_means_result(sums, counts, n_div)
 
 
 def sync_distance_mc(b_x, sigma_x, b_y, sigma_y, grid, p, n_samples, seed=0,
@@ -300,9 +293,10 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
     h = grid.h
     times = grid.times()
     ramp = np.maximum(times - switch_time, 0.0)
-    sums = np.zeros((2, n_batches))
-    counts = np.zeros(n_batches)
-    for b_idx, (lo, hi) in enumerate(_batch_ranges(n_samples, n_batches)):
+    ranges = _batch_ranges(n_samples, n_batches)
+    sums = np.zeros((2, len(ranges)))
+    counts = np.zeros(len(ranges))
+    for b_idx, (lo, hi) in enumerate(ranges):
         n_rep = hi - lo
         dw = np.empty((n_rep, grid.n_steps))
         for r in range(n_rep):
@@ -322,14 +316,7 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
         sums[0, b_idx] = cost_sync.sum()
         sums[1, b_idx] = cost_async.sum()
         counts[b_idx] = n_rep
-    results = []
-    for row in sums:
-        means = row / counts
-        results.append(MCResult(
-            estimate=float(row.sum() / counts.sum()),
-            stderr=float(np.std(means, ddof=1) / math.sqrt(means.size)),
-            n_samples=int(counts.sum())))
-    return results[0], results[1]
+    return _batch_means_result(sums[0], counts), _batch_means_result(sums[1], counts)
 
 
 def _constant_value(spec):

@@ -145,9 +145,9 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     representatives (contiguous in value, so dominance survives; merged node
     values are probability-weighted means, so stage means are exact).
 
-    With ``return_atom_maps`` the (node, atom) -> next-node index arrays are
-    also returned; they realize the common-increment coupling of two lattices
-    built from one shared quantization.
+    With ``return_atom_maps`` the (node, atom) -> next-node index arrays and
+    the atom weights are also returned; they realize the common-increment
+    coupling of two lattices built from one shared quantization.
     """
     if max_support < m:
         raise ConfigError("max_support must be at least the atom count m")
@@ -198,7 +198,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     lattice = MarkovLattice(initial_value=float(x0), supports=tuple(supports),
                             transitions=tuple(transitions))
     if return_atom_maps:
-        return lattice, atom_maps
+        return lattice, atom_maps, quant.weights
     return lattice
 
 

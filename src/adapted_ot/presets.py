@@ -3,7 +3,9 @@ so the reference experiments are one flag away on the command line."""
 
 from __future__ import annotations
 
-from .model import affine, constant, ou
+import numpy as np
+
+from .model import affine, constant, ou, table
 
 # name -> (drift_x, vol_x, drift_y, vol_y)
 PRESETS = {
@@ -23,6 +25,24 @@ PRESETS = {
     "affine-mix": (affine(0.5, -0.5), constant(1.0, role="diffusion"),
                    constant(0.0), constant(0.5, role="diffusion")),
 }
+
+
+def mollified_abs_ladder(levels):
+    """Coefficients of the coefficient-stability study: the drift |x|
+    tabulated on [-8, 8] with a knot at 0, and ``levels`` approximations
+    whose knots at spacing 2^-j straddle the kink, all with unit volatility.
+
+    Returns (target drift, volatility, [(drift_j, volatility), ...]).
+    """
+    knots = np.unique(np.concatenate([np.linspace(-8, 8, 33), [0.0]]))
+    vol = constant(1.0, role="diffusion")
+    approx = []
+    for level in range(levels):
+        spacing = 2.0 ** (-level)
+        ks = np.concatenate([[-8.0], np.arange(-8 + spacing / 2, 8, spacing),
+                             [8.0]])
+        approx.append((table(ks, np.abs(ks)), vol))
+    return table(knots, np.abs(knots)), vol, approx
 
 
 def get_preset(name):

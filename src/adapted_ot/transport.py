@@ -17,12 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .lattice import quantize_increment
+from .lattice import build_lattice
 from .model import AdaptedOTError, ConfigError, MarkovLattice
-from .noise import truncation_level
 
 PIVOT_TOL = 1e-12
 MAX_TREE_PATHS = 64
+# HiGHS primal/dual feasibility tolerances for the causality LP: at the 1e-7
+# defaults the bicausal LP missed the exact tree DP by 1.07e-8 on a
+# 19 x 5-path pair, above the 1e-8 agreement the DP is checked to
+LP_FEASIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,25 +54,34 @@ class TransportPlan:
 # -- exact transportation simplex --------------------------------------------
 
 def _northwest_corner(a, b):
-    """Initial basic feasible solution with exactly n + m - 1 cells."""
+    """Quantile (northwest-corner) coupling of two weight vectors.
+
+    Walks from cell (0, 0), sending the smaller remaining mass, then moves
+    down once the row's remainder is at most 1e-15 and right otherwise; a
+    remainder at most 1e-15 ships nothing, and the walk moves down at the
+    last column and right at the last row.  Returns the plan and its
+    n + m - 1 visited cells, the spanning-tree basis the simplex starts from.
+    """
     n, m = a.size, b.size
     x = np.zeros((n, m))
     basis = []
-    a_rem = a.copy()
-    b_rem = b.copy()
+    ra, rb = a[0], b[0]
     i = j = 0
     while True:
-        t = min(a_rem[i], b_rem[j])
-        x[i, j] = t
+        if ra > 1e-15 and rb > 1e-15:
+            t = min(ra, rb)
+            x[i, j] = t
+            ra -= t
+            rb -= t
         basis.append((i, j))
-        a_rem[i] -= t
-        b_rem[j] -= t
         if i == n - 1 and j == m - 1:
             break
-        if a_rem[i] <= 1e-15 and i < n - 1:
+        if j == m - 1 or (ra <= 1e-15 and i < n - 1):
             i += 1
+            ra = a[i]
         else:
             j += 1
+            rb = b[j]
     return x, basis
 
 
@@ -205,37 +217,6 @@ def quantile(atoms, weights, u):
     return float(atoms[min(idx, atoms.size - 1)])
 
 
-def _quantile_pairs(wx, wy):
-    """Mass assignment of the quantile coupling of two weight vectors.
-
-    Returns index arrays (ix, iy) and the mass sent between those atoms;
-    both inputs are read in sorted-support order.
-    """
-    ix, iy, mass = [], [], []
-    i = j = 0
-    nx, ny = wx.size, wy.size
-    ri = wx[0] if nx else 0.0
-    rj = wy[0] if ny else 0.0
-    while i < nx and j < ny:
-        if ri <= 1e-15:
-            i += 1
-            if i < nx:
-                ri = wx[i]
-            continue
-        if rj <= 1e-15:
-            j += 1
-            if j < ny:
-                rj = wy[j]
-            continue
-        t = min(ri, rj)
-        ix.append(i)
-        iy.append(j)
-        mass.append(t)
-        ri -= t
-        rj -= t
-    return np.asarray(ix, dtype=int), np.asarray(iy, dtype=int), np.asarray(mass)
-
-
 def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
     """Quantile coupling of two discrete measures on sorted supports."""
     x_atoms = np.asarray(x_atoms, dtype=float)
@@ -246,21 +227,46 @@ def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
         raise ConfigError("supports must be sorted")
     if abs(wx.sum() - 1.0) > 1e-9 or abs(wy.sum() - 1.0) > 1e-9:
         raise ConfigError("weights must sum to 1")
-    ix, iy, mass = _quantile_pairs(wx, wy)
-    joint = np.zeros((x_atoms.size, y_atoms.size))
-    np.add.at(joint, (ix, iy), mass)
-    cost = float(np.sum(mass * np.abs(x_atoms[ix] - y_atoms[iy]) ** p))
+    joint, _ = _northwest_corner(wx, wy)
+    cost = float(np.sum(joint * np.abs(x_atoms[:, None] - y_atoms[None, :]) ** p))
     return TransportPlan(joint=joint, row_marginal=wx, col_marginal=wy, cost=cost)
 
 
 # -- coupled chains -----------------------------------------------------------
 
+def _row_supports(kernel):
+    """Ascending indices of the positive entries of each kernel row."""
+    return [np.flatnonzero(row > 0) for row in kernel]
+
+
+def _forward_cost(blocks, values_x, values_y, stage_weights, p):
+    """Forward expectation of sum_k w_k |x_k - y_k|^p over a joint chain.
+
+    ``blocks[k][(i, j)]`` starts with (si, sj, plan): the supports of the two
+    kernel rows of product state (i, j) and the joint child law on them.
+    """
+    pi = np.ones((1, 1))
+    total = 0.0
+    for k, stage in enumerate(blocks):
+        pi_next = np.zeros((values_x[k + 1].size, values_y[k + 1].size))
+        for i, j in zip(*np.nonzero(pi)):
+            si, sj, plan = stage[(i, j)][:3]
+            pi_next[si[:, None], sj] += pi[i, j] * plan
+        diff = np.abs(values_x[k + 1][:, None] - values_y[k + 1][None, :])
+        total += stage_weights[k] * float(np.sum(pi_next * diff**p))
+        pi = pi_next
+    return float(total)
+
+
 @dataclass(frozen=True)
 class CoupledChain:
     """Joint Markov chain over product states of two lattices.
 
-    ``plans[k][(i, j)]`` holds the conditional joint child law of product
-    state (i, j) at stage k as (next-x indices, next-y indices, masses).
+    ``plans[k][(i, j)]`` is the block entry (si, sj, plan) of product state
+    (i, j) at stage k: ``si`` and ``sj`` are the supports of x-kernel row i
+    and y-kernel row j, and ``plan[a, b]`` is the mass sent to the child
+    pair (si[a], sj[b]) -- the format of ``BicausalSolution.policy``
+    without the inner value.
     """
 
     lattice_x: MarkovLattice
@@ -271,13 +277,13 @@ class CoupledChain:
         for k, stage in enumerate(self.plans):
             kx = self.lattice_x.transitions[k]
             ky = self.lattice_y.transitions[k]
-            for (i, j), (ix, iy, mass) in stage.items():
+            for (i, j), (si, sj, plan) in stage.items():
                 row_x = np.zeros(kx.shape[1])
-                np.add.at(row_x, ix, mass)
+                row_x[si] = plan.sum(axis=1)
                 if np.max(np.abs(row_x - kx[i])) > tol:
                     raise ConfigError(f"x-marginalization broken at stage {k}")
                 row_y = np.zeros(ky.shape[1])
-                np.add.at(row_y, iy, mass)
+                row_y[sj] = plan.sum(axis=0)
                 if np.max(np.abs(row_y - ky[j])) > tol:
                     raise ConfigError(f"y-marginalization broken at stage {k}")
         return True
@@ -289,12 +295,11 @@ def kr_coupling(x_lattice, y_lattice):
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
     plans = []
-    for k in range(x_lattice.n_steps):
-        kx = x_lattice.transitions[k]
-        ky = y_lattice.transitions[k]
-        stage = {(i, j): _quantile_pairs(kx[i], ky[j])
-                 for i in range(kx.shape[0]) for j in range(ky.shape[0])}
-        plans.append(stage)
+    for kx, ky in zip(x_lattice.transitions, y_lattice.transitions):
+        rows_y = _row_supports(ky)
+        plans.append({(i, j): (si, sj, _northwest_corner(kx[i, si], ky[j, sj])[0])
+                      for i, si in enumerate(_row_supports(kx))
+                      for j, sj in enumerate(rows_y)})
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
                         plans=tuple(plans))
 
@@ -307,30 +312,23 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
     Returns (x_lattice, y_lattice, chain).  When both one-step maps are
     increasing this chain coincides with ``kr_coupling`` of the lattices.
     """
-    from .lattice import build_lattice
-
-    lat_x, maps_x = build_lattice(b_x, sigma_x, n_steps, m, max_support,
-                                  trunc_k=trunc_k, x0=x0, return_atom_maps=True)
-    lat_y, maps_y = build_lattice(b_y, sigma_y, n_steps, m, max_support,
-                                  trunc_k=trunc_k, x0=x0, return_atom_maps=True)
-    h = 1.0 / n_steps
-    quant = quantize_increment(h, truncation_level(h, trunc_k), m)
+    lat_x, maps_x, weights = build_lattice(b_x, sigma_x, n_steps, m, max_support,
+                                           trunc_k=trunc_k, x0=x0,
+                                           return_atom_maps=True)
+    lat_y, maps_y, _ = build_lattice(b_y, sigma_y, n_steps, m, max_support,
+                                     trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
-    for k in range(n_steps):
+    for kx, ky, mx, my in zip(lat_x.transitions, lat_y.transitions, maps_x, maps_y):
+        rows_y = _row_supports(ky)
+        cols_y = [np.searchsorted(sj, my[j]) for j, sj in enumerate(rows_y)]
         stage = {}
-        mx = maps_x[k]
-        my = maps_y[k]
-        for i in range(mx.shape[0]):
-            for j in range(my.shape[0]):
-                # aggregate atoms landing on the same product child
-                pairs = {}
-                for a in range(quant.m):
-                    key = (mx[i, a], my[j, a])
-                    pairs[key] = pairs.get(key, 0.0) + quant.weights[a]
-                keys = sorted(pairs)
-                stage[(i, j)] = (np.array([kk[0] for kk in keys], dtype=int),
-                                 np.array([kk[1] for kk in keys], dtype=int),
-                                 np.array([pairs[kk] for kk in keys]))
+        for i, si in enumerate(_row_supports(kx)):
+            cols_x = np.searchsorted(si, mx[i])
+            for j, sj in enumerate(rows_y):
+                # atoms landing on the same product child add up
+                plan = np.zeros((si.size, sj.size))
+                np.add.at(plan, (cols_x, cols_y[j]), weights)
+                stage[(i, j)] = (si, sj, plan)
         plans.append(stage)
     chain = CoupledChain(lattice_x=lat_x, lattice_y=lat_y, plans=tuple(plans))
     return lat_x, lat_y, chain
@@ -340,23 +338,10 @@ def coupled_cost(chain, p=2, scaled=True):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over the joint chain
     (w_k = h for the scaled cost, 1 otherwise; the initial stage carries no
     cost term)."""
-    lx, ly = chain.lattice_x, chain.lattice_y
-    n = lx.n_steps
-    w = (1.0 / n) if scaled else 1.0
-    pi = np.ones((1, 1))
-    total = 0.0
-    for k in range(n):
-        nx = lx.supports[k + 1].size
-        ny = ly.supports[k + 1].size
-        pi_next = np.zeros((nx, ny))
-        stage = chain.plans[k]
-        for i, j in zip(*np.nonzero(pi > 0)):
-            ix, iy, mass = stage[(i, j)]
-            np.add.at(pi_next, (ix, iy), pi[i, j] * mass)
-        diff = np.abs(lx.supports[k + 1][:, None] - ly.supports[k + 1][None, :])
-        total += w * float(np.sum(pi_next * diff**p))
-        pi = pi_next
-    return total
+    n = chain.lattice_x.n_steps
+    w = np.full(n, (1.0 / n) if scaled else 1.0)
+    return _forward_cost(chain.plans, chain.lattice_x.supports,
+                         chain.lattice_y.supports, w, p)
 
 
 # -- bi-causal dynamic programming -------------------------------------------
@@ -365,8 +350,10 @@ def coupled_cost(chain, p=2, scaled=True):
 class BicausalSolution:
     """Value and optimal policy of the bi-causal transport problem.
 
-    ``policy[k][(i, j)]`` holds (next-x indices, next-y indices, plan matrix,
-    inner value) for product state (i, j) at stage k.
+    ``policy[k][(i, j)]`` is the block entry (si, sj, plan, val) of product
+    state (i, j) at stage k: the supports of the two kernel rows, the optimal
+    inner plan on them, and its inner value.  ``CoupledChain.plans`` stores
+    the same entries without ``val``.
     """
 
     value: float
@@ -390,20 +377,8 @@ class BicausalSolution:
     def forward_value(self):
         """Re-evaluate the stored policy forward; equals ``value`` up to
         accumulation error (the solution invariant)."""
-        pi = np.ones((1, 1))
-        total = 0.0
-        for k, stage in enumerate(self.policy):
-            nx = self.values_x[k + 1].size
-            ny = self.values_y[k + 1].size
-            pi_next = np.zeros((nx, ny))
-            for i, j in zip(*np.nonzero(pi > 1e-300)):
-                si, sj, plan, _ = stage[(i, j)]
-                pi_next[np.ix_(si, sj)] += pi[i, j] * plan
-            diff = np.abs(self.values_x[k + 1][:, None]
-                          - self.values_y[k + 1][None, :])
-            total += self.stage_weights[k] * float(np.sum(pi_next * diff**self.p))
-            pi = pi_next
-        return total
+        return _forward_cost(self.policy, self.values_x, self.values_y,
+                             self.stage_weights, self.p)
 
     def validate(self, tol=1e-9):
         if abs(self.forward_value() - self.value) > tol:
@@ -421,19 +396,15 @@ def _dp_engine(values_x, kernels_x, values_y, kernels_y, p, stage_weights):
         cost_full = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
         kx = kernels_x[k]
         ky = kernels_y[k]
-        supports_y = [np.flatnonzero(ky[j] > 0) for j in range(ky.shape[0])]
-        weights_y = [ky[j, sj] for j, sj in enumerate(supports_y)]
+        rows_y = _row_supports(ky)
         v_new = np.empty((kx.shape[0], ky.shape[0]))
         stage_policy = {}
-        for i in range(kx.shape[0]):
-            si = np.flatnonzero(kx[i] > 0)
+        for i, si in enumerate(_row_supports(kx)):
             px = kx[i, si]
             block = cost_full[si]
-            for j in range(ky.shape[0]):
-                sj = supports_y[j]
-                py = weights_y[j]
-                sub = block[:, sj]
-                plan, val = _transport_simplex(sub, px, py, PIVOT_TOL)
+            for j, sj in enumerate(rows_y):
+                plan, val = _transport_simplex(block[:, sj], px, ky[j, sj],
+                                               PIVOT_TOL)
                 v_new[i, j] = val
                 stage_policy[(i, j)] = (si, sj, plan, val)
         v_next = v_new
@@ -594,7 +565,9 @@ def causal_lp(mu, nu, p=2, mode="bicausal"):
         indptr.append(len(indices))
     a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
     res = linprog(cost, A_eq=a_eq, b_eq=np.asarray(rhs), bounds=(0, None),
-                  method="highs")
+                  method="highs",
+                  options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                           "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
     if not res.success:
         raise AdaptedOTError(f"causality LP failed: {res.message}")
     return float(res.fun)

@@ -35,6 +35,30 @@ def test_lattice_and_aw_distance_roundtrip(tmp_path):
     assert data["policy_size"] > 0
 
 
+def test_aw_distance_old_sidecar_reruns_to_same_bytes(tmp_path):
+    # sidecars from before the no-op --scaled flag was removed carry
+    # "scaled": true and must still reproduce the output bytes
+    lats = []
+    for name, drift in (("lx.json", "kind=ou theta=1"),
+                        ("ly.json", "kind=constant value=0.5")):
+        lats.append(str(tmp_path / name))
+        assert main(["lattice", "--drift", drift, "--vol",
+                     "kind=constant value=1", "--n-steps", "3", "--atoms",
+                     "3", "--max-support", "27", "--out", lats[-1]]) == 0
+    out = tmp_path / "aw.json"
+    assert main(["aw-distance", "--lattice-x", lats[0], "--lattice-y",
+                 lats[1], "--out", str(out)]) == 0
+    first = out.read_bytes()
+    sidecar = Path(str(out) + ".sidecar.json")
+    payload = json.loads(sidecar.read_text())
+    assert "scaled" not in payload["config"]
+    payload["config"]["scaled"] = True
+    sidecar.write_text(json.dumps(payload))
+    out.unlink()
+    assert main(["rerun", str(sidecar)]) == 0
+    assert out.read_bytes() == first
+
+
 def test_metrics_on_example_trees(tmp_path):
     mu = DiscretePathMeasure(paths=[[0.5, 1.0], [-0.5, -1.0]],
                              weights=[0.5, 0.5])
