@@ -23,7 +23,7 @@ from .estimate import (convergence_study, counterexample_nonmarkov, rho_scan,
 from .lattice import build_lattice, check_fosd
 from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     MarkovLattice, DiscretePathMeasure, TimeGrid,
-                    parse_coefficient, constant)
+                    check_p, parse_coefficient, constant)
 from .noise import sample_correlated_pair, constant_rho
 from .presets import PRESETS, get_preset, mollified_abs_ladder
 from .sde import euler_maruyama, monotone_em, transformed_monotone_em
@@ -315,6 +315,8 @@ def _run(parser, argv):
                 # '=' form so values starting with '-' stay values
                 replay.append(f"{flag}={value}")
         return _run(parser, replay)
+    if hasattr(args, "p"):
+        check_p(args.p)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "command") and v is not None}
     summary = args.func(args)

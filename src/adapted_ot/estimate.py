@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import build_lattice, check_fosd
-from .model import ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid
+from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
+                    check_p)
 from .noise import (constant_rho, sample_correlated_pair, truncate_increments,
                     truncation_level)
 from .sde import zvonkin_transform
@@ -132,6 +133,7 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
                      transform_half_width=10.0):
     """Expected integral cost of the coupled pair driven by a rho-correlated
     noise pair; the backbone of the synchronous estimator and the rho scan."""
+    check_p(p)
     if scheme not in ("em", "monotone-em", "zvonkin-em"):
         raise ConfigError(f"unknown scheme {scheme!r}")
     h = grid.h

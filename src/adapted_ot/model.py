@@ -9,6 +9,7 @@ feed the monotonicity certificate of the truncated scheme).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,18 @@ class DivergenceError(AdaptedOTError):
     def __init__(self, message, stage=None):
         super().__init__(message)
         self.stage = stage
+
+
+def check_p(p):
+    """Reject a cost exponent that is not a finite number >= 1: the cost
+    |x - y|^p is convex only there, which the KR = DP theorem needs, and a
+    negative p makes transport costs infinite."""
+    try:
+        ok = math.isfinite(p) and p >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"cost exponent p must be finite and >= 1, got {p!r}")
 
 
 COEFFICIENT_KINDS = ("constant", "affine", "ou", "table", "sign_switch")
@@ -293,8 +306,11 @@ class DiscretePathMeasure:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        return cls(paths=np.asarray(data["paths"], dtype=float),
-                   weights=np.asarray(data["weights"], dtype=float))
+        try:
+            return cls(paths=np.asarray(data["paths"], dtype=float),
+                       weights=np.asarray(data["weights"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed path measure JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -353,14 +369,17 @@ class MarkovLattice:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        x0 = float(data["initial_value"])
-        supports = [np.array([x0])]
-        transitions = []
-        for stage in data["stages"]:
-            supports.append(np.asarray(stage["support"], dtype=float))
-            transitions.append(np.asarray(stage["transition"], dtype=float))
-        return cls(initial_value=x0, supports=tuple(supports),
-                   transitions=tuple(transitions))
+        try:
+            x0 = float(data["initial_value"])
+            supports = [np.array([x0])]
+            transitions = []
+            for stage in data["stages"]:
+                supports.append(np.asarray(stage["support"], dtype=float))
+                transitions.append(np.asarray(stage["transition"], dtype=float))
+            return cls(initial_value=x0, supports=tuple(supports),
+                       transitions=tuple(transitions))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed lattice JSON: {exc!r}") from exc
 
 
 # -- coefficient spec text schema -------------------------------------------

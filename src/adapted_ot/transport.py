@@ -3,10 +3,13 @@ Markov lattices, exact bi-causal dynamic programming, a transportation
 simplex, a causality-constrained LP oracle for tiny trees, and the metric
 suite (classical / causal / symmetrised-causal / bi-causal values).
 
-Inner DP subproblems are solved by the exact transportation LP rather than
-assuming Monge structure: the continuation value added to the stage cost can
-break submodularity in general, so agreement with the rearrangement is a
-verified result here, not an assumption.
+Each inner DP subproblem couples two kernel rows on sorted child supports
+under the cost w |x' - y'|^p + V_{k+1}(x', y').  Whether that block is Monge
+(submodular) is checked, never assumed: the continuation value can break
+submodularity in general.  A block that passes is solved exactly by the
+quantile plan (Hoffman 1963), the same rule that builds the rearrangement;
+a block that fails goes to the transportation simplex.  A stage's blocks are
+checked and solved as one array.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .lattice import build_lattice
-from .model import AdaptedOTError, ConfigError, MarkovLattice
+from .model import AdaptedOTError, ConfigError, MarkovLattice, check_p
 
 PIVOT_TOL = 1e-12
 MAX_TREE_PATHS = 64
@@ -54,7 +57,7 @@ class TransportPlan:
 # -- exact transportation simplex --------------------------------------------
 
 def _northwest_corner(a, b):
-    """Quantile (northwest-corner) coupling of two weight vectors.
+    """Northwest-corner start of the transportation simplex.
 
     Walks from cell (0, 0), sending the smaller remaining mass, then moves
     down once the row's remainder is at most 1e-15 and right otherwise; a
@@ -89,8 +92,11 @@ def _transport_simplex(cost, a, b, pivot_tol):
     """Exact primal transportation simplex on strictly positive marginals.
 
     Returns (plan, value).  Dantzig pricing with a switch to Bland's rule
-    after a degeneracy budget, so termination is guaranteed.
+    after a degeneracy budget, so termination is guaranteed.  Non-finite
+    costs are rejected: they make the duals NaN and no cell ever prices out.
     """
+    if not np.isfinite(cost).all():
+        raise ConfigError("transport costs must be finite")
     n, m = cost.shape
     if n == 1:
         return b.reshape(1, -1), float(b @ cost[0])
@@ -217,6 +223,22 @@ def quantile(atoms, weights, u):
     return float(atoms[min(idx, atoms.size - 1)])
 
 
+def _quantile_plans(wx, wy):
+    """Quantile (Knothe-Rosenblatt) plans of every pair of weight rows.
+
+    ``wx`` is (n, a) and ``wy`` is (m, b), one weight vector per row, zeros
+    allowed.  Returns the (n, m, a, b) array whose block [i, j] couples wx[i]
+    with wy[j]: cell (s, t) carries the length of the overlap of
+    [A_s, A_{s+1}) and [B_t, B_{t+1}), where A and B are the two CDFs started
+    at 0.
+    """
+    cx = np.concatenate([np.zeros((wx.shape[0], 1)), np.cumsum(wx, axis=1)], axis=1)
+    cy = np.concatenate([np.zeros((wy.shape[0], 1)), np.cumsum(wy, axis=1)], axis=1)
+    overlap = (np.minimum(cx[:, None, 1:, None], cy[None, :, None, 1:])
+               - np.maximum(cx[:, None, :-1, None], cy[None, :, None, :-1]))
+    return np.maximum(overlap, 0.0)
+
+
 def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
     """Quantile coupling of two discrete measures on sorted supports."""
     x_atoms = np.asarray(x_atoms, dtype=float)
@@ -227,16 +249,30 @@ def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
         raise ConfigError("supports must be sorted")
     if abs(wx.sum() - 1.0) > 1e-9 or abs(wy.sum() - 1.0) > 1e-9:
         raise ConfigError("weights must sum to 1")
-    joint, _ = _northwest_corner(wx, wy)
+    joint = _quantile_plans(wx[None], wy[None])[0, 0]
     cost = float(np.sum(joint * np.abs(x_atoms[:, None] - y_atoms[None, :]) ** p))
     return TransportPlan(joint=joint, row_marginal=wx, col_marginal=wy, cost=cost)
 
 
 # -- coupled chains -----------------------------------------------------------
 
-def _row_supports(kernel):
-    """Ascending indices of the positive entries of each kernel row."""
-    return [np.flatnonzero(row > 0) for row in kernel]
+def _kernel_rows(kernel):
+    """Row supports of a kernel and their padded array form.
+
+    Returns (supports, index, weights): ``supports[r]`` holds the ascending
+    indices of the positive entries of row r; ``index`` (rows x widest row)
+    continues each row past its end by repeating its last support index, and
+    ``weights`` holds the row's masses on ``index``, 0 in the padding.
+    """
+    positive = kernel > 0
+    cols = np.nonzero(positive)[1]
+    sizes = positive.sum(axis=1)
+    ends = np.cumsum(sizes)
+    slot = np.arange(sizes.max())
+    index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
+    weights = np.take_along_axis(kernel, index, axis=1)
+    weights[slot >= sizes[:, None]] = 0.0
+    return np.split(cols, ends[:-1]), index, weights
 
 
 def _forward_cost(blocks, values_x, values_y, stage_weights, p):
@@ -296,9 +332,11 @@ def kr_coupling(x_lattice, y_lattice):
         raise ConfigError("lattices must share the stage count")
     plans = []
     for kx, ky in zip(x_lattice.transitions, y_lattice.transitions):
-        rows_y = _row_supports(ky)
-        plans.append({(i, j): (si, sj, _northwest_corner(kx[i, si], ky[j, sj])[0])
-                      for i, si in enumerate(_row_supports(kx))
+        rows_x, _, wx = _kernel_rows(kx)
+        rows_y, _, wy = _kernel_rows(ky)
+        stage = _quantile_plans(wx, wy)
+        plans.append({(i, j): (si, sj, stage[i, j, :si.size, :sj.size])
+                      for i, si in enumerate(rows_x)
                       for j, sj in enumerate(rows_y)})
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
                         plans=tuple(plans))
@@ -319,10 +357,10 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
                                      trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
     for kx, ky, mx, my in zip(lat_x.transitions, lat_y.transitions, maps_x, maps_y):
-        rows_y = _row_supports(ky)
+        rows_y = _kernel_rows(ky)[0]
         cols_y = [np.searchsorted(sj, my[j]) for j, sj in enumerate(rows_y)]
         stage = {}
-        for i, si in enumerate(_row_supports(kx)):
+        for i, si in enumerate(_kernel_rows(kx)[0]):
             cols_x = np.searchsorted(si, mx[i])
             for j, sj in enumerate(rows_y):
                 # atoms landing on the same product child add up
@@ -338,6 +376,7 @@ def coupled_cost(chain, p=2, scaled=True):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over the joint chain
     (w_k = h for the scaled cost, 1 otherwise; the initial stage carries no
     cost term)."""
+    check_p(p)
     n = chain.lattice_x.n_steps
     w = np.full(n, (1.0 / n) if scaled else 1.0)
     return _forward_cost(chain.plans, chain.lattice_x.supports,
@@ -353,7 +392,9 @@ class BicausalSolution:
     ``policy[k][(i, j)]`` is the block entry (si, sj, plan, val) of product
     state (i, j) at stage k: the supports of the two kernel rows, the optimal
     inner plan on them, and its inner value.  ``CoupledChain.plans`` stores
-    the same entries without ``val``.
+    the same entries without ``val``.  ``n_simplex`` counts the inner blocks
+    that failed the Monge check and were solved by the transportation
+    simplex; the others took their quantile plan.
     """
 
     value: float
@@ -364,6 +405,7 @@ class BicausalSolution:
     kernels_x: tuple
     kernels_y: tuple
     policy: tuple
+    n_simplex: int
 
     def plan_at(self, stage, i, j):
         si, sj, plan, val = self.policy[stage][(i, j)]
@@ -386,52 +428,84 @@ class BicausalSolution:
         return True
 
 
+def _solve_stage(cost, rows_x, rows_y):
+    """Optimal inner plans and values of every product state of one stage.
+
+    ``cost`` is the stage cost on the two child supports; ``rows_x`` and
+    ``rows_y`` come from ``_kernel_rows``.  The block of every product state
+    is gathered into one padded (n_x, n_y, a, b) array; the padding repeats
+    a row's last support, so its mixed differences vanish.  A block whose
+    adjacent mixed 2x2 differences are all within the simplex's optimality
+    tolerance is Monge and its quantile plan is optimal (Hoffman 1963); the
+    other blocks go to the simplex.  Returns (plans, values, simplex count).
+    """
+    if not np.isfinite(cost).all():
+        raise ConfigError("stage costs must be finite")
+    supports_x, index_x, wx = rows_x
+    supports_y, index_y, wy = rows_y
+    blocks = cost[index_x[:, None, :, None], index_y[None, :, None, :]]
+    plans = _quantile_plans(wx, wy)
+    values = np.einsum("ijab,ijab->ij", plans, blocks)
+    mixed = (blocks[:, :, :-1, :-1] + blocks[:, :, 1:, 1:]
+             - blocks[:, :, :-1, 1:] - blocks[:, :, 1:, :-1])
+    tol = PIVOT_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(2, 3)))
+    monge = (mixed <= tol[:, :, None, None]).all(axis=(2, 3))
+    fallback = np.argwhere(~monge)
+    for i, j in fallback:
+        si, sj = supports_x[i], supports_y[j]
+        plan, val = _transport_simplex(cost[np.ix_(si, sj)], wx[i, :si.size],
+                                       wy[j, :sj.size], PIVOT_TOL)
+        plans[i, j, :si.size, :sj.size] = plan
+        values[i, j] = val
+    return plans, values, len(fallback)
+
+
 def _dp_engine(values_x, kernels_x, values_y, kernels_y, p, stage_weights):
+    """Backward induction; returns (value, policy, simplex count)."""
     n = len(kernels_x)
     v_next = np.zeros((values_x[n].size, values_y[n].size))
     policy = [None] * n
+    n_simplex = 0
     for k in range(n - 1, -1, -1):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
-        cost_full = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        kx = kernels_x[k]
-        ky = kernels_y[k]
-        rows_y = _row_supports(ky)
-        v_new = np.empty((kx.shape[0], ky.shape[0]))
-        stage_policy = {}
-        for i, si in enumerate(_row_supports(kx)):
-            px = kx[i, si]
-            block = cost_full[si]
-            for j, sj in enumerate(rows_y):
-                plan, val = _transport_simplex(block[:, sj], px, ky[j, sj],
-                                               PIVOT_TOL)
-                v_new[i, j] = val
-                stage_policy[(i, j)] = (si, sj, plan, val)
-        v_next = v_new
-        policy[k] = stage_policy
-    return v_next[0, 0], policy
+        cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
+        rows_x = _kernel_rows(kernels_x[k])
+        rows_y = _kernel_rows(kernels_y[k])
+        plans, v_next, fallbacks = _solve_stage(cost, rows_x, rows_y)
+        n_simplex += fallbacks
+        vals = v_next.tolist()
+        policy[k] = {(i, j): (si, sj, plans[i, j, :si.size, :sj.size], vals[i][j])
+                     for i, si in enumerate(rows_x[0])
+                     for j, sj in enumerate(rows_y[0])}
+    return v_next[0, 0], policy, n_simplex
 
 
 def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
     """Backward induction for the bi-causal problem on two Markov lattices.
 
     V_N = 0 and V_k(x, y) minimises, over couplings of the two conditional
-    kernels, the expected stage cost w_{k+1} |x' - y'|^p plus continuation;
-    each inner problem is solved exactly by the transportation simplex.
-    The state is the current value pair, valid because lattices are Markov.
+    kernels, the expected stage cost w_{k+1} |x' - y'|^p plus continuation.
+    Each inner problem is solved exactly: by its quantile plan when its
+    block passes the Monge check, by the transportation simplex otherwise
+    (``n_simplex`` on the result counts these).  The state is the current
+    value pair, valid because lattices are Markov.  ``p`` must be finite
+    and at least 1.
     """
+    check_p(p)
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
     n = x_lattice.n_steps
     w = np.full(n, (1.0 / n) if scaled else 1.0)
-    value, policy = _dp_engine(x_lattice.supports, x_lattice.transitions,
-                               y_lattice.supports, y_lattice.transitions, p, w)
+    value, policy, n_simplex = _dp_engine(
+        x_lattice.supports, x_lattice.transitions,
+        y_lattice.supports, y_lattice.transitions, p, w)
     return BicausalSolution(value=value, p=p, stage_weights=w,
                             values_x=tuple(x_lattice.supports),
                             values_y=tuple(y_lattice.supports),
                             kernels_x=tuple(x_lattice.transitions),
                             kernels_y=tuple(y_lattice.transitions),
-                            policy=tuple(policy))
+                            policy=tuple(policy), n_simplex=n_simplex)
 
 
 def history_stage_system(measure):
@@ -466,16 +540,17 @@ def tree_bicausal_dp(mu, nu, p=2):
     Valid for arbitrary (non-Markov) path measures; used to cross-check the
     causality-constrained LP.
     """
+    check_p(p)
     vx, kx = history_stage_system(mu)
     vy, ky = history_stage_system(nu)
     if len(kx) != len(ky):
         raise ConfigError("path measures must share the stage count")
     w = np.ones(len(kx))
-    value, policy = _dp_engine(vx, kx, vy, ky, p, w)
+    value, policy, n_simplex = _dp_engine(vx, kx, vy, ky, p, w)
     return BicausalSolution(value=value, p=p, stage_weights=w,
                             values_x=tuple(vx), values_y=tuple(vy),
                             kernels_x=tuple(kx), kernels_y=tuple(ky),
-                            policy=tuple(policy))
+                            policy=tuple(policy), n_simplex=n_simplex)
 
 
 # -- causality-constrained LP oracle ------------------------------------------
@@ -526,6 +601,7 @@ def _causality_rows(paths_a, weights_a, paths_b, flat_index):
 def causal_lp(mu, nu, p=2, mode="bicausal"):
     """Exact LP value of the transport problem on tiny trees under the chosen
     causality constraints (``classical`` drops them all)."""
+    check_p(p)
     if mode not in ("classical", "causal", "anticausal", "bicausal"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mu.n_stages != nu.n_stages:

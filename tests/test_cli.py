@@ -118,6 +118,42 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"initial_value": 0.0}',
+    '{"initial_value": 0.0, "stages": 3}',
+    '{"initial_value": null, "stages": []}',
+    '{"initial_value": 0.0, "stages": [{"support": [0.0, "a"], '
+    '"transition": [[0.5, 0.5]]}]}',
+    '[0.0]',
+])
+def test_aw_distance_malformed_lattice_exits_2(tmp_path, text, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = tmp_path / "good.json"
+    assert main(["lattice", "--drift", "kind=ou theta=1", "--vol",
+                 "kind=constant value=1", "--n-steps", "2", "--atoms", "2",
+                 "--max-support", "4", "--out", str(good)]) == 0
+    assert main(["aw-distance", "--lattice-x", str(good), "--lattice-y",
+                 str(bad), "--out", str(tmp_path / "aw.json")]) == 2
+    assert "malformed lattice JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"paths": [[0.0, 1.0], [0.0, -1.0]]}',
+    '{"paths": [[0.0, 1.0], [0.0]], "weights": [0.5, 0.5]}',
+    '{"paths": [[0.0, 1.0]], "weights": {"a": 1.0}}',
+])
+def test_metrics_malformed_tree_exits_2(tmp_path, text, capsys):
+    good = tmp_path / "mu.json"
+    good.write_text(DiscretePathMeasure(paths=[[0.0, 1.0], [0.0, -1.0]],
+                                        weights=[0.5, 0.5]).to_json())
+    bad = tmp_path / "nu.json"
+    bad.write_text(text)
+    assert main(["metrics", "--tree-mu", str(good), "--tree-nu",
+                 str(bad)]) == 2
+    assert "malformed path measure JSON" in capsys.readouterr().err
+
+
 def test_divergence_exit_3(tmp_path):
     out = tmp_path / "div.csv"
     code = main(["rho-scan", "--drift", "kind=affine intercept=0 slope=240",

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adapted_ot.lattice import (build_lattice, check_fosd,
                                 fosd_sufficient_condition, quantile_bins,
                                 quantize_increment)
 from adapted_ot.model import (ConfigError, MarkovLattice, NotMarkovianError,
-                              constant, ou, sign_switch, table)
+                              affine, constant, ou, sign_switch, table)
 from adapted_ot.noise import replicate_rng, truncate_increments, truncation_level
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -43,6 +45,46 @@ def test_quantile_bins_contiguous_equal_mass():
     assert bins[-1] == 2
     assert np.all(np.diff(bins) >= 0)
     assert len(set(bins.tolist())) == 3
+
+
+@given(st.lists(st.one_of(st.floats(1e-6, 1.0),
+                          st.sampled_from([1e-16, 1e-15, 2e-15])),
+                min_size=1, max_size=60),
+       st.data())
+def test_quantile_bins_exact_count_contiguous(masses, data):
+    n_bins = data.draw(st.integers(1, len(masses)))
+    bins = quantile_bins(np.array(masses), n_bins)
+    steps = np.diff(bins)
+    assert bins[0] == 0 and bins[-1] == n_bins - 1
+    assert np.all((steps == 0) | (steps == 1))  # contiguous and non-empty
+
+
+DRIFTS = st.one_of(
+    st.floats(-2.0, 2.0).map(constant),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5)).map(
+        lambda c: affine(*c)),
+    st.floats(0.0, 2.0).map(ou))
+
+
+@given(DRIFTS, st.floats(0.1, 2.0), st.integers(1, 6), st.integers(2, 7),
+       st.integers(0, 25))
+def test_build_lattice_keeps_means_and_stochastic_rows(drift, vol, n_steps, m,
+                                                       extra):
+    # merging replaces bins by their probability-weighted means, and the
+    # quantized increment has mean zero, so each stage mean is exactly the
+    # previous mean pushed through one drift step
+    lattice = build_lattice(drift, constant(vol, role="diffusion"), n_steps,
+                            m, m + extra)
+    h = 1.0 / n_steps
+    marginals = lattice.stage_marginals()
+    for k, rows in enumerate(lattice.transitions):
+        assert rows.min() >= 0.0
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+        support = lattice.supports[k]
+        pushed = marginals[k] @ (support + h * drift.evaluate(support))
+        mean = marginals[k + 1] @ lattice.supports[k + 1]
+        scale = 1.0 + marginals[k + 1] @ np.abs(lattice.supports[k + 1])
+        assert abs(mean - pushed) <= 1e-12 * scale
 
 
 def test_build_lattice_pure_noise_one_step():

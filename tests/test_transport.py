@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from adapted_ot.acceptance import random_tree as acceptance_random_tree
+from adapted_ot.cli import main
+from adapted_ot.estimate import rho_scan, sync_distance_mc
 from adapted_ot.lattice import build_lattice, check_fosd
-from adapted_ot.model import (ConfigError, DiscretePathMeasure, constant, ou,
-                              table)
-from adapted_ot.transport import (bicausal_dp, causal_lp, coupled_cost,
-                                  history_stage_system, kr_coupling,
-                                  metric_suite, monotone_rearrangement,
-                                  quantile, synchronous_product_chain,
+from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
+                              TimeGrid, constant, ou, table)
+from adapted_ot.presets import get_preset
+from adapted_ot.transport import (PIVOT_TOL, _kernel_rows, _solve_stage,
+                                  _transport_simplex, bicausal_dp, causal_lp,
+                                  coupled_cost, history_stage_system,
+                                  kr_coupling, metric_suite,
+                                  monotone_rearrangement, quantile,
+                                  synchronous_product_chain,
                                   transportation_lp, tree_bicausal_dp)
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -92,6 +100,23 @@ def test_transportation_lp_infeasible_marginals():
         transportation_lp(np.zeros((2, 2)), [0.7, 0.4], [0.5, 0.5])
 
 
+def _highs_value(cost, a, b):
+    """Optimal value of the transportation LP by HiGHS, the reference solver."""
+    n, m = cost.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m:(i + 1) * m] = 1
+    for j in range(m):
+        a_eq[n + j, j::m] = 1
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1],
+                  b_eq=np.concatenate([a, b])[:-1], bounds=(0, None),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
+
+
 def test_transportation_lp_matches_reference_solver():
     rng = np.random.default_rng(5)
     for _ in range(120):
@@ -104,15 +129,7 @@ def test_transportation_lp_matches_reference_solver():
         b /= b.sum()
         plan = transportation_lp(cost, a, b)
         plan.validate(cost_matrix=cost)
-        a_eq = np.zeros((n + m, n * m))
-        for i in range(n):
-            a_eq[i, i * m:(i + 1) * m] = 1
-        for j in range(m):
-            a_eq[n + j, j::m] = 1
-        ref = linprog(cost.ravel(), A_eq=a_eq[:-1],
-                      b_eq=np.concatenate([a, b])[:-1], bounds=(0, None),
-                      method="highs")
-        assert plan.cost == pytest.approx(ref.fun, abs=1e-9)
+        assert plan.cost == pytest.approx(_highs_value(cost, a, b), abs=1e-9)
 
 
 def test_transportation_lp_degenerate_marginals():
@@ -133,15 +150,7 @@ def test_transportation_lp_degenerate_marginals():
         b_raw /= b_raw.sum()
         plan = transportation_lp(cost, a, b_raw)
         plan.validate(cost_matrix=cost)
-        a_eq = np.zeros((n + m, n * m))
-        for i in range(n):
-            a_eq[i, i * m:(i + 1) * m] = 1
-        for j in range(m):
-            a_eq[n + j, j::m] = 1
-        ref = linprog(cost.ravel(), A_eq=a_eq[:-1],
-                      b_eq=np.concatenate([a, b_raw])[:-1], bounds=(0, None),
-                      method="highs")
-        assert plan.cost == pytest.approx(ref.fun, abs=1e-9)
+        assert plan.cost == pytest.approx(_highs_value(cost, a, b_raw), abs=1e-9)
 
 
 def test_monotone_rearrangement_optimal_for_convex_costs():
@@ -160,6 +169,91 @@ def test_monotone_rearrangement_optimal_for_convex_costs():
             cost = np.abs(xs[:, None] - ys[None, :]) ** p
             lp = transportation_lp(cost, wx, wy)
             assert plan.cost == pytest.approx(lp.cost, abs=1e-10)
+
+
+def test_non_finite_costs_are_rejected():
+    for bad in (np.inf, -np.inf, np.nan):
+        cost = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ConfigError):
+            transportation_lp(cost, [0.5, 0.5], [0.5, 0.5])
+    # |x - y|^2 overflows here; an infinite block would pass the Monge
+    # check and give a NaN value
+    lat = MarkovLattice(initial_value=0.0,
+                        supports=(np.array([0.0]), np.array([-1e200, 1e200])),
+                        transitions=(np.array([[0.5, 0.5]]),))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError):
+        bicausal_dp(lat, lat, p=2)
+
+
+# -- inner solver properties ----------------------------------------------------
+#
+# The DP solves a stage's inner blocks by their quantile plan when the block
+# passes the Monge check and by the simplex otherwise; the simplex and HiGHS
+# are the references.  Masses mix ordinary values with values near the 1e-15
+# remainder threshold of the simplex's northwest-corner start.
+
+MASSES = st.lists(st.one_of(st.floats(0.01, 1.0),
+                            st.sampled_from([1e-16, 8e-16, 1e-15, 1.2e-15,
+                                             3e-15, 1e-14])),
+                  min_size=1, max_size=7)
+
+
+def _normalised(raw):
+    w = np.array(raw)
+    return w / w.sum()
+
+
+def _one_block(cost, a, b):
+    """The stage solver on a stage of one product state."""
+    plans, values, n_simplex = _solve_stage(cost, _kernel_rows(a[None]),
+                                            _kernel_rows(b[None]))
+    return plans[0, 0], values[0, 0], n_simplex
+
+
+@given(MASSES, MASSES, st.data())
+def test_monge_blocks_fast_path_matches_simplex_and_highs(raw_a, raw_b, data):
+    a, b = _normalised(raw_a), _normalised(raw_b)
+    n, m = a.size, b.size
+    # a distance cost on sorted supports with tied atoms, or a general Monge
+    # matrix (double cumulative sum of a nonpositive density), plus
+    # separable terms, which leave the mixed differences unchanged
+    if data.draw(st.booleans()):
+        grid = st.integers(-4, 4)
+        xs = np.sort(data.draw(st.lists(grid, min_size=n, max_size=n)))
+        ys = np.sort(data.draw(st.lists(grid, min_size=m, max_size=m)))
+        p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+        cost = np.abs(xs[:, None] - ys[None, :]).astype(float) ** p
+    else:
+        density = -np.array(data.draw(st.lists(
+            st.floats(0.0, 3.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+        cost = density.cumsum(axis=0).cumsum(axis=1)
+    row = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    col = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    cost = cost + row[:, None] + col[None, :]
+    plan, value, n_simplex = _one_block(cost, a, b)
+    assert n_simplex == 0
+    assert plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - a).max() <= 1e-13
+    assert np.abs(plan.sum(axis=0) - b).max() <= 1e-13
+    assert value == pytest.approx(float(np.sum(plan * cost)), abs=1e-12)
+    assert value == pytest.approx(_transport_simplex(cost, a, b, PIVOT_TOL)[1],
+                                  abs=1e-12)
+    assert value == pytest.approx(_highs_value(cost, a, b), abs=1e-12)
+
+
+@given(MASSES.filter(lambda w: len(w) >= 2), MASSES.filter(lambda w: len(w) >= 2),
+       st.data())
+def test_non_monge_blocks_take_the_simplex_solution(raw_a, raw_b, data):
+    a, b = _normalised(raw_a), _normalised(raw_b)
+    n, m = a.size, b.size
+    cost = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n * m,
+                                       max_size=n * m))).reshape(n, m)
+    cost[0, 0] += 1.0 + 4 * np.abs(cost).max()  # first mixed difference > 0
+    plan, value, n_simplex = _one_block(cost, a, b)
+    ref_plan, ref_value = _transport_simplex(cost, a, b, PIVOT_TOL)
+    assert n_simplex == 1
+    assert np.array_equal(plan, ref_plan)
+    assert value == ref_value
 
 
 # -- coupled chains -----------------------------------------------------------
@@ -270,6 +364,62 @@ def test_plan_at_exposes_valid_transport_plans():
     sol = bicausal_dp(lat_x, lat_y, p=2)
     plan = sol.plan_at(1, 0, 0)
     plan.validate()
+
+
+def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
+    b_x, s_x, b_y, s_y = get_preset("ou-vol")
+    lat_x = build_lattice(b_x, s_x, 6, 4, 30)
+    lat_y = build_lattice(b_y, s_y, 6, 4, 30)
+    sol = bicausal_dp(lat_x, lat_y, p=2)
+    assert sol.n_simplex == 0
+    # every inner block took its quantile plan: the DP policy is the KR chain
+    chain = kr_coupling(lat_x, lat_y)
+    for stage_dp, stage_kr in zip(sol.policy, chain.plans):
+        assert stage_dp.keys() == stage_kr.keys()
+        for key, (si, sj, plan, _) in stage_dp.items():
+            si_kr, sj_kr, plan_kr = stage_kr[key]
+            assert np.array_equal(si, si_kr) and np.array_equal(sj, sj_kr)
+            assert np.array_equal(plan, plan_kr)
+
+
+def test_tree_dp_fallback_matches_lp():
+    # the third pair drawn as in acceptance criterion 2 at seed 7 has an
+    # inner block that fails the Monge check
+    rng = np.random.default_rng((7, 2))
+    for _ in range(3):
+        stages = int(rng.integers(2, 4))
+        mu = acceptance_random_tree(rng, n_stages=stages)
+        nu = acceptance_random_tree(rng, n_stages=stages)
+    sol = tree_bicausal_dp(mu, nu, p=2)
+    assert sol.n_simplex > 0
+    sol.validate()
+    assert sol.value == pytest.approx(causal_lp(mu, nu, p=2, mode="bicausal"),
+                                      abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [0.5, -1.0, float("nan")])
+def test_bad_p_raises_promptly(p, tmp_path):
+    lat = build_lattice(ou(1.0), UNIT_VOL, 6, 3, 30)
+    mu, nu = example_trees(2)
+    calls = [
+        lambda: bicausal_dp(lat, lat, p=p),
+        lambda: tree_bicausal_dp(mu, nu, p=p),
+        lambda: coupled_cost(kr_coupling(lat, lat), p=p),
+        lambda: causal_lp(mu, nu, p=p),
+        lambda: metric_suite(mu, nu, p=p),
+        lambda: sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), UNIT_VOL,
+                                 TimeGrid(4), p, 100),
+        lambda: rho_scan(ou(1.0), UNIT_VOL, constant(0.0), UNIT_VOL,
+                         TimeGrid(4), p, [0.0, 1.0], 100),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
+    path = tmp_path / "lat.json"
+    path.write_text(lat.to_json())
+    assert main(["aw-distance", "--lattice-x", str(path), "--lattice-y",
+                 str(path), f"--p={p}", "--out", str(tmp_path / "aw.json")]) == 2
+    assert not (tmp_path / "aw.json").exists()
 
 
 def test_history_stage_system_reconstructs_weights():
