@@ -115,7 +115,7 @@ def _cmd_aw_distance(args):
         "kr_cost": kr,
         "p": args.p,
         "scaled": not args.unscaled,
-        "policy_size": sum(len(stage) for stage in solution.policy),
+        "policy_size": sum(vals.size for vals in solution.inner_values),
         "fosd_x": fosd_x.ok,
         "fosd_y": fosd_y.ok,
     }

@@ -104,9 +104,6 @@ def _propagate(b, sigma, h, deltas, x0, transform=None):
 def _resolve_threads(threads):
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get("ADAPTED_OT_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 

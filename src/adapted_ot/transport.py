@@ -15,6 +15,7 @@ checked and solved as one array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -257,12 +258,12 @@ def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
 # -- coupled chains -----------------------------------------------------------
 
 def _kernel_rows(kernel):
-    """Row supports of a kernel and their padded array form.
+    """Padded array form of a kernel's rows.
 
-    Returns (supports, index, weights): ``supports[r]`` holds the ascending
-    indices of the positive entries of row r; ``index`` (rows x widest row)
-    continues each row past its end by repeating its last support index, and
-    ``weights`` holds the row's masses on ``index``, 0 in the padding.
+    Returns (index, weights): row r of ``index`` (rows x widest row) holds
+    the ascending indices of the positive entries of kernel row r and
+    continues past its end by repeating its last support index; ``weights``
+    holds the row's masses on ``index``, 0 in the padding.
     """
     positive = kernel > 0
     cols = np.nonzero(positive)[1]
@@ -272,25 +273,26 @@ def _kernel_rows(kernel):
     index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
     weights = np.take_along_axis(kernel, index, axis=1)
     weights[slot >= sizes[:, None]] = 0.0
-    return np.split(cols, ends[:-1]), index, weights
+    return index, weights
 
 
-def _forward_cost(blocks, values_x, values_y, stage_weights, p):
+def _forward_cost(stages, values_x, values_y, stage_weights, p):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over a joint chain.
 
-    ``blocks[k][(i, j)]`` starts with (si, sj, plan): the supports of the two
-    kernel rows of product state (i, j) and the joint child law on them.
+    ``stages[k]`` is a stage record (index_x, index_y, plans); each stage
+    scatters only the product states that carry mass.
     """
     pi = np.ones((1, 1))
     total = 0.0
-    for k, stage in enumerate(blocks):
-        pi_next = np.zeros((values_x[k + 1].size, values_y[k + 1].size))
-        for i, j in zip(*np.nonzero(pi)):
-            si, sj, plan = stage[(i, j)][:3]
-            pi_next[si[:, None], sj] += pi[i, j] * plan
+    for k, (index_x, index_y, plans) in enumerate(stages):
+        n_y = values_y[k + 1].size
+        i, j = np.nonzero(pi)
+        cells = index_x[i][:, :, None] * n_y + index_y[j][:, None, :]
+        mass = pi[i, j][:, None, None] * plans[i, j]
+        pi = np.bincount(cells.ravel(), weights=mass.ravel(),
+                         minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
         diff = np.abs(values_x[k + 1][:, None] - values_y[k + 1][None, :])
-        total += stage_weights[k] * float(np.sum(pi_next * diff**p))
-        pi = pi_next
+        total += stage_weights[k] * float(np.sum(pi * diff**p))
     return float(total)
 
 
@@ -298,11 +300,11 @@ def _forward_cost(blocks, values_x, values_y, stage_weights, p):
 class CoupledChain:
     """Joint Markov chain over product states of two lattices.
 
-    ``plans[k][(i, j)]`` is the block entry (si, sj, plan) of product state
-    (i, j) at stage k: ``si`` and ``sj`` are the supports of x-kernel row i
-    and y-kernel row j, and ``plan[a, b]`` is the mass sent to the child
-    pair (si[a], sj[b]) -- the format of ``BicausalSolution.policy``
-    without the inner value.
+    ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k:
+    ``index_*`` are the padded kernel rows of ``_kernel_rows``, and
+    ``plans[i, j, a, b]`` is the mass product state (i, j) sends to the
+    child pair (index_x[i, a], index_y[j, b]), zero in the padding.  It is
+    the format of ``BicausalSolution.plans``.
     """
 
     lattice_x: MarkovLattice
@@ -310,18 +312,15 @@ class CoupledChain:
     plans: tuple
 
     def validate(self, tol=1e-10):
-        for k, stage in enumerate(self.plans):
-            kx = self.lattice_x.transitions[k]
-            ky = self.lattice_y.transitions[k]
-            for (i, j), (si, sj, plan) in stage.items():
-                row_x = np.zeros(kx.shape[1])
-                row_x[si] = plan.sum(axis=1)
-                if np.max(np.abs(row_x - kx[i])) > tol:
-                    raise ConfigError(f"x-marginalization broken at stage {k}")
-                row_y = np.zeros(ky.shape[1])
-                row_y[sj] = plan.sum(axis=0)
-                if np.max(np.abs(row_y - ky[j])) > tol:
-                    raise ConfigError(f"y-marginalization broken at stage {k}")
+        for k, (index_x, index_y, plans) in enumerate(self.plans):
+            true_x, wx = _kernel_rows(self.lattice_x.transitions[k])
+            true_y, wy = _kernel_rows(self.lattice_y.transitions[k])
+            if (not np.array_equal(index_x, true_x)
+                    or np.max(np.abs(plans.sum(axis=3) - wx[:, None])) > tol):
+                raise ConfigError(f"x-marginalization broken at stage {k}")
+            if (not np.array_equal(index_y, true_y)
+                    or np.max(np.abs(plans.sum(axis=2) - wy[None])) > tol):
+                raise ConfigError(f"y-marginalization broken at stage {k}")
         return True
 
 
@@ -332,12 +331,9 @@ def kr_coupling(x_lattice, y_lattice):
         raise ConfigError("lattices must share the stage count")
     plans = []
     for kx, ky in zip(x_lattice.transitions, y_lattice.transitions):
-        rows_x, _, wx = _kernel_rows(kx)
-        rows_y, _, wy = _kernel_rows(ky)
-        stage = _quantile_plans(wx, wy)
-        plans.append({(i, j): (si, sj, stage[i, j, :si.size, :sj.size])
-                      for i, si in enumerate(rows_x)
-                      for j, sj in enumerate(rows_y)})
+        index_x, wx = _kernel_rows(kx)
+        index_y, wy = _kernel_rows(ky)
+        plans.append((index_x, index_y, _quantile_plans(wx, wy)))
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
                         plans=tuple(plans))
 
@@ -357,17 +353,18 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
                                      trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
     for kx, ky, mx, my in zip(lat_x.transitions, lat_y.transitions, maps_x, maps_y):
-        rows_y = _kernel_rows(ky)[0]
-        cols_y = [np.searchsorted(sj, my[j]) for j, sj in enumerate(rows_y)]
-        stage = {}
-        for i, si in enumerate(_kernel_rows(kx)[0]):
-            cols_x = np.searchsorted(si, mx[i])
-            for j, sj in enumerate(rows_y):
-                # atoms landing on the same product child add up
-                plan = np.zeros((si.size, sj.size))
-                np.add.at(plan, (cols_x, cols_y[j]), weights)
-                stage[(i, j)] = (si, sj, plan)
-        plans.append(stage)
+        index_x = _kernel_rows(kx)[0]
+        index_y = _kernel_rows(ky)[0]
+        # slot of each atom's child within its kernel row's support
+        slot_x = np.take_along_axis(np.cumsum(kx > 0, axis=1) - 1, mx, axis=1)
+        slot_y = np.take_along_axis(np.cumsum(ky > 0, axis=1) - 1, my, axis=1)
+        stage = np.zeros((kx.shape[0], ky.shape[0], index_x.shape[1],
+                          index_y.shape[1]))
+        # atoms landing on the same product child add up
+        np.add.at(stage, (np.arange(kx.shape[0])[:, None, None],
+                          np.arange(ky.shape[0])[None, :, None],
+                          slot_x[:, None, :], slot_y[None, :, :]), weights)
+        plans.append((index_x, index_y, stage))
     chain = CoupledChain(lattice_x=lat_x, lattice_y=lat_y, plans=tuple(plans))
     return lat_x, lat_y, chain
 
@@ -389,12 +386,12 @@ def coupled_cost(chain, p=2, scaled=True):
 class BicausalSolution:
     """Value and optimal policy of the bi-causal transport problem.
 
-    ``policy[k][(i, j)]`` is the block entry (si, sj, plan, val) of product
-    state (i, j) at stage k: the supports of the two kernel rows, the optimal
-    inner plan on them, and its inner value.  ``CoupledChain.plans`` stores
-    the same entries without ``val``.  ``n_simplex`` counts the inner blocks
-    that failed the Monge check and were solved by the transportation
-    simplex; the others took their quantile plan.
+    ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k,
+    the format of ``CoupledChain.plans``: ``plans[i, j]`` is the optimal
+    inner plan of product state (i, j) on the padded kernel rows, and
+    ``inner_values[k][i, j]`` its inner value.  ``n_simplex`` counts the
+    inner blocks that failed the Monge check and were solved by the
+    transportation simplex; the others took their quantile plan.
     """
 
     value: float
@@ -404,22 +401,38 @@ class BicausalSolution:
     values_y: tuple
     kernels_x: tuple
     kernels_y: tuple
-    policy: tuple
+    plans: tuple
+    inner_values: tuple
     n_simplex: int
 
+    @cached_property
+    def policy(self):
+        """Per-state view ``policy[k][(i, j)] = (si, sj, plan, val)`` on the
+        true row supports, built on first access for the perfbench block
+        counts; the library itself does not read it."""
+        policy = []
+        for (index_x, index_y, plans), vals, kx, ky in zip(
+                self.plans, self.inner_values, self.kernels_x, self.kernels_y):
+            policy.append({(i, j): (index_x[i, :a], index_y[j, :b],
+                                    plans[i, j, :a, :b], vals[i, j])
+                           for i, a in enumerate((kx > 0).sum(axis=1))
+                           for j, b in enumerate((ky > 0).sum(axis=1))})
+        return tuple(policy)
+
     def plan_at(self, stage, i, j):
-        si, sj, plan, val = self.policy[stage][(i, j)]
+        index_x, index_y, plans = self.plans[stage]
         kx = self.kernels_x[stage]
         ky = self.kernels_y[stage]
         joint = np.zeros((kx.shape[1], ky.shape[1]))
-        joint[np.ix_(si, sj)] = plan
-        return TransportPlan(joint=joint, row_marginal=kx[i],
-                             col_marginal=ky[j], cost=val)
+        # the padding repeats a support index with zero mass
+        np.add.at(joint, (index_x[i][:, None], index_y[j]), plans[i, j])
+        return TransportPlan(joint=joint, row_marginal=kx[i], col_marginal=ky[j],
+                             cost=float(self.inner_values[stage][i, j]))
 
     def forward_value(self):
         """Re-evaluate the stored policy forward; equals ``value`` up to
         accumulation error (the solution invariant)."""
-        return _forward_cost(self.policy, self.values_x, self.values_y,
+        return _forward_cost(self.plans, self.values_x, self.values_y,
                              self.stage_weights, self.p)
 
     def validate(self, tol=1e-9):
@@ -428,21 +441,20 @@ class BicausalSolution:
         return True
 
 
-def _solve_stage(cost, rows_x, rows_y):
+def _solve_stage(cost, index_x, wx, index_y, wy):
     """Optimal inner plans and values of every product state of one stage.
 
-    ``cost`` is the stage cost on the two child supports; ``rows_x`` and
-    ``rows_y`` come from ``_kernel_rows``.  The block of every product state
-    is gathered into one padded (n_x, n_y, a, b) array; the padding repeats
-    a row's last support, so its mixed differences vanish.  A block whose
+    ``cost`` is the stage cost on the two child supports; the padded rows
+    ``index_*`` and their weights ``w*`` come from ``_kernel_rows``.  The
+    block of every product state is gathered into one padded (n_x, n_y, a, b)
+    array; the padding repeats a row's last support, so its mixed
+    differences vanish.  A block whose
     adjacent mixed 2x2 differences are all within the simplex's optimality
     tolerance is Monge and its quantile plan is optimal (Hoffman 1963); the
     other blocks go to the simplex.  Returns (plans, values, simplex count).
     """
     if not np.isfinite(cost).all():
         raise ConfigError("stage costs must be finite")
-    supports_x, index_x, wx = rows_x
-    supports_y, index_y, wy = rows_y
     blocks = cost[index_x[:, None, :, None], index_y[None, :, None, :]]
     plans = _quantile_plans(wx, wy)
     values = np.einsum("ijab,ijab->ij", plans, blocks)
@@ -452,33 +464,36 @@ def _solve_stage(cost, rows_x, rows_y):
     monge = (mixed <= tol[:, :, None, None]).all(axis=(2, 3))
     fallback = np.argwhere(~monge)
     for i, j in fallback:
-        si, sj = supports_x[i], supports_y[j]
-        plan, val = _transport_simplex(cost[np.ix_(si, sj)], wx[i, :si.size],
-                                       wy[j, :sj.size], PIVOT_TOL)
-        plans[i, j, :si.size, :sj.size] = plan
+        a, b = np.count_nonzero(wx[i]), np.count_nonzero(wy[j])
+        plan, val = _transport_simplex(cost[np.ix_(index_x[i, :a], index_y[j, :b])],
+                                       wx[i, :a], wy[j, :b], PIVOT_TOL)
+        plans[i, j, :a, :b] = plan
         values[i, j] = val
     return plans, values, len(fallback)
 
 
 def _dp_engine(values_x, kernels_x, values_y, kernels_y, p, stage_weights):
-    """Backward induction; returns (value, policy, simplex count)."""
+    """Backward induction; returns the ``BicausalSolution``."""
     n = len(kernels_x)
     v_next = np.zeros((values_x[n].size, values_y[n].size))
-    policy = [None] * n
+    plans = [None] * n
+    inner_values = [None] * n
     n_simplex = 0
     for k in range(n - 1, -1, -1):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
         cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        rows_x = _kernel_rows(kernels_x[k])
-        rows_y = _kernel_rows(kernels_y[k])
-        plans, v_next, fallbacks = _solve_stage(cost, rows_x, rows_y)
+        index_x, wx = _kernel_rows(kernels_x[k])
+        index_y, wy = _kernel_rows(kernels_y[k])
+        stage, v_next, fallbacks = _solve_stage(cost, index_x, wx, index_y, wy)
         n_simplex += fallbacks
-        vals = v_next.tolist()
-        policy[k] = {(i, j): (si, sj, plans[i, j, :si.size, :sj.size], vals[i][j])
-                     for i, si in enumerate(rows_x[0])
-                     for j, sj in enumerate(rows_y[0])}
-    return v_next[0, 0], policy, n_simplex
+        plans[k] = (index_x, index_y, stage)
+        inner_values[k] = v_next
+    return BicausalSolution(value=v_next[0, 0], p=p, stage_weights=stage_weights,
+                            values_x=tuple(values_x), values_y=tuple(values_y),
+                            kernels_x=tuple(kernels_x), kernels_y=tuple(kernels_y),
+                            plans=tuple(plans), inner_values=tuple(inner_values),
+                            n_simplex=n_simplex)
 
 
 def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
@@ -497,15 +512,8 @@ def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
         raise ConfigError("lattices must share the stage count")
     n = x_lattice.n_steps
     w = np.full(n, (1.0 / n) if scaled else 1.0)
-    value, policy, n_simplex = _dp_engine(
-        x_lattice.supports, x_lattice.transitions,
-        y_lattice.supports, y_lattice.transitions, p, w)
-    return BicausalSolution(value=value, p=p, stage_weights=w,
-                            values_x=tuple(x_lattice.supports),
-                            values_y=tuple(y_lattice.supports),
-                            kernels_x=tuple(x_lattice.transitions),
-                            kernels_y=tuple(y_lattice.transitions),
-                            policy=tuple(policy), n_simplex=n_simplex)
+    return _dp_engine(x_lattice.supports, x_lattice.transitions,
+                      y_lattice.supports, y_lattice.transitions, p, w)
 
 
 def history_stage_system(measure):
@@ -545,12 +553,7 @@ def tree_bicausal_dp(mu, nu, p=2):
     vy, ky = history_stage_system(nu)
     if len(kx) != len(ky):
         raise ConfigError("path measures must share the stage count")
-    w = np.ones(len(kx))
-    value, policy, n_simplex = _dp_engine(vx, kx, vy, ky, p, w)
-    return BicausalSolution(value=value, p=p, stage_weights=w,
-                            values_x=tuple(vx), values_y=tuple(vy),
-                            kernels_x=tuple(kx), kernels_y=tuple(ky),
-                            policy=tuple(policy), n_simplex=n_simplex)
+    return _dp_engine(vx, kx, vy, ky, p, np.ones(len(kx)))
 
 
 # -- causality-constrained LP oracle ------------------------------------------

@@ -77,15 +77,39 @@ def test_metrics_on_example_trees(tmp_path):
     assert data["aw"] >= data["scw"] >= data["w"]
 
 
-def test_rho_scan_rerun_reproduces_bytes(tmp_path):
-    out = tmp_path / "scan.csv"
-    args = ["rho-scan", "--preset", "vol-gap", "--rhos=-1,0,1",
-            "--n-steps", "8", "--samples", "400", "--seed", "9",
-            "--out", str(out)]
-    assert main(args) == 0
+RERUN_ARGS = {
+    "simulate": ["--drift", "kind=ou theta=1", "--vol",
+                 "kind=constant value=1", "--n-steps", "4", "--scheme",
+                 "monotone-em", "--samples", "2", "--seed", "5"],
+    "lattice": ["--drift", "kind=ou theta=1", "--vol",
+                "kind=constant value=0.5", "--n-steps", "3", "--atoms", "3",
+                "--max-support", "6", "--x0=-0.25"],
+    "metrics": ["--tree-mu", "{mu}", "--tree-nu", "{nu}", "--p", "1.5"],
+    "rho-scan": ["--preset", "vol-gap", "--rhos=-1,0,1", "--n-steps", "8",
+                 "--samples", "400", "--seed", "9"],
+    "convergence": ["--preset", "drift-gap", "--n-list", "2,3", "--atoms",
+                    "3", "--max-support", "10", "--samples", "200",
+                    "--seed", "2"],
+    "stability": ["--levels", "2", "--n-steps", "4", "--samples", "200",
+                  "--seed", "3"],
+    "counterexample": ["--samples", "200", "--n-steps", "10", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_ARGS))
+def test_rerun_reproduces_bytes(tmp_path, command):
+    mu = tmp_path / "mu.json"
+    nu = tmp_path / "nu.json"
+    mu.write_text(DiscretePathMeasure(paths=[[0.5, 1.0], [-0.5, -1.0]],
+                                      weights=[0.5, 0.5]).to_json())
+    nu.write_text(DiscretePathMeasure(paths=[[0.0, 1.0], [0.0, -1.0]],
+                                      weights=[0.25, 0.75]).to_json())
+    out = tmp_path / "out"
+    args = [a.format(mu=mu, nu=nu) for a in RERUN_ARGS[command]]
+    assert main([command, *args, "--out", str(out)]) == 0
     first = out.read_bytes()
-    sidecar = str(out) + ".sidecar.json"
-    assert main(["rerun", sidecar]) == 0
+    out.unlink()
+    assert main(["rerun", str(out) + ".sidecar.json"]) == 0
     assert out.read_bytes() == first
 
 

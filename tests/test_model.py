@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from adapted_ot.acceptance import random_tree
+from adapted_ot.lattice import build_lattice
 from adapted_ot.model import (ConfigError, DiscretePathMeasure,
                               ExtrapolationError, MarkovLattice,
                               NotMarkovianError, SamplePath, TimeGrid, affine,
@@ -141,6 +145,23 @@ def test_lattice_validation_and_json():
         MarkovLattice(initial_value=0.0,
                       supports=(np.array([0.0]), np.array([-1.0, 1.0])),
                       transitions=(np.array([[0.6, 0.5]]),))
+
+
+@given(st.floats(0.0, 2.0), st.floats(0.1, 2.0), st.floats(-1.0, 1.0),
+       st.integers(1, 5), st.integers(2, 6), st.integers(0, 20))
+def test_lattice_json_round_trip_is_byte_identical(theta, vol, x0, n_steps, m,
+                                                    extra):
+    text = build_lattice(ou(theta), constant(vol, role="diffusion"), n_steps,
+                         m, m + extra, x0=x0).to_json()
+    assert MarkovLattice.from_json(text).to_json() == text
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_path_measure_json_round_trip_is_byte_identical(seed, n_stages,
+                                                        max_branch):
+    tree = random_tree(np.random.default_rng(seed), n_stages, max_branch)
+    text = tree.to_json()
+    assert DiscretePathMeasure.from_json(text).to_json() == text
 
 
 def test_lattice_json_is_plain_data():

@@ -205,8 +205,8 @@ def _normalised(raw):
 
 def _one_block(cost, a, b):
     """The stage solver on a stage of one product state."""
-    plans, values, n_simplex = _solve_stage(cost, _kernel_rows(a[None]),
-                                            _kernel_rows(b[None]))
+    plans, values, n_simplex = _solve_stage(cost, *_kernel_rows(a[None]),
+                                            *_kernel_rows(b[None]))
     return plans[0, 0], values[0, 0], n_simplex
 
 
@@ -266,6 +266,32 @@ def test_kr_coupling_marginal_preservation():
     chain.validate(tol=1e-10)
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_coupled_chain_validate_rejects_mass_in_padding(axis):
+    # merging to 10 nodes gives the last two stages rows of 2 to 4 children
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
+    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+                          4, 4, 10)
+    chain = kr_coupling(lat_x, lat_y)
+    chain.validate()
+    lattice = lat_x if axis == "x" else lat_y
+    # a kernel row narrower than its stage's padded width
+    k, row = next((k, r) for k, kernel in enumerate(lattice.transitions)
+                  for r, size in enumerate((kernel > 0).sum(axis=1))
+                  if size < (kernel > 0).sum(axis=1).max())
+    size = np.count_nonzero(lattice.transitions[k][row])
+    plans = chain.plans[k][2]
+    plan = plans[row, 0] if axis == "x" else plans[0, row].T
+    # move the mass of the row's last support into the first padding slot,
+    # which repeats that support's index
+    col = int(np.argmax(plan[size - 1]))
+    assert plan[size - 1, col] > 1e-6
+    plan[size, col] += plan[size - 1, col]
+    plan[size - 1, col] = 0.0
+    with pytest.raises(ConfigError, match=f"{axis}-marginalization"):
+        chain.validate()
+
+
 def test_kr_coupling_identical_lattices_is_diagonal():
     lat = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat, lat)
@@ -277,13 +303,14 @@ def test_kr_coupling_deterministic_x_gives_product():
                           3, 3, 27)
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat_x, lat_y)
-    for k, stage in enumerate(chain.plans):
-        for (i, j), (si, sj, plan) in stage.items():
-            # x-kernel is a Dirac, so the joint child law is the y-kernel
-            assert si.size == 1 and plan.shape == (1, sj.size)
-            row = np.zeros(lat_y.supports[k + 1].size)
-            row[sj] = plan[0]
-            assert np.allclose(row, lat_y.transitions[k][j], atol=1e-12)
+    for k, (index_x, index_y, plans) in enumerate(chain.plans):
+        # x-kernel is a Dirac, so the joint child law is the y-kernel
+        assert index_x.shape[1] == 1
+        assert plans.shape[2:] == (1, index_y.shape[1])
+        rows = np.zeros((*plans.shape[:2], lat_y.supports[k + 1].size))
+        np.add.at(rows, (slice(None), np.arange(index_y.shape[0])[:, None],
+                         index_y), plans[:, :, 0])
+        assert np.allclose(rows, lat_y.transitions[k][None], atol=1e-12)
 
 
 def test_synchronous_product_chain_equals_kr():
@@ -297,14 +324,12 @@ def test_synchronous_product_chain_equals_kr():
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
     kr_chain = kr_coupling(lat_x, lat_y)
     for stage_sync, stage_kr in zip(sync_chain.plans, kr_chain.plans):
-        assert stage_sync.keys() == stage_kr.keys()
-        for key in stage_sync:
-            si_a, sj_a, plan_a = stage_sync[key]
-            si_b, sj_b, plan_b = stage_kr[key]
-            assert np.array_equal(si_a, si_b) and np.array_equal(sj_a, sj_b)
-            # the same child pairs carry mass, and the same mass
-            assert np.array_equal(plan_a > 0, plan_b > 0)
-            assert np.allclose(plan_a, plan_b, rtol=0.0, atol=1e-12)
+        (ix_a, iy_a, plans_a), (ix_b, iy_b, plans_b) = stage_sync, stage_kr
+        assert np.array_equal(ix_a, ix_b) and np.array_equal(iy_a, iy_b)
+        # the same product states send mass to the same child pairs, and
+        # the same mass
+        assert np.array_equal(plans_a > 0, plans_b > 0)
+        assert np.allclose(plans_a, plans_b, rtol=0.0, atol=1e-12)
 
 
 def test_synchronous_product_chain_one_step():
@@ -366,6 +391,34 @@ def test_plan_at_exposes_valid_transport_plans():
     plan.validate()
 
 
+def test_bicausal_solution_validate_rejects_perturbed_plan():
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30)
+    lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
+    sol = bicausal_dp(lat_x, lat_y, p=2)
+    sol.validate()
+    # reverse the root state's plan in y: the monotone coupling becomes
+    # antitone, so the policy's forward value rises above the DP value
+    plan = sol.plans[0][2][0, 0]
+    plan[:] = plan[:, ::-1].copy()
+    with pytest.raises(ConfigError):
+        sol.validate()
+
+
+def test_policy_view_cuts_stage_records_to_true_supports():
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
+    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+                          4, 4, 10)
+    sol = bicausal_dp(lat_x, lat_y, p=2)
+    for k, stage in enumerate(sol.policy):
+        kx, ky = lat_x.transitions[k], lat_y.transitions[k]
+        assert len(stage) == kx.shape[0] * ky.shape[0]
+        for (i, j), (si, sj, plan, val) in stage.items():
+            assert np.array_equal(si, np.flatnonzero(kx[i]))
+            assert np.array_equal(sj, np.flatnonzero(ky[j]))
+            assert np.array_equal(plan, sol.plans[k][2][i, j, :si.size, :sj.size])
+            assert val == sol.inner_values[k][i, j]
+
+
 def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
     b_x, s_x, b_y, s_y = get_preset("ou-vol")
     lat_x = build_lattice(b_x, s_x, 6, 4, 30)
@@ -374,12 +427,9 @@ def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
     assert sol.n_simplex == 0
     # every inner block took its quantile plan: the DP policy is the KR chain
     chain = kr_coupling(lat_x, lat_y)
-    for stage_dp, stage_kr in zip(sol.policy, chain.plans):
-        assert stage_dp.keys() == stage_kr.keys()
-        for key, (si, sj, plan, _) in stage_dp.items():
-            si_kr, sj_kr, plan_kr = stage_kr[key]
-            assert np.array_equal(si, si_kr) and np.array_equal(sj, sj_kr)
-            assert np.array_equal(plan, plan_kr)
+    for (ix, iy, plans), (ix_kr, iy_kr, plans_kr) in zip(sol.plans, chain.plans):
+        assert np.array_equal(ix, ix_kr) and np.array_equal(iy, iy_kr)
+        assert np.array_equal(plans, plans_kr)
 
 
 def test_tree_dp_fallback_matches_lp():
