@@ -11,7 +11,7 @@ from .model import (AdaptedOTError, CoefficientSpec, ConfigError,
                     sign_switch, table)
 from .noise import (IncrementBlock, RhoControl, constant_rho,
                     exit_probability_bounds, fourth_moment_truncation_error,
-                    replicate_rng, rho_table, sample_correlated_pair,
+                    replicate_normals, rho_table, sample_correlated_pair,
                     sample_truncated_increment, truncation_level)
 from .sde import (DriftRemovingTransform, euler_maruyama, monotone_em,
                   transformed_monotone_em, zvonkin_transform)
@@ -23,8 +23,8 @@ from .transport import (BicausalSolution, CoupledChain, MetricSuiteResult,
                         quantile, synchronous_product_chain, transportation_lp,
                         tree_bicausal_dp)
 from .estimate import (MCResult, closed_form_cost, convergence_study,
-                       counterexample_nonmarkov, rho_scan, stability_study,
-                       sync_distance_mc)
+                       counterexample_nonmarkov, em_expected_cost, rho_scan,
+                       stability_study, sync_distance_mc)
 from .presets import PRESETS, get_preset
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

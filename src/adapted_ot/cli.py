@@ -31,6 +31,11 @@ from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
 FLOAT_FMT = "%.17g"
 
+# commands whose output bytes depend on the random streams, which may change
+# between versions; their sidecars rerun only under the version that wrote them
+STREAM_COMMANDS = ("simulate", "rho-scan", "convergence", "stability",
+                   "counterexample")
+
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
@@ -302,6 +307,13 @@ def _run(parser, argv):
     args = parser.parse_args(argv)
     if args.command == "rerun":
         payload = json.loads(Path(args.sidecar).read_text())
+        version = payload.get("version")
+        if payload["command"] in STREAM_COMMANDS and version != __version__:
+            raise ConfigError(
+                f"sidecar written by adapted-ot {version}, this is "
+                f"{__version__}; {payload['command']} output depends on the "
+                f"random streams of the version that wrote it, so rerun it "
+                f"with adapted-ot {version}")
         replay = [payload["command"]]
         for key, value in payload["config"].items():
             # "scaled" was a no-op aw-distance flag that old sidecars carry

@@ -6,8 +6,9 @@ closed-form oracle registry.
 Costs integrate the scheme's piecewise-linear interpolant exactly on each
 segment; for quadratic cost a Brownian-bridge variance term corrects for the
 in-step diffusion mismatch, so the estimator is conditionally unbiased for
-the interpolant's integral cost.  Replicates are keyed by (master seed,
-replicate index), so serial and threaded runs agree.
+the interpolant's integral cost.  Replicate ``i`` of master seed ``s`` owns
+a fixed block of the master's counter-based stream (see ``noise``); each
+batch of replicates is drawn in one call, and serial and threaded runs agree.
 """
 
 from __future__ import annotations
@@ -141,19 +142,13 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
                       zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
 
     def run_batch(lo, hi):
-        n_rep = hi - lo
-        dw = np.empty((n_rep, grid.n_steps, m_sub))
-        dw_bar = np.empty_like(dw)
-        for r in range(n_rep):
-            block = sample_correlated_pair(grid, rho, (seed, lo + r), m_sub=m_sub)
-            dw[r] = block.dW
-            dw_bar[r] = block.dW_bar
+        block = sample_correlated_pair(grid, rho, (seed, lo), m_sub=m_sub,
+                                       n_replicates=hi - lo)
         if scheme == "em":
-            dx = np.cumsum(dw, axis=2)[:, :, -1]
-            dy = np.cumsum(dw_bar, axis=2)[:, :, -1]
+            dx, dy = block.step_sums(), block.step_sums_bar()
         else:
-            dx, _ = truncate_increments(dw, barrier)
-            dy, _ = truncate_increments(dw_bar, barrier)
+            dx, _ = truncate_increments(block.dW, barrier)
+            dy, _ = truncate_increments(block.dW_bar, barrier)
         xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0, transforms[0])
         yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0, transforms[1])
         bad = bad_x | bad_y
@@ -297,11 +292,8 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
     counts = np.zeros(len(ranges))
     for b_idx, (lo, hi) in enumerate(ranges):
         n_rep = hi - lo
-        dw = np.empty((n_rep, grid.n_steps))
-        for r in range(n_rep):
-            block = sample_correlated_pair(grid, constant_rho(1.0),
-                                           (seed, lo + r), m_sub=1)
-            dw[r] = block.step_sums()
+        dw = sample_correlated_pair(grid, constant_rho(1.0), (seed, lo), m_sub=1,
+                                    n_replicates=n_rep).step_sums()
         w = np.concatenate([np.zeros((n_rep, 1)), np.cumsum(dw, axis=1)], axis=1)
         sign = np.sign(w[:, k_sw])
         drift = level * sign[:, None] * ramp[None, :]
@@ -354,3 +346,49 @@ def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
         return (s1 - s2) ** 2 * (1.0 / (2 * theta)
                                  - (1.0 - math.exp(-2 * theta)) / (4 * theta**2))
     return None
+
+
+def _affine_drift(spec):
+    """(intercept, slope) of a drift that is affine in the state, or None."""
+    c = _constant_value(spec)
+    if c is not None:
+        return c, 0.0
+    if spec.kind == "affine":
+        return spec.intercept, spec.slope
+    if spec.kind == "ou":
+        return 0.0, -spec.theta
+    return None
+
+
+def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, x0=0.0):
+    """Exact expectation of the quadratic synchronous estimator for the
+    ``em`` scheme on ``n_steps`` steps, or None outside affine drifts with
+    constant volatilities.
+
+    There the scheme pair Z = (X, Y) is linear Gaussian,
+    Z' = A Z + c + g dW, so its first and second moments follow a short
+    recursion.  Each step costs h (D^2 + D D' + D'^2) / 3 for D = X - Y, plus
+    the bridge term (s_x - s_y)^2 h^2 / 6, a quadratic form in those moments.
+    Against ``closed_form_cost`` this is the scheme's exact bias.
+    """
+    drifts = (_affine_drift(b_x), _affine_drift(b_y))
+    vols = (_constant_value(sigma_x), _constant_value(sigma_y))
+    if drifts[0] is None or drifts[1] is None or None in vols:
+        return None
+    h = 1.0 / n_steps
+    a = np.diag([1.0 + h * drifts[0][1], 1.0 + h * drifts[1][1]])
+    c = h * np.array([drifts[0][0], drifts[1][0]], dtype=float)
+    g = np.array(vols, dtype=float)
+    e = np.array([1.0, -1.0])
+    mean = np.full(2, float(x0))
+    second = np.outer(mean, mean)
+    total = n_steps * (g[0] - g[1]) ** 2 * h * h / 6.0
+    for _ in range(n_steps):
+        cross = second @ a.T + np.outer(mean, c)  # E[Z Z'^T]
+        shift = np.outer(a @ mean, c)
+        second_next = (a @ second @ a.T + shift + shift.T + np.outer(c, c)
+                       + h * np.outer(g, g))
+        total += h * (e @ (second + cross + second_next) @ e) / 3.0
+        mean = a @ mean + c
+        second = second_next
+    return float(total)

@@ -1,18 +1,25 @@
 """Seeded Brownian increments, rho-correlated pairs, and stopped (truncated)
 increments, plus the analytic exit-probability sandwich for the barrier.
 
-Streams are counter-based: replicate ``i`` of a run with master seed ``s``
-always draws from the generator keyed by ``(s, i)``, so serial and parallel
-executions produce identical numbers.
+Streams are counter-based (Salmon et al. 2011, "Parallel random numbers: as
+easy as 1, 2, 3"): master seed ``s`` keys one Philox4x64 stream, and replicate
+``i`` of a draw of ``width`` words per replicate owns the counter words
+``[i * stride, (i + 1) * stride)``, ``stride`` being ``width`` rounded up to a
+multiple of 4 (one Philox block).  Each word becomes a normal by inverse CDF,
+so every replicate consumes a fixed number of words and a range of
+replicates ``[lo, hi)`` is one ``advance`` plus one ``random_raw``.  Replicate
+``i`` therefore depends only on ``(s, i)``: drawn alone or inside any batch,
+serially or in parallel, it is the same numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .model import ConfigError, TimeGrid
 
@@ -67,7 +74,8 @@ def rho_table(times, values):
 class IncrementBlock:
     """Substep increments of a correlated Brownian pair on one grid.
 
-    ``dW`` and ``dW_bar`` have shape (N, m_sub); each substep increment has
+    ``dW`` and ``dW_bar`` have shape (N, m_sub) for one replicate, or
+    (n_replicates, N, m_sub) for a batch; each substep increment has
     variance h/m_sub, and ``dW_bar = rho * dW + sqrt(1 - rho^2) * dW_perp``
     with ``rho`` evaluated at the step's left endpoint.
     """
@@ -81,21 +89,68 @@ class IncrementBlock:
     def step_sums(self):
         # sequential accumulation, bit-identical to the truncated path's
         # running sum when no barrier crossing occurs
-        return np.cumsum(self.dW, axis=1)[:, -1]
+        return np.cumsum(self.dW, axis=-1)[..., -1]
 
     def step_sums_bar(self):
-        return np.cumsum(self.dW_bar, axis=1)[:, -1]
+        return np.cumsum(self.dW_bar, axis=-1)[..., -1]
 
 
-def replicate_rng(seed, index=None):
-    """Generator for one replicate, keyed by (master seed, replicate index)."""
-    if index is None:
-        entropy = seed
-    elif isinstance(seed, (tuple, list)):
-        entropy = tuple(seed) + (index,)
+def _split_seed(seed):
+    """(master entropy, first replicate index) of a replicate seed.
+
+    ``(s, i)`` is replicate ``i`` of master ``s``; ``s`` may itself be a
+    tuple, and ``(a, b, i)`` is the same as ``((a, b), i)``.  A bare master
+    (an int or a 1-tuple) is its replicate 0.
+    """
+    if isinstance(seed, (tuple, list)) and len(seed) >= 2:
+        master, index = seed[:-1], seed[-1]
+        if len(master) == 1 and isinstance(master[0], (tuple, list)):
+            master = master[0]
     else:
-        entropy = (seed, index)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+        master, index = seed, 0
+    master = tuple(master) if isinstance(master, (tuple, list)) else (master,)
+    parts = master + (index,)
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in parts):
+        raise ConfigError(f"seed {seed!r} must be made of non-negative integers")
+    return tuple(int(v) for v in master), int(index)
+
+
+@lru_cache(maxsize=64)
+def _stream_key(master):
+    """Philox key of a master seed."""
+    return np.random.SeedSequence(master).generate_state(2, np.uint64)
+
+
+def _replicate_words(seed, width, n_replicates):
+    """Raw words of replicates ``[i, i + n_replicates)`` of the master stream,
+    shape (n_replicates, width); ``seed`` is ``(s, i)``."""
+    master, first = _split_seed(seed)
+    stride = -(-width // 4) * 4
+    bits = np.random.Philox(key=_stream_key(master))
+    bits.advance(first * stride // 4)  # one Philox block is 4 words
+    words = bits.random_raw(n_replicates * stride)
+    return words.reshape(n_replicates, stride)[:, :width]
+
+
+def _words_to_normals(words):
+    """Standard normals by inverse CDF from raw 64-bit words.
+
+    The top 52 bits of a word give the midpoint ``(k + 0.5) 2^-52`` of one of
+    2^52 equal cells of (0, 1); both ends are exact in double precision, so
+    ``ndtri`` never sees 0 or 1 (a 53-bit midpoint rounds to 1.0 at the top).
+    """
+    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(12)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=u)
+
+
+def replicate_normals(seed, width, n_replicates=1):
+    """``width`` standard normals for each of replicates ``[i, i + n_replicates)``
+    of master ``s`` (``seed = (s, i)``), shape (n_replicates, width)."""
+    if width < 1 or n_replicates < 1:
+        raise ConfigError("need at least one normal and one replicate")
+    return _words_to_normals(_replicate_words(seed, width, n_replicates))
 
 
 def truncation_level(h, trunc_k):
@@ -107,18 +162,31 @@ def truncation_level(h, trunc_k):
     return trunc_k * math.sqrt(-h * math.log(h))
 
 
-def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS):
-    """Draw one correlated increment block, deterministic in (seed, grid, rho)."""
+def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
+                           n_replicates=None):
+    """Draw correlated increment blocks, deterministic in (seed, grid, rho).
+
+    ``seed = (s, i)`` gives replicate ``i`` of master ``s``; with
+    ``n_replicates`` the block holds replicates ``[i, i + n_replicates)``
+    stacked on a leading axis, each identical to its own single draw.
+    A replicate's words are ``dW`` then ``dW_perp``, (N, m_sub) each.
+    """
     if m_sub < 1:
         raise ConfigError("m_sub must be >= 1")
-    rng = replicate_rng(seed)
+    count = 1 if n_replicates is None else int(n_replicates)
+    if count < 1:
+        raise ConfigError("n_replicates must be >= 1")
     n = grid.n_steps
     scale = math.sqrt(grid.h / m_sub)
-    z = rng.standard_normal((2, n, m_sub))
-    dw = scale * z[0]
-    dw_perp = scale * z[1]
-    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
-    dw_bar = rho_k[:, None] * dw + np.sqrt(1.0 - rho_k**2)[:, None] * dw_perp
+    words = _replicate_words(seed, 2 * n * m_sub, count).reshape(count, 2, n, m_sub)
+    dw = scale * _words_to_normals(words[:, 0])
+    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)[:, None]
+    perp = np.sqrt(1.0 - rho_k**2)
+    dw_bar = rho_k * dw
+    if perp.any():  # at |rho| = 1 the perpendicular half adds exact zeros
+        dw_bar += perp * (scale * _words_to_normals(words[:, 1]))
+    if n_replicates is None:
+        dw, dw_bar = dw[0], dw_bar[0]
     return IncrementBlock(grid=grid, dW=dw, dW_bar=dw_bar, seed=seed, m_sub=m_sub)
 
 
@@ -145,8 +213,7 @@ def sample_truncated_increment(h, barrier, m_sub, seed):
         raise ConfigError("barrier must be positive")
     if m_sub < 1:
         raise ConfigError("m_sub must be >= 1")
-    rng = replicate_rng(seed)
-    sub = rng.standard_normal(m_sub) * math.sqrt(h / m_sub)
+    sub = replicate_normals(seed, m_sub)[0] * math.sqrt(h / m_sub)
     values, exited = truncate_increments(sub, barrier)
     return float(values), bool(exited)
 
@@ -187,14 +254,13 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS
     truncation lemma is reported alongside.
     """
     barrier = truncation_level(h, trunc_k)
-    rng = replicate_rng(seed)
     total = 0.0
     total_sq = 0.0
     n_exits = 0
     done = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
-        sub = rng.standard_normal((b, m_sub)) * math.sqrt(h / m_sub)
+        sub = replicate_normals((seed, done), m_sub, b) * math.sqrt(h / m_sub)
         values, exited = truncate_increments(sub, barrier)
         # full increment via the same sequential accumulation as the
         # truncation, so unexited samples contribute exactly zero

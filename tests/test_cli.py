@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from adapted_ot import __version__
 from adapted_ot.cli import main
 from adapted_ot.model import DiscretePathMeasure
 
@@ -111,6 +112,22 @@ def test_rerun_reproduces_bytes(tmp_path, command):
     out.unlink()
     assert main(["rerun", str(out) + ".sidecar.json"]) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["simulate", "counterexample"])
+def test_rerun_refuses_stream_sidecar_from_another_version(tmp_path, command,
+                                                           capsys):
+    out = tmp_path / "out"
+    assert main([command, *RERUN_ARGS[command], "--out", str(out)]) == 0
+    sidecar = Path(str(out) + ".sidecar.json")
+    payload = json.loads(sidecar.read_text())
+    assert payload["version"] == __version__
+    payload["version"] = "0.1.0"
+    sidecar.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["rerun", str(sidecar)]) == 2
+    err = capsys.readouterr().err
+    assert "0.1.0" in err and __version__ in err and command in err
 
 
 def test_convergence_csv_schema(tmp_path):

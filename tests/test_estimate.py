@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
-                                 rho_scan, stability_study, sync_distance_mc)
+                                 em_expected_cost, rho_scan, stability_study,
+                                 sync_distance_mc)
 from adapted_ot.model import (DivergenceError, TimeGrid, affine, constant, ou,
                               table)
 
@@ -47,6 +48,31 @@ def test_closed_form_registry():
     assert closed_form_cost(ou(1.0), UNIT_VOL, ou(2.0), UNIT_VOL) is None
     assert closed_form_cost(affine(0.0, 1.0), UNIT_VOL, constant(0.0),
                             UNIT_VOL) is None
+
+
+def test_em_expected_cost_bias_is_first_order():
+    # constant coefficients: the interpolated em pair is exact at any N
+    for pair in ((constant(1.0), UNIT_VOL, constant(0.0), UNIT_VOL),
+                 (constant(0.0), UNIT_VOL, constant(0.0), HALF_VOL)):
+        assert em_expected_cost(*pair, 64) == pytest.approx(
+            closed_form_cost(*pair), abs=1e-14)
+    two = constant(2.0, role="diffusion")
+    target = closed_form_cost(ou(1.0), UNIT_VOL, ou(1.0), two)
+    bias = [em_expected_cost(ou(1.0), UNIT_VOL, ou(1.0), two, n) - target
+            for n in (64, 128, 256)]
+    assert bias[0] == pytest.approx(3.382e-3, abs=1e-6)
+    assert bias[1] == pytest.approx(1.690e-3, abs=1e-6)
+    assert 0.49 < bias[2] / bias[1] < 0.51
+    assert em_expected_cost(table([0, 1], [0, 1]), UNIT_VOL, ou(1.0), two,
+                            8) is None
+    assert em_expected_cost(ou(1.0), table([0, 1], [1, 2], role="diffusion"),
+                            ou(1.0), two, 8) is None
+
+
+def test_em_expected_cost_matches_mc_with_state_dependent_drift():
+    args = (affine(0.5, -0.5), UNIT_VOL, ou(2.0), HALF_VOL)
+    res = sync_distance_mc(*args, TimeGrid(8), 2, 20000, seed=22)
+    assert abs(res.estimate - em_expected_cost(*args, 8)) <= 4 * res.stderr
 
 
 def test_sync_identical_pairs_is_exactly_zero():
@@ -129,6 +155,16 @@ def test_counterexample_costs():
     assert sync.estimate == pytest.approx(24.3, abs=1e-9)
     assert abs(asyn.estimate - 2.0) <= 4 * asyn.stderr
     assert asyn.estimate < sync.estimate
+
+
+def test_counterexample_does_not_depend_on_batches():
+    runs = [counterexample_nonmarkov(5.0, 0.3, TimeGrid(10), p=2,
+                                     n_samples=1000, seed=23, n_batches=k)
+            for k in (1, 7, 20)]
+    for sync, asyn in runs[1:]:
+        assert sync.estimate == pytest.approx(runs[0][0].estimate, rel=1e-12)
+        assert asyn.estimate == pytest.approx(runs[0][1].estimate, rel=1e-12)
+        assert (sync.n_samples, asyn.n_samples) == (1000, 1000)
 
 
 def test_counterexample_zero_level():

@@ -10,7 +10,7 @@ from adapted_ot.lattice import (build_lattice, check_fosd,
                                 quantize_increment)
 from adapted_ot.model import (ConfigError, MarkovLattice, NotMarkovianError,
                               affine, constant, ou, sign_switch, table)
-from adapted_ot.noise import replicate_rng, truncate_increments, truncation_level
+from adapted_ot.noise import truncate_increments, truncation_level
 
 UNIT_VOL = constant(1.0, role="diffusion")
 
@@ -116,7 +116,7 @@ def _simulate_quantized_chain(b, s, n_steps, m, seed, n_paths):
     """Monte Carlo of the exact quantized chain (uniform atom choice)."""
     h = 1.0 / n_steps
     q = quantize_increment(h, truncation_level(h, 4), m)
-    rng = replicate_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
     for _ in range(n_steps):
         atom = q.atoms[rng.integers(0, m, size=n_paths)]
@@ -127,7 +127,7 @@ def _simulate_quantized_chain(b, s, n_steps, m, seed, n_paths):
 def _simulate_monotone_em(b, s, n_steps, seed, n_paths, m_sub=4):
     h = 1.0 / n_steps
     barrier = truncation_level(h, 4)
-    rng = replicate_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
     for _ in range(n_steps):
         sub = rng.standard_normal((n_paths, m_sub)) * math.sqrt(h / m_sub)

@@ -5,10 +5,10 @@ import pytest
 
 from adapted_ot.model import ConfigError, TimeGrid
 from adapted_ot.noise import (constant_rho, exit_probability_bounds,
-                              fourth_moment_truncation_error, replicate_rng,
+                              fourth_moment_truncation_error, replicate_normals,
                               rho_table, sample_correlated_pair,
                               sample_truncated_increment, truncate_increments,
-                              truncation_level)
+                              truncation_level, _words_to_normals)
 
 
 def test_truncation_level_values():
@@ -33,6 +33,54 @@ def test_pair_determinism():
     assert np.array_equal(a.dW_bar, b.dW_bar)
     c = sample_correlated_pair(grid, constant_rho(0.3), (123, 6), m_sub=4)
     assert not np.array_equal(a.dW, c.dW)
+
+
+@pytest.mark.parametrize("master", [123, (7, 10)])
+@pytest.mark.parametrize("m_sub", [1, 16])
+def test_replicate_is_the_same_alone_or_in_any_batch(master, m_sub):
+    grid = TimeGrid(5)
+    rho = rho_table([0.0, 0.4], [0.3, -0.8])
+    master_t = master if isinstance(master, tuple) else (master,)
+    alone = {i: sample_correlated_pair(grid, rho, master_t + (i,), m_sub=m_sub)
+             for i in (0, 3, 7, 11)}
+    for edges in ([0, 12], [0, 3, 4, 12], [0, 1, 7, 8, 12], list(range(13))):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            batch = sample_correlated_pair(grid, rho, (master, lo), m_sub=m_sub,
+                                           n_replicates=hi - lo)
+            assert batch.dW.shape == (hi - lo, 5, m_sub)
+            for i, block in alone.items():
+                if lo <= i < hi:
+                    assert np.array_equal(batch.dW[i - lo], block.dW)
+                    assert np.array_equal(batch.dW_bar[i - lo], block.dW_bar)
+                    assert np.array_equal(batch.step_sums()[i - lo],
+                                          block.step_sums())
+
+
+def test_replicate_normals_depend_only_on_master_and_index():
+    batch = replicate_normals((9, 4, 100), 3, 50)
+    assert np.array_equal(replicate_normals(((9, 4), 123), 3)[0], batch[23])
+    assert np.array_equal(replicate_normals((9, 4, 149), 3)[0], batch[49])
+    assert not np.array_equal(replicate_normals((9, 5, 123), 3)[0], batch[23])
+    # a wider draw gives different replicates, not a shifted prefix
+    assert not np.array_equal(replicate_normals((9, 4, 101), 5)[0, :3], batch[1])
+
+
+def test_extreme_words_give_finite_normals():
+    words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    z = _words_to_normals(words)
+    assert np.all(np.isfinite(z))
+    assert z[0] == -z[-1] and z[0] < -8.0
+    assert z[0] == z[1]  # the low 12 bits are dropped
+    assert abs(z[2]) < 1e-15
+
+
+def test_bad_seeds_are_config_errors():
+    grid = TimeGrid(2)
+    for seed in [(-1, 0), (1, -2), (1.5, 0), "seed"]:
+        with pytest.raises(ConfigError):
+            sample_correlated_pair(grid, constant_rho(1.0), seed)
+    with pytest.raises(ConfigError):
+        sample_correlated_pair(grid, constant_rho(1.0), (1, 0), n_replicates=0)
 
 
 def test_perfect_correlations_are_exact():
@@ -95,8 +143,7 @@ def test_truncated_clamp_invariant():
 def test_huge_barrier_is_plain_gaussian():
     value, exited = sample_truncated_increment(0.25, 1e9, 8, (3, 1))
     assert not exited
-    rng = replicate_rng((3, 1))
-    sub = rng.standard_normal(8) * math.sqrt(0.25 / 8)
+    sub = replicate_normals((3, 1), 8)[0] * math.sqrt(0.25 / 8)
     assert value == pytest.approx(np.cumsum(sub)[-1], abs=0.0)
 
 
@@ -125,7 +172,7 @@ def test_exit_frequency_sandwich():
     h = 0.1
     barrier = truncation_level(h, 1)
     lower, upper = exit_probability_bounds(h, barrier)
-    rng = replicate_rng(77)
+    rng = np.random.default_rng(77)
     n = 100000
     sub = rng.standard_normal((n, 16)) * math.sqrt(h / 16)
     _, exited = truncate_increments(sub, barrier)

@@ -5,7 +5,7 @@ import pytest
 
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, table)
-from adapted_ot.noise import (replicate_rng, sample_correlated_pair,
+from adapted_ot.noise import (sample_correlated_pair,
                               constant_rho, truncation_level)
 from adapted_ot.sde import (euler_maruyama, monotone_em,
                             transformed_monotone_em, zvonkin_transform)
@@ -15,7 +15,7 @@ UNIT_VOL = constant(1.0, role="diffusion")
 
 def test_em_pure_noise_is_cumsum():
     grid = TimeGrid(8)
-    rng = replicate_rng(0)
+    rng = np.random.default_rng(0)
     dw = rng.standard_normal(8) * math.sqrt(grid.h)
     path = euler_maruyama(constant(0.0), UNIT_VOL, grid, dw, x0=0.3)
     assert np.allclose(path.values, 0.3 + np.concatenate([[0], np.cumsum(dw)]))
@@ -143,7 +143,7 @@ def _common_noise_self_difference(b, s, n_coarse, n_reps, seed):
     sup_sq = np.zeros(n_reps)
     sup_sq_half = np.zeros(n_reps)
     for i in range(n_reps):
-        rng = replicate_rng((seed, i))
+        rng = np.random.default_rng((seed, i))
         dw = rng.standard_normal(fine) * math.sqrt(h_f)
         levels = {}
         for factor in (4, 2, 1):
