@@ -23,8 +23,8 @@ import numpy as np
 from .lattice import build_lattice, check_fosd
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
                     check_p)
-from .noise import (constant_rho, sample_correlated_pair, truncate_increments,
-                    truncation_level)
+from .noise import (constant_rho, replicate_normals, sample_correlated_pair,
+                    truncate_increments, truncation_level)
 from .sde import zvonkin_transform
 from .transport import bicausal_dp, coupled_cost, kr_coupling
 
@@ -292,8 +292,7 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
     counts = np.zeros(len(ranges))
     for b_idx, (lo, hi) in enumerate(ranges):
         n_rep = hi - lo
-        dw = sample_correlated_pair(grid, constant_rho(1.0), (seed, lo), m_sub=1,
-                                    n_replicates=n_rep).step_sums()
+        dw = replicate_normals((seed, lo), grid.n_steps, n_rep) * math.sqrt(h)
         w = np.concatenate([np.zeros((n_rep, 1)), np.cumsum(dw, axis=1)], axis=1)
         sign = np.sign(w[:, k_sw])
         drift = level * sign[:, None] * ramp[None, :]
@@ -360,10 +359,10 @@ def _affine_drift(spec):
     return None
 
 
-def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, x0=0.0):
+def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps):
     """Exact expectation of the quadratic synchronous estimator for the
     ``em`` scheme on ``n_steps`` steps, or None outside affine drifts with
-    constant volatilities.
+    constant volatilities.  Like ``closed_form_cost``, it assumes x0 = 0.
 
     There the scheme pair Z = (X, Y) is linear Gaussian,
     Z' = A Z + c + g dW, so its first and second moments follow a short
@@ -380,8 +379,8 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, x0=0.0):
     c = h * np.array([drifts[0][0], drifts[1][0]], dtype=float)
     g = np.array(vols, dtype=float)
     e = np.array([1.0, -1.0])
-    mean = np.full(2, float(x0))
-    second = np.outer(mean, mean)
+    mean = np.zeros(2)
+    second = np.zeros((2, 2))
     total = n_steps * (g[0] - g[1]) ** 2 * h * h / 6.0
     for _ in range(n_steps):
         cross = second @ a.T + np.outer(mean, c)  # E[Z Z'^T]

@@ -117,7 +117,8 @@ def _split_seed(seed):
 
 @lru_cache(maxsize=64)
 def _stream_key(master):
-    """Philox key of a master seed."""
+    """Philox key of a master seed (cached: a ``SeedSequence`` per call would
+    be a third of a single replicate's draw)."""
     return np.random.SeedSequence(master).generate_state(2, np.uint64)
 
 
