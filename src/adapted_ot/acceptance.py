@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .estimate import (_propagate, closed_form_cost, convergence_study,
                        counterexample_nonmarkov, em_expected_cost, rho_scan,
@@ -327,6 +326,7 @@ def criterion_9_fosd_certificate(seed=DEFAULT_SEED, quick=False):
 def criterion_10_zvonkin(seed=DEFAULT_SEED, quick=False):
     """Transformed and direct schemes agree in law at the horizon; the
     transformed coefficient's Lipschitz certificate is exactly 2."""
+    from scipy.stats import ks_2samp  # imported here: slow, and used only here
     n_samples = 10000 if quick else 100000
     ks_tol = 0.03 if quick else 0.01
     b = constant(1.0)

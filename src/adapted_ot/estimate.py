@@ -55,17 +55,27 @@ def _segment_cost(a, b, h, p):
     return np.where(small, mid, exact)
 
 
-def path_integral_cost(x_paths, y_paths, h, p, sigma_gap=None):
+def path_integral_cost(x_paths, y_paths, h, p, bridge_var=None):
     """Per-replicate integral cost of the interpolated path difference.
 
-    ``sigma_gap`` holds per-step diffusion differences (B, N); for p = 2 its
-    bridge-variance contribution (sigma_gap^2 h^2 / 6 per step) is added.
+    ``bridge_var`` holds the per-step variance rate of the difference's
+    noise (B, N); for p = 2 its bridge contribution (bridge_var h^2 / 6 per
+    step) is added.
     """
     d = np.asarray(x_paths) - np.asarray(y_paths)
     out = _segment_cost(d[:, :-1], d[:, 1:], h, p).sum(axis=1)
-    if p == 2 and sigma_gap is not None:
-        out = out + (np.asarray(sigma_gap) ** 2).sum(axis=1) * h * h / 6.0
+    if p == 2 and bridge_var is not None:
+        out = out + np.asarray(bridge_var).sum(axis=1) * h * h / 6.0
     return out
+
+
+def _bridge_variance(sig_x, sig_y, rho_k):
+    """Variance rate of sigma_x dW - sigma_y dW_bar with corr(dW, dW_bar) = rho:
+    (sigma_x - sigma_y)^2 + 2 (1 - rho) sigma_x sigma_y."""
+    var = (sig_x - sig_y) ** 2
+    if np.any(rho_k != 1.0):  # at rho = 1 the second term is exactly zero
+        var = var + 2.0 * (1.0 - rho_k) * sig_x * sig_y
+    return var
 
 
 def _propagate(b, sigma, h, deltas, x0, transform=None):
@@ -136,6 +146,7 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         raise ConfigError(f"unknown scheme {scheme!r}")
     h = grid.h
     barrier = truncation_level(h, trunc_k) if scheme != "em" else None
+    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
     transforms = (None, None)
     if scheme == "zvonkin-em":
         transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
@@ -152,7 +163,8 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0, transforms[0])
         yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0, transforms[1])
         bad = bad_x | bad_y
-        costs = path_integral_cost(xp, yp, h, p, sigma_gap=sig_x - sig_y)
+        costs = path_integral_cost(xp, yp, h, p,
+                                   bridge_var=_bridge_variance(sig_x, sig_y, rho_k))
         good = ~bad
         return float(costs[good].sum()), int(good.sum()), int(bad.sum())
 
@@ -359,17 +371,22 @@ def _affine_drift(spec):
     return None
 
 
-def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps):
-    """Exact expectation of the quadratic synchronous estimator for the
-    ``em`` scheme on ``n_steps`` steps, or None outside affine drifts with
-    constant volatilities.  Like ``closed_form_cost``, it assumes x0 = 0.
+def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
+    """Exact expectation of the quadratic coupled-cost estimator for the
+    ``em`` scheme on ``n_steps`` steps with noise correlation ``rho``, or
+    None outside affine drifts with constant volatilities.  Like
+    ``closed_form_cost``, it assumes x0 = 0.
 
     There the scheme pair Z = (X, Y) is linear Gaussian,
-    Z' = A Z + c + g dW, so its first and second moments follow a short
-    recursion.  Each step costs h (D^2 + D D' + D'^2) / 3 for D = X - Y, plus
-    the bridge term (s_x - s_y)^2 h^2 / 6, a quadratic form in those moments.
-    Against ``closed_form_cost`` this is the scheme's exact bias.
+    Z' = A Z + c + g * (dW, dW_bar), whose noise has covariance
+    h g g^T * [[1, rho], [rho, 1]], so its first and second moments follow a
+    short recursion.  Each step costs h (D^2 + D D' + D'^2) / 3 for
+    D = X - Y, plus the bridge term
+    ((s_x - s_y)^2 + 2 (1 - rho) s_x s_y) h^2 / 6, a quadratic form in those
+    moments.  Against ``closed_form_cost`` this is the scheme's exact bias.
     """
+    if not -1.0 <= rho <= 1.0:
+        raise ConfigError("rho must lie in [-1, 1]")
     drifts = (_affine_drift(b_x), _affine_drift(b_y))
     vols = (_constant_value(sigma_x), _constant_value(sigma_y))
     if drifts[0] is None or drifts[1] is None or None in vols:
@@ -378,15 +395,15 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps):
     a = np.diag([1.0 + h * drifts[0][1], 1.0 + h * drifts[1][1]])
     c = h * np.array([drifts[0][0], drifts[1][0]], dtype=float)
     g = np.array(vols, dtype=float)
+    noise_cov = h * np.outer(g, g) * np.array([[1.0, rho], [rho, 1.0]])
     e = np.array([1.0, -1.0])
     mean = np.zeros(2)
     second = np.zeros((2, 2))
-    total = n_steps * (g[0] - g[1]) ** 2 * h * h / 6.0
+    total = n_steps * _bridge_variance(g[0], g[1], rho) * h * h / 6.0
     for _ in range(n_steps):
         cross = second @ a.T + np.outer(mean, c)  # E[Z Z'^T]
         shift = np.outer(a @ mean, c)
-        second_next = (a @ second @ a.T + shift + shift.T + np.outer(c, c)
-                       + h * np.outer(g, g))
+        second_next = a @ second @ a.T + shift + shift.T + np.outer(c, c) + noise_cov
         total += h * (e @ (second + cross + second_next) @ e) / 3.0
         mean = a @ mean + c
         second = second_next

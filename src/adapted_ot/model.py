@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,6 +138,75 @@ class CoefficientSpec:
         if self.role == "diffusion" and out.size and out.min() < 0:
             raise ConfigError("diffusion coefficient evaluated to a negative value")
         return out if out.ndim else float(out)
+
+    def float_evaluator(self):
+        """``evaluate`` for one Python float, without numpy dispatch.
+
+        Same arithmetic, so the same bits, and the same checks on every
+        call (extrapolation, negative diffusion).  Build it once per path.
+        """
+        if not self.is_markovian:
+            raise NotMarkovianError("sign_switch is path-dependent; use eval_coefficient")
+        if self.kind == "constant":
+            value = self.value
+            f = lambda x: value
+        elif self.kind == "affine":
+            intercept, slope = self.intercept, self.slope
+            f = lambda x: intercept + slope * x
+        elif self.kind == "ou":
+            minus_theta = -self.theta
+            f = lambda x: minus_theta * x
+        else:
+            f = table_lookup(self.knots, self.values, ExtrapolationError,
+                             f"table query outside knot range "
+                             f"[{self.knots[0]}, {self.knots[-1]}]")
+        if self.role == "drift":
+            return f
+
+        def diffusion(x):
+            out = f(x)
+            if out < 0:
+                raise ConfigError("diffusion coefficient evaluated to a negative value")
+            return out
+        return diffusion
+
+
+def interp_point(x, xs, ys):
+    """``np.interp(x, xs, ys)`` for one float, with its exact arithmetic.
+
+    ``xs`` and ``ys`` are sequences of floats (tuples or memoryviews of
+    float arrays).  Ends clamp, a knot returns its value, and a NaN from
+    the left knot is retried from the right one, as numpy does.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j >= len(xs) - 1:
+        return ys[-1]
+    xj = xs[j]
+    if xj == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xj)
+    out = slope * (x - xj) + ys[j]
+    if out != out:
+        out = slope * (x - xs[j + 1]) + ys[j + 1]
+        if out != out and ys[j] == ys[j + 1]:
+            out = ys[j]
+    return out
+
+
+def table_lookup(xs, ys, error, message):
+    """``interp_point`` through (xs, ys) that raises ``error(message)`` for a
+    query outside [xs[0], xs[-1]]."""
+    lo, hi = xs[0], xs[-1]
+
+    def lookup(x):
+        if x < lo or x > hi:
+            raise error(message)
+        return interp_point(x, xs, ys)
+    return lookup
 
 
 def constant(c, role="drift"):

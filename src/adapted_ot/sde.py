@@ -1,6 +1,13 @@
 """Path-level schemes: Euler-Maruyama, the truncated-increment (monotone)
 variant, and the drift-removing change of variable with its transformed
 scheme for bounded measurable drifts.
+
+One path runs on Python floats: coefficients are read through
+``CoefficientSpec.float_evaluator`` and the transform tables through
+``DriftRemovingTransform.float_maps``, which do numpy's arithmetic without
+its per-call dispatch on 0-d values.  A batch of paths runs on numpy arrays
+(``estimate._propagate``).  On the same increments the two recursions give
+the same paths bit for bit.
 """
 
 from __future__ import annotations
@@ -9,38 +16,66 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, eval_coefficient, growth_bounds, table)
+                    SamplePath, eval_coefficient, growth_bounds, table,
+                    table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
+
+_X_RANGE = "state left the tabulated transform range; enlarge it"
+_Y_RANGE = "transformed state left the tabulated range; enlarge it"
 
 
 def _drift_value(spec, k, values, grid):
-    """Drift at step k given the path so far (handles the path-dependent kind)."""
-    if spec.is_markovian:
-        return float(spec.evaluate(values[k]))
+    """Path-dependent drift at step k given the path so far (sign_switch)."""
     prefix = SamplePath(grid=grid, values=np.concatenate(
         [values[:k + 1], np.zeros(grid.n_steps - k)]))
     return eval_coefficient(spec, k * grid.h, prefix)
 
 
-def _run_scheme(b, sigma, grid, deltas, x0):
-    """Shared one-step recursion x <- x + h b(x) + sigma(x) delta."""
+def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
+    """One path of the recursion ``estimate._propagate`` runs on a batch.
+
+    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta; with
+    a drift-removing transform T it is y <- y + T'(x) sigma(x) delta in
+    y = T(x), mapped back by x = T^{-1}(y).
+    """
     n = grid.n_steps
     h = grid.h
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n,):
         raise ConfigError("increments must match the grid (one per step)")
-    values = np.empty(n + 1)
-    values[0] = x0
-    for k in range(n):
-        bk = _drift_value(b, k, values, grid)
-        sk = float(sigma.evaluate(values[k]))
-        values[k + 1] = values[k] + h * bk + sk * deltas[k]
-        if not math.isfinite(values[k + 1]) or abs(values[k + 1]) > DIVERGENCE_THRESHOLD:
+    x = float(x0)
+    sig = sigma.float_evaluator()
+    if transform is not None:
+        forward, derivative, inverse = transform.float_maps()
+        y = forward(x)
+    else:
+        drift = b.float_evaluator() if b.is_markovian else None
+    values = [x]
+    for k, delta in enumerate(deltas.tolist()):
+        if transform is not None:
+            y = y + derivative(x) * sig(x) * delta
+            x = inverse(y)
+        else:
+            bk = drift(x) if drift is not None else _drift_value(b, k, values, grid)
+            x = x + h * bk + sig(x) * delta
+        if not math.isfinite(x) or abs(x) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"scheme diverged at stage {k + 1}", stage=k + 1)
+        values.append(x)
     return SamplePath(grid=grid, values=values)
+
+
+def _stopped_increments(grid, trunc_k, block):
+    """Per-step increments stopped at the barrier K sqrt(-h log h)."""
+    barrier = truncation_level(grid.h, trunc_k)
+    if isinstance(block, IncrementBlock):
+        substeps = block.dW
+    else:
+        substeps = np.asarray(block, dtype=float)
+    if substeps.ndim != 2 or substeps.shape[0] != grid.n_steps:
+        raise ConfigError("substep block must have one row per step")
+    return truncate_increments(substeps, barrier)[0]
 
 
 def euler_maruyama(b, sigma, grid, increments, x0=0.0):
@@ -53,15 +88,7 @@ def euler_maruyama(b, sigma, grid, increments, x0=0.0):
 def monotone_em(b, sigma, grid, trunc_k, block, x0=0.0):
     """Euler-Maruyama driven by increments stopped at the barrier
     K sqrt(-h log h); every applied increment satisfies |delta| <= barrier."""
-    barrier = truncation_level(grid.h, trunc_k)
-    if isinstance(block, IncrementBlock):
-        substeps = block.dW
-    else:
-        substeps = np.asarray(block, dtype=float)
-    if substeps.shape[0] != grid.n_steps:
-        raise ConfigError("substep block must have one row per step")
-    deltas, _ = truncate_increments(substeps, barrier)
-    return _run_scheme(b, sigma, grid, deltas, x0)
+    return _run_scheme(b, sigma, grid, _stopped_increments(grid, trunc_k, block), x0)
 
 
 @dataclass(frozen=True)
@@ -83,23 +110,33 @@ class DriftRemovingTransform:
     def forward(self, x):
         x = np.asarray(x, dtype=float)
         if x.size and (x.min() < self.xs[0] or x.max() > self.xs[-1]):
-            raise ConfigError("state left the tabulated transform range; enlarge it")
+            raise ConfigError(_X_RANGE)
         out = np.interp(x, self.xs, self.ts)
         return out if out.ndim else float(out)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         if y.size and (y.min() < self.ts[0] or y.max() > self.ts[-1]):
-            raise ConfigError("transformed state left the tabulated range; enlarge it")
+            raise ConfigError(_Y_RANGE)
         out = np.interp(y, self.ts, self.xs)
         return out if out.ndim else float(out)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         if x.size and (x.min() < self.xs[0] or x.max() > self.xs[-1]):
-            raise ConfigError("state left the tabulated transform range; enlarge it")
+            raise ConfigError(_X_RANGE)
         out = np.interp(x, self.xs, self.t_prime)
         return out if out.ndim else float(out)
+
+    def float_maps(self):
+        """``forward``, ``derivative`` and ``inverse`` for one Python float,
+        bit for bit and with the same range checks.  They read the tables
+        through memoryviews, not copies."""
+        xs, ts, t_prime = (memoryview(np.asarray(a, dtype=float))
+                           for a in (self.xs, self.ts, self.t_prime))
+        return (table_lookup(xs, ts, ConfigError, _X_RANGE),
+                table_lookup(xs, t_prime, ConfigError, _X_RANGE),
+                table_lookup(ts, xs, ConfigError, _Y_RANGE))
 
 
 def zvonkin_transform(b, sigma, x0, half_width=10.0, n_nodes=10001):
@@ -121,7 +158,9 @@ def zvonkin_transform(b, sigma, x0, half_width=10.0, n_nodes=10001):
     inf_sigma = float(ss_fine.min())
     if inf_sigma <= 0.0:
         raise ConfigError("diffusion must be uniformly positive on the interval")
-    inner = cumulative_trapezoid(bs_fine / ss_fine**2, xs_fine, initial=0.0)
+    integrand = bs_fine / ss_fine**2
+    inner = np.concatenate([[0.0], np.cumsum(
+        np.diff(xs_fine) * (integrand[1:] + integrand[:-1]) / 2.0)])
     inner -= np.interp(x0, xs_fine, inner)  # anchor the inner integral at x0
     t_prime_fine = np.exp(-2.0 * inner)
     increments = ((xs_fine[2::2] - xs_fine[:-2:2]) / 6.0
@@ -155,21 +194,5 @@ def transformed_monotone_em(b, sigma, grid, trunc_k, block, x0=0.0, transform=No
     """
     if transform is None:
         transform = zvonkin_transform(b, sigma, x0)
-    barrier = truncation_level(grid.h, trunc_k)
-    if isinstance(block, IncrementBlock):
-        substeps = block.dW
-    else:
-        substeps = np.asarray(block, dtype=float)
-    deltas, _ = truncate_increments(substeps, barrier)
-    n = grid.n_steps
-    values = np.empty(n + 1)
-    values[0] = x0
-    y = transform.forward(x0)
-    for k in range(n):
-        x = values[k]
-        y = y + transform.derivative(x) * float(sigma.evaluate(x)) * deltas[k]
-        values[k + 1] = transform.inverse(y)
-        if not math.isfinite(values[k + 1]):
-            raise DivergenceError(f"transformed scheme diverged at stage {k + 1}",
-                                  stage=k + 1)
-    return SamplePath(grid=grid, values=values)
+    return _run_scheme(b, sigma, grid, _stopped_increments(grid, trunc_k, block),
+                       x0, transform)

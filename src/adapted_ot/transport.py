@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .lattice import build_lattice
 from .model import AdaptedOTError, ConfigError, MarkovLattice, check_p
@@ -643,6 +642,7 @@ def causal_lp(mu, nu, p=2, mode="bicausal"):
         data.extend(coefs)
         indptr.append(len(indices))
     a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
+    from scipy.optimize import linprog  # imported here: slow, and used only here
     res = linprog(cost, A_eq=a_eq, b_eq=np.asarray(rhs), bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,

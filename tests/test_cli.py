@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import adapted_ot
 from adapted_ot import __version__
 from adapted_ot.cli import main
 from adapted_ot.model import DiscretePathMeasure
@@ -203,3 +207,17 @@ def test_divergence_exit_3(tmp_path):
                  "--rhos", "1", "--n-steps", "8", "--samples", "200",
                  "--seed", "0", "--out", str(out)])
     assert code == 3
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats, scipy.optimize and scipy.integrate cost about a second of
+    # start-up; each is imported only by the one function that needs it
+    src = str(Path(adapted_ot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, adapted_ot; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'], "
+            "['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,8 +8,9 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
                                  em_expected_cost, rho_scan, stability_study,
                                  sync_distance_mc)
-from adapted_ot.model import (DivergenceError, TimeGrid, affine, constant, ou,
-                              table)
+from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
+                              constant, ou, table)
+from adapted_ot.presets import get_preset
 
 UNIT_VOL = constant(1.0, role="diffusion")
 HALF_VOL = constant(0.5, role="diffusion")
@@ -117,6 +118,29 @@ def test_rho_scan_closed_form_driftless():
         target = 1.0 - row.rho
         assert abs(row.estimate - target) <= 4 * row.stderr + 1e-12
     assert rows[-1].estimate == 0.0
+
+
+def test_em_expected_cost_with_correlation():
+    pair = get_preset("drift-gap")
+    assert em_expected_cost(*pair, 32, rho=1.0) == em_expected_cost(*pair, 32)
+    # constant coefficients: exact at any N, (c1 - c2)^2 / 3 + (s1^2 + s2^2
+    # - 2 rho s1 s2) / 2
+    for rho in (-1.0, 0.0, 0.5):
+        assert em_expected_cost(*pair, 32, rho=rho) == pytest.approx(
+            1.0 / 3.0 + (2.0 - 2.0 * rho) / 2.0, abs=1e-14)
+    with pytest.raises(ConfigError):
+        em_expected_cost(*pair, 32, rho=1.5)
+
+
+@pytest.mark.parametrize("name", ["drift-gap", "vol-gap", "ou-vol", "affine-mix"])
+def test_rho_scan_matches_em_expected_cost_off_sync(name):
+    # for rho < 1 the bridge term carries the in-step variance
+    # (s_x - s_y)^2 + 2 (1 - rho) s_x s_y, not only the volatility gap
+    pair = get_preset(name)
+    rows = rho_scan(*pair, TimeGrid(8), 2, [-1.0, 0.0, 0.5], 20000, seed=23)
+    for row in rows:
+        exact = em_expected_cost(*pair, 8, rho=row.rho)
+        assert abs(row.estimate - exact) <= 4 * row.stderr, (row, exact)
 
 
 def test_monotone_em_scheme_available():

@@ -11,8 +11,8 @@ from adapted_ot.model import (ConfigError, DiscretePathMeasure,
                               ExtrapolationError, MarkovLattice,
                               NotMarkovianError, SamplePath, TimeGrid, affine,
                               constant, eval_coefficient, format_coefficient,
-                              growth_bounds, ou, parse_coefficient,
-                              sign_switch, table)
+                              growth_bounds, interp_point, ou,
+                              parse_coefficient, sign_switch, table)
 
 
 def make_prefix(n_steps, values):
@@ -56,6 +56,83 @@ def test_diffusion_must_be_nonnegative():
     spec = affine(0.0, 1.0, role="diffusion")
     with pytest.raises(ConfigError):
         spec.evaluate(-1.0)
+
+
+def _same_bits(a, b):
+    return np.array(a, dtype="<f8").tobytes() == np.array(b, dtype="<f8").tobytes()
+
+
+FLOAT_EVALUATOR_SPECS = [
+    constant(1.5), constant(-0.25, role="diffusion"), constant(0.7, role="diffusion"),
+    affine(0.5, -0.5), affine(0.3, 0.1, role="diffusion"), ou(1.0), ou(-0.7),
+    table(np.linspace(-3, 3, 13), np.sin(np.linspace(-3, 3, 13))),
+    table([-2.0, -0.5, 0.1, 2.5], [1.0, 0.2, 0.2, 3.0], role="diffusion"),
+    table([0.0, 1e-3, 1.0], [0.0, 1e3, -1e3]),
+]
+
+
+@pytest.mark.parametrize("spec", FLOAT_EVALUATOR_SPECS, ids=format_coefficient)
+def test_float_evaluator_matches_evaluate_bit_for_bit(spec):
+    rng = np.random.default_rng(17)
+    if spec.kind == "table":
+        lo, hi = spec.knots[0], spec.knots[-1]
+        points = list(rng.uniform(lo, hi, 200)) + list(spec.knots)
+        points += [float(np.nextafter(lo, np.inf)), float(np.nextafter(hi, -np.inf))]
+    else:
+        points = list(rng.normal(0.0, 3.0, 200)) + [0.0, -0.0, 1e300]
+    f = spec.float_evaluator()
+    for x in map(float, points):
+        try:
+            want = spec.evaluate(x)
+        except ConfigError:  # a negative diffusion value
+            with pytest.raises(ConfigError):
+                f(x)
+            continue
+        got = f(x)
+        assert type(got) is float and _same_bits(got, want), (x, got, want)
+
+
+def test_float_evaluator_raises_what_evaluate_raises():
+    spec = table([0.0, 1.0], [0.0, 2.0])
+    f = spec.float_evaluator()
+    for x in (-1e-300, 1.0 + 2**-52, -5.0, 7.0):
+        with pytest.raises(ExtrapolationError):
+            spec.evaluate(x)
+        with pytest.raises(ExtrapolationError):
+            f(x)
+    negative = affine(0.0, 1.0, role="diffusion")
+    f = negative.float_evaluator()
+    assert f(2.0) == 2.0
+    with pytest.raises(ConfigError):
+        f(-1.0)
+    negative_table = table([0.0, 1.0], [1.0, -1.0], role="diffusion")
+    f = negative_table.float_evaluator()
+    assert f(0.25) == 0.5
+    with pytest.raises(ConfigError):
+        f(0.75)
+    with pytest.raises(NotMarkovianError):
+        sign_switch(5.0, 0.1).float_evaluator()
+
+
+def test_interp_point_is_np_interp():
+    inf = float("inf")
+    cases = [
+        ([0.0, 1.0, 3.0], [2.0, -1.0, 5.0],
+         [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, float("nan")]),
+        # an infinite slope: a knot returns its value, not inf * 0
+        ([0.0, 1e-300, 1.0], [0.0, 1e10, 2e10], [0.0, 1e-300, 5e-301, 0.5]),
+        # infinite values: the NaN from the left knot is retried from the right
+        ([0.0, 1.0, 2.0], [-inf, 0.0, 1.0], [0.5, 1.5]),
+        ([0.0, 1.0], [inf, inf], [0.5]),
+    ]
+    for xs, ys, queries in cases:
+        for x in queries:
+            assert _same_bits(interp_point(x, xs, ys), np.interp(x, xs, ys)), (xs, ys, x)
+    xs = np.linspace(-1.0, 1.0, 11)[::2]  # a strided view, as the transform tables are
+    ys = np.cos(xs)
+    for x in np.linspace(-1.5, 1.5, 61):
+        got = interp_point(float(x), memoryview(xs), memoryview(ys))
+        assert _same_bits(got, np.interp(x, xs, ys))
 
 
 def test_growth_bounds_examples():

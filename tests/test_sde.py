@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from adapted_ot.estimate import _propagate
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, table)
 from adapted_ot.noise import (sample_correlated_pair,
-                              constant_rho, truncation_level)
+                              constant_rho, truncate_increments,
+                              truncation_level)
+from adapted_ot.presets import PRESETS
 from adapted_ot.sde import (euler_maruyama, monotone_em,
                             transformed_monotone_em, zvonkin_transform)
 
@@ -166,3 +169,59 @@ def test_strong_error_decay():
     # additive volatility: strong order 1, ratio near 1/4 (faster decay)
     d_h, d_half = _common_noise_self_difference(ou(1.0), UNIT_VOL, 8, 4000, 14)
     assert d_half / d_h <= 0.8
+
+
+def test_single_path_schemes_equal_batched_rows():
+    # the float recursion of one path and the numpy recursion of a batch
+    # give the same bits on the same increments, for every preset marginal
+    grid = TimeGrid(64)
+    n_rep = 6
+    block = sample_correlated_pair(grid, constant_rho(1.0), (19, 0), m_sub=16,
+                                   n_replicates=n_rep)
+    stopped, _ = truncate_increments(block.dW, truncation_level(grid.h, 4))
+    n_compared = 0
+    for name in sorted(PRESETS):
+        b_x, s_x, b_y, s_y = PRESETS[name]
+        for b, s in ((b_x, s_x), (b_y, s_y)):
+            transform = zvonkin_transform(b, s, 0.0)
+            batches = {
+                "em": _propagate(b, s, grid.h, block.step_sums(), 0.0)[0],
+                "monotone-em": _propagate(b, s, grid.h, stopped, 0.0)[0],
+                "zvonkin-em": _propagate(b, s, grid.h, stopped, 0.0, transform)[0],
+            }
+            for i in range(n_rep):
+                paths = {
+                    "em": euler_maruyama(b, s, grid, block.step_sums()[i]),
+                    "monotone-em": monotone_em(b, s, grid, 4, block.dW[i]),
+                    "zvonkin-em": transformed_monotone_em(b, s, grid, 4, block.dW[i],
+                                                          transform=transform),
+                }
+                for scheme, path in paths.items():
+                    assert path.values.tobytes() == batches[scheme][i].tobytes(), \
+                        (name, scheme, i)
+                    n_compared += 1
+    assert n_compared == 180
+
+
+def test_transform_float_maps_match_numpy_maps():
+    transform = zvonkin_transform(constant(1.0), UNIT_VOL, 0.0)
+    forward, derivative, inverse = transform.float_maps()
+    rng = np.random.default_rng(4)
+    xs = list(rng.uniform(-10.0, 10.0, 100)) + [-10.0, 0.0, 10.0, float(transform.xs[7])]
+    for x in xs:
+        assert forward(x) == transform.forward(x)
+        assert derivative(x) == transform.derivative(x)
+    for y in list(rng.uniform(transform.ts[0], transform.ts[-1], 100)) + [0.0]:
+        assert inverse(y) == transform.inverse(y)
+    with pytest.raises(ConfigError):
+        forward(10.5)
+    with pytest.raises(ConfigError):
+        derivative(-10.5)
+    with pytest.raises(ConfigError):
+        inverse(0.75)  # beyond sup T = 1/2
+
+
+def test_transformed_em_rejects_wrong_block_shape():
+    with pytest.raises(ConfigError):
+        transformed_monotone_em(constant(1.0), UNIT_VOL, TimeGrid(4), 4,
+                                np.zeros((3, 2)))
