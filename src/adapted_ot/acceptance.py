@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import (_propagate, closed_form_cost, convergence_study,
-                       counterexample_nonmarkov, em_expected_cost, rho_scan,
-                       stability_study, sync_distance_mc)
+from .estimate import (_propagate, _step_increments, closed_form_cost,
+                       convergence_study, counterexample_nonmarkov,
+                       em_expected_cost, rho_scan, stability_study,
+                       sync_distance_mc)
 from .lattice import build_lattice, check_fosd, fosd_sufficient_condition
 from .model import (DiscretePathMeasure, MarkovLattice, TimeGrid, affine,
                     constant, growth_bounds, ou, table)
@@ -342,11 +343,11 @@ def criterion_10_zvonkin(seed=DEFAULT_SEED, quick=False):
     for lo in range(0, n_samples, batch):
         nb = min(batch, n_samples - lo)
         dw = replicate_normals((seed, 10, lo), n_steps, nb) * math.sqrt(h)
-        deltas, _ = truncate_increments(dw[..., None], barrier)
+        deltas = _step_increments(dw[..., None], barrier)  # (n_steps, nb)
         p_direct, _, _ = _propagate(b, s, h, deltas, 0.0)
         p_trans, _, _ = _propagate(b, s, h, deltas, 0.0, transform)
-        direct[lo:lo + nb] = p_direct[:, -1]
-        transformed[lo:lo + nb] = p_trans[:, -1]
+        direct[lo:lo + nb] = p_direct[-1]
+        transformed[lo:lo + nb] = p_trans[-1]
     ks = float(ks_2samp(direct, transformed).statistic)
     passed = cert_ok and ks < ks_tol
     return CriterionResult(

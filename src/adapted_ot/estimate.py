@@ -9,6 +9,13 @@ in-step diffusion mismatch, so the estimator is conditionally unbiased for
 the interpolant's integral cost.  Replicate ``i`` of master seed ``s`` owns
 a fixed block of the master's counter-based stream (see ``noise``); each
 batch of replicates is drawn in one call, and serial and threaded runs agree.
+
+A batch runs step-major: its increments, paths and sigma values are arrays
+with one row per step and one column per replicate, so each step of the
+recursion reads and writes contiguous rows.  The per-replicate cost sums run
+replicate-major: the path difference and the bridge variance are transposed
+once per batch, so numpy sums each replicate's contiguous row pairwise, the
+same additions in the same order whatever the batch layout.
 """
 
 from __future__ import annotations
@@ -79,37 +86,59 @@ def _bridge_variance(sig_x, sig_y, rho_k):
 
 
 def _propagate(b, sigma, h, deltas, x0, transform=None):
-    """Vectorized one-step recursion across a batch of replicates.
+    """Vectorized one-step recursion across a batch of replicates, step-major.
 
+    ``deltas`` has one row of replicate increments per step, shape (N, B).
     Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta.  With
     a drift-removing transform T it is the driftless step
     y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y);
     T^{-1} stays inside its table, so only the direct recursion can diverge.
-    Returns (paths, sigma values per step, diverged mask); diverged
-    replicates are frozen at x0 so the batch can finish.
+    Returns (paths, sigma values, diverged mask) with paths (N + 1, B) and
+    sigma values (N, B), so each step reads and writes one contiguous row.
+    Diverged replicates are frozen at x0 so the batch can finish.
     """
-    n_rep, n = deltas.shape
-    paths = np.empty((n_rep, n + 1))
-    paths[:, 0] = x0
-    sig = np.empty((n_rep, n))
+    n, n_rep = deltas.shape
+    paths = np.empty((n + 1, n_rep))
+    paths[0] = x0
+    sig = np.empty((n, n_rep))
     bad = np.zeros(n_rep, dtype=bool)
-    x = np.full(n_rep, float(x0))
     if transform is not None:
         y = np.full(n_rep, float(transform.forward(x0)))
     for k in range(n):
-        sv = np.asarray(sigma.evaluate(x), dtype=float)
-        sig[:, k] = sv
+        x, x_next, sv = paths[k], paths[k + 1], sig[k]
+        sv[:] = sigma.evaluate(x)
         if transform is None:
-            x = x + h * np.asarray(b.evaluate(x), dtype=float) + sv * deltas[:, k]
+            # x + h b(x) + sigma(x) delta, in that order
+            np.multiply(b.evaluate(x), h, out=x_next)
+            x_next += x
+            x_next += sv * deltas[k]
         else:
-            y = y + np.asarray(transform.derivative(x), dtype=float) * sv * deltas[:, k]
-            x = np.asarray(transform.inverse(y), dtype=float)
-        newly_bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_THRESHOLD)
+            step = transform.derivative(x) * sv
+            step *= deltas[k]
+            y += step
+            x_next[:] = transform.inverse(y)
+        # NaN and +-inf fail the comparison too
+        newly_bad = ~(np.abs(x_next) <= DIVERGENCE_THRESHOLD)
         if newly_bad.any():
             bad |= newly_bad
-            x = np.where(newly_bad, x0, x)
-        paths[:, k + 1] = x
+            x_next[newly_bad] = x0
     return paths, sig, bad
+
+
+def _step_increments(substeps, barrier):
+    """Step-major (N, B) increments of a (B, N, m_sub) substep batch.
+
+    The substeps of a step are added one after another, the running sum of
+    ``cumsum`` bit for bit; unless ``barrier`` is None, the sum is stopped
+    there (``noise.truncate_increments``).
+    """
+    if barrier is not None:
+        return np.ascontiguousarray(truncate_increments(substeps, barrier)[0].T)
+    steps = substeps.transpose(1, 0, 2)
+    out = steps[..., 0].copy()
+    for j in range(1, steps.shape[-1]):
+        out += steps[..., j]
+    return out
 
 
 def _resolve_threads(threads):
@@ -152,19 +181,22 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
                       zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
 
+    # at rho = 1 on every step dW_bar = 1.0 * dW, so both paths share increments
+    same_noise = bool(np.all(rho_k == 1.0))
+
     def run_batch(lo, hi):
         block = sample_correlated_pair(grid, rho, (seed, lo), m_sub=m_sub,
                                        n_replicates=hi - lo)
-        if scheme == "em":
-            dx, dy = block.step_sums(), block.step_sums_bar()
-        else:
-            dx, _ = truncate_increments(block.dW, barrier)
-            dy, _ = truncate_increments(block.dW_bar, barrier)
+        dx = _step_increments(block.dW, barrier)
+        dy = dx if same_noise else _step_increments(block.dW_bar, barrier)
         xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0, transforms[0])
         yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0, transforms[1])
         bad = bad_x | bad_y
-        costs = path_integral_cost(xp, yp, h, p,
-                                   bridge_var=_bridge_variance(sig_x, sig_y, rho_k))
+        # back to replicate-major rows for the cost sums (module docstring);
+        # subtracting 0.0 leaves the difference's bits as they are
+        diff = np.ascontiguousarray((xp - yp).T)
+        var = np.ascontiguousarray(_bridge_variance(sig_x, sig_y, rho_k[:, None]).T)
+        costs = path_integral_cost(diff, 0.0, h, p, bridge_var=var)
         good = ~bad
         return float(costs[good].sum()), int(good.sum()), int(bad.sum())
 

@@ -6,8 +6,10 @@ One path runs on Python floats: coefficients are read through
 ``CoefficientSpec.float_evaluator`` and the transform tables through
 ``DriftRemovingTransform.float_maps``, which do numpy's arithmetic without
 its per-call dispatch on 0-d values.  A batch of paths runs on numpy arrays
-(``estimate._propagate``).  On the same increments the two recursions give
-the same paths bit for bit.
+(``estimate._propagate``), step-major: row k holds every path's state at
+step k, so one path is a column.  On the same increments the two recursions
+give the same paths bit for bit.  The path-dependent ``sign_switch`` drift
+reads its switch-time state once per path.
 """
 
 from __future__ import annotations
@@ -18,19 +20,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, eval_coefficient, growth_bounds, table,
-                    table_lookup)
+                    SamplePath, growth_bounds, table, table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
 _X_RANGE = "state left the tabulated transform range; enlarge it"
 _Y_RANGE = "transformed state left the tabulated range; enlarge it"
 
 
-def _drift_value(spec, k, values, grid):
-    """Path-dependent drift at step k given the path so far (sign_switch)."""
-    prefix = SamplePath(grid=grid, values=np.concatenate(
-        [values[:k + 1], np.zeros(grid.n_steps - k)]))
-    return eval_coefficient(spec, k * grid.h, prefix)
+def _path_drift(spec, grid):
+    """Drift of one ``sign_switch`` path as ``drift(k, values)``, where
+    ``values`` is the path up to step k.
+
+    It returns what ``eval_coefficient`` gives at time k h on that prefix:
+    0 up to the switch time, then ``level * sign(path(switch_time))``,
+    read once from the switch-time state.  An off-grid switch time raises
+    the same ``ConfigError``, here before the first step.
+    """
+    k_sw = grid.index_of(spec.switch_time)
+    h = grid.h
+    active = None
+
+    def drift(k, values):
+        nonlocal active
+        if k * h <= spec.switch_time:
+            return 0.0
+        if active is None:
+            active = float(spec.level * np.sign(values[k_sw]))
+        return active
+    return drift
 
 
 def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
@@ -50,15 +67,17 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
     if transform is not None:
         forward, derivative, inverse = transform.float_maps()
         y = forward(x)
+    elif b.is_markovian:
+        drift = b.float_evaluator()
     else:
-        drift = b.float_evaluator() if b.is_markovian else None
+        drift, path_drift = None, _path_drift(b, grid)
     values = [x]
     for k, delta in enumerate(deltas.tolist()):
         if transform is not None:
             y = y + derivative(x) * sig(x) * delta
             x = inverse(y)
         else:
-            bk = drift(x) if drift is not None else _drift_value(b, k, values, grid)
+            bk = drift(x) if drift is not None else path_drift(k, values)
             x = x + h * bk + sig(x) * delta
         if not math.isfinite(x) or abs(x) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"scheme diverged at stage {k + 1}", stage=k + 1)

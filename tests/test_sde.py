@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from adapted_ot.estimate import _propagate
-from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
-                              constant, ou, table)
-from adapted_ot.noise import (sample_correlated_pair,
-                              constant_rho, truncate_increments,
+from adapted_ot.model import (ConfigError, DivergenceError, SamplePath,
+                              TimeGrid, affine, constant, eval_coefficient, ou,
+                              sign_switch, table)
+from adapted_ot.noise import (sample_correlated_pair, constant_rho,
+                              replicate_normals, truncate_increments,
                               truncation_level)
 from adapted_ot.presets import PRESETS
-from adapted_ot.sde import (euler_maruyama, monotone_em,
+from adapted_ot.sde import (_run_scheme, euler_maruyama, monotone_em,
                             transformed_monotone_em, zvonkin_transform)
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -184,10 +185,11 @@ def test_single_path_schemes_equal_batched_rows():
         b_x, s_x, b_y, s_y = PRESETS[name]
         for b, s in ((b_x, s_x), (b_y, s_y)):
             transform = zvonkin_transform(b, s, 0.0)
+            # _propagate is step-major: one row per step, one column per path
             batches = {
-                "em": _propagate(b, s, grid.h, block.step_sums(), 0.0)[0],
-                "monotone-em": _propagate(b, s, grid.h, stopped, 0.0)[0],
-                "zvonkin-em": _propagate(b, s, grid.h, stopped, 0.0, transform)[0],
+                "em": _propagate(b, s, grid.h, block.step_sums().T, 0.0)[0],
+                "monotone-em": _propagate(b, s, grid.h, stopped.T, 0.0)[0],
+                "zvonkin-em": _propagate(b, s, grid.h, stopped.T, 0.0, transform)[0],
             }
             for i in range(n_rep):
                 paths = {
@@ -197,10 +199,80 @@ def test_single_path_schemes_equal_batched_rows():
                                                           transform=transform),
                 }
                 for scheme, path in paths.items():
-                    assert path.values.tobytes() == batches[scheme][i].tobytes(), \
+                    assert path.values.tobytes() == batches[scheme][:, i].tobytes(), \
                         (name, scheme, i)
                     n_compared += 1
     assert n_compared == 180
+
+
+@pytest.mark.parametrize("case", ["steep-drift", "transformed"])
+def test_batch_divergence_matches_single_paths(case):
+    # some rows of one batch diverge: from a steep drift, or from inf and
+    # NaN increments (the transformed scheme gets NaN only; inf leaves its
+    # table, which is an error for the whole batch)
+    grid = TimeGrid(8)
+    n_rep = 200
+    x0 = 0.01
+    deltas = replicate_normals((29, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
+    deltas[7, 6] = np.nan
+    if case == "steep-drift":
+        b, transform = affine(0.0, 110.0), None
+        deltas[3, 0] = np.inf
+        deltas[5, 2] = -np.inf
+    else:
+        b = constant(0.1)
+        transform = zvonkin_transform(b, UNIT_VOL, x0)
+        deltas[11, 3] = np.nan
+    paths, _, bad = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
+    diverged = []
+    for i in range(n_rep):
+        try:
+            path = _run_scheme(b, UNIT_VOL, grid, deltas[i], x0, transform)
+        except DivergenceError as err:
+            diverged.append(i)
+            assert paths[err.stage, i] == x0, i  # restarted from x0
+        else:
+            assert path.values.tobytes() == paths[:, i].tobytes(), i
+    assert np.flatnonzero(bad).tolist() == diverged
+    if case == "steep-drift":
+        assert {3, 5, 7} < set(diverged) and len(diverged) < n_rep // 2
+    else:
+        assert diverged == [7, 11]
+
+
+def _sign_switch_reference(b, sigma, grid, deltas, x0):
+    """The sign_switch recursion through ``eval_coefficient`` on the
+    zero-padded path prefix at every step."""
+    values = [x0]
+    x = x0
+    for k, delta in enumerate(deltas.tolist()):
+        prefix = SamplePath(grid=grid, values=np.concatenate(
+            [values, np.zeros(grid.n_steps - k)]))
+        x = x + grid.h * eval_coefficient(b, k * grid.h, prefix) \
+            + sigma.evaluate(x) * delta
+        values.append(x)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n_steps,switch_time", [(64, 0.25), (10, 0.3),
+                                                 (10, 0.7), (64, 0.1),
+                                                 (10, 0.25)])
+def test_sign_switch_paths_match_eval_coefficient(n_steps, switch_time):
+    grid = TimeGrid(n_steps)
+    vol = table([-50.0, 50.0], [0.5, 1.5], role="diffusion")
+    dw = replicate_normals((37, 0), n_steps, 40) * math.sqrt(grid.h)
+    dw[0] = 0.0  # a path still at 0 when the switch time comes: sign 0
+    for level in (2.0, -1.5):
+        b = sign_switch(level, switch_time)
+        for i in range(dw.shape[0]):
+            try:
+                reference = _sign_switch_reference(b, vol, grid, dw[i], 0.3 * i - 6.0)
+            except ConfigError:  # switch time off the grid
+                with pytest.raises(ConfigError):
+                    euler_maruyama(b, vol, grid, dw[i], x0=0.3 * i - 6.0)
+                continue
+            path = euler_maruyama(b, vol, grid, dw[i], x0=0.3 * i - 6.0)
+            assert path.values.tobytes() == reference.tobytes(), (level, i)
 
 
 def test_transform_float_maps_match_numpy_maps():
