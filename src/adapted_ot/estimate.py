@@ -13,15 +13,31 @@ batch of replicates is drawn in one call, and serial and threaded runs agree.
 A batch runs step-major: its increments, paths and sigma values are arrays
 with one row per step and one column per replicate, so each step of the
 recursion reads and writes contiguous rows.  The per-replicate cost sums run
-replicate-major: the path difference and the bridge variance are transposed
-once per batch, so numpy sums each replicate's contiguous row pairwise, the
-same additions in the same order whatever the batch layout.
+replicate-major: the path difference and the bridge variance are written
+transposed, once per batch, so numpy sums each replicate's contiguous row
+pairwise, the same additions in the same order whatever the batch layout.
+
+Each worker thread runs its batches in one ``noise.Workspace``, built on its
+first batch for the widest batch of the call and dropped when the call
+returns.  Every step writes into it through ``out=``, with the same
+operations in the same order as on fresh arrays, so after a worker's first
+batch a batch allocates nothing of size (N, B); the stopped schemes'
+``truncate_increments`` and the p != 2 segment costs are the exceptions.
+For N steps, m_sub substeps and B replicates it holds, in doubles: the
+draw's uniforms, B * stride (2 N m_sub rounded up to a multiple of 4); the
+step-major normals, N m_sub B, and as many for ``dW_bar`` unless rho = 1
+throughout; both paths, 2 (N + 1) B; both sigma arrays, 2 N B; and, where
+m_sub > 1 or rho = -1, N B for each summed or negated increment array.  The
+cost stage reuses spent buffers.  The em scheme at rho = 1, m_sub = 1 and
+N = 64 takes about 7 N B doubles, 3.6 kB per replicate of batch width:
+18 MB at B = 5,000.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,8 +46,9 @@ import numpy as np
 from .lattice import build_lattice, check_fosd
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
                     check_p)
-from .noise import (constant_rho, replicate_normals, sample_correlated_pair,
-                    truncate_increments, truncation_level)
+from .noise import (Workspace, constant_rho, replicate_normals,
+                    sample_correlated_pair, truncate_increments,
+                    truncation_level)
 from .sde import zvonkin_transform
 from .transport import bicausal_dp, coupled_cost, kr_coupling
 
@@ -46,10 +63,21 @@ class MCResult:
     n_diverged: int = 0
 
 
-def _segment_cost(a, b, h, p):
-    """Exact integral of |linear segment|^p over one step of length h."""
+def _segment_cost(a, b, h, p, out=None):
+    """Exact integral of |linear segment|^p over one step of length h.
+
+    For p = 2, ``out`` may be a pair of arrays shaped like the result for
+    its terms; the first is returned.
+    """
     if p == 2:
-        return h * (a * a + a * b + b * b) / 3.0
+        # h (a a + a b + b b) / 3, the additions in that order
+        s, t = (None, None) if out is None else out
+        s = np.multiply(a, a, out=s)
+        s += np.multiply(a, b, out=t)
+        s += np.multiply(b, b, out=t)
+        s *= h
+        s /= 3.0
+        return s
     if p == 1:
         same = a * b >= 0
         opp = h * (a * a + b * b) / np.maximum(2.0 * (np.abs(a) + np.abs(b)), 1e-300)
@@ -62,30 +90,37 @@ def _segment_cost(a, b, h, p):
     return np.where(small, mid, exact)
 
 
-def path_integral_cost(x_paths, y_paths, h, p, bridge_var=None):
-    """Per-replicate integral cost of the interpolated path difference.
+def path_integral_cost(diff, h, p, bridge_var=None, out=None):
+    """Per-replicate integral cost of the interpolated path difference
+    ``diff``, one replicate's N + 1 values per row.
 
     ``bridge_var`` holds the per-step variance rate of the difference's
     noise (B, N); for p = 2 its bridge contribution (bridge_var h^2 / 6 per
-    step) is added.
+    step) is added.  ``out`` goes to ``_segment_cost``.
     """
-    d = np.asarray(x_paths) - np.asarray(y_paths)
-    out = _segment_cost(d[:, :-1], d[:, 1:], h, p).sum(axis=1)
+    d = np.asarray(diff)
+    cost = _segment_cost(d[:, :-1], d[:, 1:], h, p, out=out).sum(axis=1)
     if p == 2 and bridge_var is not None:
-        out = out + np.asarray(bridge_var).sum(axis=1) * h * h / 6.0
-    return out
+        cost = cost + np.asarray(bridge_var).sum(axis=1) * h * h / 6.0
+    return cost
 
 
-def _bridge_variance(sig_x, sig_y, rho_k):
+def _bridge_variance(sig_x, sig_y, rho_k, out=None, scratch=None):
     """Variance rate of sigma_x dW - sigma_y dW_bar with corr(dW, dW_bar) = rho:
-    (sigma_x - sigma_y)^2 + 2 (1 - rho) sigma_x sigma_y."""
-    var = (sig_x - sig_y) ** 2
+    (sigma_x - sigma_y)^2 + 2 (1 - rho) sigma_x sigma_y.
+
+    The result goes to ``out`` and the second term to ``scratch``, if given.
+    """
+    var = np.subtract(sig_x, sig_y, out=out)
+    var **= 2
     if np.any(rho_k != 1.0):  # at rho = 1 the second term is exactly zero
-        var = var + 2.0 * (1.0 - rho_k) * sig_x * sig_y
+        cross = np.multiply(2.0 * (1.0 - rho_k), sig_x, out=scratch)
+        cross *= sig_y
+        var += cross
     return var
 
 
-def _propagate(b, sigma, h, deltas, x0, transform=None):
+def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     """Vectorized one-step recursion across a batch of replicates, step-major.
 
     ``deltas`` has one row of replicate increments per step, shape (N, B).
@@ -94,14 +129,19 @@ def _propagate(b, sigma, h, deltas, x0, transform=None):
     y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y);
     T^{-1} stays inside its table, so only the direct recursion can diverge.
     Returns (paths, sigma values, diverged mask) with paths (N + 1, B) and
-    sigma values (N, B), so each step reads and writes one contiguous row.
+    sigma values (N, B), so each step reads and writes one contiguous row;
+    they are written to the arrays ``out``, if given, else to new ones.
     Diverged replicates are frozen at x0 so the batch can finish.
     """
     n, n_rep = deltas.shape
-    paths = np.empty((n + 1, n_rep))
+    if out is None:
+        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)),
+               np.empty(n_rep, dtype=bool))
+    paths, sig, bad = out
     paths[0] = x0
-    sig = np.empty((n, n_rep))
-    bad = np.zeros(n_rep, dtype=bool)
+    bad[:] = False
+    tmp = np.empty(n_rep)
+    flags = np.empty(n_rep, dtype=bool)
     if transform is not None:
         y = np.full(n_rep, float(transform.forward(x0)))
     for k in range(n):
@@ -111,32 +151,36 @@ def _propagate(b, sigma, h, deltas, x0, transform=None):
             # x + h b(x) + sigma(x) delta, in that order
             np.multiply(b.evaluate(x), h, out=x_next)
             x_next += x
-            x_next += sv * deltas[k]
+            x_next += np.multiply(sv, deltas[k], out=tmp)
         else:
-            step = transform.derivative(x) * sv
-            step *= deltas[k]
-            y += step
+            np.multiply(transform.derivative(x), sv, out=tmp)
+            tmp *= deltas[k]
+            y += tmp
             x_next[:] = transform.inverse(y)
         # NaN and +-inf fail the comparison too
-        newly_bad = ~(np.abs(x_next) <= DIVERGENCE_THRESHOLD)
-        if newly_bad.any():
+        if not np.less_equal(np.abs(x_next, out=tmp), DIVERGENCE_THRESHOLD,
+                             out=flags).all():
+            newly_bad = np.logical_not(flags, out=flags)
             bad |= newly_bad
             x_next[newly_bad] = x0
     return paths, sig, bad
 
 
-def _step_increments(substeps, barrier):
+def _step_increments(substeps, barrier, out=None):
     """Step-major (N, B) increments of a (B, N, m_sub) substep batch.
 
     The substeps of a step are added one after another, the running sum of
-    ``cumsum`` bit for bit; unless ``barrier`` is None, the sum is stopped
-    there (``noise.truncate_increments``).
+    ``cumsum`` bit for bit, into ``out`` if given; at m_sub = 1 the result
+    is a view of ``substeps``.  Unless ``barrier`` is None, the sum is
+    stopped there (``noise.truncate_increments``).
     """
     if barrier is not None:
         return np.ascontiguousarray(truncate_increments(substeps, barrier)[0].T)
     steps = substeps.transpose(1, 0, 2)
-    out = steps[..., 0].copy()
-    for j in range(1, steps.shape[-1]):
+    if steps.shape[-1] == 1:
+        return steps[..., 0]
+    out = np.add(steps[..., 0], steps[..., 1], out=out)
+    for j in range(2, steps.shape[-1]):
         out += steps[..., j]
     return out
 
@@ -144,10 +188,17 @@ def _step_increments(substeps, barrier):
 def _resolve_threads(threads):
     if threads is not None:
         return max(1, int(threads))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))  # the CPUs this process may use
     return os.cpu_count() or 1
 
 
 def _batch_ranges(n_samples, n_batches):
+    """The replicate ranges [lo, hi) of ``n_batches`` near-equal batches."""
+    for name, value in (("n_samples", n_samples), ("n_batches", n_batches)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     edges = np.linspace(0, n_samples, n_batches + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
@@ -173,6 +224,9 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     check_p(p)
     if scheme not in ("em", "monotone-em", "zvonkin-em"):
         raise ConfigError(f"unknown scheme {scheme!r}")
+    ranges = _batch_ranges(n_samples, n_batches)
+    width = max(hi - lo for lo, hi in ranges)
+    n = grid.n_steps
     h = grid.h
     barrier = truncation_level(h, trunc_k) if scheme != "em" else None
     rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
@@ -181,26 +235,59 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
                       zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
 
-    # at rho = 1 on every step dW_bar = 1.0 * dW, so both paths share increments
+    # at rho = 1 on every step dW_bar is dW, so both paths share increments;
+    # at rho = -1 it is -dW, and rounding, summing and the barrier's clamp
+    # are all symmetric, so dy is -dx bit for bit
     same_noise = bool(np.all(rho_k == 1.0))
+    opposite_noise = bool(np.all(rho_k == -1.0))
+    workspaces = threading.local()  # one per worker, dropped with this call
 
     def run_batch(lo, hi):
+        n_rep = hi - lo
+        ws = getattr(workspaces, "ws", None)
+        if ws is None:
+            ws = workspaces.ws = Workspace(width)
+
+        def array(name, shape, dtype=np.float64):
+            return ws.array(name, shape, n_rep, dtype)
+
+        def increments(substeps, name):
+            # only a sum over substeps is written to a buffer of its own
+            summed = barrier is None and m_sub > 1
+            return _step_increments(substeps, barrier,
+                                    out=array(name, (n, n_rep)) if summed else None)
+
         block = sample_correlated_pair(grid, rho, (seed, lo), m_sub=m_sub,
-                                       n_replicates=hi - lo)
-        dx = _step_increments(block.dW, barrier)
-        dy = dx if same_noise else _step_increments(block.dW_bar, barrier)
-        xp, sig_x, bad_x = _propagate(b_x, sigma_x, h, dx, x0, transforms[0])
-        yp, sig_y, bad_y = _propagate(b_y, sigma_y, h, dy, x0, transforms[1])
-        bad = bad_x | bad_y
-        # back to replicate-major rows for the cost sums (module docstring);
-        # subtracting 0.0 leaves the difference's bits as they are
-        diff = np.ascontiguousarray((xp - yp).T)
-        var = np.ascontiguousarray(_bridge_variance(sig_x, sig_y, rho_k[:, None]).T)
-        costs = path_integral_cost(diff, 0.0, h, p, bridge_var=var)
+                                       n_replicates=n_rep, workspace=ws)
+        dx = increments(block.dW, "dx")
+        if same_noise:
+            dy = dx
+        elif opposite_noise:
+            dy = np.negative(dx, out=array("dy", (n, n_rep)))
+        else:
+            dy = increments(block.dW_bar, "dy")
+        xp, sig_x, bad_x = _propagate(
+            b_x, sigma_x, h, dx, x0, transforms[0],
+            out=(array("paths_x", (n + 1, n_rep)), array("sig_x", (n, n_rep)),
+                 array("bad_x", (n_rep,), bool)))
+        yp, sig_y, bad_y = _propagate(
+            b_y, sigma_y, h, dy, x0, transforms[1],
+            out=(array("paths_y", (n + 1, n_rep)), array("sig_y", (n, n_rep)),
+                 array("bad_y", (n_rep,), bool)))
+        bad = np.logical_or(bad_x, bad_y, out=bad_x)
+        # replicate-major rows for the cost sums (module docstring), written
+        # transposed into spent buffers: the draw's for the difference and
+        # the bridge variance, sigma_x for the variance's second term, and
+        # the y side's for the segment costs
+        diff = np.subtract(xp.T, yp.T, out=array("uniforms", (n_rep, n + 1)))
+        var = _bridge_variance(sig_x.T, sig_y.T, rho_k, out=array("dW", (n_rep, n)),
+                               scratch=sig_x.T)
+        costs = path_integral_cost(diff, h, p, bridge_var=var,
+                                   out=(array("paths_y", (n_rep, n)),
+                                        array("sig_y", (n_rep, n))))
         good = ~bad
         return float(costs[good].sum()), int(good.sum()), int(bad.sum())
 
-    ranges = _batch_ranges(n_samples, n_batches)
     n_workers = min(_resolve_threads(threads), len(ranges))
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

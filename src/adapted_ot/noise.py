@@ -7,9 +7,13 @@ easy as 1, 2, 3"): master seed ``s`` keys one Philox4x64 stream, and replicate
 ``[i * stride, (i + 1) * stride)``, ``stride`` being ``width`` rounded up to a
 multiple of 4 (one Philox block).  Each word becomes a normal by inverse CDF,
 so every replicate consumes a fixed number of words and a range of
-replicates ``[lo, hi)`` is one ``advance`` plus one ``random_raw``.  Replicate
+replicates ``[lo, hi)`` is one ``advance`` plus one draw of the stream's
+doubles, ``Generator.random``, which writes into a caller's array.  Replicate
 ``i`` therefore depends only on ``(s, i)``: drawn alone or inside any batch,
 serially or in parallel, it is the same numbers.
+
+A batch draw can fill a ``Workspace``: arrays kept from one batch to the
+next, so that a run of batches allocates them once.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ class IncrementBlock:
     ``dW`` and ``dW_bar`` have shape (N, m_sub) for one replicate, or
     (n_replicates, N, m_sub) for a batch; each substep increment has
     variance h/m_sub, and ``dW_bar = rho * dW + sqrt(1 - rho^2) * dW_perp``
-    with ``rho`` evaluated at the step's left endpoint.
+    with ``rho`` evaluated at the step's left endpoint.  Where rho = 1 on
+    every step, ``dW_bar`` is ``dW`` itself.  A batch's arrays are
+    transposed views of step-major (N, m_sub, n_replicates) arrays.
     """
 
     grid: TimeGrid
@@ -122,28 +128,45 @@ def _stream_key(master):
     return np.random.SeedSequence(master).generate_state(2, np.uint64)
 
 
-def _replicate_words(seed, width, n_replicates):
-    """Raw words of replicates ``[i, i + n_replicates)`` of the master stream,
-    shape (n_replicates, width); ``seed`` is ``(s, i)``."""
+def _stride(width):
+    """Words a replicate owns: ``width`` rounded up to whole Philox blocks."""
+    return -(-width // 4) * 4
+
+
+def _replicate_uniforms(seed, width, n_replicates, n_used=None, out=None):
+    """The words of replicates ``[i, i + n_replicates)`` of the master stream
+    as the doubles ``(word >> 11) 2^-53`` that ``Generator.random`` makes of
+    them; ``seed`` is ``(s, i)`` and each replicate owns ``width`` words.
+
+    Returns the first ``n_used`` (default ``width``) words of each replicate,
+    shape (n_replicates, n_used); the last replicate's other words are not
+    drawn.  ``out``, if given, is the C-contiguous (n_replicates, stride)
+    array the draw is written to; the result is a view of it.
+    """
     master, first = _split_seed(seed)
-    stride = -(-width // 4) * 4
+    stride = _stride(width)
+    n_used = width if n_used is None else n_used
     bits = np.random.Philox(key=_stream_key(master))
     bits.advance(first * stride // 4)  # one Philox block is 4 words
-    words = bits.random_raw(n_replicates * stride)
-    return words.reshape(n_replicates, stride)[:, :width]
+    if out is None:
+        out = np.empty((n_replicates, stride))
+    np.random.Generator(bits).random(out=out.reshape(-1)[:out.size - stride + n_used])
+    return out[:, :n_used]
 
 
-def _words_to_normals(words):
-    """Standard normals by inverse CDF from raw 64-bit words.
+def _uniforms_to_normals(u, out=None):
+    """Standard normals by inverse CDF from ``_replicate_uniforms`` doubles.
 
-    The top 52 bits of a word give the midpoint ``(k + 0.5) 2^-52`` of one of
-    2^52 equal cells of (0, 1); both ends are exact in double precision, so
-    ``ndtri`` never sees 0 or 1 (a 53-bit midpoint rounds to 1.0 at the top).
+    ``floor(u 2^52)`` is the word's top 52 bits, exactly.  They give the
+    midpoint ``(k + 0.5) 2^-52`` of one of 2^52 equal cells of (0, 1); both
+    ends are exact in double precision, so ``ndtri`` never sees 0 or 1 (a
+    53-bit midpoint rounds to 1.0 at the top).  ``out`` may be ``u``.
     """
-    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(12)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
-    return ndtri(u, out=u)
+    z = np.multiply(u, 2.0**52, out=out)
+    np.floor(z, out=z)
+    z += 0.5
+    z *= 2.0**-52
+    return ndtri(z, out=z)
 
 
 def replicate_normals(seed, width, n_replicates=1):
@@ -151,7 +174,7 @@ def replicate_normals(seed, width, n_replicates=1):
     of master ``s`` (``seed = (s, i)``), shape (n_replicates, width)."""
     if width < 1 or n_replicates < 1:
         raise ConfigError("need at least one normal and one replicate")
-    return _words_to_normals(_replicate_words(seed, width, n_replicates))
+    return _uniforms_to_normals(_replicate_uniforms(seed, width, n_replicates))
 
 
 def truncation_level(h, trunc_k):
@@ -163,32 +186,77 @@ def truncation_level(h, trunc_k):
     return trunc_k * math.sqrt(-h * math.log(h))
 
 
+class Workspace:
+    """Arrays kept from one batch of replicates to the next.
+
+    ``array(name, shape, n)`` returns a C-contiguous array of ``shape``, for
+    a batch of ``n`` replicates, on the head of the buffer ``name``.  The
+    buffer is allocated on its first request, for ``width`` replicates:
+    ``prod(shape) / n * width`` elements.  Later requests that fit reuse it,
+    whatever their shape, so narrower batches allocate nothing.  What a
+    buffer held is garbage after the next request for it.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self._buffers = {}
+
+    def array(self, name, shape, n, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = np.empty(size // n * max(n, self.width), dtype)
+            self._buffers[name] = buf
+        return buf[:size].reshape(shape)
+
+
 def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
-                           n_replicates=None):
+                           n_replicates=None, workspace=None):
     """Draw correlated increment blocks, deterministic in (seed, grid, rho).
 
     ``seed = (s, i)`` gives replicate ``i`` of master ``s``; with
     ``n_replicates`` the block holds replicates ``[i, i + n_replicates)``
     stacked on a leading axis, each identical to its own single draw.
     A replicate's words are ``dW`` then ``dW_perp``, (N, m_sub) each.
+    With a ``workspace`` the block's arrays live in its buffers
+    ``uniforms``, ``dW`` and ``dW_bar``, until the next draw into them.
     """
     if m_sub < 1:
         raise ConfigError("m_sub must be >= 1")
     count = 1 if n_replicates is None else int(n_replicates)
     if count < 1:
         raise ConfigError("n_replicates must be >= 1")
+    ws = Workspace(count) if workspace is None else workspace
     n = grid.n_steps
+    width = 2 * n * m_sub
     scale = math.sqrt(grid.h / m_sub)
-    words = _replicate_words(seed, 2 * n * m_sub, count).reshape(count, 2, n, m_sub)
-    dw = scale * _words_to_normals(words[:, 0])
-    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)[:, None]
+    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)[:, None, None]
     perp = np.sqrt(1.0 - rho_k**2)
-    dw_bar = rho_k * dw
-    if perp.any():  # at |rho| = 1 the perpendicular half adds exact zeros
-        dw_bar += perp * (scale * _words_to_normals(words[:, 1]))
-    if n_replicates is None:
-        dw, dw_bar = dw[0], dw_bar[0]
-    return IncrementBlock(grid=grid, dW=dw, dW_bar=dw_bar, seed=seed, m_sub=m_sub)
+    # at |rho| = 1 the perpendicular half adds exact zeros and is not read
+    halves = 2 if perp.any() else 1
+    u = _replicate_uniforms(seed, width, count, n_used=halves * n * m_sub,
+                            out=ws.array("uniforms", (count, _stride(width)), count))
+    # step-major (halves, N, m_sub, count): the first conversion reads transposed
+    u = u.reshape(count, halves, n, m_sub).transpose(1, 2, 3, 0)
+    dw = _uniforms_to_normals(u[0], out=ws.array("dW", (n, m_sub, count), count))
+    dw *= scale
+    if np.all(rho_k == 1.0):
+        dw_bar = dw  # 1.0 * dW
+    else:
+        dw_bar = np.multiply(rho_k, dw, out=ws.array("dW_bar", (n, m_sub, count), count))
+        if halves == 2:
+            z = _uniforms_to_normals(u[1], out=u[1])
+            z *= scale
+            z *= perp
+            dw_bar += z
+
+    def replicate_major(a):
+        a = a.transpose(2, 0, 1)
+        return a if n_replicates is not None else a[0]
+    block_dw = replicate_major(dw)
+    block_dw_bar = block_dw if dw_bar is dw else replicate_major(dw_bar)
+    return IncrementBlock(grid=grid, dW=block_dw, dW_bar=block_dw_bar, seed=seed,
+                          m_sub=m_sub)
 
 
 def truncate_increments(substeps, barrier):

@@ -154,6 +154,13 @@ def test_counterexample_csv(tmp_path):
     assert float(sync_row[1]) == pytest.approx(24.3, abs=1e-9)
 
 
+def test_counterexample_without_samples_exits_2(tmp_path, capsys):
+    out = tmp_path / "ce.csv"
+    assert main(["counterexample", "--samples", "0", "--out", str(out)]) == 2
+    assert "n_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["rho-scan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["metrics", "--tree-mu", "missing.json", "--tree-nu",

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adapted_ot.estimate import (_segment_cost, closed_form_cost,
+from adapted_ot.estimate import (_resolve_threads, _segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
                                  em_expected_cost, rho_scan, stability_study,
                                  sync_distance_mc)
@@ -165,6 +166,37 @@ def test_results_independent_of_thread_count():
     threaded = sync_distance_mc(*args, seed=21, threads=4)
     assert serial.estimate == threaded.estimate
     assert serial.stderr == threaded.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_default_threads_count_usable_cpus():
+    assert 1 <= _resolve_threads(None) <= len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("counts", [
+    {"n_samples": 0}, {"n_batches": 0}, {"n_batches": -3}, {"n_samples": -5},
+    {"n_samples": 2.5}, {"n_batches": 2.0}, {"n_samples": True},
+])
+def test_sample_counts_must_be_positive_integers(counts):
+    kwargs = {"n_samples": 100, "n_batches": 4, **counts}
+    with pytest.raises(ConfigError):
+        sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
+                         TimeGrid(4), 2, kwargs.pop("n_samples"), seed=1,
+                         **kwargs)
+    kwargs = {"n_samples": 100, "n_batches": 4, **counts}
+    with pytest.raises(ConfigError):
+        counterexample_nonmarkov(1.0, 0.5, TimeGrid(4), **kwargs)
+
+
+def test_numpy_integer_sample_counts_are_accepted():
+    res = sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
+                           TimeGrid(4), 2, np.int64(100), seed=1,
+                           n_batches=np.int32(4))
+    assert res.n_samples == 100
+    sync, _ = counterexample_nonmarkov(1.0, 0.5, TimeGrid(4),
+                                       n_samples=np.int64(100), n_batches=4)
+    assert sync.n_samples == 100
 
 
 def test_divergence_abort():

@@ -4,14 +4,17 @@ Each entry is the exact ``repr`` of what ``sync_distance_mc`` (rho = 1),
 ``rho_scan`` (one constant rho) or the coupled estimator under a rho table
 returned at a fixed seed, or the name of the exception it raised, so a
 change that moves the last bit of any estimate or stderr fails here.  The
-values are the same for one and for two threads.
+values are the same for one and for two threads.  A second table pins
+uneven batch widths, so each worker's workspace serves batches of more than
+one width.
 """
 
 import pytest
 
+from adapted_ot import estimate
 from adapted_ot.estimate import _coupled_cost_mc, rho_scan, sync_distance_mc
 from adapted_ot.model import AdaptedOTError, TimeGrid, constant, table
-from adapted_ot.noise import rho_table
+from adapted_ot.noise import constant_rho, rho_table
 
 # state-dependent drift and volatility on X, a constant pair on Y; the
 # drifts are bounded, so the transformed scheme runs too
@@ -127,3 +130,69 @@ def test_mc_estimators_reproduce_golden_values(scheme, threads):
                 assert _run(scheme, m_sub, p, rho, threads) == GOLDEN[key], key
                 n_checked += 1
     assert n_checked == 24
+
+
+# 2,003 samples in 4 batches are batches of 500, 501, 501 and 501 replicates;
+# monotone-em runs at K = 1, where about one increment in ten is stopped
+UNEVEN_SAMPLES = 2003
+GOLDEN_UNEVEN = {
+    'em m1 p1 rho=1': ('0.16380141119908817', '0.0015600093153935186', 2003, 0),
+    'em m1 p1 rho=0.5': ('0.4852495864922694', '0.00435982320704318', 2003, 0),
+    'em m1 p1 rho=-1': ('0.9413091396785443', '0.0037438536471448187', 2003, 0),
+    'em m1 p2 rho=1': ('0.05001159599147108', '0.0005598272904212446', 2003, 0),
+    'em m1 p2 rho=0.5': ('0.43622796499872085', '0.006808825770720817', 2003, 0),
+    'em m1 p2 rho=-1': ('1.637449490485574', '0.0071355928021122', 2003, 0),
+    'em m3 p1 rho=1': ('0.15867115203387908', '0.0016752755491289933', 2003, 0),
+    'em m3 p1 rho=0.5': ('0.4833397158525044', '0.0117685129804434', 2003, 0),
+    'em m3 p1 rho=-1': ('0.9102754251721781', '0.014554777708698768', 2003, 0),
+    'em m3 p2 rho=1': ('0.04779576599999181', '0.0010795133135320584', 2003, 0),
+    'em m3 p2 rho=0.5': ('0.4307927446480872', '0.015465055184841162', 2003, 0),
+    'em m3 p2 rho=-1': ('1.5439563747631198', '0.04652970936454321', 2003, 0),
+    'monotone-em m1 p1 rho=1': ('0.15506980562166228', '0.0014691579154622622', 2003, 0),
+    'monotone-em m1 p1 rho=0.5': ('0.4482175159939283', '0.00407218302477229', 2003, 0),
+    'monotone-em m1 p1 rho=-1': ('0.8642852589144578', '0.0032128516866772048', 2003, 0),
+    'monotone-em m1 p2 rho=1': ('0.04405071235620172', '0.00045334972133052745', 2003, 0),
+    'monotone-em m1 p2 rho=0.5': ('0.37247115288481647', '0.005973633169637303', 2003, 0),
+    'monotone-em m1 p2 rho=-1': ('1.3664976609445163', '0.011313552990335856', 2003, 0),
+    'monotone-em m3 p1 rho=1': ('0.15159228231849872', '0.0013115412894239712', 2003, 0),
+    'monotone-em m3 p1 rho=0.5': ('0.45524441315988534', '0.011085161827161764', 2003, 0),
+    'monotone-em m3 p1 rho=-1': ('0.8485646904706501', '0.014302840619918817', 2003, 0),
+    'monotone-em m3 p2 rho=1': ('0.043019138631141866', '0.0009292421473174298', 2003, 0),
+    'monotone-em m3 p2 rho=0.5': ('0.38042433757814026', '0.01391025304500208', 2003, 0),
+    'monotone-em m3 p2 rho=-1': ('1.329462094534554', '0.04229745642131919', 2003, 0),
+}
+
+
+def _run_uneven(scheme, m_sub, p, rho, threads):
+    res = _coupled_cost_mc(*PAIR, GRID, p, constant_rho(rho), UNEVEN_SAMPLES,
+                           SEED, scheme=scheme, m_sub=m_sub, threads=threads,
+                           n_batches=4, trunc_k=1)
+    return (repr(res.estimate), repr(res.stderr), res.n_samples, res.n_diverged)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("scheme", ["em", "monotone-em"])
+def test_uneven_batches_reproduce_golden_values(scheme, threads):
+    n_checked = 0
+    for m_sub in (1, 3):
+        for p in (1, 2):
+            for rho in (1.0, 0.5, -1.0):
+                key = f"{scheme} m{m_sub} p{p} rho={rho:g}"
+                assert _run_uneven(scheme, m_sub, p, rho, threads) == GOLDEN_UNEVEN[key], key
+                n_checked += 1
+    assert n_checked == 12
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_draw_per_batch(monkeypatch, threads):
+    # the traced benchmark times the draw by wrapping this module attribute
+    widths = []
+    draw = estimate.sample_correlated_pair
+
+    def counting(*args, **kwargs):
+        widths.append(kwargs["n_replicates"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "sample_correlated_pair", counting)
+    _run_uneven("em", 1, 2, 0.5, threads)
+    assert sorted(widths) == [500, 501, 501, 501]

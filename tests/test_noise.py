@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from adapted_ot.model import ConfigError, TimeGrid
-from adapted_ot.noise import (constant_rho, exit_probability_bounds,
+from adapted_ot.noise import (Workspace, constant_rho, exit_probability_bounds,
                               fourth_moment_truncation_error, replicate_normals,
                               rho_table, sample_correlated_pair,
                               sample_truncated_increment, truncate_increments,
-                              truncation_level, _words_to_normals)
+                              truncation_level, _replicate_uniforms,
+                              _split_seed, _stream_key, _uniforms_to_normals)
+
+
+def _generator_doubles(words):
+    """The doubles ``Generator.random`` makes of raw 64-bit words."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def test_truncation_level_values():
@@ -65,9 +71,54 @@ def test_replicate_normals_depend_only_on_master_and_index():
     assert not np.array_equal(replicate_normals((9, 4, 101), 5)[0, :3], batch[1])
 
 
+@pytest.mark.parametrize("seed", [(3, 0), (3, 777), ((8, 1), 12345)])
+def test_uniforms_are_the_stream_words(seed):
+    # the draw writes Generator doubles into a caller's array; they carry the
+    # same words as random_raw, and floor(u 2^52) recovers each word's top 52
+    # bits exactly
+    width, n_rep = 37, 500  # a stride of 40 words: 3 words of padding each
+    u = _replicate_uniforms(seed, width, n_rep)
+    master, first = _split_seed(seed)
+    bits = np.random.Philox(key=_stream_key(master))
+    bits.advance(first * 40 // 4)
+    words = bits.random_raw(n_rep * 40).reshape(n_rep, 40)[:, :width]
+    assert np.array_equal(u, _generator_doubles(words))
+    assert np.array_equal(np.floor(u * 2.0**52), (words >> np.uint64(12)).astype(float))
+    # reading a prefix of each replicate's words leaves them unchanged
+    head = _replicate_uniforms(seed, width, n_rep, n_used=20)
+    assert head.shape == (n_rep, 20) and np.array_equal(head, u[:, :20])
+
+
+def test_workspace_reuses_its_buffers():
+    ws = Workspace(10)
+    a = ws.array("x", (3, 9), 9)
+    b = ws.array("x", (3, 10), 10)  # the widest batch still fits
+    c = ws.array("x", (10, 2), 10)  # another shape of no more elements
+    assert np.shares_memory(a, b) and np.shares_memory(b, c)
+    assert b.flags.c_contiguous and c.shape == (10, 2)
+    assert not np.shares_memory(b, ws.array("y", (3, 10), 10))
+    assert not np.shares_memory(b, ws.array("x", (4, 10), 10))  # outgrown
+
+
+def test_batch_draw_fills_the_workspace():
+    grid = TimeGrid(8)
+    ws = Workspace(40)
+    for rho in (constant_rho(0.3), constant_rho(1.0), rho_table([0.0, 0.5], [0.2, -1.0])):
+        for lo, count in ((0, 40), (40, 31)):
+            fresh = sample_correlated_pair(grid, rho, (6, lo), m_sub=3,
+                                           n_replicates=count)
+            reused = sample_correlated_pair(grid, rho, (6, lo), m_sub=3,
+                                            n_replicates=count, workspace=ws)
+            assert np.shares_memory(reused.dW, ws.array("dW", (8, 3, count), count))
+            assert fresh.dW.tobytes() == reused.dW.tobytes()
+            assert fresh.dW_bar.tobytes() == reused.dW_bar.tobytes()
+
+
 def test_extreme_words_give_finite_normals():
     words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-    z = _words_to_normals(words)
+    u = _generator_doubles(words)
+    assert np.array_equal(np.floor(u * 2.0**52), (words >> np.uint64(12)).astype(float))
+    z = _uniforms_to_normals(u)
     assert np.all(np.isfinite(z))
     assert z[0] == -z[-1] and z[0] < -8.0
     assert z[0] == z[1]  # the low 12 bits are dropped
@@ -86,7 +137,7 @@ def test_bad_seeds_are_config_errors():
 def test_perfect_correlations_are_exact():
     grid = TimeGrid(16)
     block = sample_correlated_pair(grid, constant_rho(1.0), 0)
-    assert np.array_equal(block.dW_bar, block.dW)
+    assert block.dW_bar is block.dW
     block = sample_correlated_pair(grid, constant_rho(-1.0), 0)
     assert np.array_equal(block.dW_bar, -block.dW)
 

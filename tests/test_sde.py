@@ -297,3 +297,32 @@ def test_transformed_em_rejects_wrong_block_shape():
     with pytest.raises(ConfigError):
         transformed_monotone_em(constant(1.0), UNIT_VOL, TimeGrid(4), 4,
                                 np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("case", ["direct", "transformed"])
+def test_propagate_reuses_buffers_like_fresh_arrays(case):
+    # a batch with inf and NaN increments leaves diverged rows and a set
+    # ``bad`` mask in the buffers; the clean batch after it must not see them
+    grid = TimeGrid(8)
+    n_rep = 200
+    x0 = 0.01
+    dirty = replicate_normals((29, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
+    dirty[7, 6] = np.nan
+    b, transform = ou(1.0), None
+    if case == "direct":
+        dirty[3, 0] = np.inf
+        dirty[5, 2] = -np.inf
+    else:
+        transform = zvonkin_transform(b, UNIT_VOL, x0)
+    clean = replicate_normals((30, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
+    out = (np.empty((grid.n_steps + 1, n_rep)), np.empty((grid.n_steps, n_rep)),
+           np.empty(n_rep, dtype=bool))
+    n_bad = []
+    for deltas in (dirty, clean):
+        fresh = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
+        reused = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform, out=out)
+        assert all(r is o for r, o in zip(reused, out))
+        for f, r in zip(fresh, reused):
+            assert f.tobytes() == r.tobytes()
+        n_bad.append(int(reused[2].sum()))
+    assert n_bad == ([3, 0] if case == "direct" else [1, 0])
