@@ -22,7 +22,8 @@ from .lattice import build_lattice, check_fosd, fosd_sufficient_condition
 from .model import (DiscretePathMeasure, MarkovLattice, TimeGrid, affine,
                     constant, growth_bounds, ou, table)
 from .noise import (exit_probability_bounds, fourth_moment_truncation_error,
-                    replicate_normals, truncate_increments, truncation_level)
+                    map_batches, replicate_normals, truncate_increments,
+                    truncation_level)
 from .presets import PRESETS, get_preset, mollified_abs_ladder
 from .sde import zvonkin_transform
 from .transport import (bicausal_dp, causal_lp, coupled_cost, kr_coupling,
@@ -270,14 +271,12 @@ def criterion_8_truncation_lemma(seed=DEFAULT_SEED, quick=False):
     h = 0.1
     barrier = truncation_level(h, 1)
     lower, upper = exit_probability_bounds(h, barrier)
-    hits = 0
-    done = 0
-    while done < n_samples:
-        b = min(200000, n_samples - done)
-        sub = replicate_normals((seed, 8, done), 16, b) * math.sqrt(h / 16)
-        _, exited = truncate_increments(sub, barrier)
-        hits += int(exited.sum())
-        done += b
+
+    def count_exits(lo, hi, _ws):
+        sub = replicate_normals((seed, 8, lo), 16, hi - lo) * math.sqrt(h / 16)
+        return int(truncate_increments(sub, barrier)[1].sum())
+
+    hits = sum(map_batches(count_exits, n_samples))
     freq = hits / n_samples
     margin = 4.0 * math.sqrt(freq * (1.0 - freq) / n_samples)
     ok_sandwich = (lower - margin) <= freq <= (upper + margin)
@@ -337,17 +336,14 @@ def criterion_10_zvonkin(seed=DEFAULT_SEED, quick=False):
     n_steps = 512  # keeps the truncated step inside the transform's range
     h = 1.0 / n_steps
     barrier = truncation_level(h, 4)
-    direct = np.empty(n_samples)
-    transformed = np.empty(n_samples)
-    batch = 20000
-    for lo in range(0, n_samples, batch):
-        nb = min(batch, n_samples - lo)
-        dw = replicate_normals((seed, 10, lo), n_steps, nb) * math.sqrt(h)
-        deltas = _step_increments(dw[..., None], barrier)  # (n_steps, nb)
-        p_direct, _, _ = _propagate(b, s, h, deltas, 0.0)
-        p_trans, _, _ = _propagate(b, s, h, deltas, 0.0, transform)
-        direct[lo:lo + nb] = p_direct[-1]
-        transformed[lo:lo + nb] = p_trans[-1]
+
+    def endpoints(lo, hi, _ws):
+        dw = replicate_normals((seed, 10, lo), n_steps, hi - lo) * math.sqrt(h)
+        deltas = _step_increments(dw[..., None], barrier)  # (n_steps, hi - lo)
+        return (_propagate(b, s, h, deltas, 0.0)[0][-1].copy(),
+                _propagate(b, s, h, deltas, 0.0, transform)[0][-1].copy())
+
+    direct, transformed = map(np.concatenate, zip(*map_batches(endpoints, n_samples)))
     ks = float(ks_2samp(direct, transformed).statistic)
     passed = cert_ok and ks < ks_tol
     return CriterionResult(

@@ -17,18 +17,17 @@ replicate-major: the path difference and the bridge variance are written
 transposed, once per batch, so numpy sums each replicate's contiguous row
 pairwise, the same additions in the same order whatever the batch layout.
 
-Each worker thread runs its batches in one ``noise.Workspace``, built on its
-first batch for the widest batch of the call and dropped when the call
-returns.  Every step writes into it through ``out=``, with the same
-operations in the same order as on fresh arrays, so after a worker's first
-batch a batch allocates nothing of size (N, B); the stopped schemes'
-``truncate_increments`` and the p != 2 segment costs are the exceptions.
-For N steps, m_sub substeps and B replicates it holds, in doubles: the
-draw's uniforms, B * stride (2 N m_sub rounded up to a multiple of 4); the
-step-major normals, N m_sub B, and as many for ``dW_bar`` unless rho = 1
-throughout; both paths, 2 (N + 1) B; both sigma arrays, 2 N B; and, where
-m_sub > 1 or rho = -1, N B for each summed or negated increment array.  The
-cost stage reuses spent buffers.  The em scheme at rho = 1, m_sub = 1 and
+The batches run on ``noise.map_batches``, which gives each worker thread one
+``noise.Workspace`` for all its batches.  Every step writes into it through
+``out=``, with the same operations in the same order as on fresh arrays, so
+after a worker's first batch a batch allocates nothing of size (N, B); the
+stopped schemes' ``truncate_increments`` and the p != 2 segment costs are
+the exceptions.  For N steps, m_sub substeps and B replicates it holds, in
+doubles: the draw's uniforms, B * stride (2 N m_sub rounded up to a
+multiple of 4); the step-major normals, N m_sub B, and as many for
+``dW_bar`` unless rho = 1 throughout; both paths, 2 (N + 1) B; both sigma
+arrays, 2 N B; and, where m_sub > 1, N B for each summed increment array.
+The cost stage reuses spent buffers.  The em scheme at rho = 1, m_sub = 1 and
 N = 64 takes about 7 N B doubles, 3.6 kB per replicate of batch width:
 18 MB at B = 5,000.
 """
@@ -36,9 +35,6 @@ N = 64 takes about 7 N B doubles, 3.6 kB per replicate of batch width:
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +42,11 @@ import numpy as np
 from .lattice import build_lattice, check_fosd
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
                     check_p)
-from .noise import (Workspace, constant_rho, replicate_normals,
-                    sample_correlated_pair, truncate_increments,
-                    truncation_level)
+from .noise import (DEFAULT_BATCHES, constant_rho, map_batches,
+                    replicate_normals, sample_correlated_pair,
+                    truncate_increments, truncation_level)
 from .sde import zvonkin_transform
 from .transport import bicausal_dp, coupled_cost, kr_coupling
-
-DEFAULT_BATCHES = 20  # batch-means stderr; robust to heavy-tailed costs
 
 
 @dataclass(frozen=True)
@@ -185,24 +179,6 @@ def _step_increments(substeps, barrier, out=None):
     return out
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))  # the CPUs this process may use
-    return os.cpu_count() or 1
-
-
-def _batch_ranges(n_samples, n_batches):
-    """The replicate ranges [lo, hi) of ``n_batches`` near-equal batches."""
-    for name, value in (("n_samples", n_samples), ("n_batches", n_batches)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    edges = np.linspace(0, n_samples, n_batches + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-
-
 def _batch_means_result(sums, counts, n_diverged=0):
     """Pooled estimate of per-batch cost sums over per-batch counts, with
     the batch-means standard error."""
@@ -224,8 +200,6 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     check_p(p)
     if scheme not in ("em", "monotone-em", "zvonkin-em"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    ranges = _batch_ranges(n_samples, n_batches)
-    width = max(hi - lo for lo, hi in ranges)
     n = grid.n_steps
     h = grid.h
     barrier = truncation_level(h, trunc_k) if scheme != "em" else None
@@ -235,18 +209,8 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
                       zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
 
-    # at rho = 1 on every step dW_bar is dW, so both paths share increments;
-    # at rho = -1 it is -dW, and rounding, summing and the barrier's clamp
-    # are all symmetric, so dy is -dx bit for bit
-    same_noise = bool(np.all(rho_k == 1.0))
-    opposite_noise = bool(np.all(rho_k == -1.0))
-    workspaces = threading.local()  # one per worker, dropped with this call
-
-    def run_batch(lo, hi):
+    def run_batch(lo, hi, ws):
         n_rep = hi - lo
-        ws = getattr(workspaces, "ws", None)
-        if ws is None:
-            ws = workspaces.ws = Workspace(width)
 
         def array(name, shape, dtype=np.float64):
             return ws.array(name, shape, n_rep, dtype)
@@ -260,12 +224,8 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         block = sample_correlated_pair(grid, rho, (seed, lo), m_sub=m_sub,
                                        n_replicates=n_rep, workspace=ws)
         dx = increments(block.dW, "dx")
-        if same_noise:
-            dy = dx
-        elif opposite_noise:
-            dy = np.negative(dx, out=array("dy", (n, n_rep)))
-        else:
-            dy = increments(block.dW_bar, "dy")
+        # at rho = 1 on every step the draw's dW_bar is dW: one set of increments
+        dy = dx if block.dW_bar is block.dW else increments(block.dW_bar, "dy")
         xp, sig_x, bad_x = _propagate(
             b_x, sigma_x, h, dx, x0, transforms[0],
             out=(array("paths_x", (n + 1, n_rep)), array("sig_x", (n, n_rep)),
@@ -288,15 +248,9 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         good = ~bad
         return float(costs[good].sum()), int(good.sum()), int(bad.sum())
 
-    n_workers = min(_resolve_threads(threads), len(ranges))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda r: run_batch(*r), ranges))
-    else:
-        results = [run_batch(*r) for r in ranges]
-    sums = np.array([r[0] for r in results])
-    counts = np.array([r[1] for r in results])
-    n_div = int(sum(r[2] for r in results))
+    sums, counts, n_bad = np.array(
+        map_batches(run_batch, n_samples, n_batches, threads)).T
+    n_div = int(n_bad.sum())
     if n_div > 0.001 * n_samples:
         raise DivergenceError(
             f"{n_div}/{n_samples} replicates diverged (> 0.1%); "
@@ -359,7 +313,7 @@ def convergence_study(b_x, sigma_x, b_y, sigma_y, p, n_list, m, max_support,
     the row, which is still computed.
     """
     mc = sync_distance_mc(b_x, sigma_x, b_y, sigma_y, TimeGrid(mc_n_steps), p,
-                          mc_samples, seed=seed, threads=threads)
+                          mc_samples, seed=seed, x0=x0, threads=threads)
     rows = []
     for n in n_list:
         lat_x = build_lattice(b_x, sigma_x, n, m, max_support, trunc_k=trunc_k, x0=x0)
@@ -418,10 +372,8 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
     h = grid.h
     times = grid.times()
     ramp = np.maximum(times - switch_time, 0.0)
-    ranges = _batch_ranges(n_samples, n_batches)
-    sums = np.zeros((2, len(ranges)))
-    counts = np.zeros(len(ranges))
-    for b_idx, (lo, hi) in enumerate(ranges):
+
+    def run_batch(lo, hi, _ws):
         n_rep = hi - lo
         dw = replicate_normals((seed, lo), grid.n_steps, n_rep) * math.sqrt(h)
         w = np.concatenate([np.zeros((n_rep, 1)), np.cumsum(dw, axis=1)], axis=1)
@@ -434,10 +386,12 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
         d_async = 2.0 * w
         cost_async = (_segment_cost(d_async[:, :-1], d_async[:, 1:], h, 2).sum(axis=1)
                       + 4.0 * grid.n_steps * h * h / 6.0)
-        sums[0, b_idx] = cost_sync.sum()
-        sums[1, b_idx] = cost_async.sum()
-        counts[b_idx] = n_rep
-    return _batch_means_result(sums[0], counts), _batch_means_result(sums[1], counts)
+        return cost_sync.sum(), cost_async.sum(), n_rep
+
+    sums_sync, sums_async, counts = np.array(
+        map_batches(run_batch, n_samples, n_batches)).T
+    return (_batch_means_result(sums_sync, counts),
+            _batch_means_result(sums_async, counts))
 
 
 def _constant_value(spec):

@@ -13,12 +13,17 @@ doubles, ``Generator.random``, which writes into a caller's array.  Replicate
 serially or in parallel, it is the same numbers.
 
 A batch draw can fill a ``Workspace``: arrays kept from one batch to the
-next, so that a run of batches allocates them once.
+next, so that a run of batches allocates them once.  ``map_batches`` is the
+one replicate loop: batches of replicates on worker threads, each with one
+workspace.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +33,7 @@ from scipy.special import erfc, ndtri
 from .model import ConfigError, TimeGrid
 
 DEFAULT_SUBSTEPS = 16
+DEFAULT_BATCHES = 20  # batch-means stderr; robust to heavy-tailed costs
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,53 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
+def _positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _resolve_threads(threads):
+    """Worker count: ``threads`` itself, or the CPUs this process may use."""
+    if threads is not None:
+        return _positive_int("threads", threads)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batch_ranges(n_samples, n_batches):
+    """The replicate ranges [lo, hi) of ``n_batches`` near-equal batches."""
+    n_samples = _positive_int("n_samples", n_samples)
+    n_batches = _positive_int("n_batches", n_batches)
+    edges = np.linspace(0, n_samples, n_batches + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+
+def map_batches(run_batch, n_samples, n_batches=DEFAULT_BATCHES, threads=None):
+    """``run_batch(lo, hi, workspace)`` on each of ``n_batches`` near-equal
+    replicate ranges [lo, hi) of ``n_samples``, on ``threads`` worker threads
+    (default: the usable CPUs); the results come back in range order.  Each
+    worker owns one ``Workspace`` for the widest range, built on its first
+    batch and dropped when the call returns.
+    """
+    ranges = _batch_ranges(n_samples, n_batches)
+    n_workers = min(_resolve_threads(threads), len(ranges))
+    width = max(hi - lo for lo, hi in ranges)
+    workspaces = threading.local()
+
+    def run(lo_hi):
+        ws = getattr(workspaces, "ws", None)
+        if ws is None:
+            ws = workspaces.ws = Workspace(width)
+        return run_batch(*lo_hi, ws)
+
+    if n_workers == 1:
+        return [run(r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(run, ranges))
+
+
 def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
                            n_replicates=None, workspace=None):
     """Draw correlated increment blocks, deterministic in (seed, grid, rho).
@@ -315,7 +368,7 @@ class FourthMomentEstimate:
 
 
 def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS,
-                                   seed=0, batch=100000):
+                                   seed=0):
     """Monte Carlo estimate of E|dW - dW^h|^4 for the stopped increment.
 
     The error is nonzero only on exit events, so for large K the estimate is
@@ -323,22 +376,17 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS
     truncation lemma is reported alongside.
     """
     barrier = truncation_level(h, trunc_k)
-    total = 0.0
-    total_sq = 0.0
-    n_exits = 0
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        sub = replicate_normals((seed, done), m_sub, b) * math.sqrt(h / m_sub)
+
+    def run_batch(lo, hi, _ws):
+        sub = replicate_normals((seed, lo), m_sub, hi - lo) * math.sqrt(h / m_sub)
         values, exited = truncate_increments(sub, barrier)
         # full increment via the same sequential accumulation as the
         # truncation, so unexited samples contribute exactly zero
         full = np.cumsum(sub, axis=1)[:, -1]
         err4 = (full - values) ** 4
-        total += err4.sum()
-        total_sq += (err4**2).sum()
-        n_exits += int(exited.sum())
-        done += b
+        return err4.sum(), (err4**2).sum(), int(exited.sum())
+
+    total, total_sq, n_exits = map(sum, zip(*map_batches(run_batch, n_samples)))
     estimate = total / n_samples
     var = max(total_sq / n_samples - estimate**2, 0.0)
     stderr = math.sqrt(var / n_samples)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import build_lattice
 from .model import AdaptedOTError, ConfigError, MarkovLattice, check_p
@@ -641,8 +640,10 @@ def causal_lp(mu, nu, p=2, mode="bicausal"):
         indices.extend(cols)
         data.extend(coefs)
         indptr.append(len(indices))
-    a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
-    from scipy.optimize import linprog  # imported here: slow, and used only here
+    # imported here: slow, and used only here
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+    a_eq = csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
     res = linprog(cost, A_eq=a_eq, b_eq=np.asarray(rhs), bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,

@@ -56,3 +56,21 @@ def test_criterion_11_counterexample():
 
 def test_criterion_12_stability():
     _run(acceptance.criterion_12_stability)
+
+
+# the quick runs' detail lines at the default seed, pinned exactly: the exit
+# frequency of criterion 8 is its exit count over 10^5 samples, and the KS
+# statistic of criterion 10 reads every replicate's endpoint
+
+
+def test_criterion_8_quick_detail_is_pinned():
+    result = acceptance.criterion_8_truncation_lemma(seed=7, quick=True)
+    assert result.detail == (
+        "exit freq 0.19916 in [0.12916, 0.25832] +- 0.00505; K=4 exits 0; "
+        "K=1 fourth moment 8.13e-04 <= 1.90e-02")
+
+
+def test_criterion_10_quick_detail_is_pinned():
+    result = acceptance.criterion_10_zvonkin(seed=7, quick=True)
+    assert result.detail == ("KS(X_1 direct, transformed) = 0.0084 (tol 0.03); "
+                             "Lipschitz certificate = 2.0")

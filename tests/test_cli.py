@@ -161,6 +161,14 @@ def test_counterexample_without_samples_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rho_scan_with_zero_threads_exits_2(tmp_path, capsys):
+    out = tmp_path / "rho.csv"
+    assert main(["rho-scan", "--preset", "ou-vol", "--samples", "10",
+                 "--threads", "0", "--out", str(out)]) == 2
+    assert "threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["rho-scan", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["metrics", "--tree-mu", "missing.json", "--tree-nu",
@@ -218,13 +226,14 @@ def test_divergence_exit_3(tmp_path):
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # scipy.stats, scipy.optimize and scipy.integrate cost about a second of
-    # start-up; each is imported only by the one function that needs it
+    # start-up, scipy.sparse about 40 ms; each is imported only by the one
+    # function that needs it
     src = str(Path(adapted_ot.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, adapted_ot; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'], "
-            "['scipy', 'integrate'])))")
+            "['scipy', 'integrate'], ['scipy', 'sparse'])))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adapted_ot.estimate import (_resolve_threads, _segment_cost, closed_form_cost,
+from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
                                  em_expected_cost, rho_scan, stability_study,
                                  sync_distance_mc)
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, table)
+from adapted_ot.noise import _resolve_threads
 from adapted_ot.presets import get_preset
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -174,6 +175,22 @@ def test_default_threads_count_usable_cpus():
     assert 1 <= _resolve_threads(None) <= len(os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("threads", [0, -2, 2.5, 2.0, True, "2"])
+def test_thread_counts_must_be_positive_integers(threads):
+    with pytest.raises(ConfigError):
+        _resolve_threads(threads)
+    with pytest.raises(ConfigError):
+        sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
+                         TimeGrid(4), 2, 100, seed=1, threads=threads)
+
+
+def test_numpy_integer_thread_counts_are_accepted():
+    assert _resolve_threads(np.int64(3)) == 3
+    args = (ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL, TimeGrid(4), 2, 100)
+    assert (sync_distance_mc(*args, seed=1, threads=np.int32(2))
+            == sync_distance_mc(*args, seed=1, threads=1))
+
+
 @pytest.mark.parametrize("counts", [
     {"n_samples": 0}, {"n_batches": 0}, {"n_batches": -3}, {"n_samples": -5},
     {"n_samples": 2.5}, {"n_batches": 2.0}, {"n_samples": True},
@@ -213,6 +230,18 @@ def test_counterexample_costs():
     assert asyn.estimate < sync.estimate
 
 
+def test_counterexample_golden_values():
+    # the exact repr of both results, so a change of replicate loop that
+    # moves the last bit of an estimate or stderr fails here
+    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20), p=2,
+                                          n_samples=4000, seed=16)
+    assert repr(sync) == ("MCResult(estimate=24.300000000000008, stderr=0.0, "
+                          "n_samples=4000, n_diverged=0)")
+    assert repr(asyn) == ("MCResult(estimate=1.9862443459006953, "
+                          "stderr=0.0335601032109927, n_samples=4000, "
+                          "n_diverged=0)")
+
+
 def test_counterexample_does_not_depend_on_batches():
     runs = [counterexample_nonmarkov(5.0, 0.3, TimeGrid(10), p=2,
                                      n_samples=1000, seed=23, n_batches=k)
@@ -245,6 +274,17 @@ def test_convergence_study_small():
         assert row.fosd_x and row.fosd_y
         assert row.dp_scaled <= row.kr_cost + 1e-9
     assert rows[1].dp_scaled < rows[0].dp_scaled
+
+
+def test_convergence_mc_column_starts_at_x0():
+    # the lattices and the MC leg start from the same x0
+    pair = (ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL)
+    rows = convergence_study(*pair, 2, [2], 3, 20, mc_samples=4000, seed=19,
+                             x0=2.0, mc_n_steps=16)
+    mc = sync_distance_mc(*pair, TimeGrid(16), 2, 4000, seed=19, x0=2.0)
+    assert (rows[0].mc_sync, rows[0].mc_stderr) == (mc.estimate, mc.stderr)
+    from_zero = sync_distance_mc(*pair, TimeGrid(16), 2, 4000, seed=19)
+    assert mc.estimate > 10 * from_zero.estimate
 
 
 def test_stability_study_gaps_shrink():

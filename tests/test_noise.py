@@ -1,12 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from adapted_ot.model import ConfigError, TimeGrid
 from adapted_ot.noise import (Workspace, constant_rho, exit_probability_bounds,
-                              fourth_moment_truncation_error, replicate_normals,
-                              rho_table, sample_correlated_pair,
+                              fourth_moment_truncation_error, map_batches,
+                              replicate_normals, rho_table, sample_correlated_pair,
                               sample_truncated_increment, truncate_increments,
                               truncation_level, _replicate_uniforms,
                               _split_seed, _stream_key, _uniforms_to_normals)
@@ -112,6 +113,30 @@ def test_batch_draw_fills_the_workspace():
             assert np.shares_memory(reused.dW, ws.array("dW", (8, 3, count), count))
             assert fresh.dW.tobytes() == reused.dW.tobytes()
             assert fresh.dW_bar.tobytes() == reused.dW_bar.tobytes()
+
+
+def test_map_batches_runs_uneven_ranges_in_order():
+    # 2,003 replicates in 4 batches: ranges of 500, 501, 501 and 501
+    grid = TimeGrid(6)
+    rho = constant_rho(0.5)
+    results = {}
+    for threads in (1, 3):
+        workers = {}  # thread -> the workspaces its batches were given
+        lock = threading.Lock()
+
+        def run_batch(lo, hi, ws):
+            with lock:
+                workers.setdefault(threading.get_ident(), set()).add(ws)
+            block = sample_correlated_pair(grid, rho, (4, lo), m_sub=2,
+                                           n_replicates=hi - lo, workspace=ws)
+            return lo, hi, ws.width, block.dW_bar.sum(axis=(1, 2)).tobytes()
+
+        results[threads] = map_batches(run_batch, 2003, 4, threads=threads)
+        assert all(len(spaces) == 1 for spaces in workers.values())
+        assert len(set().union(*workers.values())) == len(workers)
+    assert [r[:3] for r in results[1]] == [(0, 500, 501), (500, 1001, 501),
+                                           (1001, 1502, 501), (1502, 2003, 501)]
+    assert results[1] == results[3]
 
 
 def test_extreme_words_give_finite_normals():
