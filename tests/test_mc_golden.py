@@ -28,8 +28,7 @@ RHO_TABLE = rho_table([0.0, 0.5], [0.5, -1.0])
 
 
 def _run(scheme, m_sub, p, rho, threads):
-    kwargs = dict(seed=SEED, scheme=scheme, m_sub=m_sub, threads=threads,
-                  n_batches=4)
+    kwargs = dict(seed=SEED, scheme=scheme, m_sub=m_sub, threads=threads)
     try:
         if rho == "1":
             res = sync_distance_mc(*PAIR, GRID, p, N_SAMPLES, **kwargs)
@@ -44,78 +43,78 @@ def _run(scheme, m_sub, p, rho, threads):
 
 
 GOLDEN = {
-    'em m1 p1 rho=1': ('0.16378891323775405', '0.0014770682156361541', 2000, 0),
-    'em m1 p1 rho=0.5': ('0.48516712882878077', '0.004348511840698342'),
-    'em m1 p1 rho=-1': ('0.941324152172004', '0.003328488850075389'),
-    'em m1 p1 rho=table': ('0.5910349074393514', '0.0067409976434766655', 2000, 0),
-    'em m1 p2 rho=1': ('0.050011127919811854', '0.0005236387280268923', 2000, 0),
-    'em m1 p2 rho=0.5': ('0.4362547432542407', '0.007024659899189931'),
-    'em m1 p2 rho=-1': ('1.6380448305349222', '0.007760714643467733'),
-    'em m1 p2 rho=table': ('0.716594851910225', '0.020929191875331273', 2000, 0),
-    'em m1 p3 rho=1': ('0.020267030528940765', '0.0002745941470682201', 2000, 0),
-    'em m1 p3 rho=0.5': ('0.5129975173454173', '0.013521355501810132'),
-    'em m1 p3 rho=-1': ('3.7430254219254597', '0.014455548833152526'),
-    'em m1 p3 rho=table': ('1.1765999612725118', '0.06456500465430733', 2000, 0),
-    'em m3 p1 rho=1': ('0.15870321160971282', '0.0016904425164344745', 2000, 0),
-    'em m3 p1 rho=0.5': ('0.48327747650255415', '0.01194714906930007'),
-    'em m3 p1 rho=-1': ('0.9101510827126317', '0.014831771492096432'),
-    'em m3 p1 rho=table': ('0.5975670116014262', '0.013693027243742212', 2000, 0),
-    'em m3 p2 rho=1': ('0.047820169251070195', '0.0010837018556779459', 2000, 0),
-    'em m3 p2 rho=0.5': ('0.4308621548835424', '0.015584457327823613'),
-    'em m3 p2 rho=-1': ('1.5441726580058153', '0.04706556902655886'),
-    'em m3 p2 rho=table': ('0.7354890863480888', '0.02900013588472255', 2000, 0),
-    'em m3 p3 rho=1': ('0.01945466247823637', '0.0007501717642311784', 2000, 0),
-    'em m3 p3 rho=0.5': ('0.5046758269415953', '0.024277433081594194'),
-    'em m3 p3 rho=-1': ('3.4552300270586347', '0.15707292811576373'),
-    'em m3 p3 rho=table': ('1.244220856404166', '0.06674098807850763', 2000, 0),
-    'monotone-em m1 p1 rho=1': ('0.16378891323775405', '0.0014770682156361541', 2000, 0),
-    'monotone-em m1 p1 rho=0.5': ('0.48516712882878077', '0.004348511840698342'),
-    'monotone-em m1 p1 rho=-1': ('0.941324152172004', '0.003328488850075389'),
-    'monotone-em m1 p1 rho=table': ('0.5910349074393514', '0.0067409976434766655', 2000, 0),
-    'monotone-em m1 p2 rho=1': ('0.050011127919811854', '0.0005236387280268923', 2000, 0),
-    'monotone-em m1 p2 rho=0.5': ('0.4362547432542407', '0.007024659899189931'),
-    'monotone-em m1 p2 rho=-1': ('1.6380448305349222', '0.007760714643467733'),
-    'monotone-em m1 p2 rho=table': ('0.716594851910225', '0.020929191875331273', 2000, 0),
-    'monotone-em m1 p3 rho=1': ('0.020267030528940765', '0.0002745941470682201', 2000, 0),
-    'monotone-em m1 p3 rho=0.5': ('0.5129975173454173', '0.013521355501810132'),
-    'monotone-em m1 p3 rho=-1': ('3.7430254219254597', '0.014455548833152526'),
-    'monotone-em m1 p3 rho=table': ('1.1765999612725118', '0.06456500465430733', 2000, 0),
-    'monotone-em m3 p1 rho=1': ('0.15870321160971282', '0.0016904425164344745', 2000, 0),
-    'monotone-em m3 p1 rho=0.5': ('0.48327747650255415', '0.01194714906930007'),
-    'monotone-em m3 p1 rho=-1': ('0.9101510827126317', '0.014831771492096432'),
-    'monotone-em m3 p1 rho=table': ('0.5975670116014262', '0.013693027243742212', 2000, 0),
-    'monotone-em m3 p2 rho=1': ('0.047820169251070195', '0.0010837018556779459', 2000, 0),
-    'monotone-em m3 p2 rho=0.5': ('0.4308621548835424', '0.015584457327823613'),
-    'monotone-em m3 p2 rho=-1': ('1.5441726580058153', '0.04706556902655886'),
-    'monotone-em m3 p2 rho=table': ('0.7354890863480888', '0.02900013588472255', 2000, 0),
-    'monotone-em m3 p3 rho=1': ('0.01945466247823637', '0.0007501717642311784', 2000, 0),
-    'monotone-em m3 p3 rho=0.5': ('0.5046758269415953', '0.024277433081594194'),
-    'monotone-em m3 p3 rho=-1': ('3.4552300270586347', '0.15707292811576373'),
-    'monotone-em m3 p3 rho=table': ('1.244220856404166', '0.06674098807850763', 2000, 0),
-    'zvonkin-em m1 p1 rho=1': ('0.1803978927299409', '0.0029718675879481416', 2000, 0),
-    'zvonkin-em m1 p1 rho=0.5': ('0.5135960181176393', '0.004889803874800279'),
-    'zvonkin-em m1 p1 rho=-1': ('0.9816342154573303', '0.005633833783946171'),
-    'zvonkin-em m1 p1 rho=table': ('0.6205213331211737', '0.007604391452590517', 2000, 0),
-    'zvonkin-em m1 p2 rho=1': ('0.06421929684655482', '0.002336407542272582', 2000, 0),
-    'zvonkin-em m1 p2 rho=0.5': ('0.49308696749420605', '0.006888471873517276'),
-    'zvonkin-em m1 p2 rho=-1': ('1.783883072195605', '0.012821729087114587'),
-    'zvonkin-em m1 p2 rho=table': ('0.7878862324960036', '0.022978717394542256', 2000, 0),
-    'zvonkin-em m1 p3 rho=1': ('0.031437686538844475', '0.0022124116971037446', 2000, 0),
-    'zvonkin-em m1 p3 rho=0.5': ('0.6274260430929125', '0.011923528061848251'),
-    'zvonkin-em m1 p3 rho=-1': ('4.267697946783377', '0.04677223262606448'),
-    'zvonkin-em m1 p3 rho=table': ('1.3583535033692191', '0.07198059272789106', 2000, 0),
-    'zvonkin-em m3 p1 rho=1': ('0.17466748880626046', '0.0021757226467697113', 2000, 0),
-    'zvonkin-em m3 p1 rho=0.5': ('0.5110676997546014', '0.012819797277124682'),
-    'zvonkin-em m3 p1 rho=-1': ('0.9473937281577405', '0.016122280016802548'),
-    'zvonkin-em m3 p1 rho=table': ('0.6268163968813218', '0.014172065445023065', 2000, 0),
-    'zvonkin-em m3 p2 rho=1': ('0.059753412072426806', '0.0013771800184813764', 2000, 0),
-    'zvonkin-em m3 p2 rho=0.5': ('0.48415509861650874', '0.017778736655541975'),
-    'zvonkin-em m3 p2 rho=-1': ('1.6700708356765632', '0.051673846839804485'),
-    'zvonkin-em m3 p2 rho=table': ('0.8075778135548783', '0.02990220635149614', 2000, 0),
-    'zvonkin-em m3 p3 rho=1': ('0.02759929848231186', '0.0009631822573591438', 2000, 0),
-    'zvonkin-em m3 p3 rho=0.5': ('0.6074890333865208', '0.031008974529550672'),
-    'zvonkin-em m3 p3 rho=-1': ('3.885257034941607', '0.1747213471247692'),
-    'zvonkin-em m3 p3 rho=table': ('1.4345720205124293', '0.06982784122784196', 2000, 0),
+    'em m1 p1 rho=1': ('0.16378891323775405', '0.002361031373218466', 2000, 0),
+    'em m1 p1 rho=0.5': ('0.48516712882878077', '0.005902131041472644'),
+    'em m1 p1 rho=-1': ('0.9413241521720039', '0.011842147432218083'),
+    'em m1 p1 rho=table': ('0.5910349074393513', '0.0058559161971620055', 2000, 0),
+    'em m1 p2 rho=1': ('0.050011127919811854', '0.0012796781341554272', 2000, 0),
+    'em m1 p2 rho=0.5': ('0.43625474325424074', '0.009451152354185713'),
+    'em m1 p2 rho=-1': ('1.638044830534922', '0.039923804224460645'),
+    'em m1 p2 rho=table': ('0.716594851910225', '0.016253331348861644', 2000, 0),
+    'em m1 p3 rho=1': ('0.02026703052894076', '0.0007527229496664576', 2000, 0),
+    'em m1 p3 rho=0.5': ('0.5129975173454172', '0.016799193774042907'),
+    'em m1 p3 rho=-1': ('3.74302542192546', '0.14106086630829764'),
+    'em m1 p3 rho=table': ('1.176599961272512', '0.046607715075847', 2000, 0),
+    'em m3 p1 rho=1': ('0.1587032116097128', '0.002718588551671869', 2000, 0),
+    'em m3 p1 rho=0.5': ('0.483277476502554', '0.007818965084618561'),
+    'em m3 p1 rho=-1': ('0.9101510827126319', '0.01636926262879557'),
+    'em m3 p1 rho=table': ('0.5975670116014263', '0.010092155114769182', 2000, 0),
+    'em m3 p2 rho=1': ('0.04782016925107018', '0.0016221498679157278', 2000, 0),
+    'em m3 p2 rho=0.5': ('0.43086215488354235', '0.01284350673188017'),
+    'em m3 p2 rho=-1': ('1.5441726580058153', '0.05291808835929901'),
+    'em m3 p2 rho=table': ('0.7354890863480888', '0.02562636127830674', 2000, 0),
+    'em m3 p3 rho=1': ('0.019454662478236368', '0.0010570956357890304', 2000, 0),
+    'em m3 p3 rho=0.5': ('0.5046758269415954', '0.023614034244380196'),
+    'em m3 p3 rho=-1': ('3.4552300270586347', '0.1867447498439505'),
+    'em m3 p3 rho=table': ('1.244220856404166', '0.07408958254964047', 2000, 0),
+    'monotone-em m1 p1 rho=1': ('0.16378891323775405', '0.002361031373218466', 2000, 0),
+    'monotone-em m1 p1 rho=0.5': ('0.48516712882878077', '0.005902131041472644'),
+    'monotone-em m1 p1 rho=-1': ('0.9413241521720039', '0.011842147432218083'),
+    'monotone-em m1 p1 rho=table': ('0.5910349074393513', '0.0058559161971620055', 2000, 0),
+    'monotone-em m1 p2 rho=1': ('0.050011127919811854', '0.0012796781341554272', 2000, 0),
+    'monotone-em m1 p2 rho=0.5': ('0.43625474325424074', '0.009451152354185713'),
+    'monotone-em m1 p2 rho=-1': ('1.638044830534922', '0.039923804224460645'),
+    'monotone-em m1 p2 rho=table': ('0.716594851910225', '0.016253331348861644', 2000, 0),
+    'monotone-em m1 p3 rho=1': ('0.02026703052894076', '0.0007527229496664576', 2000, 0),
+    'monotone-em m1 p3 rho=0.5': ('0.5129975173454172', '0.016799193774042907'),
+    'monotone-em m1 p3 rho=-1': ('3.74302542192546', '0.14106086630829764'),
+    'monotone-em m1 p3 rho=table': ('1.176599961272512', '0.046607715075847', 2000, 0),
+    'monotone-em m3 p1 rho=1': ('0.1587032116097128', '0.002718588551671869', 2000, 0),
+    'monotone-em m3 p1 rho=0.5': ('0.483277476502554', '0.007818965084618561'),
+    'monotone-em m3 p1 rho=-1': ('0.9101510827126319', '0.01636926262879557'),
+    'monotone-em m3 p1 rho=table': ('0.5975670116014263', '0.010092155114769182', 2000, 0),
+    'monotone-em m3 p2 rho=1': ('0.04782016925107018', '0.0016221498679157278', 2000, 0),
+    'monotone-em m3 p2 rho=0.5': ('0.43086215488354235', '0.01284350673188017'),
+    'monotone-em m3 p2 rho=-1': ('1.5441726580058153', '0.05291808835929901'),
+    'monotone-em m3 p2 rho=table': ('0.7354890863480888', '0.02562636127830674', 2000, 0),
+    'monotone-em m3 p3 rho=1': ('0.019454662478236368', '0.0010570956357890304', 2000, 0),
+    'monotone-em m3 p3 rho=0.5': ('0.5046758269415954', '0.023614034244380196'),
+    'monotone-em m3 p3 rho=-1': ('3.4552300270586347', '0.1867447498439505'),
+    'monotone-em m3 p3 rho=table': ('1.244220856404166', '0.07408958254964047', 2000, 0),
+    'zvonkin-em m1 p1 rho=1': ('0.1803978927299409', '0.0031342060806929706', 2000, 0),
+    'zvonkin-em m1 p1 rho=0.5': ('0.5135960181176392', '0.006750620870293113'),
+    'zvonkin-em m1 p1 rho=-1': ('0.9816342154573303', '0.01257040773061115'),
+    'zvonkin-em m1 p1 rho=table': ('0.6205213331211737', '0.006526440795205606', 2000, 0),
+    'zvonkin-em m1 p2 rho=1': ('0.06421929684655482', '0.002170871075939442', 2000, 0),
+    'zvonkin-em m1 p2 rho=0.5': ('0.49308696749420594', '0.0114469111168834'),
+    'zvonkin-em m1 p2 rho=-1': ('1.783883072195605', '0.043665683778810686'),
+    'zvonkin-em m1 p2 rho=table': ('0.7878862324960036', '0.01816137267361974', 2000, 0),
+    'zvonkin-em m1 p3 rho=1': ('0.03143768653884448', '0.0018511596147302758', 2000, 0),
+    'zvonkin-em m1 p3 rho=0.5': ('0.6274260430929125', '0.022131678282433852'),
+    'zvonkin-em m1 p3 rho=-1': ('4.267697946783377', '0.15905696168535513'),
+    'zvonkin-em m1 p3 rho=table': ('1.3583535033692193', '0.05221181012199882', 2000, 0),
+    'zvonkin-em m3 p1 rho=1': ('0.17466748880626043', '0.002924161600142745', 2000, 0),
+    'zvonkin-em m3 p1 rho=0.5': ('0.5110676997546014', '0.009203437958806768'),
+    'zvonkin-em m3 p1 rho=-1': ('0.9473937281577405', '0.017340416344874536'),
+    'zvonkin-em m3 p1 rho=table': ('0.6268163968813218', '0.011598831517842977', 2000, 0),
+    'zvonkin-em m3 p2 rho=1': ('0.05975341207242681', '0.001974866978764075', 2000, 0),
+    'zvonkin-em m3 p2 rho=0.5': ('0.48415509861650874', '0.01648837323314127'),
+    'zvonkin-em m3 p2 rho=-1': ('1.6700708356765632', '0.05783777608891577'),
+    'zvonkin-em m3 p2 rho=table': ('0.8075778135548783', '0.030248606579575375', 2000, 0),
+    'zvonkin-em m3 p3 rho=1': ('0.027599298482311855', '0.001388679133476722', 2000, 0),
+    'zvonkin-em m3 p3 rho=0.5': ('0.6074890333865208', '0.0325038077523628'),
+    'zvonkin-em m3 p3 rho=-1': ('3.885257034941608', '0.21025818871828236'),
+    'zvonkin-em m3 p3 rho=table': ('1.4345720205124293', '0.08993813095782754', 2000, 0),
 }
 
 
@@ -132,41 +131,41 @@ def test_mc_estimators_reproduce_golden_values(scheme, threads):
     assert n_checked == 24
 
 
-# 2,003 samples in 4 batches are batches of 500, 501, 501 and 501 replicates;
+# 2,003 samples in 20 batches are 17 batches of 100 replicates and 3 of 101;
 # monotone-em runs at K = 1, where about one increment in ten is stopped
 UNEVEN_SAMPLES = 2003
 GOLDEN_UNEVEN = {
-    'em m1 p1 rho=1': ('0.16380141119908817', '0.0015600093153935186', 2003, 0),
-    'em m1 p1 rho=0.5': ('0.4852495864922694', '0.00435982320704318', 2003, 0),
-    'em m1 p1 rho=-1': ('0.9413091396785443', '0.0037438536471448187', 2003, 0),
-    'em m1 p2 rho=1': ('0.05001159599147108', '0.0005598272904212446', 2003, 0),
-    'em m1 p2 rho=0.5': ('0.43622796499872085', '0.006808825770720817', 2003, 0),
-    'em m1 p2 rho=-1': ('1.637449490485574', '0.0071355928021122', 2003, 0),
-    'em m3 p1 rho=1': ('0.15867115203387908', '0.0016752755491289933', 2003, 0),
-    'em m3 p1 rho=0.5': ('0.4833397158525044', '0.0117685129804434', 2003, 0),
-    'em m3 p1 rho=-1': ('0.9102754251721781', '0.014554777708698768', 2003, 0),
-    'em m3 p2 rho=1': ('0.04779576599999181', '0.0010795133135320584', 2003, 0),
-    'em m3 p2 rho=0.5': ('0.4307927446480872', '0.015465055184841162', 2003, 0),
-    'em m3 p2 rho=-1': ('1.5439563747631198', '0.04652970936454321', 2003, 0),
-    'monotone-em m1 p1 rho=1': ('0.15506980562166228', '0.0014691579154622622', 2003, 0),
-    'monotone-em m1 p1 rho=0.5': ('0.4482175159939283', '0.00407218302477229', 2003, 0),
-    'monotone-em m1 p1 rho=-1': ('0.8642852589144578', '0.0032128516866772048', 2003, 0),
-    'monotone-em m1 p2 rho=1': ('0.04405071235620172', '0.00045334972133052745', 2003, 0),
-    'monotone-em m1 p2 rho=0.5': ('0.37247115288481647', '0.005973633169637303', 2003, 0),
-    'monotone-em m1 p2 rho=-1': ('1.3664976609445163', '0.011313552990335856', 2003, 0),
-    'monotone-em m3 p1 rho=1': ('0.15159228231849872', '0.0013115412894239712', 2003, 0),
-    'monotone-em m3 p1 rho=0.5': ('0.45524441315988534', '0.011085161827161764', 2003, 0),
-    'monotone-em m3 p1 rho=-1': ('0.8485646904706501', '0.014302840619918817', 2003, 0),
-    'monotone-em m3 p2 rho=1': ('0.043019138631141866', '0.0009292421473174298', 2003, 0),
-    'monotone-em m3 p2 rho=0.5': ('0.38042433757814026', '0.01391025304500208', 2003, 0),
-    'monotone-em m3 p2 rho=-1': ('1.329462094534554', '0.04229745642131919', 2003, 0),
+    'em m1 p1 rho=1': ('0.1638014111990882', '0.0024132815600436466', 2003, 0),
+    'em m1 p1 rho=0.5': ('0.48524958649226946', '0.005752298716242521', 2003, 0),
+    'em m1 p1 rho=-1': ('0.9413091396785441', '0.012017917571212337', 2003, 0),
+    'em m1 p2 rho=1': ('0.050011595991471085', '0.001294102661254386', 2003, 0),
+    'em m1 p2 rho=0.5': ('0.43622796499872085', '0.009170634020953444', 2003, 0),
+    'em m1 p2 rho=-1': ('1.6374494904855739', '0.04059089288095475', 2003, 0),
+    'em m3 p1 rho=1': ('0.15867115203387913', '0.002642081280068979', 2003, 0),
+    'em m3 p1 rho=0.5': ('0.4833397158525044', '0.007709576322379752', 2003, 0),
+    'em m3 p1 rho=-1': ('0.910275425172178', '0.016019184355751108', 2003, 0),
+    'em m3 p2 rho=1': ('0.047795765999991816', '0.00159144144876578', 2003, 0),
+    'em m3 p2 rho=0.5': ('0.4307927446480871', '0.012550208989741986', 2003, 0),
+    'em m3 p2 rho=-1': ('1.54395637476312', '0.051932648385901045', 2003, 0),
+    'monotone-em m1 p1 rho=1': ('0.15506980562166228', '0.002227856849612082', 2003, 0),
+    'monotone-em m1 p1 rho=0.5': ('0.4482175159939283', '0.005222228768805753', 2003, 0),
+    'monotone-em m1 p1 rho=-1': ('0.8642852589144578', '0.011208421082843764', 2003, 0),
+    'monotone-em m1 p2 rho=1': ('0.04405071235620172', '0.0010698162183054242', 2003, 0),
+    'monotone-em m1 p2 rho=0.5': ('0.3724711528848165', '0.007935740908862149', 2003, 0),
+    'monotone-em m1 p2 rho=-1': ('1.3664976609445163', '0.03415190757836217', 2003, 0),
+    'monotone-em m3 p1 rho=1': ('0.15159228231849872', '0.002311594347246579', 2003, 0),
+    'monotone-em m3 p1 rho=0.5': ('0.45524441315988534', '0.00712219958942903', 2003, 0),
+    'monotone-em m3 p1 rho=-1': ('0.8485646904706501', '0.013974105426642897', 2003, 0),
+    'monotone-em m3 p2 rho=1': ('0.04301913863114186', '0.001316864344679109', 2003, 0),
+    'monotone-em m3 p2 rho=0.5': ('0.38042433757814026', '0.0106695385060225', 2003, 0),
+    'monotone-em m3 p2 rho=-1': ('1.3294620945345539', '0.04126002560048018', 2003, 0),
 }
 
 
 def _run_uneven(scheme, m_sub, p, rho, threads):
     res = _coupled_cost_mc(*PAIR, GRID, p, constant_rho(rho), UNEVEN_SAMPLES,
                            SEED, scheme=scheme, m_sub=m_sub, threads=threads,
-                           n_batches=4, trunc_k=1)
+                           trunc_k=1)
     return (repr(res.estimate), repr(res.stderr), res.n_samples, res.n_diverged)
 
 
@@ -195,4 +194,4 @@ def test_one_draw_per_batch(monkeypatch, threads):
 
     monkeypatch.setattr(estimate, "sample_correlated_pair", counting)
     _run_uneven("em", 1, 2, 0.5, threads)
-    assert sorted(widths) == [500, 501, 501, 501]
+    assert sorted(widths) == [100] * 17 + [101] * 3

@@ -116,7 +116,7 @@ def test_batch_draw_fills_the_workspace():
 
 
 def test_map_batches_runs_uneven_ranges_in_order():
-    # 2,003 replicates in 4 batches: ranges of 500, 501, 501 and 501
+    # 2,003 replicates in 20 batches: 17 ranges of 100 and 3 of 101
     grid = TimeGrid(6)
     rho = constant_rho(0.5)
     results = {}
@@ -131,11 +131,14 @@ def test_map_batches_runs_uneven_ranges_in_order():
                                            n_replicates=hi - lo, workspace=ws)
             return lo, hi, ws.width, block.dW_bar.sum(axis=(1, 2)).tobytes()
 
-        results[threads] = map_batches(run_batch, 2003, 4, threads=threads)
+        results[threads] = map_batches(run_batch, 2003, threads=threads)
         assert all(len(spaces) == 1 for spaces in workers.values())
         assert len(set().union(*workers.values())) == len(workers)
-    assert [r[:3] for r in results[1]] == [(0, 500, 501), (500, 1001, 501),
-                                           (1001, 1502, 501), (1502, 2003, 501)]
+    ranges = [r[:2] for r in results[1]]
+    assert ranges[0] == (0, 100) and ranges[-1] == (1902, 2003)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert sorted(hi - lo for lo, hi in ranges) == [100] * 17 + [101] * 3
+    assert {r[2] for r in results[1]} == {101}
     assert results[1] == results[3]
 
 
