@@ -42,7 +42,7 @@ import numpy as np
 from .lattice import build_lattice, check_fosd
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
                     check_p)
-from .noise import (DEFAULT_BATCHES, constant_rho, map_batches,
+from .noise import (batch_moments, constant_rho, map_batches, pool_moments,
                     replicate_normals, sample_correlated_pair,
                     truncate_increments, truncation_level)
 from .sde import zvonkin_transform
@@ -179,22 +179,8 @@ def _step_increments(substeps, barrier, out=None):
     return out
 
 
-def _batch_means_result(sums, counts, n_diverged=0):
-    """Pooled estimate of per-batch cost sums over per-batch counts, with
-    the batch-means standard error."""
-    means = sums / np.maximum(counts, 1)
-    if means.size > 1:
-        stderr = float(np.std(means, ddof=1) / math.sqrt(means.size))
-    else:
-        stderr = 0.0
-    return MCResult(estimate=float(sums.sum() / counts.sum()), stderr=stderr,
-                    n_samples=int(counts.sum()), n_diverged=n_diverged)
-
-
 def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
-                     scheme="em", m_sub=1, trunc_k=4, x0=0.0,
-                     n_batches=DEFAULT_BATCHES, threads=None,
-                     transform_half_width=10.0):
+                     scheme="em", m_sub=1, trunc_k=4, x0=0.0, threads=None):
     """Expected integral cost of the coupled pair driven by a rho-correlated
     noise pair; the backbone of the synchronous estimator and the rho scan."""
     check_p(p)
@@ -206,8 +192,8 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
     transforms = (None, None)
     if scheme == "zvonkin-em":
-        transforms = (zvonkin_transform(b_x, sigma_x, x0, half_width=transform_half_width),
-                      zvonkin_transform(b_y, sigma_y, x0, half_width=transform_half_width))
+        transforms = (zvonkin_transform(b_x, sigma_x, x0),
+                      zvonkin_transform(b_y, sigma_y, x0))
 
     def run_batch(lo, hi, ws):
         n_rep = hi - lo
@@ -245,17 +231,15 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         costs = path_integral_cost(diff, h, p, bridge_var=var,
                                    out=(array("paths_y", (n_rep, n)),
                                         array("sig_y", (n_rep, n))))
-        good = ~bad
-        return float(costs[good].sum()), int(good.sum()), int(bad.sum())
+        return batch_moments(costs[~bad]), int(bad.sum())
 
-    sums, counts, n_bad = np.array(
-        map_batches(run_batch, n_samples, n_batches, threads)).T
-    n_div = int(n_bad.sum())
+    moments, n_bad = zip(*map_batches(run_batch, n_samples, threads))
+    n_div = sum(n_bad)
     if n_div > 0.001 * n_samples:
         raise DivergenceError(
             f"{n_div}/{n_samples} replicates diverged (> 0.1%); "
             f"scheme={scheme} N={grid.n_steps}")
-    return _batch_means_result(sums, counts, n_div)
+    return MCResult(*pool_moments(moments), n_diverged=n_div)
 
 
 def sync_distance_mc(b_x, sigma_x, b_y, sigma_y, grid, p, n_samples, seed=0,
@@ -355,8 +339,7 @@ def stability_study(b_target, sigma_target, approx_pairs, b_other, sigma_other,
     return rows, target
 
 
-def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
-                             seed=0, n_batches=DEFAULT_BATCHES):
+def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000, seed=0):
     """Both couplings of the sign-switch drift example, simulated exactly.
 
     The synchronous pair is (W + D, W - D) with the common ramp
@@ -386,12 +369,10 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000,
         d_async = 2.0 * w
         cost_async = (_segment_cost(d_async[:, :-1], d_async[:, 1:], h, 2).sum(axis=1)
                       + 4.0 * grid.n_steps * h * h / 6.0)
-        return cost_sync.sum(), cost_async.sum(), n_rep
+        return batch_moments(cost_sync), batch_moments(cost_async)
 
-    sums_sync, sums_async, counts = np.array(
-        map_batches(run_batch, n_samples, n_batches)).T
-    return (_batch_means_result(sums_sync, counts),
-            _batch_means_result(sums_async, counts))
+    sync, asyn = zip(*map_batches(run_batch, n_samples))
+    return MCResult(*pool_moments(sync)), MCResult(*pool_moments(asyn))
 
 
 def _constant_value(spec):

@@ -15,7 +15,7 @@ serially or in parallel, it is the same numbers.
 A batch draw can fill a ``Workspace``: arrays kept from one batch to the
 next, so that a run of batches allocates them once.  ``map_batches`` is the
 one replicate loop: batches of replicates on worker threads, each with one
-workspace.
+workspace.  ``pool_moments`` is the one reduction of their ``batch_moments``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.special import erfc, ndtri
 from .model import ConfigError, TimeGrid
 
 DEFAULT_SUBSTEPS = 16
-DEFAULT_BATCHES = 20  # batch-means stderr; robust to heavy-tailed costs
+N_BATCHES = 20  # replicate ranges per run; they only split the work
 
 
 @dataclass(frozen=True)
@@ -231,22 +231,16 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _batch_ranges(n_samples, n_batches):
-    """The replicate ranges [lo, hi) of ``n_batches`` near-equal batches."""
-    n_samples = _positive_int("n_samples", n_samples)
-    n_batches = _positive_int("n_batches", n_batches)
-    edges = np.linspace(0, n_samples, n_batches + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-
-
-def map_batches(run_batch, n_samples, n_batches=DEFAULT_BATCHES, threads=None):
-    """``run_batch(lo, hi, workspace)`` on each of ``n_batches`` near-equal
+def map_batches(run_batch, n_samples, threads=None):
+    """``run_batch(lo, hi, workspace)`` on each of ``N_BATCHES`` near-equal
     replicate ranges [lo, hi) of ``n_samples``, on ``threads`` worker threads
     (default: the usable CPUs); the results come back in range order.  Each
     worker owns one ``Workspace`` for the widest range, built on its first
     batch and dropped when the call returns.
     """
-    ranges = _batch_ranges(n_samples, n_batches)
+    n_samples = _positive_int("n_samples", n_samples)
+    edges = np.linspace(0, n_samples, N_BATCHES + 1).astype(int)
+    ranges = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     n_workers = min(_resolve_threads(threads), len(ranges))
     width = max(hi - lo for lo, hi in ranges)
     workspaces = threading.local()
@@ -261,6 +255,32 @@ def map_batches(run_batch, n_samples, n_batches=DEFAULT_BATCHES, threads=None):
         return [run(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run, ranges))
+
+
+def batch_moments(values):
+    """(count, sum, M2) of values: M2 sums their squared deviations from the mean."""
+    values = np.asarray(values, dtype=float)
+    total = values.sum()
+    dev = values - total / max(values.size, 1)
+    dev *= dev
+    return values.size, float(total), float(dev.sum())
+
+
+def pool_moments(batches):
+    """(mean, standard error, count) of the values behind ``batch_moments``.
+
+    The mean is the summed sums over the summed counts.  M2 merges exactly
+    (Chan, Golub & LeVeque 1979): the batches' M2 plus each count times its
+    batch mean's squared deviation from the mean.  The standard error is
+    sqrt(M2 / (n - 1) / n), 0.0 at n = 1, whatever thread ran each batch.
+    """
+    counts, sums, m2s = np.array(batches, dtype=float).T
+    n = counts.sum()
+    mean = sums.sum() / n
+    deviations = sums / np.maximum(counts, 1) - mean
+    m2 = m2s.sum() + (counts * deviations * deviations).sum()
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return float(mean), stderr, int(n)
 
 
 def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
@@ -383,13 +403,11 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS
         # full increment via the same sequential accumulation as the
         # truncation, so unexited samples contribute exactly zero
         full = np.cumsum(sub, axis=1)[:, -1]
-        err4 = (full - values) ** 4
-        return err4.sum(), (err4**2).sum(), int(exited.sum())
+        return batch_moments((full - values) ** 4), int(exited.sum())
 
-    total, total_sq, n_exits = map(sum, zip(*map_batches(run_batch, n_samples)))
-    estimate = total / n_samples
-    var = max(total_sq / n_samples - estimate**2, 0.0)
-    stderr = math.sqrt(var / n_samples)
+    moments, exits = zip(*map_batches(run_batch, n_samples))
+    estimate, stderr, _ = pool_moments(moments)
+    n_exits = sum(exits)
     bound = 6.0 * h**2 * h ** (trunc_k**2 / 2.0)
     within = estimate <= bound * (1.0 + 5.0 * (stderr / bound if bound > 0 else 0.0))
     return FourthMomentEstimate(estimate=estimate, stderr=stderr, n_exits=n_exits,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,29 @@ def test_rerun_refuses_stream_sidecar_from_another_version(tmp_path, command,
     assert main(["rerun", str(sidecar)]) == 2
     err = capsys.readouterr().err
     assert "0.1.0" in err and __version__ in err and command in err
+
+
+def test_rerun_refuses_rho_scan_sidecar_from_0_3_0(tmp_path, capsys):
+    # 0.4.0 moved every Monte Carlo stderr, the rho-scan stderr column too
+    out = tmp_path / "out"
+    assert main(["rho-scan", *RERUN_ARGS["rho-scan"], "--out", str(out)]) == 0
+    sidecar = Path(str(out) + ".sidecar.json")
+    payload = json.loads(sidecar.read_text())
+    payload["version"] = "0.3.0"
+    sidecar.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["rerun", str(sidecar)]) == 2
+    assert "0.3.0" in capsys.readouterr().err
+
+
+def test_version_is_set_in_one_place():
+    from setuptools.config.pyprojecttoml import read_configuration
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is beta
+        config = read_configuration(pyproject)
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == adapted_ot.__version__
 
 
 def test_convergence_csv_schema(tmp_path):

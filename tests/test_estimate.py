@@ -192,27 +192,22 @@ def test_numpy_integer_thread_counts_are_accepted():
 
 
 @pytest.mark.parametrize("counts", [
-    {"n_samples": 0}, {"n_batches": 0}, {"n_batches": -3}, {"n_samples": -5},
-    {"n_samples": 2.5}, {"n_batches": 2.0}, {"n_samples": True},
+    {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 2.5}, {"n_samples": True},
 ])
 def test_sample_counts_must_be_positive_integers(counts):
-    kwargs = {"n_samples": 100, "n_batches": 4, **counts}
     with pytest.raises(ConfigError):
         sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
-                         TimeGrid(4), 2, kwargs.pop("n_samples"), seed=1,
-                         **kwargs)
-    kwargs = {"n_samples": 100, "n_batches": 4, **counts}
+                         TimeGrid(4), 2, counts["n_samples"], seed=1)
     with pytest.raises(ConfigError):
-        counterexample_nonmarkov(1.0, 0.5, TimeGrid(4), **kwargs)
+        counterexample_nonmarkov(1.0, 0.5, TimeGrid(4), **counts)
 
 
 def test_numpy_integer_sample_counts_are_accepted():
     res = sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
-                           TimeGrid(4), 2, np.int64(100), seed=1,
-                           n_batches=np.int32(4))
+                           TimeGrid(4), 2, np.int64(100), seed=1)
     assert res.n_samples == 100
     sync, _ = counterexample_nonmarkov(1.0, 0.5, TimeGrid(4),
-                                       n_samples=np.int64(100), n_batches=4)
+                                       n_samples=np.int64(100))
     assert sync.n_samples == 100
 
 
@@ -235,21 +230,12 @@ def test_counterexample_golden_values():
     # moves the last bit of an estimate or stderr fails here
     sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20), p=2,
                                           n_samples=4000, seed=16)
-    assert repr(sync) == ("MCResult(estimate=24.300000000000008, stderr=0.0, "
-                          "n_samples=4000, n_diverged=0)")
-    assert repr(asyn) == ("MCResult(estimate=1.9862443459006953, "
-                          "stderr=0.0335601032109927, n_samples=4000, "
+    assert repr(sync) == ("MCResult(estimate=24.300000000000008, "
+                          "stderr=5.618035848100127e-17, n_samples=4000, "
                           "n_diverged=0)")
-
-
-def test_counterexample_does_not_depend_on_batches():
-    runs = [counterexample_nonmarkov(5.0, 0.3, TimeGrid(10), p=2,
-                                     n_samples=1000, seed=23, n_batches=k)
-            for k in (1, 7, 20)]
-    for sync, asyn in runs[1:]:
-        assert sync.estimate == pytest.approx(runs[0][0].estimate, rel=1e-12)
-        assert asyn.estimate == pytest.approx(runs[0][1].estimate, rel=1e-12)
-        assert (sync.n_samples, asyn.n_samples) == (1000, 1000)
+    assert repr(asyn) == ("MCResult(estimate=1.9862443459006953, "
+                          "stderr=0.035968839533290435, n_samples=4000, "
+                          "n_diverged=0)")
 
 
 def test_counterexample_zero_level():

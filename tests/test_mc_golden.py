@@ -43,78 +43,78 @@ def _run(scheme, m_sub, p, rho, threads):
 
 
 GOLDEN = {
-    'em m1 p1 rho=1': ('0.16378891323775405', '0.002361031373218466', 2000, 0),
-    'em m1 p1 rho=0.5': ('0.48516712882878077', '0.005902131041472644'),
-    'em m1 p1 rho=-1': ('0.9413241521720039', '0.011842147432218083'),
-    'em m1 p1 rho=table': ('0.5910349074393513', '0.0058559161971620055', 2000, 0),
-    'em m1 p2 rho=1': ('0.050011127919811854', '0.0012796781341554272', 2000, 0),
-    'em m1 p2 rho=0.5': ('0.43625474325424074', '0.009451152354185713'),
-    'em m1 p2 rho=-1': ('1.638044830534922', '0.039923804224460645'),
-    'em m1 p2 rho=table': ('0.716594851910225', '0.016253331348861644', 2000, 0),
-    'em m1 p3 rho=1': ('0.02026703052894076', '0.0007527229496664576', 2000, 0),
-    'em m1 p3 rho=0.5': ('0.5129975173454172', '0.016799193774042907'),
-    'em m1 p3 rho=-1': ('3.74302542192546', '0.14106086630829764'),
-    'em m1 p3 rho=table': ('1.176599961272512', '0.046607715075847', 2000, 0),
-    'em m3 p1 rho=1': ('0.1587032116097128', '0.002718588551671869', 2000, 0),
-    'em m3 p1 rho=0.5': ('0.483277476502554', '0.007818965084618561'),
-    'em m3 p1 rho=-1': ('0.9101510827126319', '0.01636926262879557'),
-    'em m3 p1 rho=table': ('0.5975670116014263', '0.010092155114769182', 2000, 0),
-    'em m3 p2 rho=1': ('0.04782016925107018', '0.0016221498679157278', 2000, 0),
-    'em m3 p2 rho=0.5': ('0.43086215488354235', '0.01284350673188017'),
-    'em m3 p2 rho=-1': ('1.5441726580058153', '0.05291808835929901'),
-    'em m3 p2 rho=table': ('0.7354890863480888', '0.02562636127830674', 2000, 0),
-    'em m3 p3 rho=1': ('0.019454662478236368', '0.0010570956357890304', 2000, 0),
-    'em m3 p3 rho=0.5': ('0.5046758269415954', '0.023614034244380196'),
-    'em m3 p3 rho=-1': ('3.4552300270586347', '0.1867447498439505'),
-    'em m3 p3 rho=table': ('1.244220856404166', '0.07408958254964047', 2000, 0),
-    'monotone-em m1 p1 rho=1': ('0.16378891323775405', '0.002361031373218466', 2000, 0),
-    'monotone-em m1 p1 rho=0.5': ('0.48516712882878077', '0.005902131041472644'),
-    'monotone-em m1 p1 rho=-1': ('0.9413241521720039', '0.011842147432218083'),
-    'monotone-em m1 p1 rho=table': ('0.5910349074393513', '0.0058559161971620055', 2000, 0),
-    'monotone-em m1 p2 rho=1': ('0.050011127919811854', '0.0012796781341554272', 2000, 0),
-    'monotone-em m1 p2 rho=0.5': ('0.43625474325424074', '0.009451152354185713'),
-    'monotone-em m1 p2 rho=-1': ('1.638044830534922', '0.039923804224460645'),
-    'monotone-em m1 p2 rho=table': ('0.716594851910225', '0.016253331348861644', 2000, 0),
-    'monotone-em m1 p3 rho=1': ('0.02026703052894076', '0.0007527229496664576', 2000, 0),
-    'monotone-em m1 p3 rho=0.5': ('0.5129975173454172', '0.016799193774042907'),
-    'monotone-em m1 p3 rho=-1': ('3.74302542192546', '0.14106086630829764'),
-    'monotone-em m1 p3 rho=table': ('1.176599961272512', '0.046607715075847', 2000, 0),
-    'monotone-em m3 p1 rho=1': ('0.1587032116097128', '0.002718588551671869', 2000, 0),
-    'monotone-em m3 p1 rho=0.5': ('0.483277476502554', '0.007818965084618561'),
-    'monotone-em m3 p1 rho=-1': ('0.9101510827126319', '0.01636926262879557'),
-    'monotone-em m3 p1 rho=table': ('0.5975670116014263', '0.010092155114769182', 2000, 0),
-    'monotone-em m3 p2 rho=1': ('0.04782016925107018', '0.0016221498679157278', 2000, 0),
-    'monotone-em m3 p2 rho=0.5': ('0.43086215488354235', '0.01284350673188017'),
-    'monotone-em m3 p2 rho=-1': ('1.5441726580058153', '0.05291808835929901'),
-    'monotone-em m3 p2 rho=table': ('0.7354890863480888', '0.02562636127830674', 2000, 0),
-    'monotone-em m3 p3 rho=1': ('0.019454662478236368', '0.0010570956357890304', 2000, 0),
-    'monotone-em m3 p3 rho=0.5': ('0.5046758269415954', '0.023614034244380196'),
-    'monotone-em m3 p3 rho=-1': ('3.4552300270586347', '0.1867447498439505'),
-    'monotone-em m3 p3 rho=table': ('1.244220856404166', '0.07408958254964047', 2000, 0),
-    'zvonkin-em m1 p1 rho=1': ('0.1803978927299409', '0.0031342060806929706', 2000, 0),
-    'zvonkin-em m1 p1 rho=0.5': ('0.5135960181176392', '0.006750620870293113'),
-    'zvonkin-em m1 p1 rho=-1': ('0.9816342154573303', '0.01257040773061115'),
-    'zvonkin-em m1 p1 rho=table': ('0.6205213331211737', '0.006526440795205606', 2000, 0),
-    'zvonkin-em m1 p2 rho=1': ('0.06421929684655482', '0.002170871075939442', 2000, 0),
-    'zvonkin-em m1 p2 rho=0.5': ('0.49308696749420594', '0.0114469111168834'),
-    'zvonkin-em m1 p2 rho=-1': ('1.783883072195605', '0.043665683778810686'),
-    'zvonkin-em m1 p2 rho=table': ('0.7878862324960036', '0.01816137267361974', 2000, 0),
-    'zvonkin-em m1 p3 rho=1': ('0.03143768653884448', '0.0018511596147302758', 2000, 0),
-    'zvonkin-em m1 p3 rho=0.5': ('0.6274260430929125', '0.022131678282433852'),
-    'zvonkin-em m1 p3 rho=-1': ('4.267697946783377', '0.15905696168535513'),
-    'zvonkin-em m1 p3 rho=table': ('1.3583535033692193', '0.05221181012199882', 2000, 0),
-    'zvonkin-em m3 p1 rho=1': ('0.17466748880626043', '0.002924161600142745', 2000, 0),
-    'zvonkin-em m3 p1 rho=0.5': ('0.5110676997546014', '0.009203437958806768'),
-    'zvonkin-em m3 p1 rho=-1': ('0.9473937281577405', '0.017340416344874536'),
-    'zvonkin-em m3 p1 rho=table': ('0.6268163968813218', '0.011598831517842977', 2000, 0),
-    'zvonkin-em m3 p2 rho=1': ('0.05975341207242681', '0.001974866978764075', 2000, 0),
-    'zvonkin-em m3 p2 rho=0.5': ('0.48415509861650874', '0.01648837323314127'),
-    'zvonkin-em m3 p2 rho=-1': ('1.6700708356765632', '0.05783777608891577'),
-    'zvonkin-em m3 p2 rho=table': ('0.8075778135548783', '0.030248606579575375', 2000, 0),
-    'zvonkin-em m3 p3 rho=1': ('0.027599298482311855', '0.001388679133476722', 2000, 0),
-    'zvonkin-em m3 p3 rho=0.5': ('0.6074890333865208', '0.0325038077523628'),
-    'zvonkin-em m3 p3 rho=-1': ('3.885257034941608', '0.21025818871828236'),
-    'zvonkin-em m3 p3 rho=table': ('1.4345720205124293', '0.08993813095782754', 2000, 0),
+    'em m1 p1 rho=1': ('0.16378891323775405', '0.0022191011984610976', 2000, 0),
+    'em m1 p1 rho=0.5': ('0.48516712882878077', '0.006537535635119954'),
+    'em m1 p1 rho=-1': ('0.9413241521720039', '0.012717228072204729'),
+    'em m1 p1 rho=table': ('0.5910349074393513', '0.007125095993078858', 2000, 0),
+    'em m1 p2 rho=1': ('0.050011127919811854', '0.0013234508418030863', 2000, 0),
+    'em m1 p2 rho=0.5': ('0.43625474325424074', '0.011411795109522515'),
+    'em m1 p2 rho=-1': ('1.638044830534922', '0.04371119314081486'),
+    'em m1 p2 rho=table': ('0.716594851910225', '0.017217687731221315', 2000, 0),
+    'em m1 p3 rho=1': ('0.02026703052894076', '0.0008565482135190147', 2000, 0),
+    'em m1 p3 rho=0.5': ('0.5129975173454172', '0.02128269113574023'),
+    'em m1 p3 rho=-1': ('3.74302542192546', '0.16233146227322823'),
+    'em m1 p3 rho=table': ('1.176599961272512', '0.046318644695427555', 2000, 0),
+    'em m3 p1 rho=1': ('0.1587032116097128', '0.002147572153067137', 2000, 0),
+    'em m3 p1 rho=0.5': ('0.483277476502554', '0.006405513496406321'),
+    'em m3 p1 rho=-1': ('0.9101510827126319', '0.012067311479149781'),
+    'em m3 p1 rho=table': ('0.5975670116014263', '0.007220597385586716', 2000, 0),
+    'em m3 p2 rho=1': ('0.04782016925107018', '0.001279197291792753', 2000, 0),
+    'em m3 p2 rho=0.5': ('0.43086215488354235', '0.011231907298219705'),
+    'em m3 p2 rho=-1': ('1.5441726580058153', '0.04021396916266625'),
+    'em m3 p2 rho=table': ('0.7354890863480888', '0.018094110370490017', 2000, 0),
+    'em m3 p3 rho=1': ('0.019454662478236368', '0.0008466701268473343', 2000, 0),
+    'em m3 p3 rho=0.5': ('0.5046758269415954', '0.021390491082597378'),
+    'em m3 p3 rho=-1': ('3.4552300270586347', '0.14504128711598183'),
+    'em m3 p3 rho=table': ('1.244220856404166', '0.053354952478049646', 2000, 0),
+    'monotone-em m1 p1 rho=1': ('0.16378891323775405', '0.0022191011984610976', 2000, 0),
+    'monotone-em m1 p1 rho=0.5': ('0.48516712882878077', '0.006537535635119954'),
+    'monotone-em m1 p1 rho=-1': ('0.9413241521720039', '0.012717228072204729'),
+    'monotone-em m1 p1 rho=table': ('0.5910349074393513', '0.007125095993078858', 2000, 0),
+    'monotone-em m1 p2 rho=1': ('0.050011127919811854', '0.0013234508418030863', 2000, 0),
+    'monotone-em m1 p2 rho=0.5': ('0.43625474325424074', '0.011411795109522515'),
+    'monotone-em m1 p2 rho=-1': ('1.638044830534922', '0.04371119314081486'),
+    'monotone-em m1 p2 rho=table': ('0.716594851910225', '0.017217687731221315', 2000, 0),
+    'monotone-em m1 p3 rho=1': ('0.02026703052894076', '0.0008565482135190147', 2000, 0),
+    'monotone-em m1 p3 rho=0.5': ('0.5129975173454172', '0.02128269113574023'),
+    'monotone-em m1 p3 rho=-1': ('3.74302542192546', '0.16233146227322823'),
+    'monotone-em m1 p3 rho=table': ('1.176599961272512', '0.046318644695427555', 2000, 0),
+    'monotone-em m3 p1 rho=1': ('0.1587032116097128', '0.002147572153067137', 2000, 0),
+    'monotone-em m3 p1 rho=0.5': ('0.483277476502554', '0.006405513496406321'),
+    'monotone-em m3 p1 rho=-1': ('0.9101510827126319', '0.012067311479149781'),
+    'monotone-em m3 p1 rho=table': ('0.5975670116014263', '0.007220597385586716', 2000, 0),
+    'monotone-em m3 p2 rho=1': ('0.04782016925107018', '0.001279197291792753', 2000, 0),
+    'monotone-em m3 p2 rho=0.5': ('0.43086215488354235', '0.011231907298219705'),
+    'monotone-em m3 p2 rho=-1': ('1.5441726580058153', '0.04021396916266625'),
+    'monotone-em m3 p2 rho=table': ('0.7354890863480888', '0.018094110370490017', 2000, 0),
+    'monotone-em m3 p3 rho=1': ('0.019454662478236368', '0.0008466701268473343', 2000, 0),
+    'monotone-em m3 p3 rho=0.5': ('0.5046758269415954', '0.021390491082597378'),
+    'monotone-em m3 p3 rho=-1': ('3.4552300270586347', '0.14504128711598183'),
+    'monotone-em m3 p3 rho=table': ('1.244220856404166', '0.053354952478049646', 2000, 0),
+    'zvonkin-em m1 p1 rho=1': ('0.1803978927299409', '0.0027722286583632023', 2000, 0),
+    'zvonkin-em m1 p1 rho=0.5': ('0.5135960181176392', '0.007117559741258963'),
+    'zvonkin-em m1 p1 rho=-1': ('0.9816342154573303', '0.013407776670831055'),
+    'zvonkin-em m1 p1 rho=table': ('0.6205213331211737', '0.0076291663039779805', 2000, 0),
+    'zvonkin-em m1 p2 rho=1': ('0.06421929684655482', '0.0020826714787262443', 2000, 0),
+    'zvonkin-em m1 p2 rho=0.5': ('0.49308696749420594', '0.013669970647183768'),
+    'zvonkin-em m1 p2 rho=-1': ('1.783883072195605', '0.048304374718561874'),
+    'zvonkin-em m1 p2 rho=table': ('0.7878862324960036', '0.01936219157345824', 2000, 0),
+    'zvonkin-em m1 p3 rho=1': ('0.03143768653884448', '0.001786006051528543', 2000, 0),
+    'zvonkin-em m1 p3 rho=0.5': ('0.6274260430929125', '0.02847363623060588'),
+    'zvonkin-em m1 p3 rho=-1': ('4.267697946783377', '0.18772638705749198'),
+    'zvonkin-em m1 p3 rho=table': ('1.3583535033692193', '0.05452946861752082', 2000, 0),
+    'zvonkin-em m3 p1 rho=1': ('0.17466748880626043', '0.0025688047402834505', 2000, 0),
+    'zvonkin-em m3 p1 rho=0.5': ('0.5110676997546014', '0.006892539549793755'),
+    'zvonkin-em m3 p1 rho=-1': ('0.9473937281577405', '0.012596246141787447'),
+    'zvonkin-em m3 p1 rho=table': ('0.6268163968813218', '0.007699133622520062', 2000, 0),
+    'zvonkin-em m3 p2 rho=1': ('0.05975341207242681', '0.0017046764648577782', 2000, 0),
+    'zvonkin-em m3 p2 rho=0.5': ('0.48415509861650874', '0.012945076933406548'),
+    'zvonkin-em m3 p2 rho=-1': ('1.6700708356765632', '0.04347588127832436'),
+    'zvonkin-em m3 p2 rho=table': ('0.8075778135548783', '0.02019614539236862', 2000, 0),
+    'zvonkin-em m3 p3 rho=1': ('0.027599298482311855', '0.0012231092277684256', 2000, 0),
+    'zvonkin-em m3 p3 rho=0.5': ('0.6074890333865208', '0.026380237989109136'),
+    'zvonkin-em m3 p3 rho=-1': ('3.885257034941608', '0.16171782245185498'),
+    'zvonkin-em m3 p3 rho=table': ('1.4345720205124293', '0.062377568599763594', 2000, 0),
 }
 
 
@@ -135,30 +135,30 @@ def test_mc_estimators_reproduce_golden_values(scheme, threads):
 # monotone-em runs at K = 1, where about one increment in ten is stopped
 UNEVEN_SAMPLES = 2003
 GOLDEN_UNEVEN = {
-    'em m1 p1 rho=1': ('0.1638014111990882', '0.0024132815600436466', 2003, 0),
-    'em m1 p1 rho=0.5': ('0.48524958649226946', '0.005752298716242521', 2003, 0),
-    'em m1 p1 rho=-1': ('0.9413091396785441', '0.012017917571212337', 2003, 0),
-    'em m1 p2 rho=1': ('0.050011595991471085', '0.001294102661254386', 2003, 0),
-    'em m1 p2 rho=0.5': ('0.43622796499872085', '0.009170634020953444', 2003, 0),
-    'em m1 p2 rho=-1': ('1.6374494904855739', '0.04059089288095475', 2003, 0),
-    'em m3 p1 rho=1': ('0.15867115203387913', '0.002642081280068979', 2003, 0),
-    'em m3 p1 rho=0.5': ('0.4833397158525044', '0.007709576322379752', 2003, 0),
-    'em m3 p1 rho=-1': ('0.910275425172178', '0.016019184355751108', 2003, 0),
-    'em m3 p2 rho=1': ('0.047795765999991816', '0.00159144144876578', 2003, 0),
-    'em m3 p2 rho=0.5': ('0.4307927446480871', '0.012550208989741986', 2003, 0),
-    'em m3 p2 rho=-1': ('1.54395637476312', '0.051932648385901045', 2003, 0),
-    'monotone-em m1 p1 rho=1': ('0.15506980562166228', '0.002227856849612082', 2003, 0),
-    'monotone-em m1 p1 rho=0.5': ('0.4482175159939283', '0.005222228768805753', 2003, 0),
-    'monotone-em m1 p1 rho=-1': ('0.8642852589144578', '0.011208421082843764', 2003, 0),
-    'monotone-em m1 p2 rho=1': ('0.04405071235620172', '0.0010698162183054242', 2003, 0),
-    'monotone-em m1 p2 rho=0.5': ('0.3724711528848165', '0.007935740908862149', 2003, 0),
-    'monotone-em m1 p2 rho=-1': ('1.3664976609445163', '0.03415190757836217', 2003, 0),
-    'monotone-em m3 p1 rho=1': ('0.15159228231849872', '0.002311594347246579', 2003, 0),
-    'monotone-em m3 p1 rho=0.5': ('0.45524441315988534', '0.00712219958942903', 2003, 0),
-    'monotone-em m3 p1 rho=-1': ('0.8485646904706501', '0.013974105426642897', 2003, 0),
-    'monotone-em m3 p2 rho=1': ('0.04301913863114186', '0.001316864344679109', 2003, 0),
-    'monotone-em m3 p2 rho=0.5': ('0.38042433757814026', '0.0106695385060225', 2003, 0),
-    'monotone-em m3 p2 rho=-1': ('1.3294620945345539', '0.04126002560048018', 2003, 0),
+    'em m1 p1 rho=1': ('0.1638014111990882', '0.002216746232945397', 2003, 0),
+    'em m1 p1 rho=0.5': ('0.48524958649226946', '0.006529176949859494', 2003, 0),
+    'em m1 p1 rho=-1': ('0.9413091396785441', '0.012698985362290744', 2003, 0),
+    'em m1 p2 rho=1': ('0.050011595991471085', '0.001321776860236161', 2003, 0),
+    'em m1 p2 rho=0.5': ('0.43622796499872085', '0.011395707131649259', 2003, 0),
+    'em m1 p2 rho=-1': ('1.6374494904855739', '0.043648238113831256', 2003, 0),
+    'em m3 p1 rho=1': ('0.15867115203387913', '0.002144786732471574', 2003, 0),
+    'em m3 p1 rho=0.5': ('0.4833397158525044', '0.006396395728063191', 2003, 0),
+    'em m3 p1 rho=-1': ('0.910275425172178', '0.012052041090732341', 2003, 0),
+    'em m3 p2 rho=1': ('0.047795765999991816', '0.001277487875085414', 2003, 0),
+    'em m3 p2 rho=0.5': ('0.4307927446480871', '0.011215473624899061', 2003, 0),
+    'em m3 p2 rho=-1': ('1.54395637476312', '0.0401587467423495', 2003, 0),
+    'monotone-em m1 p1 rho=1': ('0.15506980562166228', '0.0020314242728521003', 2003, 0),
+    'monotone-em m1 p1 rho=0.5': ('0.4482175159939283', '0.005990946433816793', 2003, 0),
+    'monotone-em m1 p1 rho=-1': ('0.8642852589144578', '0.01133719546691694', 2003, 0),
+    'monotone-em m1 p2 rho=1': ('0.04405071235620172', '0.0010975218353325557', 2003, 0),
+    'monotone-em m1 p2 rho=0.5': ('0.3724711528848165', '0.009545000609716942', 2003, 0),
+    'monotone-em m1 p2 rho=-1': ('1.3664976609445163', '0.03452764803342911', 2003, 0),
+    'monotone-em m3 p1 rho=1': ('0.15159228231849872', '0.0020119489047499134', 2003, 0),
+    'monotone-em m3 p1 rho=0.5': ('0.45524441315988534', '0.005937131342846952', 2003, 0),
+    'monotone-em m3 p1 rho=-1': ('0.8485646904706501', '0.011004386263213992', 2003, 0),
+    'monotone-em m3 p2 rho=1': ('0.04301913863114186', '0.0011092547425714586', 2003, 0),
+    'monotone-em m3 p2 rho=0.5': ('0.38042433757814026', '0.009675692861619616', 2003, 0),
+    'monotone-em m3 p2 rho=-1': ('1.3294620945345539', '0.033509829956431474', 2003, 0),
 }
 
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from adapted_ot.model import ConfigError, TimeGrid
-from adapted_ot.noise import (Workspace, constant_rho, exit_probability_bounds,
+from adapted_ot.noise import (Workspace, batch_moments, constant_rho,
+                              exit_probability_bounds,
                               fourth_moment_truncation_error, map_batches,
-                              replicate_normals, rho_table, sample_correlated_pair,
+                              pool_moments, replicate_normals, rho_table,
+                              sample_correlated_pair,
                               sample_truncated_increment, truncate_increments,
                               truncation_level, _replicate_uniforms,
                               _split_seed, _stream_key, _uniforms_to_normals)
@@ -258,6 +260,39 @@ def test_exit_frequency_sandwich():
     freq = exited.mean()
     margin = 4 * math.sqrt(freq * (1 - freq) / n)
     assert lower - margin <= freq <= upper + margin
+
+
+def _pooled(values, threads):
+    moments = map_batches(lambda lo, hi, _ws: batch_moments(values[lo:hi]),
+                          values.size, threads=threads)
+    return pool_moments(moments)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_pooled_moments_match_the_per_replicate_formula(threads):
+    # heavy-tailed values far from zero, in 20 uneven batches
+    values = 3.0 + np.random.default_rng(8).lognormal(sigma=1.5, size=2003)
+    mean, stderr, n = _pooled(values, threads)
+    assert n == 2003
+    assert mean == pytest.approx(np.mean(values), rel=1e-12)
+    assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-12)
+    assert (mean, stderr, n) == _pooled(values, 1)
+
+
+def test_pooled_moments_edge_cases():
+    assert _pooled(np.array([2.5]), 1) == (2.5, 0.0, 1)
+    for c in (0.1, -7.3, 1e6 / 3):
+        mean, stderr, _ = _pooled(np.full(2003, c), 2)
+        assert mean == pytest.approx(c, rel=1e-15)
+        assert stderr <= 1e-15 * abs(mean)
+
+
+def test_fourth_moment_fields_are_python_scalars():
+    res = fourth_moment_truncation_error(0.1, 1, 2000, seed=3)
+    assert type(res.estimate) is float and type(res.stderr) is float
+    assert type(res.analytic_bound) is float and type(res.n_exits) is int
+    assert type(res.within_bound) is bool and type(res.no_exit) is bool
+    assert "np." not in repr(res)
 
 
 def test_fourth_moment_no_truncation_is_exact_zero():
