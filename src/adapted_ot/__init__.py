@@ -27,4 +27,4 @@ from .estimate import (MCResult, closed_form_cost, convergence_study,
                        stability_study, sync_distance_mc)
 from .presets import PRESETS, get_preset
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -121,6 +121,8 @@ def _cmd_aw_distance(args):
         "p": args.p,
         "scaled": not args.unscaled,
         "policy_size": sum(vals.size for vals in solution.inner_values),
+        "n_simplex": solution.n_simplex,
+        "certified_stages": solution.certified_stages,
         "fosd_x": fosd_x.ok,
         "fosd_y": fosd_y.ok,
     }

@@ -12,6 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -375,12 +376,34 @@ class DiscretePathMeasure:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             return cls(paths=np.asarray(data["paths"], dtype=float),
                        weights=np.asarray(data["weights"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed path measure JSON: {exc!r}") from exc
+
+
+def padded_rows(kernel):
+    """Padded array form of a kernel's rows.
+
+    Returns (index, weights): row r of ``index`` (rows x widest row) holds
+    the ascending indices of the positive entries of kernel row r and
+    continues past its end by repeating its last support index; ``weights``
+    holds the row's masses on ``index``, 0 in the padding.  Both are
+    read-only.
+    """
+    positive = kernel > 0
+    cols = np.nonzero(positive)[1]
+    sizes = positive.sum(axis=1)
+    ends = np.cumsum(sizes)
+    slot = np.arange(sizes.max())
+    index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
+    weights = np.take_along_axis(kernel, index, axis=1)
+    weights[slot >= sizes[:, None]] = 0.0
+    index.flags.writeable = False
+    weights.flags.writeable = False
+    return index, weights
 
 
 @dataclass(frozen=True)
@@ -389,7 +412,8 @@ class MarkovLattice:
 
     ``supports[k]`` is the sorted stage-k support (stage 0 is the single
     initial value) and ``transitions[k]`` maps stage-k nodes to stage-(k+1)
-    nodes, one probability row per node.
+    nodes, one probability row per node.  ``kernel_rows[k]`` is the padded
+    form of ``transitions[k]`` that the couplings and the DP read.
     """
 
     initial_value: float
@@ -422,6 +446,11 @@ class MarkovLattice:
     def n_steps(self):
         return len(self.transitions)
 
+    @cached_property
+    def kernel_rows(self):
+        """``padded_rows`` of every stage's kernel, built once per lattice."""
+        return tuple(padded_rows(t) for t in self.transitions)
+
     def stage_marginals(self):
         """Forward marginal probability vectors, one per stage."""
         out = [np.array([1.0])]
@@ -438,8 +467,8 @@ class MarkovLattice:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             x0 = float(data["initial_value"])
             supports = [np.array([x0])]
             transitions = []

@@ -257,6 +257,12 @@ def map_batches(run_batch, n_samples, threads=None):
         return list(pool.map(run, ranges))
 
 
+# Per-replicate standard deviations at most this many units of the mean
+# (16 ulps) are rounding: a deterministic cost computed along different
+# paths spreads over a few ulps (3.3 on drift-gap's 64-step cost).
+ROUNDING_RTOL = 16 * np.finfo(float).eps
+
+
 def batch_moments(values):
     """(count, sum, M2) of values: M2 sums their squared deviations from the mean."""
     values = np.asarray(values, dtype=float)
@@ -272,14 +278,20 @@ def pool_moments(batches):
     The mean is the summed sums over the summed counts.  M2 merges exactly
     (Chan, Golub & LeVeque 1979): the batches' M2 plus each count times its
     batch mean's squared deviation from the mean.  The standard error is
-    sqrt(M2 / (n - 1) / n), 0.0 at n = 1, whatever thread ran each batch.
+    sqrt(M2 / (n - 1) / n), whatever thread ran each batch.  It is 0.0 at
+    n = 1, and 0.0 when M2 is within rounding of zero: a per-replicate
+    standard deviation of at most ``ROUNDING_RTOL`` times the mean is the
+    rounding of values whose cost is deterministic, not a sampling error.
     """
     counts, sums, m2s = np.array(batches, dtype=float).T
     n = counts.sum()
     mean = sums.sum() / n
     deviations = sums / np.maximum(counts, 1) - mean
     m2 = m2s.sum() + (counts * deviations * deviations).sum()
-    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    if n > 1 and m2 > (n - 1) * (ROUNDING_RTOL * mean) ** 2:
+        stderr = math.sqrt(m2 / (n - 1) / n)
+    else:
+        stderr = 0.0
     return float(mean), stderr, int(n)
 
 

@@ -8,8 +8,15 @@ under the cost w |x' - y'|^p + V_{k+1}(x', y').  Whether that block is Monge
 (submodular) is checked, never assumed: the continuation value can break
 submodularity in general.  A block that passes is solved exactly by the
 quantile plan (Hoffman 1963), the same rule that builds the rearrangement;
-a block that fails goes to the transportation simplex.  A stage's blocks are
-checked and solved as one array.
+a block that fails goes to the transportation simplex.  The check runs once
+per stage on the stage cost; only a stage that fails it is checked block by
+block.
+
+A coupled stage is stored as a record (index_x, index_y, plans).  ``plans``
+is the dense (n_x, n_y, a, b) array of inner plans, or None when every
+inner plan is the quantile plan of its two kernel rows: the rearrangement's
+stages and the DP's certified stages keep their plans implicit, and a
+forward pass rebuilds them only for the product states that carry mass.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import build_lattice
-from .model import AdaptedOTError, ConfigError, MarkovLattice, check_p
+from .model import (AdaptedOTError, ConfigError, MarkovLattice, check_p,
+                    padded_rows)
 
 PIVOT_TOL = 1e-12
 MAX_TREE_PATHS = 64
@@ -198,8 +206,8 @@ def transportation_lp(cost, row_marginal, col_marginal, pivot_tol=PIVOT_TOL):
     b = np.asarray(col_marginal, dtype=float)
     if cost.shape != (a.size, b.size):
         raise ConfigError("cost matrix shape must match the marginals")
-    if a.size and a.min() < 0 or b.size and b.min() < 0:
-        raise ConfigError("marginals must be nonnegative")
+    _check_weights(a, "row marginal")
+    _check_weights(b, "column marginal")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ConfigError("marginal sums differ by more than 1e-9; infeasible")
     ri = np.flatnonzero(a > 0)
@@ -212,30 +220,66 @@ def transportation_lp(cost, row_marginal, col_marginal, pivot_tol=PIVOT_TOL):
 
 # -- quantile machinery -------------------------------------------------------
 
+def _check_weights(weights, what, atoms=None):
+    """Raise ConfigError unless ``weights`` are finite and nonnegative and,
+    with ``atoms``, the atoms are finite and one per weight."""
+    if weights.ndim != 1 or not np.isfinite(weights).all() or (
+            weights.size and weights.min() < 0):
+        raise ConfigError(f"{what} must be finite and nonnegative")
+    if atoms is not None and (atoms.shape != weights.shape
+                              or not np.isfinite(atoms).all()):
+        raise ConfigError(f"{what}: need one finite atom per weight")
+
+
 def quantile(atoms, weights, u):
     """Left-continuous generalized inverse of the CDF at level u in (0, 1]."""
     if not 0.0 < u <= 1.0:
         raise ConfigError("quantile level must lie in (0, 1]")
     atoms = np.asarray(atoms, dtype=float)
-    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    _check_weights(weights, "quantile weights", atoms)
+    cdf = np.cumsum(weights)
     idx = int(np.searchsorted(cdf, u, side="left"))
     return float(atoms[min(idx, atoms.size - 1)])
 
 
-def _quantile_plans(wx, wy):
-    """Quantile (Knothe-Rosenblatt) plans of every pair of weight rows.
+def _cdfs(w):
+    """CDFs started at 0 of weight vectors along the last axis (zeros allowed)."""
+    return np.concatenate([np.zeros(w.shape[:-1] + (1,)), np.cumsum(w, axis=-1)],
+                          axis=-1)
 
-    ``wx`` is (n, a) and ``wy`` is (m, b), one weight vector per row, zeros
-    allowed.  Returns the (n, m, a, b) array whose block [i, j] couples wx[i]
-    with wy[j]: cell (s, t) carries the length of the overlap of
-    [A_s, A_{s+1}) and [B_t, B_{t+1}), where A and B are the two CDFs started
-    at 0.
+
+def _quantile_plans(cx, cy):
+    """Quantile (Knothe-Rosenblatt) plans of pairs of weight vectors.
+
+    ``cx`` (..., a + 1) and ``cy`` (..., b + 1) are ``_cdfs`` of the two
+    sides, broadcast against each other.  Returns the (..., a, b) plans:
+    cell (s, t) carries the length of the overlap of [A_s, A_{s+1}) and
+    [B_t, B_{t+1}), where A and B are the two CDFs.
     """
-    cx = np.concatenate([np.zeros((wx.shape[0], 1)), np.cumsum(wx, axis=1)], axis=1)
-    cy = np.concatenate([np.zeros((wy.shape[0], 1)), np.cumsum(wy, axis=1)], axis=1)
-    overlap = (np.minimum(cx[:, None, 1:, None], cy[None, :, None, 1:])
-               - np.maximum(cx[:, None, :-1, None], cy[None, :, None, :-1]))
+    overlap = (np.minimum(cx[..., 1:, None], cy[..., None, 1:])
+               - np.maximum(cx[..., :-1, None], cy[..., None, :-1]))
     return np.maximum(overlap, 0.0)
+
+
+def _stage_plans(plans, wx, wy):
+    """Dense (n_x, n_y, a, b) inner plans of a stage record: the stored
+    array, or the quantile plans of every pair of padded weight rows."""
+    if plans is not None:
+        return plans
+    return _quantile_plans(_cdfs(wx)[:, None], _cdfs(wy)[None])
+
+
+def _state_plans(plans, wx, wy, i, j):
+    """Inner plans of the product states (i, j) of a stage record.
+
+    ``plans`` is the record's dense array, or None for quantile plans,
+    which are then rebuilt from the padded weights ``wx`` and ``wy``;
+    ``i`` and ``j`` are index arrays that broadcast against each other.
+    """
+    if plans is not None:
+        return plans[i, j]
+    return _quantile_plans(_cdfs(wx)[i], _cdfs(wy)[j])
 
 
 def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
@@ -244,49 +288,36 @@ def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
     y_atoms = np.asarray(y_atoms, dtype=float)
     wx = np.asarray(x_weights, dtype=float)
     wy = np.asarray(y_weights, dtype=float)
+    _check_weights(wx, "x weights", x_atoms)
+    _check_weights(wy, "y weights", y_atoms)
     if np.any(np.diff(x_atoms) < 0) or np.any(np.diff(y_atoms) < 0):
         raise ConfigError("supports must be sorted")
     if abs(wx.sum() - 1.0) > 1e-9 or abs(wy.sum() - 1.0) > 1e-9:
         raise ConfigError("weights must sum to 1")
-    joint = _quantile_plans(wx[None], wy[None])[0, 0]
+    joint = _quantile_plans(_cdfs(wx), _cdfs(wy))
     cost = float(np.sum(joint * np.abs(x_atoms[:, None] - y_atoms[None, :]) ** p))
     return TransportPlan(joint=joint, row_marginal=wx, col_marginal=wy, cost=cost)
 
 
 # -- coupled chains -----------------------------------------------------------
 
-def _kernel_rows(kernel):
-    """Padded array form of a kernel's rows.
-
-    Returns (index, weights): row r of ``index`` (rows x widest row) holds
-    the ascending indices of the positive entries of kernel row r and
-    continues past its end by repeating its last support index; ``weights``
-    holds the row's masses on ``index``, 0 in the padding.
-    """
-    positive = kernel > 0
-    cols = np.nonzero(positive)[1]
-    sizes = positive.sum(axis=1)
-    ends = np.cumsum(sizes)
-    slot = np.arange(sizes.max())
-    index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
-    weights = np.take_along_axis(kernel, index, axis=1)
-    weights[slot >= sizes[:, None]] = 0.0
-    return index, weights
-
-
-def _forward_cost(stages, values_x, values_y, stage_weights, p):
+def _forward_cost(stages, rows_x, rows_y, values_x, values_y, stage_weights, p):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over a joint chain.
 
-    ``stages[k]`` is a stage record (index_x, index_y, plans); each stage
-    scatters only the product states that carry mass.
+    ``stages[k]`` is a stage record (index_x, index_y, plans) and
+    ``rows_*[k]`` the stage's padded kernel rows; each stage scatters only
+    the product states that carry mass, and rebuilds implicit plans for
+    those states only.
     """
     pi = np.ones((1, 1))
     total = 0.0
-    for k, (index_x, index_y, plans) in enumerate(stages):
+    for k, ((index_x, index_y, plans), (_, wx), (_, wy)) in enumerate(
+            zip(stages, rows_x, rows_y)):
         n_y = values_y[k + 1].size
         i, j = np.nonzero(pi)
         cells = index_x[i][:, :, None] * n_y + index_y[j][:, None, :]
-        mass = pi[i, j][:, None, None] * plans[i, j]
+        mass = _state_plans(plans, wx, wy, i, j)
+        mass *= pi[i, j][:, None, None]
         pi = np.bincount(cells.ravel(), weights=mass.ravel(),
                          minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
         diff = np.abs(values_x[k + 1][:, None] - values_y[k + 1][None, :])
@@ -299,10 +330,12 @@ class CoupledChain:
     """Joint Markov chain over product states of two lattices.
 
     ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k:
-    ``index_*`` are the padded kernel rows of ``_kernel_rows``, and
+    ``index_*`` are the lattices' padded kernel rows (``kernel_rows``), and
     ``plans[i, j, a, b]`` is the mass product state (i, j) sends to the
-    child pair (index_x[i, a], index_y[j, b]), zero in the padding.  It is
-    the format of ``BicausalSolution.plans``.
+    child pair (index_x[i, a], index_y[j, b]), zero in the padding.
+    ``plans`` is None when every product state takes the quantile plan of
+    its two kernel rows, as in every stage of ``kr_coupling``.  It is the
+    format of ``BicausalSolution.plans``.
     """
 
     lattice_x: MarkovLattice
@@ -310,9 +343,12 @@ class CoupledChain:
     plans: tuple
 
     def validate(self, tol=1e-10):
-        for k, (index_x, index_y, plans) in enumerate(self.plans):
-            true_x, wx = _kernel_rows(self.lattice_x.transitions[k])
-            true_y, wy = _kernel_rows(self.lattice_y.transitions[k])
+        """Check every stage's plans, rebuilding implicit ones, against the
+        lattices' kernel rows."""
+        for k, ((index_x, index_y, plans), (true_x, wx), (true_y, wy)) in enumerate(
+                zip(self.plans, self.lattice_x.kernel_rows,
+                    self.lattice_y.kernel_rows)):
+            plans = _stage_plans(plans, wx, wy)
             if (not np.array_equal(index_x, true_x)
                     or np.max(np.abs(plans.sum(axis=3) - wx[:, None])) > tol):
                 raise ConfigError(f"x-marginalization broken at stage {k}")
@@ -327,13 +363,9 @@ def kr_coupling(x_lattice, y_lattice):
     (the common-uniform construction applied to every product state)."""
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
-    plans = []
-    for kx, ky in zip(x_lattice.transitions, y_lattice.transitions):
-        index_x, wx = _kernel_rows(kx)
-        index_y, wy = _kernel_rows(ky)
-        plans.append((index_x, index_y, _quantile_plans(wx, wy)))
-    return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
-                        plans=tuple(plans))
+    plans = tuple((index_x, index_y, None) for (index_x, _), (index_y, _)
+                  in zip(x_lattice.kernel_rows, y_lattice.kernel_rows))
+    return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice, plans=plans)
 
 
 def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
@@ -350,9 +382,9 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
     lat_y, maps_y, _ = build_lattice(b_y, sigma_y, n_steps, m, max_support,
                                      trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
-    for kx, ky, mx, my in zip(lat_x.transitions, lat_y.transitions, maps_x, maps_y):
-        index_x = _kernel_rows(kx)[0]
-        index_y = _kernel_rows(ky)[0]
+    for kx, ky, mx, my, (index_x, _), (index_y, _) in zip(
+            lat_x.transitions, lat_y.transitions, maps_x, maps_y,
+            lat_x.kernel_rows, lat_y.kernel_rows):
         # slot of each atom's child within its kernel row's support
         slot_x = np.take_along_axis(np.cumsum(kx > 0, axis=1) - 1, mx, axis=1)
         slot_y = np.take_along_axis(np.cumsum(ky > 0, axis=1) - 1, my, axis=1)
@@ -374,7 +406,8 @@ def coupled_cost(chain, p=2, scaled=True):
     check_p(p)
     n = chain.lattice_x.n_steps
     w = np.full(n, (1.0 / n) if scaled else 1.0)
-    return _forward_cost(chain.plans, chain.lattice_x.supports,
+    return _forward_cost(chain.plans, chain.lattice_x.kernel_rows,
+                         chain.lattice_y.kernel_rows, chain.lattice_x.supports,
                          chain.lattice_y.supports, w, p)
 
 
@@ -385,11 +418,15 @@ class BicausalSolution:
     """Value and optimal policy of the bi-causal transport problem.
 
     ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k,
-    the format of ``CoupledChain.plans``: ``plans[i, j]`` is the optimal
-    inner plan of product state (i, j) on the padded kernel rows, and
-    ``inner_values[k][i, j]`` its inner value.  ``n_simplex`` counts the
-    inner blocks that failed the Monge check and were solved by the
-    transportation simplex; the others took their quantile plan.
+    the format of ``CoupledChain.plans``, and ``rows_*[k]`` are the two
+    kernels' padded rows (index, weights) at stage k.  A stage that passed
+    the stage Monge certificate stores None: each of its inner plans is the
+    quantile plan of its two kernel rows, rebuilt when read.  Otherwise
+    ``plans[i, j]`` is the optimal inner plan of product state (i, j) on
+    the padded rows.  ``inner_values[k][i, j]`` is the inner value.
+    ``n_simplex`` counts the inner blocks that failed the Monge check and
+    were solved by the transportation simplex; the others took their
+    quantile plan.
     """
 
     value: float
@@ -397,11 +434,16 @@ class BicausalSolution:
     stage_weights: np.ndarray
     values_x: tuple
     values_y: tuple
-    kernels_x: tuple
-    kernels_y: tuple
+    rows_x: tuple
+    rows_y: tuple
     plans: tuple
     inner_values: tuple
     n_simplex: int
+
+    @property
+    def certified_stages(self):
+        """Number of stages certified Monge as a whole (they store None)."""
+        return sum(plans is None for _, _, plans in self.plans)
 
     @cached_property
     def policy(self):
@@ -409,29 +451,35 @@ class BicausalSolution:
         true row supports, built on first access for the perfbench block
         counts; the library itself does not read it."""
         policy = []
-        for (index_x, index_y, plans), vals, kx, ky in zip(
-                self.plans, self.inner_values, self.kernels_x, self.kernels_y):
+        for (index_x, index_y, plans), vals, (_, wx), (_, wy) in zip(
+                self.plans, self.inner_values, self.rows_x, self.rows_y):
+            plans = _stage_plans(plans, wx, wy)
             policy.append({(i, j): (index_x[i, :a], index_y[j, :b],
                                     plans[i, j, :a, :b], vals[i, j])
-                           for i, a in enumerate((kx > 0).sum(axis=1))
-                           for j, b in enumerate((ky > 0).sum(axis=1))})
+                           for i, a in enumerate(np.count_nonzero(wx, axis=1))
+                           for j, b in enumerate(np.count_nonzero(wy, axis=1))})
         return tuple(policy)
 
     def plan_at(self, stage, i, j):
+        """Inner plan of product state (i, j) at ``stage`` on the full child
+        supports."""
         index_x, index_y, plans = self.plans[stage]
-        kx = self.kernels_x[stage]
-        ky = self.kernels_y[stage]
-        joint = np.zeros((kx.shape[1], ky.shape[1]))
+        wx, wy = self.rows_x[stage][1], self.rows_y[stage][1]
+        n_x, n_y = self.values_x[stage + 1].size, self.values_y[stage + 1].size
+        joint = np.zeros((n_x, n_y))
         # the padding repeats a support index with zero mass
-        np.add.at(joint, (index_x[i][:, None], index_y[j]), plans[i, j])
-        return TransportPlan(joint=joint, row_marginal=kx[i], col_marginal=ky[j],
+        np.add.at(joint, (index_x[i][:, None], index_y[j]),
+                  _state_plans(plans, wx, wy, i, j))
+        return TransportPlan(joint=joint,
+                             row_marginal=np.bincount(index_x[i], wx[i], n_x),
+                             col_marginal=np.bincount(index_y[j], wy[j], n_y),
                              cost=float(self.inner_values[stage][i, j]))
 
     def forward_value(self):
         """Re-evaluate the stored policy forward; equals ``value`` up to
         accumulation error (the solution invariant)."""
-        return _forward_cost(self.plans, self.values_x, self.values_y,
-                             self.stage_weights, self.p)
+        return _forward_cost(self.plans, self.rows_x, self.rows_y, self.values_x,
+                             self.values_y, self.stage_weights, self.p)
 
     def validate(self, tol=1e-9):
         if abs(self.forward_value() - self.value) > tol:
@@ -439,23 +487,79 @@ class BicausalSolution:
         return True
 
 
-def _solve_stage(cost, index_x, wx, index_y, wy):
-    """Optimal inner plans and values of every product state of one stage.
+def _consecutive_pairs(index):
+    """Distinct pairs (s, s') of consecutive entries of the padded rows."""
+    n = int(index.max()) + 1
+    seen = np.zeros((n, n), dtype=bool)
+    seen[index[:, :-1], index[:, 1:]] = True
+    return np.nonzero(seen)
 
-    ``cost`` is the stage cost on the two child supports; the padded rows
-    ``index_*`` and their weights ``w*`` come from ``_kernel_rows``.  The
-    block of every product state is gathered into one padded (n_x, n_y, a, b)
-    array; the padding repeats a row's last support, so its mixed
-    differences vanish.  A block whose
-    adjacent mixed 2x2 differences are all within the simplex's optimality
-    tolerance is Monge and its quantile plan is optimal (Hoffman 1963); the
-    other blocks go to the simplex.  Returns (plans, values, simplex count).
+
+def _stage_certified(cost, index_x, index_y):
+    """Whether every inner block of a stage passes the per-block Monge check.
+
+    For each product state (i, j) the per-block check (``_solve_blocks``)
+    evaluates ((C[s, t] + C[s', t']) - C[s, t']) - C[s', t] for each step
+    s -> s' of x-row i's padded support indices and each step t -> t' of
+    y-row j's, and passes the block when every value is at most
+    PIVOT_TOL * max(1, max |block|).  This check evaluates the same
+    expression once for each distinct pair of steps of the stage (the
+    union over all rows, padding steps s -> s included) and holds it to
+    PIVOT_TOL * max(1, m), m the larger |C| of the pair's corners (s, t)
+    and (s', t').
+
+    Claim: a certified stage has no failing block.  Every value the
+    per-block check computes is one of these, made by the same
+    floating-point operations on the same four entries, so it has the
+    same bits; its corners are entries of the block, so m <= max |block|,
+    and since rounding is monotone the stage's tolerance is at most the
+    block's.  No rounding-error bound enters, so the check also certifies
+    p = 1 stages, whose exactly flat directions read as +-4e-16 relative.
+    With contiguous row supports the steps are the adjacent ones, and this
+    is the adjacent-mixed-difference test of the stage cost, which makes
+    every submatrix on increasing index sets Monge (Burkard, Klinz &
+    Rudolf 1996); a gap in a support adds its own step.  The work is one
+    entry per pair of distinct steps: on the lattice-aw benchmark's stages
+    5 to 7 times the size of the stage cost and about a quarter of the
+    blocks' total size.
     """
-    if not np.isfinite(cost).all():
-        raise ConfigError("stage costs must be finite")
-    blocks = cost[index_x[:, None, :, None], index_y[None, :, None, :]]
-    plans = _quantile_plans(wx, wy)
-    values = np.einsum("ijab,ijab->ij", plans, blocks)
+    s, s_next = _consecutive_pairs(index_x)
+    t, t_next = _consecutive_pairs(index_y)
+    rows, rows_next = cost[s], cost[s_next]
+    c00, c11 = rows.take(t, axis=1), rows_next.take(t_next, axis=1)
+    mixed = c00 + c11
+    mixed -= rows.take(t_next, axis=1)
+    mixed -= rows_next.take(t, axis=1)
+    # the tolerance's scale, two of the four corners, into c00
+    np.maximum(np.abs(c00, out=c00), np.abs(c11, out=c11), out=c00)
+    np.maximum(c00, 1.0, out=c00)
+    c00 *= PIVOT_TOL
+    return bool((mixed <= c00).all())
+
+
+def _quantile_stage(cost, index_x, wx, index_y, wy):
+    """(blocks, plans, values) of a stage's quantile plans: the padded
+    (n_x, n_y, a, b) blocks of the stage cost, every product state's
+    quantile plan, and each plan's value on its block."""
+    # two np.take gathers; the blocks are made contiguous because einsum's
+    # summation order, and so the values' last bits, follow the layout
+    blocks = np.ascontiguousarray(cost.take(index_y, axis=1).take(index_x, axis=0)
+                                  .transpose(0, 2, 1, 3))
+    plans = _stage_plans(None, wx, wy)
+    return blocks, plans, np.einsum("ijab,ijab->ij", plans, blocks)
+
+
+def _solve_blocks(cost, index_x, wx, index_y, wy):
+    """Optimal inner plans and values of a stage, checked block by block.
+
+    The padded rows ``index_*`` and their weights ``w*`` come from
+    ``padded_rows``; the padding repeats a row's last support, so its
+    mixed differences vanish.  A block whose adjacent mixed 2x2
+    differences are all within the simplex's optimality tolerance is Monge
+    and its quantile plan is optimal (Hoffman 1963); the other blocks go to
+    the simplex.  Returns (plans, values, simplex count).
+    """
+    blocks, plans, values = _quantile_stage(cost, index_x, wx, index_y, wy)
     mixed = (blocks[:, :, :-1, :-1] + blocks[:, :, 1:, 1:]
              - blocks[:, :, :-1, 1:] - blocks[:, :, 1:, :-1])
     tol = PIVOT_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(2, 3)))
@@ -470,9 +574,25 @@ def _solve_stage(cost, index_x, wx, index_y, wy):
     return plans, values, len(fallback)
 
 
-def _dp_engine(values_x, kernels_x, values_y, kernels_y, p, stage_weights):
-    """Backward induction; returns the ``BicausalSolution``."""
-    n = len(kernels_x)
+def _solve_stage(cost, index_x, wx, index_y, wy):
+    """Optimal inner plans and values of every product state of one stage.
+
+    ``cost`` is the stage cost on the two child supports.  A stage that
+    passes ``_stage_certified`` takes every quantile plan and returns None
+    for its plans; any other stage goes to ``_solve_blocks``.  Returns
+    (plans, values, simplex count).
+    """
+    if not np.isfinite(cost).all():
+        raise ConfigError("stage costs must be finite")
+    if _stage_certified(cost, index_x, index_y):
+        return None, _quantile_stage(cost, index_x, wx, index_y, wy)[2], 0
+    return _solve_blocks(cost, index_x, wx, index_y, wy)
+
+
+def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
+    """Backward induction over the stages' padded kernel rows; returns the
+    ``BicausalSolution``."""
+    n = len(rows_x)
     v_next = np.zeros((values_x[n].size, values_y[n].size))
     plans = [None] * n
     inner_values = [None] * n
@@ -481,15 +601,14 @@ def _dp_engine(values_x, kernels_x, values_y, kernels_y, p, stage_weights):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
         cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        index_x, wx = _kernel_rows(kernels_x[k])
-        index_y, wy = _kernel_rows(kernels_y[k])
+        (index_x, wx), (index_y, wy) = rows_x[k], rows_y[k]
         stage, v_next, fallbacks = _solve_stage(cost, index_x, wx, index_y, wy)
         n_simplex += fallbacks
         plans[k] = (index_x, index_y, stage)
         inner_values[k] = v_next
     return BicausalSolution(value=v_next[0, 0], p=p, stage_weights=stage_weights,
                             values_x=tuple(values_x), values_y=tuple(values_y),
-                            kernels_x=tuple(kernels_x), kernels_y=tuple(kernels_y),
+                            rows_x=tuple(rows_x), rows_y=tuple(rows_y),
                             plans=tuple(plans), inner_values=tuple(inner_values),
                             n_simplex=n_simplex)
 
@@ -500,18 +619,19 @@ def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
     V_N = 0 and V_k(x, y) minimises, over couplings of the two conditional
     kernels, the expected stage cost w_{k+1} |x' - y'|^p plus continuation.
     Each inner problem is solved exactly: by its quantile plan when its
-    block passes the Monge check, by the transportation simplex otherwise
-    (``n_simplex`` on the result counts these).  The state is the current
-    value pair, valid because lattices are Markov.  ``p`` must be finite
-    and at least 1.
+    stage or its block passes the Monge check, by the transportation
+    simplex otherwise (``n_simplex`` on the result counts these, and
+    ``certified_stages`` the stages certified whole).  The state is the
+    current value pair, valid because lattices are Markov.  ``p`` must be
+    finite and at least 1.
     """
     check_p(p)
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
     n = x_lattice.n_steps
     w = np.full(n, (1.0 / n) if scaled else 1.0)
-    return _dp_engine(x_lattice.supports, x_lattice.transitions,
-                      y_lattice.supports, y_lattice.transitions, p, w)
+    return _dp_engine(x_lattice.supports, x_lattice.kernel_rows,
+                      y_lattice.supports, y_lattice.kernel_rows, p, w)
 
 
 def history_stage_system(measure):
@@ -551,7 +671,8 @@ def tree_bicausal_dp(mu, nu, p=2):
     vy, ky = history_stage_system(nu)
     if len(kx) != len(ky):
         raise ConfigError("path measures must share the stage count")
-    return _dp_engine(vx, kx, vy, ky, p, np.ones(len(kx)))
+    return _dp_engine(vx, [padded_rows(k) for k in kx], vy,
+                      [padded_rows(k) for k in ky], p, np.ones(len(kx)))
 
 
 # -- causality-constrained LP oracle ------------------------------------------

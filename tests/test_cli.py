@@ -39,6 +39,25 @@ def test_lattice_and_aw_distance_roundtrip(tmp_path):
     assert data["value"] == pytest.approx(0.0, abs=1e-12)
     assert data["fosd_x"] and data["fosd_y"]
     assert data["policy_size"] > 0
+    # identical lattices: every stage is certified Monge, no simplex solve
+    assert data["n_simplex"] == 0 and data["certified_stages"] == 3
+
+
+def test_aw_distance_reports_simplex_solves_and_certified_stages(tmp_path):
+    # the non-monotone pair of ROADMAP item 6 (theta = 12, N = 4)
+    lats = []
+    for name, drift, vol in (("lx.json", "kind=ou theta=12", "1"),
+                             ("ly.json", "kind=constant value=0", "0.5")):
+        lats.append(str(tmp_path / name))
+        assert main(["lattice", "--drift", drift, "--vol",
+                     f"kind=constant value={vol}", "--n-steps", "4", "--atoms",
+                     "5", "--max-support", "60", "--out", lats[-1]]) == 0
+    out = tmp_path / "aw.json"
+    assert main(["aw-distance", "--lattice-x", lats[0], "--lattice-y",
+                 lats[1], "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["n_simplex"] == 274 and data["certified_stages"] == 2
+    assert not data["fosd_x"] and data["fosd_y"]
 
 
 def test_aw_distance_old_sidecar_reruns_to_same_bytes(tmp_path):

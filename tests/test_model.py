@@ -224,6 +224,24 @@ def test_lattice_validation_and_json():
                       transitions=(np.array([[0.6, 0.5]]),))
 
 
+@pytest.mark.parametrize("cls", [MarkovLattice, DiscretePathMeasure])
+def test_truncated_json_raises_config_error(cls):
+    # a JSON syntax error is malformed input too, not a JSONDecodeError
+    with pytest.raises(ConfigError, match="malformed"):
+        cls.from_json("{")
+
+
+def test_lattice_kernel_rows_are_built_once_and_read_only():
+    lattice = build_lattice(ou(1.0), constant(1.0, role="diffusion"), 3, 3, 27)
+    rows = lattice.kernel_rows
+    assert rows is lattice.kernel_rows and len(rows) == 3
+    for (index, weights), kernel in zip(rows, lattice.transitions):
+        assert not index.flags.writeable and not weights.flags.writeable
+        dense = np.zeros_like(kernel)
+        np.add.at(dense, (np.arange(kernel.shape[0])[:, None], index), weights)
+        assert np.array_equal(dense, kernel)
+
+
 @given(st.floats(0.0, 2.0), st.floats(0.1, 2.0), st.floats(-1.0, 1.0),
        st.integers(1, 5), st.integers(2, 6), st.integers(0, 20))
 def test_lattice_json_round_trip_is_byte_identical(theta, vol, x0, n_steps, m,

@@ -287,6 +287,20 @@ def test_pooled_moments_edge_cases():
         assert stderr <= 1e-15 * abs(mean)
 
 
+def test_pooled_stderr_of_a_deterministic_cost_is_zero():
+    # a constant cost spreads over a few ulps in the batch means and the
+    # M2 merge; that rounding pools to exactly 0.0
+    for c in (0.1, -7.3, 1e6 / 3, 24.3):
+        assert _pooled(np.full(2003, c), 2)[1] == 0.0
+    assert _pooled(np.zeros(50), 1)[1] == 0.0
+
+
+def test_pooled_stderr_keeps_a_tiny_real_spread():
+    mean, stderr, n = _pooled(np.array([1.0, 1.0 + 1e-10]), 1)
+    assert n == 2 and stderr > 0.0
+    assert stderr == pytest.approx(0.5e-10, rel=1e-6)
+
+
 def test_fourth_moment_fields_are_python_scalars():
     res = fourth_moment_truncation_error(0.1, 1, 2000, seed=3)
     assert type(res.estimate) is float and type(res.stderr) is float

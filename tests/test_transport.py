@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -9,9 +11,10 @@ from adapted_ot.cli import main
 from adapted_ot.estimate import rho_scan, sync_distance_mc
 from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
-                              TimeGrid, constant, ou, table)
+                              TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
-from adapted_ot.transport import (PIVOT_TOL, _kernel_rows, _solve_stage,
+from adapted_ot.transport import (PIVOT_TOL, _quantile_stage, _solve_blocks,
+                                  _solve_stage, _stage_certified, _stage_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
@@ -71,6 +74,26 @@ def test_monotone_rearrangement_identity_and_dirac():
     assert np.allclose(plan.joint, np.diag([0.4, 0.6]))
     plan = monotone_rearrangement([0.0], [1.0], [-1, 2], [0.25, 0.75], p=2)
     assert np.allclose(plan.joint, [[0.25, 0.75]])
+
+
+@pytest.mark.parametrize("x_atoms, x_weights", [
+    ([0.0, np.nan], [0.5, 0.5]),  # NaN atom
+    ([0.0, 1.0], [1.5, -0.5]),  # negative weight
+    ([0.0, 1.0, 2.0], [0.5, 0.5]),  # one atom too many
+])
+def test_monotone_rearrangement_rejects_bad_measures(x_atoms, x_weights):
+    with pytest.raises(ConfigError):
+        monotone_rearrangement(x_atoms, x_weights, [0.0, 1.0], [0.5, 0.5])
+
+
+def test_transportation_lp_rejects_nan_marginal():
+    with pytest.raises(ConfigError):
+        transportation_lp(np.ones((2, 2)), [np.nan, 1.0], [0.5, 0.5])
+
+
+def test_quantile_rejects_negative_weights():
+    with pytest.raises(ConfigError):
+        quantile([0.0, 1.0], [1.5, -0.5], 0.5)
 
 
 def test_transportation_lp_forced_and_diagonal():
@@ -205,9 +228,9 @@ def _normalised(raw):
 
 def _one_block(cost, a, b):
     """The stage solver on a stage of one product state."""
-    plans, values, n_simplex = _solve_stage(cost, *_kernel_rows(a[None]),
-                                            *_kernel_rows(b[None]))
-    return plans[0, 0], values[0, 0], n_simplex
+    (index_x, wx), (index_y, wy) = padded_rows(a[None]), padded_rows(b[None])
+    plans, values, n_simplex = _solve_stage(cost, index_x, wx, index_y, wy)
+    return _stage_plans(plans, wx, wy)[0, 0], values[0, 0], n_simplex
 
 
 @given(MASSES, MASSES, st.data())
@@ -256,6 +279,140 @@ def test_non_monge_blocks_take_the_simplex_solution(raw_a, raw_b, data):
     assert value == ref_value
 
 
+# -- the stage certificate ------------------------------------------------------
+#
+# A stage that passes ``_stage_certified`` skips the per-block check and
+# keeps its quantile plans implicit; it must never hide a block that the
+# per-block check (``_solve_blocks``) would send to the simplex.
+
+
+@st.composite
+def _kernel(draw, n_rows, n_children):
+    """A kernel with random row supports: gaps, and rows of different widths
+    (so the padded rows repeat their last index)."""
+    kernel = np.zeros((n_rows, n_children))
+    for r in range(n_rows):
+        support = draw(st.lists(st.integers(0, n_children - 1), min_size=1,
+                                max_size=n_children, unique=True))
+        mass = draw(st.lists(st.floats(0.05, 1.0), min_size=len(support),
+                             max_size=len(support)))
+        kernel[r, support] = np.array(mass) / sum(mass)
+    return kernel
+
+
+@given(st.data())
+def test_stage_certificate_implies_every_block_passes(data):
+    n_x, n_y = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
+    index_x, wx = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_x)))
+    index_y, wy = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_y)))
+    # a stage cost w |x' - y'|^p + V on sorted supports, with V Monge (a
+    # double cumulative sum of a nonpositive density, plus separable terms)
+    # or arbitrary
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    xs = np.cumsum(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n_x,
+                                      max_size=n_x))) - 3.0
+    ys = np.cumsum(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n_y,
+                                      max_size=n_y))) - 3.0
+    if data.draw(st.booleans()):
+        density = -np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=n_x * n_y,
+            max_size=n_x * n_y))).reshape(n_x, n_y)
+        row = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_x,
+                                          max_size=n_x)))
+        col = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_y,
+                                          max_size=n_y)))
+        v_next = (density.cumsum(axis=0).cumsum(axis=1)
+                  + row[:, None] + col[None, :])
+    else:
+        v_next = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0), min_size=n_x * n_y,
+            max_size=n_x * n_y))).reshape(n_x, n_y)
+    w = data.draw(st.sampled_from([1.0, 1.0 / 16]))
+    cost = w * np.abs(xs[:, None] - ys[None, :]) ** p + v_next
+    plans, values, n_simplex = _solve_stage(cost, index_x, wx, index_y, wy)
+    block_plans, block_values, block_simplex = _solve_blocks(cost, index_x, wx,
+                                                             index_y, wy)
+    certified = _stage_certified(cost, index_x, index_y)
+    event(f"certified={certified}, per-block simplex solves={block_simplex > 0}")
+    if certified:
+        # no block fails the per-block check, and the stage's values are
+        # the per-block path's, bit for bit
+        assert block_simplex == 0
+        assert plans is None and n_simplex == 0
+        assert np.array_equal(values, block_values)
+        assert np.array_equal(_stage_plans(plans, wx, wy), block_plans)
+    else:
+        assert np.array_equal(plans, block_plans)
+        assert np.array_equal(values, block_values)
+        assert n_simplex == block_simplex
+
+
+def test_quantile_stage_values_keep_the_contiguous_einsum_bits():
+    # the reference: einsum over contiguous (n_x, n_y, a, b) plans and
+    # fancy-indexed blocks; einsum's summation order follows the operands'
+    # layout, so gathering the blocks in another layout moves last bits
+    # (seen with a single x row or single-child rows)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        kernels = []
+        for rows, children in rng.integers(1, 20, (2, 2)):
+            kernel = rng.random((rows, children)) * (rng.random((rows, children)) < 0.4)
+            kernel[np.arange(rows), rng.integers(0, children, rows)] += 0.1
+            kernels.append(kernel / kernel.sum(axis=1, keepdims=True))
+        (index_x, wx), (index_y, wy) = padded_rows(kernels[0]), padded_rows(kernels[1])
+        cost = rng.normal(size=(kernels[0].shape[1], kernels[1].shape[1]))
+        plans = _stage_plans(None, wx, wy)
+        reference = np.einsum("ijab,ijab->ij", plans,
+                              cost[index_x[:, None, :, None], index_y[None, :, None, :]])
+        values = _quantile_stage(cost, index_x, wx, index_y, wy)[2]
+        assert np.array_equal(values, reference)
+
+
+@pytest.mark.parametrize("name", ["drift-gap", "vol-gap", "ou-vol"])
+def test_p1_stages_with_flat_mixed_differences_certify(name):
+    # at p = 1 the stage cost is exactly flat where both children lie on one
+    # side of the diagonal, and its adjacent mixed differences read as
+    # rounding, up to about +5e-16 relative; every stage still certifies
+    b_x, s_x, b_y, s_y = get_preset(name)
+    lat_x = build_lattice(b_x, s_x, 8, 4, 30)
+    lat_y = build_lattice(b_y, s_y, 8, 4, 30)
+    sol = bicausal_dp(lat_x, lat_y, p=1)
+    worst = 0.0
+    for k in range(8):
+        v_next = sol.inner_values[k + 1] if k < 7 else 0.0
+        cost = sol.stage_weights[k] * np.abs(
+            lat_x.supports[k + 1][:, None] - lat_y.supports[k + 1][None, :]) + v_next
+        mixed = cost[:-1, :-1] + cost[1:, 1:] - cost[:-1, 1:] - cost[1:, :-1]
+        worst = max(worst, mixed.max() / np.abs(cost).max())
+    assert worst > 0.0
+    assert sol.certified_stages == 8 and sol.n_simplex == 0
+    assert sol.value == pytest.approx(
+        coupled_cost(kr_coupling(lat_x, lat_y), p=1), abs=1e-9)
+
+
+def test_non_monotone_pair_fallback_golden():
+    # ROADMAP item 6's theta = 12, N = 4 row: the X lattice of ou(12) fails
+    # its FOSD certificate, and the DP leaves the quantile plan on 274
+    # inner blocks.  The values are the ones the block-by-block solver gave;
+    # the stage certificate must reproduce them and the simplex count.
+    lat_x = build_lattice(ou(12.0), UNIT_VOL, 4, 5, 60)
+    lat_y = build_lattice(constant(0.0), constant(0.5, role="diffusion"), 4, 5, 60)
+    assert not check_fosd(lat_x).ok and check_fosd(lat_y).ok
+    sol = bicausal_dp(lat_x, lat_y, p=2)
+    kr = coupled_cost(kr_coupling(lat_x, lat_y), p=2)
+    assert sol.n_simplex == 274
+    assert repr(float(sol.value)) == "5.851050086204655"
+    assert repr(float(kr - sol.value)) == "0.6698023089567133"
+    sol.validate()
+    # certified stages and every KR stage store no plan array; the
+    # uncertified stages keep their explicit (n_x, n_y, a, b) plans
+    assert sol.certified_stages == 2
+    for index_x, index_y, plans in sol.plans:
+        assert plans is None or plans.shape == (
+            index_x.shape[0], index_y.shape[0], index_x.shape[1], index_y.shape[1])
+    assert all(plans is None for _, _, plans in kr_coupling(lat_x, lat_y).plans)
+
+
 # -- coupled chains -----------------------------------------------------------
 
 def test_kr_coupling_marginal_preservation():
@@ -280,7 +437,14 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
                   for r, size in enumerate((kernel > 0).sum(axis=1))
                   if size < (kernel > 0).sum(axis=1).max())
     size = np.count_nonzero(lattice.transitions[k][row])
-    plans = chain.plans[k][2]
+    # the stage's quantile plans, made explicit so that they can be edited
+    index_x, index_y, implicit = chain.plans[k]
+    assert implicit is None
+    plans = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
+    explicit = dataclasses.replace(chain, plans=chain.plans[:k]
+                                   + ((index_x, index_y, plans),)
+                                   + chain.plans[k + 1:])
+    explicit.validate()
     plan = plans[row, 0] if axis == "x" else plans[0, row].T
     # move the mass of the row's last support into the first padding slot,
     # which repeats that support's index
@@ -289,7 +453,7 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
     plan[size, col] += plan[size - 1, col]
     plan[size - 1, col] = 0.0
     with pytest.raises(ConfigError, match=f"{axis}-marginalization"):
-        chain.validate()
+        explicit.validate()
 
 
 def test_kr_coupling_identical_lattices_is_diagonal():
@@ -304,6 +468,9 @@ def test_kr_coupling_deterministic_x_gives_product():
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat_x, lat_y)
     for k, (index_x, index_y, plans) in enumerate(chain.plans):
+        assert plans is None
+        plans = _stage_plans(plans, lat_x.kernel_rows[k][1],
+                             lat_y.kernel_rows[k][1])
         # x-kernel is a Dirac, so the joint child law is the y-kernel
         assert index_x.shape[1] == 1
         assert plans.shape[2:] == (1, index_y.shape[1])
@@ -323,9 +490,13 @@ def test_synchronous_product_chain_equals_kr():
                                                          4, 4, 20)
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
     kr_chain = kr_coupling(lat_x, lat_y)
-    for stage_sync, stage_kr in zip(sync_chain.plans, kr_chain.plans):
+    for stage_sync, stage_kr, (_, wx), (_, wy) in zip(
+            sync_chain.plans, kr_chain.plans, lat_x.kernel_rows, lat_y.kernel_rows):
         (ix_a, iy_a, plans_a), (ix_b, iy_b, plans_b) = stage_sync, stage_kr
         assert np.array_equal(ix_a, ix_b) and np.array_equal(iy_a, iy_b)
+        # the sync chain stores its plans, the KR chain rebuilds them
+        assert plans_a is not None and plans_b is None
+        plans_b = _stage_plans(plans_b, wx, wy)
         # the same product states send mass to the same child pairs, and
         # the same mass
         assert np.array_equal(plans_a > 0, plans_b > 0)
@@ -396,12 +567,20 @@ def test_bicausal_solution_validate_rejects_perturbed_plan():
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
     sol = bicausal_dp(lat_x, lat_y, p=2)
     sol.validate()
+    # the root stage's quantile plans, made explicit so that they can be
+    # edited; stored explicitly, they still validate
+    index_x, index_y, implicit = sol.plans[0]
+    assert implicit is None
+    plans = _stage_plans(None, sol.rows_x[0][1], sol.rows_y[0][1])
+    explicit = dataclasses.replace(
+        sol, plans=((index_x, index_y, plans),) + sol.plans[1:])
+    explicit.validate()
     # reverse the root state's plan in y: the monotone coupling becomes
     # antitone, so the policy's forward value rises above the DP value
-    plan = sol.plans[0][2][0, 0]
+    plan = plans[0, 0]
     plan[:] = plan[:, ::-1].copy()
     with pytest.raises(ConfigError):
-        sol.validate()
+        explicit.validate()
 
 
 def test_policy_view_cuts_stage_records_to_true_supports():
@@ -409,13 +588,16 @@ def test_policy_view_cuts_stage_records_to_true_supports():
     lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
                           4, 4, 10)
     sol = bicausal_dp(lat_x, lat_y, p=2)
+    assert sol.certified_stages == len(sol.plans)
     for k, stage in enumerate(sol.policy):
         kx, ky = lat_x.transitions[k], lat_y.transitions[k]
+        # the stage's quantile plans, rebuilt from the padded rows
+        plans = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
         assert len(stage) == kx.shape[0] * ky.shape[0]
         for (i, j), (si, sj, plan, val) in stage.items():
             assert np.array_equal(si, np.flatnonzero(kx[i]))
             assert np.array_equal(sj, np.flatnonzero(ky[j]))
-            assert np.array_equal(plan, sol.plans[k][2][i, j, :si.size, :sj.size])
+            assert np.array_equal(plan, plans[i, j, :si.size, :sj.size])
             assert val == sol.inner_values[k][i, j]
 
 
@@ -425,11 +607,18 @@ def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
     lat_y = build_lattice(b_y, s_y, 6, 4, 30)
     sol = bicausal_dp(lat_x, lat_y, p=2)
     assert sol.n_simplex == 0
-    # every inner block took its quantile plan: the DP policy is the KR chain
+    # every inner block took its quantile plan: the DP policy is the KR
+    # chain, whose plans the certified stages keep implicit
+    assert sol.certified_stages == len(sol.plans)
     chain = kr_coupling(lat_x, lat_y)
-    for (ix, iy, plans), (ix_kr, iy_kr, plans_kr) in zip(sol.plans, chain.plans):
+    for k, ((ix, iy, plans), (ix_kr, iy_kr, plans_kr)) in enumerate(
+            zip(sol.plans, chain.plans)):
         assert np.array_equal(ix, ix_kr) and np.array_equal(iy, iy_kr)
-        assert np.array_equal(plans, plans_kr)
+        assert plans is None and plans_kr is None
+        # the policy's plans are the KR chain's, cell for cell
+        rebuilt = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
+        for (i, j), (_, _, plan, _) in sol.policy[k].items():
+            assert np.array_equal(plan, rebuilt[i, j, :plan.shape[0], :plan.shape[1]])
 
 
 def test_tree_dp_fallback_matches_lp():
