@@ -60,6 +60,46 @@ def test_aw_distance_reports_simplex_solves_and_certified_stages(tmp_path):
     assert not data["fosd_x"] and data["fosd_y"]
 
 
+AW_GOLDEN = {
+    # the README's command-line pair (drift 1 against drift 0, vol 1)
+    ("kind=constant value=1", "1", "kind=constant value=0", "1", "1"): {
+        "certified_stages": 8, "fosd_x": True, "fosd_y": True,
+        "kr_cost": 0.5625, "n_simplex": 0, "p": 1.0, "policy_size": 7220,
+        "scaled": True, "value": 0.5625, "value_root": 0.5625},
+    ("kind=constant value=1", "1", "kind=constant value=0", "1", "2"): {
+        "certified_stages": 8, "fosd_x": True, "fosd_y": True,
+        "kr_cost": 0.3984375, "n_simplex": 0, "p": 2.0, "policy_size": 7220,
+        "scaled": True, "value": 0.39843749999999994,
+        "value_root": 0.6312190586476298},
+    # the README's library pair (ou(1), vol 1 against drift 0, vol 0.5)
+    ("kind=ou theta=1", "1", "kind=constant value=0", "0.5", "2"): {
+        "certified_stages": 8, "fosd_x": True, "fosd_y": True,
+        "kr_cost": 0.05169139725325071, "n_simplex": 0, "p": 2.0,
+        "policy_size": 7751, "scaled": True, "value": 0.05169139725325072,
+        "value_root": 0.22735742181255206},
+}
+
+
+@pytest.mark.parametrize("pair", sorted(AW_GOLDEN))
+def test_aw_distance_output_bytes_are_pinned(tmp_path, pair):
+    # lattices written and read back through the CLI; the file format may
+    # change, the DP and KR bits may not
+    drift_x, vol_x, drift_y, vol_y, p = pair
+    lats = []
+    for name, drift, vol in (("lx.json", drift_x, vol_x),
+                             ("ly.json", drift_y, vol_y)):
+        lats.append(str(tmp_path / name))
+        assert main(["lattice", "--drift", drift, "--vol",
+                     f"kind=constant value={vol}", "--n-steps", "8",
+                     "--atoms", "5", "--max-support", "40",
+                     "--out", lats[-1]]) == 0
+    out = tmp_path / "aw.json"
+    assert main(["aw-distance", "--lattice-x", lats[0], "--lattice-y",
+                 lats[1], "--p", p, "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(AW_GOLDEN[pair], indent=2,
+                                         sort_keys=True) + "\n"
+
+
 def test_aw_distance_old_sidecar_reruns_to_same_bytes(tmp_path):
     # sidecars from before the no-op --scaled flag was removed carry
     # "scaled": true and must still reproduce the output bytes
