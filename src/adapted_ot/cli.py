@@ -32,7 +32,9 @@ from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 FLOAT_FMT = "%.17g"
 
 # commands whose output bytes depend on the random streams, which may change
-# between versions; their sidecars rerun only under the version that wrote them
+# between versions; their sidecars rerun only under the version that wrote them.
+# `lattice` is not one: its values do not depend on the version, so rerunning
+# an old `lattice` sidecar rewrites that lattice in this version's file layout
 STREAM_COMMANDS = ("simulate", "rho-scan", "convergence", "stability",
                    "counterexample")
 

@@ -361,6 +361,8 @@ class DiscretePathMeasure:
             raise ConfigError("need one weight per path")
         if not np.isfinite(paths).all():
             raise ConfigError("path values must be finite")
+        if not np.isfinite(weights).all():
+            raise ConfigError("weights must be finite")
         if weights.size and weights.min() < 0:
             raise ConfigError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > PROB_TOL:
@@ -432,14 +434,16 @@ class MarkovLattice:
         for k, s in enumerate(supports):
             if s.ndim != 1 or not np.isfinite(s).all():
                 raise ConfigError(f"stage-{k} support must be finite 1-D")
-            if np.any(np.diff(s) <= 0):
+            if (s[1:] <= s[:-1]).any():
                 raise ConfigError(f"stage-{k} support must be strictly increasing")
         for k, t in enumerate(transitions):
             if t.shape != (supports[k].size, supports[k + 1].size):
                 raise ConfigError(f"stage-{k} transition shape mismatch")
+            if not np.isfinite(t).all():
+                raise ConfigError(f"stage-{k} transition masses must be finite")
             if t.size and t.min() < 0:
                 raise ConfigError(f"stage-{k} transition has negative mass")
-            if np.max(np.abs(t.sum(axis=1) - 1.0)) > PROB_TOL:
+            if np.abs(t.sum(axis=1) - 1.0).max() > PROB_TOL:
                 raise ConfigError(f"stage-{k} transition rows must sum to 1")
 
     @property
@@ -459,26 +463,67 @@ class MarkovLattice:
         return out
 
     def to_json(self):
-        return json.dumps({
-            "initial_value": self.initial_value,
-            "stages": [{"support": s.tolist(), "transition": t.tolist()}
-                       for s, t in zip(self.supports[1:], self.transitions)],
-        })
+        """Sparse-row JSON: per stage, the support and the kernel's positive
+        entries row after row (``row_sizes``, column ``index``, ``weight``)."""
+        stages = []
+        for s, t in zip(self.supports[1:], self.transitions):
+            positive = t > 0
+            stages.append({"support": s.tolist(),
+                           "row_sizes": positive.sum(axis=1).tolist(),
+                           "index": np.nonzero(positive)[1].tolist(),
+                           "weight": t[positive].tolist()})
+        return json.dumps({"initial_value": self.initial_value,
+                           "stages": stages})
 
     @classmethod
     def from_json(cls, text):
+        """Read ``to_json`` output; the row layout is checked here, the
+        masses by the constructor."""
         try:
             data = json.loads(text)
             x0 = float(data["initial_value"])
             supports = [np.array([x0])]
             transitions = []
-            for stage in data["stages"]:
-                supports.append(np.asarray(stage["support"], dtype=float))
-                transitions.append(np.asarray(stage["transition"], dtype=float))
+            for k, stage in enumerate(data["stages"]):
+                if "transition" in stage and "row_sizes" not in stage:
+                    raise ConfigError(
+                        f"lattice JSON stage {k} holds a dense \"transition\" "
+                        f"matrix, the layout of adapted-ot <= 0.5.0; rewrite "
+                        f"the file with `adapted-ot rerun <its sidecar>` or "
+                        f"`adapted-ot lattice`")
+                support = np.asarray(stage["support"], dtype=float)
+                sizes = _int_array(stage["row_sizes"])
+                index = _int_array(stage["index"])
+                weight = np.asarray(stage["weight"], dtype=float)
+                shape = (supports[-1].size, support.size)
+                if sizes.shape != shape[:1] or (sizes.size and sizes.min() < 0):
+                    raise ValueError(f"stage {k} needs one row size >= 0 for "
+                                     f"each of its {shape[0]} rows")
+                if sizes.sum() != index.size or weight.shape != index.shape:
+                    raise ValueError(f"stage {k} row sizes, index and weight "
+                                     f"disagree in length")
+                # with every index in range, the row-major cell numbers
+                # increase exactly when each row's indices do
+                cells = np.repeat(np.arange(shape[0]), sizes) * shape[1] + index
+                if index.size and (index.min() < 0 or index.max() >= shape[1]
+                                   or (cells[1:] <= cells[:-1]).any()):
+                    raise ValueError(f"stage {k} indices must lie in "
+                                     f"[0, {shape[1]}) and increase within a row")
+                dense = np.zeros(shape)
+                dense.ravel()[cells] = weight
+                supports.append(support)
+                transitions.append(dense)
             return cls(initial_value=x0, supports=tuple(supports),
                        transitions=tuple(transitions))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed lattice JSON: {exc!r}") from exc
+
+
+def _int_array(values):
+    """A JSON list of integers (not floats or bools) as an int64 array."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"expected a list of integers, got {values!r:.80}")
+    return np.array(values, dtype=np.int64)
 
 
 # -- coefficient spec text schema -------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import adapted_ot
 from adapted_ot import __version__
 from adapted_ot.cli import main
-from adapted_ot.model import DiscretePathMeasure
+from adapted_ot.model import DiscretePathMeasure, MarkovLattice
 
 
 def test_simulate_writes_csv_and_sidecar(tmp_path):
@@ -261,13 +261,37 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "y.csv")]) == 2
 
 
+def _one_stage(row_sizes, index, weight, support="[0.0, 1.0]"):
+    return (f'{{"initial_value": 0.0, "stages": [{{"support": {support}, '
+            f'"row_sizes": {row_sizes}, "index": {index}, '
+            f'"weight": {weight}}}]}}')
+
+
 @pytest.mark.parametrize("text", [
     '{"initial_value": 0.0}',
     '{"initial_value": 0.0, "stages": 3}',
     '{"initial_value": null, "stages": []}',
+    # the dense layout of 0.5.0 is refused before its support is read
     '{"initial_value": 0.0, "stages": [{"support": [0.0, "a"], '
     '"transition": [[0.5, 0.5]]}]}',
+    _one_stage("[2]", "[0, 1]", "[0.5, 0.5]", support='[0.0, "a"]'),
     '[0.0]',
+    _one_stage("[2]", "[0, 2]", "[0.5, 0.5]"),          # index out of range
+    _one_stage("[2]", "[-1, 0]", "[0.5, 0.5]"),         # negative index
+    _one_stage("[2]", "[1, 1]", "[0.5, 0.5]"),          # repeated index
+    _one_stage("[2]", "[1, 0]", "[0.5, 0.5]"),          # descending index
+    _one_stage("[1, 1]", "[0, 1]", "[0.5, 0.5]"),       # 2 sizes for 1 row
+    _one_stage("[1]", "[0, 1]", "[0.5, 0.5]"),          # sum(sizes) != nnz
+    _one_stage("[2]", "[0, 1]", "[1.0]"),               # weight != index
+    _one_stage("[2]", "[0.0, 1]", "[0.5, 0.5]"),        # float index
+    _one_stage("[2]", "[false, true]", "[0.5, 0.5]"),   # bool index
+    _one_stage("[2.0]", "[0, 1]", "[0.5, 0.5]"),        # float size
+    _one_stage("[2]", "[0, 1]", '["a", 0.5]'),          # non-numeric weight
+    # a negative size whose row sizes still add up to the entries
+    '{"initial_value": 0.0, "stages": [{"support": [0.0, 1.0], '
+    '"row_sizes": [2], "index": [0, 1], "weight": [0.5, 0.5]}, '
+    '{"support": [0.0, 1.0, 2.0], "row_sizes": [-1, 3], "index": [0, 1], '
+    '"weight": [0.5, 0.5]}]}',
 ])
 def test_aw_distance_malformed_lattice_exits_2(tmp_path, text, capsys):
     bad = tmp_path / "bad.json"
@@ -278,7 +302,54 @@ def test_aw_distance_malformed_lattice_exits_2(tmp_path, text, capsys):
                  "--max-support", "4", "--out", str(good)]) == 0
     assert main(["aw-distance", "--lattice-x", str(good), "--lattice-y",
                  str(bad), "--out", str(tmp_path / "aw.json")]) == 2
-    assert "malformed lattice JSON" in capsys.readouterr().err
+    expected = ("layout of adapted-ot <= 0.5.0" if '"transition"' in text
+                else "malformed lattice JSON")
+    assert expected in capsys.readouterr().err
+
+
+def test_aw_distance_and_metrics_refuse_nan_masses(tmp_path, capsys):
+    # JSON NaN parses, and used to pass every mass check
+    good = tmp_path / "good.json"
+    good.write_text(_one_stage("[2]", "[0, 1]", "[0.5, 0.5]"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(_one_stage("[2]", "[0, 1]", "[NaN, 0.5]"))
+    assert main(["aw-distance", "--lattice-x", str(good), "--lattice-y",
+                 str(bad), "--out", str(tmp_path / "aw.json")]) == 2
+    assert "finite" in capsys.readouterr().err
+    mu = tmp_path / "mu.json"
+    mu.write_text('{"paths": [[0.0], [1.0]], "weights": [0.5, 0.5]}')
+    nu = tmp_path / "nu.json"
+    nu.write_text('{"paths": [[0.0], [1.0]], "weights": [NaN, 1.0]}')
+    assert main(["metrics", "--tree-mu", str(mu), "--tree-nu", str(nu)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_dense_lattice_of_0_5_0_is_refused_and_rerun_rewrites_it(tmp_path,
+                                                                  capsys):
+    lat = tmp_path / "lx.json"
+    assert main(["lattice", *RERUN_ARGS["lattice"], "--out", str(lat)]) == 0
+    new_bytes = lat.read_bytes()
+    # the file and sidecar as adapted-ot 0.5.0 wrote them
+    lattice = MarkovLattice.from_json(lat.read_text())
+    lat.write_text(json.dumps({
+        "initial_value": lattice.initial_value,
+        "stages": [{"support": s.tolist(), "transition": t.tolist()}
+                   for s, t in zip(lattice.supports[1:],
+                                   lattice.transitions)]}) + "\n")
+    sidecar = Path(str(lat) + ".sidecar.json")
+    payload = json.loads(sidecar.read_text())
+    payload["version"] = "0.5.0"
+    sidecar.write_text(json.dumps(payload))
+    out = tmp_path / "aw.json"
+    aw = ["aw-distance", "--lattice-x", str(lat), "--lattice-y", str(lat),
+          "--out", str(out)]
+    capsys.readouterr()
+    assert main(aw) == 2
+    err = capsys.readouterr().err
+    assert "0.5.0" in err and "adapted-ot rerun" in err
+    assert main(["rerun", str(sidecar)]) == 0
+    assert lat.read_bytes() == new_bytes
+    assert main(aw) == 0
 
 
 @pytest.mark.parametrize("text", [

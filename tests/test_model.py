@@ -205,6 +205,17 @@ def test_path_measure_validation_and_json():
         DiscretePathMeasure(paths=[[0.0], [1.0]], weights=[1.1, -0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_masses_are_rejected(bad):
+    # NaN passes both `min() < 0` and the sum-to-1 test, so it needs its own
+    with pytest.raises(ConfigError, match="finite"):
+        DiscretePathMeasure(paths=[[0.0], [1.0]], weights=[bad, 1.0])
+    with pytest.raises(ConfigError, match="finite"):
+        MarkovLattice(initial_value=0.0,
+                      supports=(np.array([0.0]), np.array([-1.0, 1.0])),
+                      transitions=(np.array([[bad, 0.5]]),))
+
+
 def test_lattice_validation_and_json():
     lattice = MarkovLattice(
         initial_value=0.0,
@@ -262,8 +273,53 @@ def test_path_measure_json_round_trip_is_byte_identical(seed, n_stages,
 def test_lattice_json_is_plain_data():
     lattice = MarkovLattice(
         initial_value=0.5,
-        supports=(np.array([0.5]), np.array([0.0, 1.0])),
-        transitions=(np.array([[0.25, 0.75]]),))
+        supports=(np.array([0.5]), np.array([0.0, 1.0]),
+                  np.array([-1.0, 0.0, 1.0])),
+        transitions=(np.array([[0.25, 0.75]]),
+                     np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])))
     data = json.loads(lattice.to_json())
-    assert data["initial_value"] == 0.5
-    assert data["stages"][0]["support"] == [0.0, 1.0]
+    assert data == {"initial_value": 0.5, "stages": [
+        {"support": [0.0, 1.0], "row_sizes": [2], "index": [0, 1],
+         "weight": [0.25, 0.75]},
+        {"support": [-1.0, 0.0, 1.0], "row_sizes": [2, 1],
+         "index": [0, 2, 1], "weight": [0.5, 0.5, 1.0]}]}
+
+
+@st.composite
+def markov_lattices(draw):
+    # arbitrary kernels, not only build_lattice's: rows with gaps, one-atom
+    # rows and rows that reach the last column all occur
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    x0 = draw(st.floats(-10, 10))
+    supports = [np.array([x0])]
+    transitions = []
+    for size in sizes:
+        steps = draw(st.lists(st.floats(1e-3, 10), min_size=size,
+                              max_size=size))
+        supports.append(np.cumsum(steps) - draw(st.floats(0, 10)))
+        rows = []
+        for _ in range(supports[-2].size):
+            mask = draw(st.lists(st.booleans(), min_size=size, max_size=size)
+                        .filter(any))
+            mass = draw(st.lists(st.floats(1e-6, 1.0), min_size=size,
+                                 max_size=size))
+            row = np.where(mask, mass, 0.0)
+            rows.append(row / row.sum())
+        transitions.append(np.array(rows))
+    return MarkovLattice(initial_value=x0, supports=tuple(supports),
+                         transitions=tuple(transitions))
+
+
+@given(markov_lattices())
+def test_lattice_json_round_trip_keeps_every_kernel_bit(lattice):
+    text = lattice.to_json()
+    again = MarkovLattice.from_json(text)
+    for t, u in zip(lattice.transitions, again.transitions):
+        assert t.shape == u.shape
+        assert t.tobytes() == u.tobytes()
+    for s, u in zip(lattice.supports, again.supports):
+        assert s.tobytes() == u.tobytes()
+    assert again.to_json() == text
+    for stage in json.loads(text)["stages"]:
+        assert all(w > 0 for w in stage["weight"])
+
