@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -386,14 +386,25 @@ class DiscretePathMeasure:
             raise ConfigError(f"malformed path measure JSON: {exc!r}") from exc
 
 
+class PaddedRows(NamedTuple):
+    """A kernel's rows in the padded form of ``padded_rows``."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    kind: np.ndarray
+    distinct: np.ndarray
+
+
 def padded_rows(kernel):
     """Padded array form of a kernel's rows.
 
-    Returns (index, weights): row r of ``index`` (rows x widest row) holds
-    the ascending indices of the positive entries of kernel row r and
-    continues past its end by repeating its last support index; ``weights``
-    holds the row's masses on ``index``, 0 in the padding.  Both are
-    read-only.
+    Returns ``PaddedRows`` (index, weights, kind, distinct): row r of
+    ``index`` (rows x widest row) holds the ascending indices of the
+    positive entries of kernel row r and continues past its end by
+    repeating its last support index; ``weights`` holds the row's masses on
+    ``index``, 0 in the padding.  Rows whose padded weights have the same
+    bytes share a kind: row r is of kind ``kind[r]``, and ``distinct[c]``
+    is the padded weight row of kind c.  All four are read-only.
     """
     positive = kernel > 0
     cols = np.nonzero(positive)[1]
@@ -403,9 +414,14 @@ def padded_rows(kernel):
     index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
     weights = np.take_along_axis(kernel, index, axis=1)
     weights[slot >= sizes[:, None]] = 0.0
-    index.flags.writeable = False
-    weights.flags.writeable = False
-    return index, weights
+    # one opaque item per row, so that rows match on their bytes
+    row_bytes = weights.view(np.dtype((np.void, weights.itemsize * slot.size)))
+    _, first, kind = np.unique(row_bytes.ravel(), return_index=True,
+                               return_inverse=True)
+    rows = PaddedRows(index, weights, kind, weights[first])
+    for array in rows:
+        array.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -415,7 +431,8 @@ class MarkovLattice:
     ``supports[k]`` is the sorted stage-k support (stage 0 is the single
     initial value) and ``transitions[k]`` maps stage-k nodes to stage-(k+1)
     nodes, one probability row per node.  ``kernel_rows[k]`` is the padded
-    form of ``transitions[k]`` that the couplings and the DP read.
+    form of ``transitions[k]``, with its row kinds, that the couplings and
+    the DP read.
     """
 
     initial_value: float
@@ -452,7 +469,8 @@ class MarkovLattice:
 
     @cached_property
     def kernel_rows(self):
-        """``padded_rows`` of every stage's kernel, built once per lattice."""
+        """``padded_rows`` of every stage's kernel, row kinds included,
+        built once per lattice."""
         return tuple(padded_rows(t) for t in self.transitions)
 
     def stage_marginals(self):

@@ -350,8 +350,13 @@ def truncate_increments(substeps, barrier):
     ``substeps`` has shape (..., m_sub) holding the substep increments of one
     step; the running sum is clamped to the crossed barrier at the first
     substep where it leaves (-barrier, barrier).  Returns (values, exited).
+    With one substep and a positive barrier the stopped sum is a clamp,
+    which gives the same bytes (at +-barrier, NaN and -0.0 too).
     """
     substeps = np.asarray(substeps, dtype=float)
+    if substeps.shape[-1] == 1:
+        x = substeps[..., 0]
+        return np.clip(x, -barrier, barrier), np.abs(x) >= barrier
     cs = np.cumsum(substeps, axis=-1)
     hit = np.abs(cs) >= barrier
     exited = hit.any(axis=-1)

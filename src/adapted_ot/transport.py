@@ -15,12 +15,18 @@ block.
 A coupled stage is stored as a record (index_x, index_y, plans).  ``plans``
 is the dense (n_x, n_y, a, b) array of inner plans, or None when every
 inner plan is the quantile plan of its two kernel rows: the rearrangement's
-stages and the DP's certified stages keep their plans implicit, and a
-forward pass rebuilds them only for the product states that carry mass.
+stages and the DP's certified stages keep their plans implicit.  Quantile
+plans come from one table per stage pair: a lattice row's masses are sums
+of equal atom weights, so a stage has few distinct weight rows (the row
+kinds of ``padded_rows``), and the plans are built once per pair of
+distinct rows and gathered for the product states that need them.
+Identical rows have identical CDFs, so a gathered plan has the bits of the
+plan built for its own pair of rows.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -262,24 +268,34 @@ def _quantile_plans(cx, cy):
     return np.maximum(overlap, 0.0)
 
 
-def _stage_plans(plans, wx, wy):
+def _plan_table(rows_x, rows_y):
+    """The (C_x, C_y, a, b) quantile plans of a stage's pairs of distinct
+    padded weight rows: entry (c, d) is the plan of every x row of kind c
+    with every y row of kind d (``padded_rows``)."""
+    return _quantile_plans(_cdfs(rows_x.distinct)[:, None],
+                           _cdfs(rows_y.distinct)[None])
+
+
+def _stage_plans(plans, rows_x, rows_y):
     """Dense (n_x, n_y, a, b) inner plans of a stage record: the stored
-    array, or the quantile plans of every pair of padded weight rows."""
+    array, or the quantile plans of every pair of padded kernel rows,
+    gathered from the stage's plan table into a fresh C-contiguous array."""
     if plans is not None:
         return plans
-    return _quantile_plans(_cdfs(wx)[:, None], _cdfs(wy)[None])
+    return _plan_table(rows_x, rows_y)[rows_x.kind[:, None], rows_y.kind[None]]
 
 
-def _state_plans(plans, wx, wy, i, j):
+def _state_plans(plans, rows_x, rows_y, i, j):
     """Inner plans of the product states (i, j) of a stage record.
 
     ``plans`` is the record's dense array, or None for quantile plans,
-    which are then rebuilt from the padded weights ``wx`` and ``wy``;
-    ``i`` and ``j`` are index arrays that broadcast against each other.
+    which are then gathered from the plan table of the padded kernel rows
+    ``rows_x`` and ``rows_y``; ``i`` and ``j`` are index arrays that
+    broadcast against each other.  The result is a fresh array.
     """
     if plans is not None:
         return plans[i, j]
-    return _quantile_plans(_cdfs(wx)[i], _cdfs(wy)[j])
+    return _plan_table(rows_x, rows_y)[rows_x.kind[i], rows_y.kind[j]]
 
 
 def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
@@ -306,17 +322,17 @@ def _forward_cost(stages, rows_x, rows_y, values_x, values_y, stage_weights, p):
 
     ``stages[k]`` is a stage record (index_x, index_y, plans) and
     ``rows_*[k]`` the stage's padded kernel rows; each stage scatters only
-    the product states that carry mass, and rebuilds implicit plans for
+    the product states that carry mass, and gathers implicit plans for
     those states only.
     """
     pi = np.ones((1, 1))
     total = 0.0
-    for k, ((index_x, index_y, plans), (_, wx), (_, wy)) in enumerate(
+    for k, ((index_x, index_y, plans), stage_x, stage_y) in enumerate(
             zip(stages, rows_x, rows_y)):
         n_y = values_y[k + 1].size
         i, j = np.nonzero(pi)
         cells = index_x[i][:, :, None] * n_y + index_y[j][:, None, :]
-        mass = _state_plans(plans, wx, wy, i, j)
+        mass = _state_plans(plans, stage_x, stage_y, i, j)
         mass *= pi[i, j][:, None, None]
         pi = np.bincount(cells.ravel(), weights=mass.ravel(),
                          minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
@@ -343,16 +359,17 @@ class CoupledChain:
     plans: tuple
 
     def validate(self, tol=1e-10):
-        """Check every stage's plans, rebuilding implicit ones, against the
+        """Check every stage's plans, gathering implicit ones, against the
         lattices' kernel rows."""
-        for k, ((index_x, index_y, plans), (true_x, wx), (true_y, wy)) in enumerate(
+        for k, ((index_x, index_y, plans), rows_x, rows_y) in enumerate(
                 zip(self.plans, self.lattice_x.kernel_rows,
                     self.lattice_y.kernel_rows)):
-            plans = _stage_plans(plans, wx, wy)
-            if (not np.array_equal(index_x, true_x)
+            plans = _stage_plans(plans, rows_x, rows_y)
+            wx, wy = rows_x.weights, rows_y.weights
+            if (not np.array_equal(index_x, rows_x.index)
                     or np.max(np.abs(plans.sum(axis=3) - wx[:, None])) > tol):
                 raise ConfigError(f"x-marginalization broken at stage {k}")
-            if (not np.array_equal(index_y, true_y)
+            if (not np.array_equal(index_y, rows_y.index)
                     or np.max(np.abs(plans.sum(axis=2) - wy[None])) > tol):
                 raise ConfigError(f"y-marginalization broken at stage {k}")
         return True
@@ -363,7 +380,7 @@ def kr_coupling(x_lattice, y_lattice):
     (the common-uniform construction applied to every product state)."""
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
-    plans = tuple((index_x, index_y, None) for (index_x, _), (index_y, _)
+    plans = tuple((rows_x.index, rows_y.index, None) for rows_x, rows_y
                   in zip(x_lattice.kernel_rows, y_lattice.kernel_rows))
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice, plans=plans)
 
@@ -382,7 +399,7 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
     lat_y, maps_y, _ = build_lattice(b_y, sigma_y, n_steps, m, max_support,
                                      trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
-    for kx, ky, mx, my, (index_x, _), (index_y, _) in zip(
+    for kx, ky, mx, my, (index_x, *_), (index_y, *_) in zip(
             lat_x.transitions, lat_y.transitions, maps_x, maps_y,
             lat_x.kernel_rows, lat_y.kernel_rows):
         # slot of each atom's child within its kernel row's support
@@ -419,11 +436,11 @@ class BicausalSolution:
 
     ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k,
     the format of ``CoupledChain.plans``, and ``rows_*[k]`` are the two
-    kernels' padded rows (index, weights) at stage k.  A stage that passed
-    the stage Monge certificate stores None: each of its inner plans is the
-    quantile plan of its two kernel rows, rebuilt when read.  Otherwise
-    ``plans[i, j]`` is the optimal inner plan of product state (i, j) on
-    the padded rows.  ``inner_values[k][i, j]`` is the inner value.
+    kernels' ``padded_rows`` at stage k.  A stage that passed the stage
+    Monge certificate stores None: each of its inner plans is the quantile
+    plan of its two kernel rows, gathered from the stage's plan table when
+    read.  Otherwise ``plans[i, j]`` is the optimal inner plan of product
+    state (i, j) on the padded rows.  ``inner_values[k][i, j]`` is the inner value.
     ``n_simplex`` counts the inner blocks that failed the Monge check and
     were solved by the transportation simplex; the others took their
     quantile plan.
@@ -451,25 +468,39 @@ class BicausalSolution:
         true row supports, built on first access for the perfbench block
         counts; the library itself does not read it."""
         policy = []
-        for (index_x, index_y, plans), vals, (_, wx), (_, wy) in zip(
+        for (index_x, index_y, plans), vals, rows_x, rows_y in zip(
                 self.plans, self.inner_values, self.rows_x, self.rows_y):
-            plans = _stage_plans(plans, wx, wy)
+            plans = _stage_plans(plans, rows_x, rows_y)
+            sizes_x = np.count_nonzero(rows_x.weights, axis=1)
+            sizes_y = np.count_nonzero(rows_y.weights, axis=1)
             policy.append({(i, j): (index_x[i, :a], index_y[j, :b],
                                     plans[i, j, :a, :b], vals[i, j])
-                           for i, a in enumerate(np.count_nonzero(wx, axis=1))
-                           for j, b in enumerate(np.count_nonzero(wy, axis=1))})
+                           for i, a in enumerate(sizes_x)
+                           for j, b in enumerate(sizes_y)})
         return tuple(policy)
 
     def plan_at(self, stage, i, j):
         """Inner plan of product state (i, j) at ``stage`` on the full child
-        supports."""
+        supports.  ``stage`` lies in [0, n) and (i, j) indexes the stage's
+        two supports; anything else raises ConfigError."""
+        try:
+            stage, i, j = map(operator.index, (stage, i, j))
+        except TypeError:
+            raise ConfigError("plan_at needs integer stage and state indices") from None
+        if not 0 <= stage < len(self.plans):
+            raise ConfigError(f"stage {stage} outside [0, {len(self.plans)})")
+        n_i, n_j = self.values_x[stage].size, self.values_y[stage].size
+        if not (0 <= i < n_i and 0 <= j < n_j):
+            raise ConfigError(f"state ({i}, {j}) outside the {n_i} x {n_j} "
+                              f"product support of stage {stage}")
         index_x, index_y, plans = self.plans[stage]
-        wx, wy = self.rows_x[stage][1], self.rows_y[stage][1]
+        rows_x, rows_y = self.rows_x[stage], self.rows_y[stage]
+        wx, wy = rows_x.weights, rows_y.weights
         n_x, n_y = self.values_x[stage + 1].size, self.values_y[stage + 1].size
         joint = np.zeros((n_x, n_y))
         # the padding repeats a support index with zero mass
         np.add.at(joint, (index_x[i][:, None], index_y[j]),
-                  _state_plans(plans, wx, wy, i, j))
+                  _state_plans(plans, rows_x, rows_y, i, j))
         return TransportPlan(joint=joint,
                              row_marginal=np.bincount(index_x[i], wx[i], n_x),
                              col_marginal=np.bincount(index_y[j], wy[j], n_y),
@@ -537,29 +568,32 @@ def _stage_certified(cost, index_x, index_y):
     return bool((mixed <= c00).all())
 
 
-def _quantile_stage(cost, index_x, wx, index_y, wy):
+def _quantile_stage(cost, rows_x, rows_y):
     """(blocks, plans, values) of a stage's quantile plans: the padded
     (n_x, n_y, a, b) blocks of the stage cost, every product state's
     quantile plan, and each plan's value on its block."""
     # two np.take gathers; the blocks are made contiguous because einsum's
-    # summation order, and so the values' last bits, follow the layout
-    blocks = np.ascontiguousarray(cost.take(index_y, axis=1).take(index_x, axis=0)
-                                  .transpose(0, 2, 1, 3))
-    plans = _stage_plans(None, wx, wy)
+    # summation order, and so the values' last bits, follow the layout (the
+    # plans, gathered from the plan table, are contiguous too)
+    blocks = np.ascontiguousarray(cost.take(rows_y.index, axis=1)
+                                  .take(rows_x.index, axis=0).transpose(0, 2, 1, 3))
+    plans = _stage_plans(None, rows_x, rows_y)
     return blocks, plans, np.einsum("ijab,ijab->ij", plans, blocks)
 
 
-def _solve_blocks(cost, index_x, wx, index_y, wy):
+def _solve_blocks(cost, rows_x, rows_y):
     """Optimal inner plans and values of a stage, checked block by block.
 
-    The padded rows ``index_*`` and their weights ``w*`` come from
-    ``padded_rows``; the padding repeats a row's last support, so its
-    mixed differences vanish.  A block whose adjacent mixed 2x2
-    differences are all within the simplex's optimality tolerance is Monge
-    and its quantile plan is optimal (Hoffman 1963); the other blocks go to
-    the simplex.  Returns (plans, values, simplex count).
+    ``rows_*`` are the two kernels' ``padded_rows``; the padding repeats a
+    row's last support, so its mixed differences vanish.  A block whose
+    adjacent mixed 2x2 differences are all within the simplex's optimality
+    tolerance is Monge and its quantile plan is optimal (Hoffman 1963); the
+    other blocks go to the simplex, whose plans overwrite the gathered
+    quantile plans.  Returns (plans, values, simplex count).
     """
-    blocks, plans, values = _quantile_stage(cost, index_x, wx, index_y, wy)
+    blocks, plans, values = _quantile_stage(cost, rows_x, rows_y)
+    index_x, wx = rows_x.index, rows_x.weights
+    index_y, wy = rows_y.index, rows_y.weights
     mixed = (blocks[:, :, :-1, :-1] + blocks[:, :, 1:, 1:]
              - blocks[:, :, :-1, 1:] - blocks[:, :, 1:, :-1])
     tol = PIVOT_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(2, 3)))
@@ -574,19 +608,20 @@ def _solve_blocks(cost, index_x, wx, index_y, wy):
     return plans, values, len(fallback)
 
 
-def _solve_stage(cost, index_x, wx, index_y, wy):
+def _solve_stage(cost, rows_x, rows_y):
     """Optimal inner plans and values of every product state of one stage.
 
-    ``cost`` is the stage cost on the two child supports.  A stage that
-    passes ``_stage_certified`` takes every quantile plan and returns None
-    for its plans; any other stage goes to ``_solve_blocks``.  Returns
-    (plans, values, simplex count).
+    ``cost`` is the stage cost on the two child supports and ``rows_*``
+    are the two kernels' ``padded_rows``.  A stage that passes
+    ``_stage_certified`` takes every quantile plan and returns None for its
+    plans; any other stage goes to ``_solve_blocks``.  Returns (plans,
+    values, simplex count).
     """
     if not np.isfinite(cost).all():
         raise ConfigError("stage costs must be finite")
-    if _stage_certified(cost, index_x, index_y):
-        return None, _quantile_stage(cost, index_x, wx, index_y, wy)[2], 0
-    return _solve_blocks(cost, index_x, wx, index_y, wy)
+    if _stage_certified(cost, rows_x.index, rows_y.index):
+        return None, _quantile_stage(cost, rows_x, rows_y)[2], 0
+    return _solve_blocks(cost, rows_x, rows_y)
 
 
 def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
@@ -601,12 +636,12 @@ def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
         cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        (index_x, wx), (index_y, wy) = rows_x[k], rows_y[k]
-        stage, v_next, fallbacks = _solve_stage(cost, index_x, wx, index_y, wy)
+        stage, v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k])
         n_simplex += fallbacks
-        plans[k] = (index_x, index_y, stage)
+        plans[k] = (rows_x[k].index, rows_y[k].index, stage)
         inner_values[k] = v_next
-    return BicausalSolution(value=v_next[0, 0], p=p, stage_weights=stage_weights,
+    return BicausalSolution(value=float(v_next[0, 0]), p=p,
+                            stage_weights=stage_weights,
                             values_x=tuple(values_x), values_y=tuple(values_y),
                             rows_x=tuple(rows_x), rows_y=tuple(rows_y),
                             plans=tuple(plans), inner_values=tuple(inner_values),

@@ -246,11 +246,22 @@ def test_lattice_kernel_rows_are_built_once_and_read_only():
     lattice = build_lattice(ou(1.0), constant(1.0, role="diffusion"), 3, 3, 27)
     rows = lattice.kernel_rows
     assert rows is lattice.kernel_rows and len(rows) == 3
-    for (index, weights), kernel in zip(rows, lattice.transitions):
-        assert not index.flags.writeable and not weights.flags.writeable
+    reread = MarkovLattice.from_json(lattice.to_json()).kernel_rows
+    for stage, kernel, again in zip(rows, lattice.transitions, reread):
+        index, weights, kind, distinct = stage
+        assert not any(array.flags.writeable for array in stage)
         dense = np.zeros_like(kernel)
         np.add.at(dense, (np.arange(kernel.shape[0])[:, None], index), weights)
         assert np.array_equal(dense, kernel)
+        # the kinds number the distinct padded weight rows
+        assert np.array_equal(distinct[kind], weights)
+        assert len(np.unique(distinct, axis=0)) == len(distinct)
+        # a lattice read back from its file has the same rows and kinds
+        for array, array_again in zip(stage, again):
+            assert array.shape == array_again.shape
+            assert array.tobytes() == array_again.tobytes()
+    # masses are sums of equal atom weights, so rows repeat
+    assert any(len(stage.distinct) < len(stage.kind) for stage in rows)
 
 
 @given(st.floats(0.0, 2.0), st.floats(0.1, 2.0), st.floats(-1.0, 1.0),

@@ -262,6 +262,25 @@ def test_exit_frequency_sandwich():
     assert lower - margin <= freq <= upper + margin
 
 
+def test_single_substep_clamp_matches_the_stopped_sum():
+    # one substep takes the clamp; a trailing -0.0 substep sends the same
+    # running sums (x + -0.0 has the bits of x, for -0.0 and NaN too)
+    # through the general stopped sum
+    barrier = truncation_level(0.1, 1)
+    edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, barrier, -barrier,
+             np.nextafter(barrier, 0.0), np.nextafter(-barrier, 0.0),
+             np.nextafter(barrier, 1.0), 2.0 * barrier, 1e-300, -5e-324]
+    x = np.concatenate([edges, np.random.default_rng(5).normal(
+        scale=barrier, size=400)]).reshape(2, -1, 1)
+    values, exited = truncate_increments(x, barrier)
+    general = truncate_increments(np.concatenate([x, np.full_like(x, -0.0)],
+                                                 axis=-1), barrier)
+    assert values.shape == exited.shape == x.shape[:-1]
+    assert values.tobytes() == general[0].tobytes()
+    assert np.array_equal(exited, general[1])
+    assert exited.any() and not exited.all()
+
+
 def _pooled(values, threads):
     moments = map_batches(lambda lo, hi, _ws: batch_moments(values[lo:hi]),
                           values.size, threads=threads)

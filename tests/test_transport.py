@@ -13,8 +13,10 @@ from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
-from adapted_ot.transport import (PIVOT_TOL, _quantile_stage, _solve_blocks,
+from adapted_ot.transport import (PIVOT_TOL, _cdfs, _quantile_plans,
+                                  _quantile_stage, _solve_blocks,
                                   _solve_stage, _stage_certified, _stage_plans,
+                                  _state_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
@@ -228,9 +230,9 @@ def _normalised(raw):
 
 def _one_block(cost, a, b):
     """The stage solver on a stage of one product state."""
-    (index_x, wx), (index_y, wy) = padded_rows(a[None]), padded_rows(b[None])
-    plans, values, n_simplex = _solve_stage(cost, index_x, wx, index_y, wy)
-    return _stage_plans(plans, wx, wy)[0, 0], values[0, 0], n_simplex
+    rows_x, rows_y = padded_rows(a[None]), padded_rows(b[None])
+    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y)
+    return _stage_plans(plans, rows_x, rows_y)[0, 0], values[0, 0], n_simplex
 
 
 @given(MASSES, MASSES, st.data())
@@ -303,8 +305,8 @@ def _kernel(draw, n_rows, n_children):
 @given(st.data())
 def test_stage_certificate_implies_every_block_passes(data):
     n_x, n_y = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
-    index_x, wx = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_x)))
-    index_y, wy = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_y)))
+    rows_x = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_x)))
+    rows_y = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_y)))
     # a stage cost w |x' - y'|^p + V on sorted supports, with V Monge (a
     # double cumulative sum of a nonpositive density, plus separable terms)
     # or arbitrary
@@ -329,10 +331,9 @@ def test_stage_certificate_implies_every_block_passes(data):
             max_size=n_x * n_y))).reshape(n_x, n_y)
     w = data.draw(st.sampled_from([1.0, 1.0 / 16]))
     cost = w * np.abs(xs[:, None] - ys[None, :]) ** p + v_next
-    plans, values, n_simplex = _solve_stage(cost, index_x, wx, index_y, wy)
-    block_plans, block_values, block_simplex = _solve_blocks(cost, index_x, wx,
-                                                             index_y, wy)
-    certified = _stage_certified(cost, index_x, index_y)
+    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y)
+    block_plans, block_values, block_simplex = _solve_blocks(cost, rows_x, rows_y)
+    certified = _stage_certified(cost, rows_x.index, rows_y.index)
     event(f"certified={certified}, per-block simplex solves={block_simplex > 0}")
     if certified:
         # no block fails the per-block check, and the stage's values are
@@ -340,7 +341,7 @@ def test_stage_certificate_implies_every_block_passes(data):
         assert block_simplex == 0
         assert plans is None and n_simplex == 0
         assert np.array_equal(values, block_values)
-        assert np.array_equal(_stage_plans(plans, wx, wy), block_plans)
+        assert np.array_equal(_stage_plans(plans, rows_x, rows_y), block_plans)
     else:
         assert np.array_equal(plans, block_plans)
         assert np.array_equal(values, block_values)
@@ -359,13 +360,61 @@ def test_quantile_stage_values_keep_the_contiguous_einsum_bits():
             kernel = rng.random((rows, children)) * (rng.random((rows, children)) < 0.4)
             kernel[np.arange(rows), rng.integers(0, children, rows)] += 0.1
             kernels.append(kernel / kernel.sum(axis=1, keepdims=True))
-        (index_x, wx), (index_y, wy) = padded_rows(kernels[0]), padded_rows(kernels[1])
+        rows_x, rows_y = padded_rows(kernels[0]), padded_rows(kernels[1])
+        index_x, index_y = rows_x.index, rows_y.index
         cost = rng.normal(size=(kernels[0].shape[1], kernels[1].shape[1]))
-        plans = _stage_plans(None, wx, wy)
+        plans = _stage_plans(None, rows_x, rows_y)
         reference = np.einsum("ijab,ijab->ij", plans,
                               cost[index_x[:, None, :, None], index_y[None, :, None, :]])
-        values = _quantile_stage(cost, index_x, wx, index_y, wy)[2]
+        values = _quantile_stage(cost, rows_x, rows_y)[2]
         assert np.array_equal(values, reference)
+
+
+@st.composite
+def _repeating_kernel(draw):
+    """A kernel whose rows reuse a few mass vectors, on supports of their
+    own: repeated rows, equal masses on different supports, and padding.
+    Masses are atom counts over their total, as on a lattice, and each mass
+    vector comes with its tail reversed: distinct rows with equal leading
+    masses."""
+    n_children = draw(st.integers(1, 6))
+    masses = draw(st.lists(st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=n_children), min_size=1, max_size=3))
+    masses += [mass[:1] + mass[:0:-1] for mass in masses]
+    kernel = np.zeros((draw(st.integers(1, 8)), n_children))
+    for row in kernel:
+        mass = np.array(draw(st.sampled_from(masses)))
+        support = draw(st.lists(st.integers(0, n_children - 1), min_size=mass.size,
+                                max_size=mass.size, unique=True))
+        row[sorted(support)] = mass / mass.sum()
+    return kernel
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(_repeating_kernel(), _repeating_kernel(), st.data())
+def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky, data):
+    rows_x, rows_y = padded_rows(kx), padded_rows(ky)
+    for rows in (rows_x, rows_y):
+        # two rows share a kind exactly when their padded weights are equal
+        equal = (rows.weights[:, None] == rows.weights[None]).all(axis=2)
+        assert np.array_equal(equal, rows.kind[:, None] == rows.kind[None])
+        assert np.array_equal(rows.distinct[rows.kind], rows.weights)
+    event(f"repeated rows: {len(rows_x.distinct) < len(kx)}")
+    # the reference builds the quantile plan of every pair from its own rows
+    cx, cy = _cdfs(rows_x.weights), _cdfs(rows_y.weights)
+    stage = _stage_plans(None, rows_x, rows_y)
+    assert stage.flags.c_contiguous
+    assert _same_bits(stage, _quantile_plans(cx[:, None], cy[None]))
+    i = np.array(data.draw(st.lists(st.integers(0, len(kx) - 1), min_size=1,
+                                    max_size=10)))
+    j = np.array(data.draw(st.lists(st.integers(0, len(ky) - 1), min_size=i.size,
+                                    max_size=i.size)))
+    states = _state_plans(None, rows_x, rows_y, i, j)
+    assert states.flags.c_contiguous
+    assert _same_bits(states, _quantile_plans(cx[i], cy[j]))
 
 
 @pytest.mark.parametrize("name", ["drift-gap", "vol-gap", "ou-vol"])
@@ -440,7 +489,7 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
     # the stage's quantile plans, made explicit so that they can be edited
     index_x, index_y, implicit = chain.plans[k]
     assert implicit is None
-    plans = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
+    plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
     explicit = dataclasses.replace(chain, plans=chain.plans[:k]
                                    + ((index_x, index_y, plans),)
                                    + chain.plans[k + 1:])
@@ -469,8 +518,7 @@ def test_kr_coupling_deterministic_x_gives_product():
     chain = kr_coupling(lat_x, lat_y)
     for k, (index_x, index_y, plans) in enumerate(chain.plans):
         assert plans is None
-        plans = _stage_plans(plans, lat_x.kernel_rows[k][1],
-                             lat_y.kernel_rows[k][1])
+        plans = _stage_plans(plans, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
         # x-kernel is a Dirac, so the joint child law is the y-kernel
         assert index_x.shape[1] == 1
         assert plans.shape[2:] == (1, index_y.shape[1])
@@ -490,13 +538,13 @@ def test_synchronous_product_chain_equals_kr():
                                                          4, 4, 20)
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
     kr_chain = kr_coupling(lat_x, lat_y)
-    for stage_sync, stage_kr, (_, wx), (_, wy) in zip(
+    for stage_sync, stage_kr, rows_x, rows_y in zip(
             sync_chain.plans, kr_chain.plans, lat_x.kernel_rows, lat_y.kernel_rows):
         (ix_a, iy_a, plans_a), (ix_b, iy_b, plans_b) = stage_sync, stage_kr
         assert np.array_equal(ix_a, ix_b) and np.array_equal(iy_a, iy_b)
         # the sync chain stores its plans, the KR chain rebuilds them
         assert plans_a is not None and plans_b is None
-        plans_b = _stage_plans(plans_b, wx, wy)
+        plans_b = _stage_plans(plans_b, rows_x, rows_y)
         # the same product states send mass to the same child pairs, and
         # the same mass
         assert np.array_equal(plans_a > 0, plans_b > 0)
@@ -529,6 +577,7 @@ def test_coupled_cost_deterministic_pair():
 def test_bicausal_dp_zero_on_identical():
     lat = build_lattice(ou(1.0), UNIT_VOL, 4, 3, 30)
     sol = bicausal_dp(lat, lat, p=2, scaled=True)
+    assert type(sol.value) is float
     assert sol.value == pytest.approx(0.0, abs=1e-15)
     sol.validate()
 
@@ -562,6 +611,19 @@ def test_plan_at_exposes_valid_transport_plans():
     plan.validate()
 
 
+def test_plan_at_rejects_stages_and_states_out_of_range():
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30)
+    lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
+    sol = bicausal_dp(lat_x, lat_y, p=2)
+    n_x, n_y = lat_x.supports[2].size, lat_y.supports[2].size
+    sol.plan_at(2, n_x - 1, n_y - 1).validate()
+    for stage, i, j in [(-1, 0, 0), (3, 0, 0), (2, -1, 0), (2, 0, -1),
+                        (2, n_x, 0), (2, 0, n_y), (0, 1, 0), (1.0, 0, 0),
+                        (1, "0", 0)]:
+        with pytest.raises(ConfigError):
+            sol.plan_at(stage, i, j)
+
+
 def test_bicausal_solution_validate_rejects_perturbed_plan():
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30)
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
@@ -571,7 +633,7 @@ def test_bicausal_solution_validate_rejects_perturbed_plan():
     # edited; stored explicitly, they still validate
     index_x, index_y, implicit = sol.plans[0]
     assert implicit is None
-    plans = _stage_plans(None, sol.rows_x[0][1], sol.rows_y[0][1])
+    plans = _stage_plans(None, sol.rows_x[0], sol.rows_y[0])
     explicit = dataclasses.replace(
         sol, plans=((index_x, index_y, plans),) + sol.plans[1:])
     explicit.validate()
@@ -592,7 +654,7 @@ def test_policy_view_cuts_stage_records_to_true_supports():
     for k, stage in enumerate(sol.policy):
         kx, ky = lat_x.transitions[k], lat_y.transitions[k]
         # the stage's quantile plans, rebuilt from the padded rows
-        plans = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
+        plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
         assert len(stage) == kx.shape[0] * ky.shape[0]
         for (i, j), (si, sj, plan, val) in stage.items():
             assert np.array_equal(si, np.flatnonzero(kx[i]))
@@ -616,7 +678,7 @@ def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
         assert np.array_equal(ix, ix_kr) and np.array_equal(iy, iy_kr)
         assert plans is None and plans_kr is None
         # the policy's plans are the KR chain's, cell for cell
-        rebuilt = _stage_plans(None, lat_x.kernel_rows[k][1], lat_y.kernel_rows[k][1])
+        rebuilt = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
         for (i, j), (_, _, plan, _) in sol.policy[k].items():
             assert np.array_equal(plan, rebuilt[i, j, :plan.shape[0], :plan.shape[1]])
 
@@ -630,7 +692,7 @@ def test_tree_dp_fallback_matches_lp():
         mu = acceptance_random_tree(rng, n_stages=stages)
         nu = acceptance_random_tree(rng, n_stages=stages)
     sol = tree_bicausal_dp(mu, nu, p=2)
-    assert sol.n_simplex > 0
+    assert sol.n_simplex > 0 and type(sol.value) is float
     sol.validate()
     assert sol.value == pytest.approx(causal_lp(mu, nu, p=2, mode="bicausal"),
                                       abs=1e-8)
