@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import (_propagate, _step_increments, closed_form_cost,
-                       convergence_study, counterexample_nonmarkov,
-                       em_expected_cost, rho_scan, stability_study,
-                       sync_distance_mc)
+from .estimate import (closed_form_cost, convergence_study,
+                       counterexample_nonmarkov, em_expected_cost, rho_scan,
+                       stability_study, sync_distance_mc)
 from .lattice import build_lattice, check_fosd, fosd_sufficient_condition
 from .model import (DiscretePathMeasure, MarkovLattice, TimeGrid, affine,
                     constant, growth_bounds, ou, table)
@@ -25,7 +24,7 @@ from .noise import (exit_probability_bounds, fourth_moment_truncation_error,
                     map_batches, replicate_normals, truncate_increments,
                     truncation_level)
 from .presets import PRESETS, get_preset, mollified_abs_ladder
-from .sde import zvonkin_transform
+from .sde import _propagate, _step_increments, zvonkin_transform
 from .transport import (bicausal_dp, causal_lp, coupled_cost, kr_coupling,
                         metric_suite, tree_bicausal_dp)
 

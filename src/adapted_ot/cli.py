@@ -26,7 +26,8 @@ from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     check_p, parse_coefficient, constant)
 from .noise import sample_correlated_pair, constant_rho
 from .presets import PRESETS, get_preset, mollified_abs_ladder
-from .sde import euler_maruyama, monotone_em, transformed_monotone_em
+from .sde import (_SCHEMES, euler_maruyama, monotone_em,
+                  transformed_monotone_em, zvonkin_transform)
 from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
 FLOAT_FMT = "%.17g"
@@ -71,15 +72,23 @@ def _coeff_pair(args):
             parse_coefficient(args.vol_y, role="diffusion"))
 
 
+def _number_list(text, convert, flag):
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of numbers, "
+                          f"got {text!r}") from None
+
+
 def _cmd_simulate(args):
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be positive, got {args.samples}")
     drift = parse_coefficient(args.drift, role="drift")
     vol = parse_coefficient(args.vol, role="diffusion")
     grid = TimeGrid(args.n_steps)
     times = grid.times()
-    transform = None
-    if args.scheme == "zvonkin-em":
-        from .sde import zvonkin_transform
-        transform = zvonkin_transform(drift, vol, args.x0)
+    transform = (zvonkin_transform(drift, vol, args.x0)
+                 if args.scheme == "zvonkin-em" else None)
     rows = []
     for rep in range(args.samples):
         block = sample_correlated_pair(grid, constant_rho(1.0),
@@ -148,7 +157,7 @@ def _cmd_metrics(args):
 
 def _cmd_rho_scan(args):
     b_x, s_x, b_y, s_y = _coeff_pair(args)
-    rhos = [float(v) for v in args.rhos.split(",")]
+    rhos = _number_list(args.rhos, float, "--rhos")
     rows = rho_scan(b_x, s_x, b_y, s_y, TimeGrid(args.n_steps), args.p, rhos,
                     args.samples, seed=args.seed, threads=args.threads)
     _write_csv(args.out, ["rho", "estimate", "stderr"],
@@ -158,7 +167,7 @@ def _cmd_rho_scan(args):
 
 def _cmd_convergence(args):
     b_x, s_x, b_y, s_y = _coeff_pair(args)
-    n_list = [int(v) for v in args.n_list.split(",")]
+    n_list = _number_list(args.n_list, int, "--n-list")
     rows = convergence_study(b_x, s_x, b_y, s_y, args.p, n_list, args.atoms,
                              args.max_support, trunc_k=args.trunc_k,
                              mc_samples=args.samples, seed=args.seed,
@@ -216,8 +225,7 @@ def build_parser():
     sim.add_argument("--drift", required=True)
     sim.add_argument("--vol", required=True)
     sim.add_argument("--n-steps", type=int, required=True)
-    sim.add_argument("--scheme", choices=["em", "monotone-em", "zvonkin-em"],
-                     default="em")
+    sim.add_argument("--scheme", choices=_SCHEMES, default="em")
     sim.add_argument("--trunc-k", type=int, default=4)
     sim.add_argument("--samples", type=int, default=10)
     sim.add_argument("--seed", type=int, default=0)

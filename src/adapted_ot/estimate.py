@@ -1,7 +1,8 @@
 """Monte Carlo estimators and experiment drivers: synchronous-coupling
 distance, correlation-control scans, the scaled-DP convergence study, the
 coefficient-stability study, the non-Markovian counterexample, and a
-closed-form oracle registry.
+closed-form oracle registry.  The step increments and the batch recursion
+``_propagate`` they run come from ``sde``, the one scheme layer.
 
 Costs integrate the scheme's piecewise-linear interpolant exactly on each
 segment; for quadratic cost a Brownian-bridge variance term corrects for the
@@ -11,11 +12,12 @@ a fixed block of the master's counter-based stream (see ``noise``); each
 batch of replicates is drawn in one call, and serial and threaded runs agree.
 
 A batch runs step-major: its increments, paths and sigma values are arrays
-with one row per step and one column per replicate, so each step of the
-recursion reads and writes contiguous rows.  The per-replicate cost sums run
-replicate-major: the path difference and the bridge variance are written
-transposed, once per batch, so numpy sums each replicate's contiguous row
-pairwise, the same additions in the same order whatever the batch layout.
+with one row per step and one column per replicate, so each step of
+``sde._propagate`` reads and writes contiguous rows.  The per-replicate cost
+sums run replicate-major: the path difference and the bridge variance are
+written transposed, once per batch, so numpy sums each replicate's
+contiguous row pairwise, the same additions in the same order whatever the
+batch layout.
 
 The batches run on ``noise.map_batches``, which gives each worker thread one
 ``noise.Workspace`` for all its batches.  Every step writes into it through
@@ -40,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import build_lattice, check_fosd
-from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD, TimeGrid,
-                    check_p)
+from .model import ConfigError, DivergenceError, TimeGrid, check_p
 from .noise import (batch_moments, constant_rho, map_batches, pool_moments,
-                    replicate_normals, sample_correlated_pair,
-                    truncate_increments, truncation_level)
-from .sde import zvonkin_transform
+                    replicate_normals, sample_correlated_pair, truncation_level)
+from .sde import _SCHEMES, _propagate, _step_increments, zvonkin_transform
 from .transport import bicausal_dp, coupled_cost, kr_coupling
 
 
@@ -114,77 +114,12 @@ def _bridge_variance(sig_x, sig_y, rho_k, out=None, scratch=None):
     return var
 
 
-def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
-    """Vectorized one-step recursion across a batch of replicates, step-major.
-
-    ``deltas`` has one row of replicate increments per step, shape (N, B).
-    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta.  With
-    a drift-removing transform T it is the driftless step
-    y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y);
-    T^{-1} stays inside its table, so only the direct recursion can diverge.
-    Returns (paths, sigma values, diverged mask) with paths (N + 1, B) and
-    sigma values (N, B), so each step reads and writes one contiguous row;
-    they are written to the arrays ``out``, if given, else to new ones.
-    Diverged replicates are frozen at x0 so the batch can finish.
-    """
-    n, n_rep = deltas.shape
-    if out is None:
-        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)),
-               np.empty(n_rep, dtype=bool))
-    paths, sig, bad = out
-    paths[0] = x0
-    bad[:] = False
-    tmp = np.empty(n_rep)
-    flags = np.empty(n_rep, dtype=bool)
-    if transform is not None:
-        y = np.full(n_rep, float(transform.forward(x0)))
-    for k in range(n):
-        x, x_next, sv = paths[k], paths[k + 1], sig[k]
-        sv[:] = sigma.evaluate(x)
-        if transform is None:
-            # x + h b(x) + sigma(x) delta, in that order
-            np.multiply(b.evaluate(x), h, out=x_next)
-            x_next += x
-            x_next += np.multiply(sv, deltas[k], out=tmp)
-        else:
-            np.multiply(transform.derivative(x), sv, out=tmp)
-            tmp *= deltas[k]
-            y += tmp
-            x_next[:] = transform.inverse(y)
-        # NaN and +-inf fail the comparison too
-        if not np.less_equal(np.abs(x_next, out=tmp), DIVERGENCE_THRESHOLD,
-                             out=flags).all():
-            newly_bad = np.logical_not(flags, out=flags)
-            bad |= newly_bad
-            x_next[newly_bad] = x0
-    return paths, sig, bad
-
-
-def _step_increments(substeps, barrier, out=None):
-    """Step-major (N, B) increments of a (B, N, m_sub) substep batch.
-
-    The substeps of a step are added one after another, the running sum of
-    ``cumsum`` bit for bit, into ``out`` if given; at m_sub = 1 the result
-    is a view of ``substeps``.  Unless ``barrier`` is None, the sum is
-    stopped there (``noise.truncate_increments``).
-    """
-    if barrier is not None:
-        return np.ascontiguousarray(truncate_increments(substeps, barrier)[0].T)
-    steps = substeps.transpose(1, 0, 2)
-    if steps.shape[-1] == 1:
-        return steps[..., 0]
-    out = np.add(steps[..., 0], steps[..., 1], out=out)
-    for j in range(2, steps.shape[-1]):
-        out += steps[..., j]
-    return out
-
-
 def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
                      scheme="em", m_sub=1, trunc_k=4, x0=0.0, threads=None):
     """Expected integral cost of the coupled pair driven by a rho-correlated
     noise pair; the backbone of the synchronous estimator and the rho scan."""
     check_p(p)
-    if scheme not in ("em", "monotone-em", "zvonkin-em"):
+    if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     n = grid.n_steps
     h = grid.h
@@ -296,16 +231,18 @@ def convergence_study(b_x, sigma_x, b_y, sigma_y, p, n_list, m, max_support,
     is identical across rows.  A failed dominance certificate is recorded in
     the row, which is still computed.
     """
+    grids = [TimeGrid(n) for n in n_list]  # checked before the MC column runs
     mc = sync_distance_mc(b_x, sigma_x, b_y, sigma_y, TimeGrid(mc_n_steps), p,
                           mc_samples, seed=seed, x0=x0, threads=threads)
     rows = []
-    for n in n_list:
+    for grid in grids:
+        n = grid.n_steps
         lat_x = build_lattice(b_x, sigma_x, n, m, max_support, trunc_k=trunc_k, x0=x0)
         lat_y = build_lattice(b_y, sigma_y, n, m, max_support, trunc_k=trunc_k, x0=x0)
         dp = bicausal_dp(lat_x, lat_y, p=p, scaled=True)
         kr = coupled_cost(kr_coupling(lat_x, lat_y), p=p, scaled=True)
         rows.append(ConvergenceRow(
-            n_steps=n, h=1.0 / n, dp_scaled=dp.value, kr_cost=kr,
+            n_steps=n, h=grid.h, dp_scaled=dp.value, kr_cost=kr,
             mc_sync=mc.estimate, mc_stderr=mc.stderr,
             fosd_x=check_fosd(lat_x).ok, fosd_y=check_fosd(lat_y).ok))
     return rows
@@ -327,6 +264,8 @@ def stability_study(b_target, sigma_target, approx_pairs, b_other, sigma_other,
     Row ``gap`` is |cost_level - cost_target| with identical noise, so it
     isolates the coefficient perturbation from Monte Carlo noise.
     """
+    if not approx_pairs:
+        raise ConfigError("the stability study needs an approximation level")
     target = sync_distance_mc(b_target, sigma_target, b_other, sigma_other,
                               grid, p, n_samples, seed=seed, **kwargs)
     rows = []

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import ConfigError, MarkovLattice, PROB_TOL, growth_bounds
+from .model import ConfigError, MarkovLattice, PROB_TOL, TimeGrid, growth_bounds
 from .noise import truncation_level
 
 
@@ -153,7 +153,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         raise ConfigError("max_support must be at least the atom count m")
     for spec in (b, sigma):
         growth_bounds(spec)  # rejects path-dependent kinds
-    h = 1.0 / n_steps
+    h = TimeGrid(n_steps).h
     # the barrier formula degenerates at h = 1 (log 1 = 0); a single-step
     # chain uses the untruncated increment
     barrier = truncation_level(h, trunc_k) if n_steps > 1 else np.inf

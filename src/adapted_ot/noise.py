@@ -89,7 +89,8 @@ class IncrementBlock:
     variance h/m_sub, and ``dW_bar = rho * dW + sqrt(1 - rho^2) * dW_perp``
     with ``rho`` evaluated at the step's left endpoint.  Where rho = 1 on
     every step, ``dW_bar`` is ``dW`` itself.  A batch's arrays are
-    transposed views of step-major (N, m_sub, n_replicates) arrays.
+    transposed views of step-major (N, m_sub, n_replicates) arrays; the
+    schemes step by their ``sde._step_increments``.
     """
 
     grid: TimeGrid
@@ -97,14 +98,6 @@ class IncrementBlock:
     dW_bar: np.ndarray
     seed: object
     m_sub: int
-
-    def step_sums(self):
-        # sequential accumulation, bit-identical to the truncated path's
-        # running sum when no barrier crossing occurs
-        return np.cumsum(self.dW, axis=-1)[..., -1]
-
-    def step_sums_bar(self):
-        return np.cumsum(self.dW_bar, axis=-1)[..., -1]
 
 
 def _split_seed(seed):

@@ -1,15 +1,17 @@
 """Path-level schemes: Euler-Maruyama, the truncated-increment (monotone)
 variant, and the drift-removing change of variable with its transformed
-scheme for bounded measurable drifts.
+scheme for bounded measurable drifts: the one scheme layer.
 
-One path runs on Python floats: coefficients are read through
+``_step_increments`` sums substep noise into per-step increments, or stops
+it at the barrier; one path's block is a batch of one.  One path runs on
+Python floats (``_run_scheme``): coefficients are read through
 ``CoefficientSpec.float_evaluator`` and the transform tables through
 ``DriftRemovingTransform.float_maps``, which do numpy's arithmetic without
 its per-call dispatch on 0-d values.  A batch of paths runs on numpy arrays
-(``estimate._propagate``), step-major: row k holds every path's state at
-step k, so one path is a column.  On the same increments the two recursions
-give the same paths bit for bit.  The path-dependent ``sign_switch`` drift
-reads its switch-time state once per path.
+(``_propagate``), step-major: row k holds every path's state at step k, so
+one path is a column.  On the same increments the two recursions give the
+same paths bit for bit.  The path-dependent ``sign_switch`` drift reads its
+switch-time state once per path.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
                     SamplePath, growth_bounds, table, table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
+# the scheme names of ``simulate --scheme`` and the Monte Carlo estimators
+_SCHEMES = ("em", "monotone-em", "zvonkin-em")
 _X_RANGE = "state left the tabulated transform range; enlarge it"
 _Y_RANGE = "transformed state left the tabulated range; enlarge it"
 
@@ -51,7 +55,7 @@ def _path_drift(spec, grid):
 
 
 def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
-    """One path of the recursion ``estimate._propagate`` runs on a batch.
+    """One path of the recursion ``_propagate`` runs on a batch.
 
     Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta; with
     a drift-removing transform T it is y <- y + T'(x) sigma(x) delta in
@@ -85,29 +89,104 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
     return SamplePath(grid=grid, values=values)
 
 
-def _stopped_increments(grid, trunc_k, block):
-    """Per-step increments stopped at the barrier K sqrt(-h log h)."""
-    barrier = truncation_level(grid.h, trunc_k)
-    if isinstance(block, IncrementBlock):
-        substeps = block.dW
-    else:
-        substeps = np.asarray(block, dtype=float)
+def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
+    """Vectorized one-step recursion across a batch of replicates, step-major.
+
+    ``deltas`` has one row of replicate increments per step, shape (N, B).
+    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta.  With
+    a drift-removing transform T it is the driftless step
+    y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y).
+    Returns (paths, sigma values, diverged mask) with paths (N + 1, B) and
+    sigma values (N, B), so each step reads and writes one contiguous row;
+    they are written to the arrays ``out``, if given, else to new ones.
+    Diverged replicates are frozen at x0 so the batch can finish.  A y
+    beyond the table of T^{-1} is no divergence: ``inverse`` raises
+    ConfigError for the whole call (at 64 steps, 5 of 1,000 single paths of
+    drift-gap's X marginal overshoot its sup T = 1/2).
+    """
+    n, n_rep = deltas.shape
+    if out is None:
+        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)),
+               np.empty(n_rep, dtype=bool))
+    paths, sig, bad = out
+    paths[0] = x0
+    bad[:] = False
+    tmp = np.empty(n_rep)
+    flags = np.empty(n_rep, dtype=bool)
+    if transform is not None:
+        y = np.full(n_rep, float(transform.forward(x0)))
+    for k in range(n):
+        x, x_next, sv = paths[k], paths[k + 1], sig[k]
+        sv[:] = sigma.evaluate(x)
+        if transform is None:
+            # x + h b(x) + sigma(x) delta, in that order
+            np.multiply(b.evaluate(x), h, out=x_next)
+            x_next += x
+            x_next += np.multiply(sv, deltas[k], out=tmp)
+        else:
+            np.multiply(transform.derivative(x), sv, out=tmp)
+            tmp *= deltas[k]
+            y += tmp
+            x_next[:] = transform.inverse(y)
+        # NaN and +-inf fail the comparison too
+        if not np.less_equal(np.abs(x_next, out=tmp), DIVERGENCE_THRESHOLD,
+                             out=flags).all():
+            newly_bad = np.logical_not(flags, out=flags)
+            bad |= newly_bad
+            x_next[newly_bad] = x0
+    return paths, sig, bad
+
+
+def _step_increments(substeps, barrier, out=None):
+    """Step-major (N, B) increments of a (B, N, m_sub) substep batch.
+
+    The substeps of a step are added one after another, the running sum of
+    ``cumsum`` bit for bit, into ``out`` if given; at m_sub = 1 the result
+    is a view of ``substeps``.  Unless ``barrier`` is None, the sum is
+    stopped there (``noise.truncate_increments``).
+    """
+    if barrier is not None:
+        return np.ascontiguousarray(truncate_increments(substeps, barrier)[0].T)
+    steps = substeps.transpose(1, 0, 2)
+    if steps.shape[-1] == 1:
+        return steps[..., 0]
+    out = np.add(steps[..., 0], steps[..., 1], out=out)
+    for j in range(2, steps.shape[-1]):
+        out += steps[..., j]
+    return out
+
+
+def _path_increments(grid, block, trunc_k=None):
+    """``_step_increments`` of one path's (N, m_sub) substep block or
+    ``IncrementBlock``, stopped at K sqrt(-h log h) for ``trunc_k`` = K."""
+    barrier = None if trunc_k is None else truncation_level(grid.h, trunc_k)
+    substeps = block.dW if isinstance(block, IncrementBlock) else np.asarray(
+        block, dtype=float)
     if substeps.ndim != 2 or substeps.shape[0] != grid.n_steps:
         raise ConfigError("substep block must have one row per step")
-    return truncate_increments(substeps, barrier)[0]
+    return _step_increments(substeps[None], barrier)[:, 0]
 
 
 def euler_maruyama(b, sigma, grid, increments, x0=0.0):
     """Classical Euler-Maruyama path from per-step Brownian increments."""
     if isinstance(increments, IncrementBlock):
-        increments = increments.step_sums()
+        increments = _path_increments(grid, increments)
     return _run_scheme(b, sigma, grid, increments, x0)
 
 
 def monotone_em(b, sigma, grid, trunc_k, block, x0=0.0):
     """Euler-Maruyama driven by increments stopped at the barrier
     K sqrt(-h log h); every applied increment satisfies |delta| <= barrier."""
-    return _run_scheme(b, sigma, grid, _stopped_increments(grid, trunc_k, block), x0)
+    return _run_scheme(b, sigma, grid, _path_increments(grid, block, trunc_k), x0)
+
+
+def _lookup(v, xp, fp, message):
+    """Range-checked ``np.interp`` through (xp, fp); a scalar gives a float."""
+    v = np.asarray(v, dtype=float)
+    if v.size and (v.min() < xp[0] or v.max() > xp[-1]):
+        raise ConfigError(message)
+    out = np.interp(v, xp, fp)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -127,25 +206,13 @@ class DriftRemovingTransform:
     lipschitz_certificate: float
 
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < self.xs[0] or x.max() > self.xs[-1]):
-            raise ConfigError(_X_RANGE)
-        out = np.interp(x, self.xs, self.ts)
-        return out if out.ndim else float(out)
+        return _lookup(x, self.xs, self.ts, _X_RANGE)
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.size and (y.min() < self.ts[0] or y.max() > self.ts[-1]):
-            raise ConfigError(_Y_RANGE)
-        out = np.interp(y, self.ts, self.xs)
-        return out if out.ndim else float(out)
+        return _lookup(y, self.ts, self.xs, _Y_RANGE)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < self.xs[0] or x.max() > self.xs[-1]):
-            raise ConfigError(_X_RANGE)
-        out = np.interp(x, self.xs, self.t_prime)
-        return out if out.ndim else float(out)
+        return _lookup(x, self.xs, self.t_prime, _X_RANGE)
 
     def float_maps(self):
         """``forward``, ``derivative`` and ``inverse`` for one Python float,
@@ -213,5 +280,5 @@ def transformed_monotone_em(b, sigma, grid, trunc_k, block, x0=0.0, transform=No
     """
     if transform is None:
         transform = zvonkin_transform(b, sigma, x0)
-    return _run_scheme(b, sigma, grid, _stopped_increments(grid, trunc_k, block),
+    return _run_scheme(b, sigma, grid, _path_increments(grid, block, trunc_k),
                        x0, transform)

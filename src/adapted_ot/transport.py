@@ -276,23 +276,14 @@ def _plan_table(rows_x, rows_y):
                            _cdfs(rows_y.distinct)[None])
 
 
-def _stage_plans(plans, rows_x, rows_y):
-    """Dense (n_x, n_y, a, b) inner plans of a stage record: the stored
-    array, or the quantile plans of every pair of padded kernel rows,
-    gathered from the stage's plan table into a fresh C-contiguous array."""
-    if plans is not None:
-        return plans
-    return _plan_table(rows_x, rows_y)[rows_x.kind[:, None], rows_y.kind[None]]
-
-
-def _state_plans(plans, rows_x, rows_y, i, j):
-    """Inner plans of the product states (i, j) of a stage record.
-
-    ``plans`` is the record's dense array, or None for quantile plans,
-    which are then gathered from the plan table of the padded kernel rows
-    ``rows_x`` and ``rows_y``; ``i`` and ``j`` are index arrays that
-    broadcast against each other.  The result is a fresh array.
-    """
+def _stage_plans(plans, rows_x, rows_y, i=None, j=None):
+    """Inner plans of the product states (i, j) of a stage, a fresh
+    C-contiguous array: of every state, (n_x, n_y, a, b), by default, else
+    of index arrays ``i`` and ``j`` that broadcast against each other.
+    ``plans`` is the stage's stored array, or None for quantile plans,
+    gathered from the plan table of the padded kernel rows ``rows_*``."""
+    if i is None:
+        i, j = np.ix_(np.arange(rows_x.kind.size), np.arange(rows_y.kind.size))
     if plans is not None:
         return plans[i, j]
     return _plan_table(rows_x, rows_y)[rows_x.kind[i], rows_y.kind[j]]
@@ -320,19 +311,18 @@ def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
 def _forward_cost(stages, rows_x, rows_y, values_x, values_y, stage_weights, p):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over a joint chain.
 
-    ``stages[k]`` is a stage record (index_x, index_y, plans) and
-    ``rows_*[k]`` the stage's padded kernel rows; each stage scatters only
-    the product states that carry mass, and gathers implicit plans for
+    ``stages[k]`` is stage k's plans (an array, or None for quantile plans)
+    and ``rows_*[k]`` the stage's padded kernel rows; each stage scatters
+    only the product states that carry mass, and gathers implicit plans for
     those states only.
     """
     pi = np.ones((1, 1))
     total = 0.0
-    for k, ((index_x, index_y, plans), stage_x, stage_y) in enumerate(
-            zip(stages, rows_x, rows_y)):
+    for k, (plans, stage_x, stage_y) in enumerate(zip(stages, rows_x, rows_y)):
         n_y = values_y[k + 1].size
         i, j = np.nonzero(pi)
-        cells = index_x[i][:, :, None] * n_y + index_y[j][:, None, :]
-        mass = _state_plans(plans, stage_x, stage_y, i, j)
+        cells = stage_x.index[i][:, :, None] * n_y + stage_y.index[j][:, None, :]
+        mass = _stage_plans(plans, stage_x, stage_y, i, j)
         mass *= pi[i, j][:, None, None]
         pi = np.bincount(cells.ravel(), weights=mass.ravel(),
                          minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
@@ -345,13 +335,13 @@ def _forward_cost(stages, rows_x, rows_y, values_x, values_y, stage_weights, p):
 class CoupledChain:
     """Joint Markov chain over product states of two lattices.
 
-    ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k:
-    ``index_*`` are the lattices' padded kernel rows (``kernel_rows``), and
-    ``plans[i, j, a, b]`` is the mass product state (i, j) sends to the
-    child pair (index_x[i, a], index_y[j, b]), zero in the padding.
-    ``plans`` is None when every product state takes the quantile plan of
-    its two kernel rows, as in every stage of ``kr_coupling``.  It is the
-    format of ``BicausalSolution.plans``.
+    ``plans[k]`` holds stage k's plans on the lattices' padded kernel rows
+    ``index_* = lattice_*.kernel_rows[k].index``: an (n_x, n_y, a, b) array
+    whose entry [i, j, a, b] is the mass product state (i, j) sends to the
+    child pair (index_x[i, a], index_y[j, b]), zero in the padding.  It is
+    None when every product state takes the quantile plan of its two
+    kernel rows, as in every stage of ``kr_coupling``.  It is the format of
+    ``BicausalSolution.plans``.
     """
 
     lattice_x: MarkovLattice
@@ -359,18 +349,22 @@ class CoupledChain:
     plans: tuple
 
     def validate(self, tol=1e-10):
-        """Check every stage's plans, gathering implicit ones, against the
-        lattices' kernel rows."""
-        for k, ((index_x, index_y, plans), rows_x, rows_y) in enumerate(
+        """Check one stage of plans per step, implicit ones gathered, against
+        the lattices' kernel rows: the rows' shape and the rows' masses."""
+        if len(self.plans) != self.lattice_x.n_steps:
+            raise ConfigError(f"{len(self.plans)} stages of plans, not one a step")
+        for k, (plans, rows_x, rows_y) in enumerate(
                 zip(self.plans, self.lattice_x.kernel_rows,
                     self.lattice_y.kernel_rows)):
-            plans = _stage_plans(plans, rows_x, rows_y)
             wx, wy = rows_x.weights, rows_y.weights
-            if (not np.array_equal(index_x, rows_x.index)
-                    or np.max(np.abs(plans.sum(axis=3) - wx[:, None])) > tol):
+            shape = wx.shape[:1] + wy.shape[:1] + wx.shape[1:] + wy.shape[1:]
+            if plans is not None and np.shape(plans) != shape:
+                raise ConfigError(f"stage {k} plans have shape "
+                                  f"{np.shape(plans)}, not {shape}")
+            plans = _stage_plans(plans, rows_x, rows_y)
+            if np.max(np.abs(plans.sum(axis=3) - wx[:, None])) > tol:
                 raise ConfigError(f"x-marginalization broken at stage {k}")
-            if (not np.array_equal(index_y, rows_y.index)
-                    or np.max(np.abs(plans.sum(axis=2) - wy[None])) > tol):
+            if np.max(np.abs(plans.sum(axis=2) - wy[None])) > tol:
                 raise ConfigError(f"y-marginalization broken at stage {k}")
         return True
 
@@ -380,9 +374,8 @@ def kr_coupling(x_lattice, y_lattice):
     (the common-uniform construction applied to every product state)."""
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
-    plans = tuple((rows_x.index, rows_y.index, None) for rows_x, rows_y
-                  in zip(x_lattice.kernel_rows, y_lattice.kernel_rows))
-    return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice, plans=plans)
+    return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
+                        plans=(None,) * x_lattice.n_steps)
 
 
 def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
@@ -411,7 +404,7 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
         np.add.at(stage, (np.arange(kx.shape[0])[:, None, None],
                           np.arange(ky.shape[0])[None, :, None],
                           slot_x[:, None, :], slot_y[None, :, :]), weights)
-        plans.append((index_x, index_y, stage))
+        plans.append(stage)
     chain = CoupledChain(lattice_x=lat_x, lattice_y=lat_y, plans=tuple(plans))
     return lat_x, lat_y, chain
 
@@ -434,13 +427,13 @@ def coupled_cost(chain, p=2, scaled=True):
 class BicausalSolution:
     """Value and optimal policy of the bi-causal transport problem.
 
-    ``plans[k]`` is the stage record (index_x, index_y, plans) of stage k,
-    the format of ``CoupledChain.plans``, and ``rows_*[k]`` are the two
-    kernels' ``padded_rows`` at stage k.  A stage that passed the stage
-    Monge certificate stores None: each of its inner plans is the quantile
-    plan of its two kernel rows, gathered from the stage's plan table when
-    read.  Otherwise ``plans[i, j]`` is the optimal inner plan of product
-    state (i, j) on the padded rows.  ``inner_values[k][i, j]`` is the inner value.
+    ``plans[k]`` holds stage k's plans in the format of
+    ``CoupledChain.plans``, on ``rows_*[k]``, the two kernels'
+    ``padded_rows`` at stage k.  A stage that passed the stage Monge
+    certificate stores None: each of its inner plans is the quantile plan
+    of its two kernel rows, gathered from the stage's plan table when read.
+    Otherwise ``plans[k][i, j]`` is the optimal inner plan of product state
+    (i, j) on the padded rows.  ``inner_values[k][i, j]`` is the inner value.
     ``n_simplex`` counts the inner blocks that failed the Monge check and
     were solved by the transportation simplex; the others took their
     quantile plan.
@@ -460,7 +453,7 @@ class BicausalSolution:
     @property
     def certified_stages(self):
         """Number of stages certified Monge as a whole (they store None)."""
-        return sum(plans is None for _, _, plans in self.plans)
+        return sum(plans is None for plans in self.plans)
 
     @cached_property
     def policy(self):
@@ -468,12 +461,12 @@ class BicausalSolution:
         true row supports, built on first access for the perfbench block
         counts; the library itself does not read it."""
         policy = []
-        for (index_x, index_y, plans), vals, rows_x, rows_y in zip(
+        for plans, vals, rows_x, rows_y in zip(
                 self.plans, self.inner_values, self.rows_x, self.rows_y):
             plans = _stage_plans(plans, rows_x, rows_y)
             sizes_x = np.count_nonzero(rows_x.weights, axis=1)
             sizes_y = np.count_nonzero(rows_y.weights, axis=1)
-            policy.append({(i, j): (index_x[i, :a], index_y[j, :b],
+            policy.append({(i, j): (rows_x.index[i, :a], rows_y.index[j, :b],
                                     plans[i, j, :a, :b], vals[i, j])
                            for i, a in enumerate(sizes_x)
                            for j, b in enumerate(sizes_y)})
@@ -493,14 +486,14 @@ class BicausalSolution:
         if not (0 <= i < n_i and 0 <= j < n_j):
             raise ConfigError(f"state ({i}, {j}) outside the {n_i} x {n_j} "
                               f"product support of stage {stage}")
-        index_x, index_y, plans = self.plans[stage]
         rows_x, rows_y = self.rows_x[stage], self.rows_y[stage]
+        index_x, index_y = rows_x.index, rows_y.index
         wx, wy = rows_x.weights, rows_y.weights
         n_x, n_y = self.values_x[stage + 1].size, self.values_y[stage + 1].size
         joint = np.zeros((n_x, n_y))
         # the padding repeats a support index with zero mass
         np.add.at(joint, (index_x[i][:, None], index_y[j]),
-                  _state_plans(plans, rows_x, rows_y, i, j))
+                  _stage_plans(self.plans[stage], rows_x, rows_y, i, j))
         return TransportPlan(joint=joint,
                              row_marginal=np.bincount(index_x[i], wx[i], n_x),
                              col_marginal=np.bincount(index_y[j], wy[j], n_y),
@@ -636,9 +629,8 @@ def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
         cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        stage, v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k])
+        plans[k], v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k])
         n_simplex += fallbacks
-        plans[k] = (rows_x[k].index, rows_y[k].index, stage)
         inner_values[k] = v_next
     return BicausalSolution(value=float(v_next[0, 0]), p=p,
                             stage_weights=stage_weights,

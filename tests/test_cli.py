@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,33 @@ def test_simulate_writes_csv_and_sidecar(tmp_path):
     sidecar = json.loads(Path(str(out) + ".sidecar.json").read_text())
     assert sidecar["command"] == "simulate"
     assert sidecar["config"]["seed"] == 5
+
+
+SIMULATE_SHA256 = {
+    ("em", 1): "1aa51a75c6bc4c529dcab0e51aab3ebb071f5e90b0bcc9ace7bb60596f680d85",
+    ("em", 16): "774fadfc8f258be90cbaf286d2ea60d6d5f86faa40bc8e085347655410ab07e1",
+    ("monotone-em", 1):
+        "5b49520ef01ced6dc8b272eaa4eac18f2b11c3e534fb1558937797dbecdcaf0c",
+    ("monotone-em", 16):
+        "44216d4daf924711fcc99232a9cf950b244647ac919726822c93f44b1baeac74",
+    ("zvonkin-em", 1):
+        "b05d3c0fb29cd406bb6239d83f0890fe008b4d0cc3092e4969c5a05cf6ce8f1e",
+    ("zvonkin-em", 16):
+        "312b8d15800a10991a0a9a29d7c5cc464261ca9cb8219532bc5c5611ba8cd671",
+}
+
+
+@pytest.mark.parametrize("scheme,m_sub", sorted(SIMULATE_SHA256))
+def test_simulate_output_bytes_are_pinned(tmp_path, scheme, m_sub):
+    # K = 1 puts the barrier at about 1.7 increment standard deviations, so
+    # the stopped schemes clamp some steps and all six files differ
+    out = tmp_path / "paths.csv"
+    assert main(["simulate", "--drift", "kind=ou theta=1", "--vol",
+                 "kind=constant value=1", "--n-steps", "16", "--samples", "4",
+                 "--seed", "5", "--scheme", scheme, "--trunc-k", "1",
+                 "--substeps", str(m_sub), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SIMULATE_SHA256[scheme, m_sub]
 
 
 def test_lattice_and_aw_distance_roundtrip(tmp_path):
@@ -252,13 +280,38 @@ def test_rho_scan_with_zero_threads_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_errors_exit_2(tmp_path):
-    assert main(["rho-scan", "--out", str(tmp_path / "x.csv")]) == 2
-    assert main(["metrics", "--tree-mu", "missing.json", "--tree-nu",
-                 "missing.json"]) == 2
-    assert main(["simulate", "--drift", "kind=warp", "--vol",
-                 "kind=constant value=1", "--n-steps", "4",
-                 "--out", str(tmp_path / "y.csv")]) == 2
+OU_PATHS = ["--drift", "kind=ou theta=1", "--vol", "kind=constant value=1"]
+CONFIG_ERRORS = {
+    "rho-scan-without-pair": ["rho-scan"],
+    "metrics-missing-trees": ["metrics", "--tree-mu", "missing.json",
+                              "--tree-nu", "missing.json"],
+    "simulate-unknown-kind": ["simulate", "--drift", "kind=warp", "--vol",
+                              "kind=constant value=1", "--n-steps", "4"],
+    "simulate-zero-samples": ["simulate", *OU_PATHS, "--n-steps", "4",
+                              "--samples", "0"],
+    "simulate-negative-samples": ["simulate", *OU_PATHS, "--n-steps", "4",
+                                  "--samples=-2"],
+    "lattice-zero-steps": ["lattice", *OU_PATHS, "--n-steps", "0"],
+    "convergence-zero-steps": ["convergence", "--preset", "drift-gap",
+                               "--n-list", "0", "--samples", "10"],
+    "convergence-empty-n-list": ["convergence", "--preset", "drift-gap",
+                                 "--n-list", ",", "--samples", "10"],
+    "rho-scan-rhos-not-numbers": ["rho-scan", "--preset", "vol-gap", "--rhos",
+                                  "abc", "--samples", "10"],
+    "stability-zero-levels": ["stability", "--levels", "0", "--samples", "10"],
+    "stability-negative-levels": ["stability", "--levels=-1", "--samples",
+                                  "10"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_exit_2(tmp_path, capsys, case):
+    # no traceback, no exit 0 on an empty table: exit 2, one error line and
+    # no output
+    out = tmp_path / "out.csv"
+    assert main([*CONFIG_ERRORS[case], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _one_stage(row_sizes, index, weight, support="[0.0, 1.0]"):

@@ -13,6 +13,7 @@ from adapted_ot.noise import (Workspace, batch_moments, constant_rho,
                               sample_truncated_increment, truncate_increments,
                               truncation_level, _replicate_uniforms,
                               _split_seed, _stream_key, _uniforms_to_normals)
+from adapted_ot.sde import _step_increments
 
 
 def _generator_doubles(words):
@@ -61,8 +62,9 @@ def test_replicate_is_the_same_alone_or_in_any_batch(master, m_sub):
                 if lo <= i < hi:
                     assert np.array_equal(batch.dW[i - lo], block.dW)
                     assert np.array_equal(batch.dW_bar[i - lo], block.dW_bar)
-                    assert np.array_equal(batch.step_sums()[i - lo],
-                                          block.step_sums())
+                    assert np.array_equal(
+                        _step_increments(batch.dW, None)[:, i - lo],
+                        _step_increments(block.dW[None], None)[:, 0])
 
 
 def test_replicate_normals_depend_only_on_master_and_index():
@@ -179,8 +181,8 @@ def test_zero_correlation_statistics():
     w_bar = np.empty(n)
     for i in range(n):
         block = sample_correlated_pair(grid, constant_rho(0.0), (99, i), m_sub=1)
-        w[i] = block.step_sums()[0]
-        w_bar[i] = block.step_sums_bar()[0]
+        w[i] = _step_increments(block.dW[None], None)[0, 0]
+        w_bar[i] = _step_increments(block.dW_bar[None], None)[0, 0]
     corr = np.corrcoef(w, w_bar)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(n) * 1.5
 
@@ -193,8 +195,8 @@ def test_correlation_law():
     w_bar = np.empty(n)
     for i in range(n):
         block = sample_correlated_pair(grid, constant_rho(rho), (5, i), m_sub=2)
-        w[i] = block.step_sums().sum()
-        w_bar[i] = block.step_sums_bar().sum()
+        w[i] = _step_increments(block.dW[None], None).sum()
+        w_bar[i] = _step_increments(block.dW_bar[None], None).sum()
     se = 1.0 / math.sqrt(n)
     assert abs(np.var(w_bar) - 1.0) < 4 * math.sqrt(2) * se
     assert abs(np.mean(w * w_bar) - rho) < 4 * 1.5 * se

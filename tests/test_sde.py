@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from adapted_ot.estimate import _propagate
 from adapted_ot.model import (ConfigError, DivergenceError, SamplePath,
                               TimeGrid, affine, constant, eval_coefficient, ou,
                               sign_switch, table)
 from adapted_ot.noise import (sample_correlated_pair, constant_rho,
-                              replicate_normals, truncate_increments,
-                              truncation_level)
+                              replicate_normals, truncation_level)
 from adapted_ot.presets import PRESETS
-from adapted_ot.sde import (_run_scheme, euler_maruyama, monotone_em,
+from adapted_ot.sde import (_propagate, _run_scheme, _step_increments,
+                            euler_maruyama, monotone_em,
                             transformed_monotone_em, zvonkin_transform)
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -172,14 +171,19 @@ def test_strong_error_decay():
     assert d_half / d_h <= 0.8
 
 
-def test_single_path_schemes_equal_batched_rows():
+@pytest.mark.parametrize("m_sub", [1, 16])
+def test_single_path_schemes_equal_batched_rows(m_sub):
     # the float recursion of one path and the numpy recursion of a batch
-    # give the same bits on the same increments, for every preset marginal
+    # give the same bits on the same increments, for every preset marginal;
+    # em's single paths sum their own replicate's block (a batch of one)
     grid = TimeGrid(64)
     n_rep = 6
-    block = sample_correlated_pair(grid, constant_rho(1.0), (19, 0), m_sub=16,
+    block = sample_correlated_pair(grid, constant_rho(1.0), (19, 0), m_sub=m_sub,
                                    n_replicates=n_rep)
-    stopped, _ = truncate_increments(block.dW, truncation_level(grid.h, 4))
+    singles = [sample_correlated_pair(grid, constant_rho(1.0), (19, i), m_sub=m_sub)
+               for i in range(n_rep)]
+    summed = _step_increments(block.dW, None)
+    stopped = _step_increments(block.dW, truncation_level(grid.h, 4))
     n_compared = 0
     for name in sorted(PRESETS):
         b_x, s_x, b_y, s_y = PRESETS[name]
@@ -187,13 +191,13 @@ def test_single_path_schemes_equal_batched_rows():
             transform = zvonkin_transform(b, s, 0.0)
             # _propagate is step-major: one row per step, one column per path
             batches = {
-                "em": _propagate(b, s, grid.h, block.step_sums().T, 0.0)[0],
-                "monotone-em": _propagate(b, s, grid.h, stopped.T, 0.0)[0],
-                "zvonkin-em": _propagate(b, s, grid.h, stopped.T, 0.0, transform)[0],
+                "em": _propagate(b, s, grid.h, summed, 0.0)[0],
+                "monotone-em": _propagate(b, s, grid.h, stopped, 0.0)[0],
+                "zvonkin-em": _propagate(b, s, grid.h, stopped, 0.0, transform)[0],
             }
             for i in range(n_rep):
                 paths = {
-                    "em": euler_maruyama(b, s, grid, block.step_sums()[i]),
+                    "em": euler_maruyama(b, s, grid, singles[i]),
                     "monotone-em": monotone_em(b, s, grid, 4, block.dW[i]),
                     "zvonkin-em": transformed_monotone_em(b, s, grid, 4, block.dW[i],
                                                           transform=transform),

@@ -16,7 +16,6 @@ from adapted_ot.presets import get_preset
 from adapted_ot.transport import (PIVOT_TOL, _cdfs, _quantile_plans,
                                   _quantile_stage, _solve_blocks,
                                   _solve_stage, _stage_certified, _stage_plans,
-                                  _state_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
@@ -412,7 +411,7 @@ def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky, data):
                                     max_size=10)))
     j = np.array(data.draw(st.lists(st.integers(0, len(ky) - 1), min_size=i.size,
                                     max_size=i.size)))
-    states = _state_plans(None, rows_x, rows_y, i, j)
+    states = _stage_plans(None, rows_x, rows_y, i, j)
     assert states.flags.c_contiguous
     assert _same_bits(states, _quantile_plans(cx[i], cy[j]))
 
@@ -456,10 +455,11 @@ def test_non_monotone_pair_fallback_golden():
     # certified stages and every KR stage store no plan array; the
     # uncertified stages keep their explicit (n_x, n_y, a, b) plans
     assert sol.certified_stages == 2
-    for index_x, index_y, plans in sol.plans:
+    for plans, rows_x, rows_y in zip(sol.plans, sol.rows_x, sol.rows_y):
+        index_x, index_y = rows_x.index, rows_y.index
         assert plans is None or plans.shape == (
             index_x.shape[0], index_y.shape[0], index_x.shape[1], index_y.shape[1])
-    assert all(plans is None for _, _, plans in kr_coupling(lat_x, lat_y).plans)
+    assert all(plans is None for plans in kr_coupling(lat_x, lat_y).plans)
 
 
 # -- coupled chains -----------------------------------------------------------
@@ -487,11 +487,9 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
                   if size < (kernel > 0).sum(axis=1).max())
     size = np.count_nonzero(lattice.transitions[k][row])
     # the stage's quantile plans, made explicit so that they can be edited
-    index_x, index_y, implicit = chain.plans[k]
-    assert implicit is None
+    assert chain.plans[k] is None
     plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
-    explicit = dataclasses.replace(chain, plans=chain.plans[:k]
-                                   + ((index_x, index_y, plans),)
+    explicit = dataclasses.replace(chain, plans=chain.plans[:k] + (plans,)
                                    + chain.plans[k + 1:])
     explicit.validate()
     plan = plans[row, 0] if axis == "x" else plans[0, row].T
@@ -505,6 +503,31 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
         explicit.validate()
 
 
+@pytest.mark.parametrize("wrong", ["padding", "rows", "other-stage", "stages"])
+def test_coupled_chain_validate_rejects_wrong_shaped_stage(wrong):
+    # stage records hold no index arrays: the kernel rows give the shape
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
+    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+                          4, 4, 10)
+    chain = kr_coupling(lat_x, lat_y)
+    k = 2
+    plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
+    stages = {
+        "padding": plans[..., :-1],
+        "rows": plans[:-1],
+        "other-stage": _stage_plans(None, lat_x.kernel_rows[k - 1],
+                                    lat_y.kernel_rows[k - 1]),
+    }
+    if wrong == "stages":
+        broken, match = chain.plans[:-1], "stages of plans"
+    else:
+        assert stages[wrong].shape != plans.shape
+        broken = chain.plans[:k] + (stages[wrong],) + chain.plans[k + 1:]
+        match = f"stage {k} plans have shape"
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(chain, plans=broken).validate()
+
+
 def test_kr_coupling_identical_lattices_is_diagonal():
     lat = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat, lat)
@@ -516,8 +539,9 @@ def test_kr_coupling_deterministic_x_gives_product():
                           3, 3, 27)
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat_x, lat_y)
-    for k, (index_x, index_y, plans) in enumerate(chain.plans):
+    for k, plans in enumerate(chain.plans):
         assert plans is None
+        index_x, index_y = lat_x.kernel_rows[k].index, lat_y.kernel_rows[k].index
         plans = _stage_plans(plans, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
         # x-kernel is a Dirac, so the joint child law is the y-kernel
         assert index_x.shape[1] == 1
@@ -538,10 +562,9 @@ def test_synchronous_product_chain_equals_kr():
                                                          4, 4, 20)
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
     kr_chain = kr_coupling(lat_x, lat_y)
-    for stage_sync, stage_kr, rows_x, rows_y in zip(
+    sync_chain.validate()
+    for plans_a, plans_b, rows_x, rows_y in zip(
             sync_chain.plans, kr_chain.plans, lat_x.kernel_rows, lat_y.kernel_rows):
-        (ix_a, iy_a, plans_a), (ix_b, iy_b, plans_b) = stage_sync, stage_kr
-        assert np.array_equal(ix_a, ix_b) and np.array_equal(iy_a, iy_b)
         # the sync chain stores its plans, the KR chain rebuilds them
         assert plans_a is not None and plans_b is None
         plans_b = _stage_plans(plans_b, rows_x, rows_y)
@@ -631,11 +654,9 @@ def test_bicausal_solution_validate_rejects_perturbed_plan():
     sol.validate()
     # the root stage's quantile plans, made explicit so that they can be
     # edited; stored explicitly, they still validate
-    index_x, index_y, implicit = sol.plans[0]
-    assert implicit is None
+    assert sol.plans[0] is None
     plans = _stage_plans(None, sol.rows_x[0], sol.rows_y[0])
-    explicit = dataclasses.replace(
-        sol, plans=((index_x, index_y, plans),) + sol.plans[1:])
+    explicit = dataclasses.replace(sol, plans=(plans,) + sol.plans[1:])
     explicit.validate()
     # reverse the root state's plan in y: the monotone coupling becomes
     # antitone, so the policy's forward value rises above the DP value
@@ -673,9 +694,7 @@ def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
     # chain, whose plans the certified stages keep implicit
     assert sol.certified_stages == len(sol.plans)
     chain = kr_coupling(lat_x, lat_y)
-    for k, ((ix, iy, plans), (ix_kr, iy_kr, plans_kr)) in enumerate(
-            zip(sol.plans, chain.plans)):
-        assert np.array_equal(ix, ix_kr) and np.array_equal(iy, iy_kr)
+    for k, (plans, plans_kr) in enumerate(zip(sol.plans, chain.plans)):
         assert plans is None and plans_kr is None
         # the policy's plans are the KR chain's, cell for cell
         rebuilt = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
