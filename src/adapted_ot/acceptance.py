@@ -404,12 +404,11 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed=DEFAULT_SEED, quick=False, echo=True):
+def run_all(seed=DEFAULT_SEED, quick=False):
     results = []
     for fn in ALL_CRITERIA:
         start = time.time()
         res = fn(seed=seed, quick=quick)
-        if echo:
-            print(f"{res.line()}  [{time.time() - start:.1f}s]", flush=True)
+        print(f"{res.line()}  [{time.time() - start:.1f}s]", flush=True)
         results.append(res)
     return results

@@ -3,8 +3,9 @@ computation, the experiment drivers, and the acceptance self-test.
 
 Every run writes a JSON sidecar next to its output echoing the fully
 resolved configuration and master seed; ``rerun <sidecar>`` reproduces the
-run (and its CSV bytes) exactly.  Floats are printed with 17 significant
-digits, '.' decimal separator.
+run (and its CSV bytes) exactly, whatever the thread count: ``simulate``
+and ``counterexample``, which have no ``--threads``, use all usable CPUs.
+Floats are printed with 17 significant digits, '.' decimal separator.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 self-test failure.
@@ -17,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .estimate import (convergence_study, counterexample_nonmarkov, rho_scan,
                        stability_study)
@@ -24,10 +27,9 @@ from .lattice import build_lattice, check_fosd
 from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     MarkovLattice, DiscretePathMeasure, TimeGrid,
                     check_p, parse_coefficient, constant)
-from .noise import sample_correlated_pair, constant_rho
+from .noise import constant_rho, map_batches, sample_correlated_pair
 from .presets import PRESETS, get_preset, mollified_abs_ladder
-from .sde import (_SCHEMES, euler_maruyama, monotone_em,
-                  transformed_monotone_em, zvonkin_transform)
+from .sde import _SCHEMES, _propagate, _scheme_maps, _step_increments
 from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
 FLOAT_FMT = "%.17g"
@@ -81,29 +83,29 @@ def _number_list(text, convert, flag):
 
 
 def _cmd_simulate(args):
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be positive, got {args.samples}")
     drift = parse_coefficient(args.drift, role="drift")
     vol = parse_coefficient(args.vol, role="diffusion")
     grid = TimeGrid(args.n_steps)
-    times = grid.times()
-    transform = (zvonkin_transform(drift, vol, args.x0)
-                 if args.scheme == "zvonkin-em" else None)
-    rows = []
-    for rep in range(args.samples):
-        block = sample_correlated_pair(grid, constant_rho(1.0),
-                                       (args.seed, rep), m_sub=args.substeps)
-        if args.scheme == "em":
-            path = euler_maruyama(drift, vol, grid, block, x0=args.x0)
-        elif args.scheme == "monotone-em":
-            path = monotone_em(drift, vol, grid, args.trunc_k, block, x0=args.x0)
-        else:
-            path = transformed_monotone_em(drift, vol, grid, args.trunc_k,
-                                           block, x0=args.x0,
-                                           transform=transform)
-        rows.extend((rep, float(t), float(v))
-                    for t, v in zip(times, path.values))
-    _write_csv(args.out, ["replicate", "t", "value"], rows)
+    barrier, (transform,) = _scheme_maps(args.scheme, grid, args.trunc_k,
+                                         args.x0, ((drift, vol),))
+
+    def run_batch(lo, hi, _ws):
+        block = sample_correlated_pair(grid, constant_rho(1.0), (args.seed, lo),
+                                       m_sub=args.substeps, n_replicates=hi - lo)
+        paths, _, stage = _propagate(drift, vol, grid.h,
+                                     _step_increments(block.dW, barrier),
+                                     args.x0, transform)
+        return paths, stage
+
+    paths, stage = (np.concatenate(parts, axis=-1)
+                    for parts in zip(*map_batches(run_batch, args.samples)))
+    if stage.any():
+        rep = int(np.flatnonzero(stage)[0])
+        raise DivergenceError(f"replicate {rep} diverged at stage {stage[rep]}")
+    times = grid.times().tolist()
+    _write_csv(args.out, ["replicate", "t", "value"],
+               [(rep, t, v) for rep, path in enumerate(paths.T.tolist())
+                for t, v in zip(times, path)])
     return {"n_paths": args.samples}
 
 

@@ -11,13 +11,11 @@ the interpolant's integral cost.  Replicate ``i`` of master seed ``s`` owns
 a fixed block of the master's counter-based stream (see ``noise``); each
 batch of replicates is drawn in one call, and serial and threaded runs agree.
 
-A batch runs step-major: its increments, paths and sigma values are arrays
-with one row per step and one column per replicate, so each step of
-``sde._propagate`` reads and writes contiguous rows.  The per-replicate cost
-sums run replicate-major: the path difference and the bridge variance are
-written transposed, once per batch, so numpy sums each replicate's
-contiguous row pairwise, the same additions in the same order whatever the
-batch layout.
+A batch's increments, paths and sigma values are step-major, as
+``sde._propagate`` steps them; the per-replicate cost sums run
+replicate-major: the path difference and the bridge variance are written
+transposed, once per batch, so numpy sums each replicate's contiguous row
+pairwise, the same additions in the same order whatever the batch layout.
 
 The batches run on ``noise.map_batches``, which gives each worker thread one
 ``noise.Workspace`` for all its batches.  Every step writes into it through
@@ -44,8 +42,8 @@ import numpy as np
 from .lattice import build_lattice, check_fosd
 from .model import ConfigError, DivergenceError, TimeGrid, check_p
 from .noise import (batch_moments, constant_rho, map_batches, pool_moments,
-                    replicate_normals, sample_correlated_pair, truncation_level)
-from .sde import _SCHEMES, _propagate, _step_increments, zvonkin_transform
+                    replicate_normals, sample_correlated_pair)
+from .sde import _propagate, _scheme_maps, _step_increments
 from .transport import bicausal_dp, coupled_cost, kr_coupling
 
 
@@ -119,16 +117,11 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     """Expected integral cost of the coupled pair driven by a rho-correlated
     noise pair; the backbone of the synchronous estimator and the rho scan."""
     check_p(p)
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+    barrier, transforms = _scheme_maps(scheme, grid, trunc_k, x0,
+                                       ((b_x, sigma_x), (b_y, sigma_y)))
     n = grid.n_steps
     h = grid.h
-    barrier = truncation_level(h, trunc_k) if scheme != "em" else None
     rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
-    transforms = (None, None)
-    if scheme == "zvonkin-em":
-        transforms = (zvonkin_transform(b_x, sigma_x, x0),
-                      zvonkin_transform(b_y, sigma_y, x0))
 
     def run_batch(lo, hi, ws):
         n_rep = hi - lo
@@ -147,15 +140,15 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         dx = increments(block.dW, "dx")
         # at rho = 1 on every step the draw's dW_bar is dW: one set of increments
         dy = dx if block.dW_bar is block.dW else increments(block.dW_bar, "dy")
-        xp, sig_x, bad_x = _propagate(
+        xp, sig_x, stage_x = _propagate(
             b_x, sigma_x, h, dx, x0, transforms[0],
             out=(array("paths_x", (n + 1, n_rep)), array("sig_x", (n, n_rep)),
-                 array("bad_x", (n_rep,), bool)))
-        yp, sig_y, bad_y = _propagate(
+                 array("stage_x", (n_rep,), np.int64)))
+        yp, sig_y, stage_y = _propagate(
             b_y, sigma_y, h, dy, x0, transforms[1],
             out=(array("paths_y", (n + 1, n_rep)), array("sig_y", (n, n_rep)),
-                 array("bad_y", (n_rep,), bool)))
-        bad = np.logical_or(bad_x, bad_y, out=bad_x)
+                 array("stage_y", (n_rep,), np.int64)))
+        bad = (stage_x > 0) | (stage_y > 0)
         # replicate-major rows for the cost sums (module docstring), written
         # transposed into spent buffers: the draw's for the difference and
         # the bridge variance, sigma_x for the variance's second term, and
@@ -199,8 +192,6 @@ def rho_scan(b_x, sigma_x, b_y, sigma_y, grid, p, rho_values, n_samples,
     across the scan (the rho = 1 row reproduces sync_distance_mc exactly)."""
     rows = []
     for r in rho_values:
-        if not -1.0 <= r <= 1.0:
-            raise ConfigError("rho values must lie in [-1, 1]")
         res = _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p,
                                constant_rho(r), n_samples, seed, scheme=scheme,
                                **kwargs)
@@ -288,8 +279,8 @@ def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000, se
     """
     if p != 2:
         raise ConfigError("the counterexample is a quadratic-cost experiment")
-    if level < 0:
-        raise ConfigError("drift level must be nonnegative")
+    if not (math.isfinite(level) and level >= 0):
+        raise ConfigError(f"drift level must be finite and nonnegative, got {level!r}")
     k_sw = grid.index_of(switch_time)
     h = grid.h
     times = grid.times()

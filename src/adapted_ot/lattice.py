@@ -85,8 +85,8 @@ def quantize_increment(h, barrier, m):
                                  h=h, barrier=barrier)
 
 
-def _snap_duplicates(values, masses, rel_tol=1e-12):
-    """Merge sorted values closer than the relative tolerance.
+def _snap_duplicates(values, masses):
+    """Merge sorted values closer than 1e-12 relative to their size.
 
     Recombining one-step maps produce children that coincide mathematically
     but differ in the last float bits depending on summation order; without
@@ -96,7 +96,7 @@ def _snap_duplicates(values, masses, rel_tol=1e-12):
     """
     gaps = np.diff(values)
     scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
-    groups = np.concatenate([[0], np.cumsum(gaps > rel_tol * scale)])
+    groups = np.concatenate([[0], np.cumsum(gaps > 1e-12 * scale)])
     n_groups = int(groups[-1]) + 1
     if n_groups == values.size:
         return values, masses, groups
@@ -151,6 +151,8 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     """
     if max_support < m:
         raise ConfigError("max_support must be at least the atom count m")
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0!r}")
     for spec in (b, sigma):
         growth_bounds(spec)  # rejects path-dependent kinds
     h = TimeGrid(n_steps).h
@@ -215,18 +217,19 @@ class FosdCheck:
     witness: Optional[tuple] = None
 
 
-def check_fosd(lattice, tol=1e-10):
+def check_fosd(lattice):
     """Verify every kernel is increasing in first-order stochastic dominance.
 
     For each stage and each adjacent support pair x < x', the conditional CDF
-    from x' must lie below the one from x at every next-support point.
+    from x' must lie below the one from x (to 1e-10) at every next-support
+    point.
     """
     for k, rows in enumerate(lattice.transitions):
         if rows.shape[0] < 2:
             continue
         cdf = np.cumsum(rows, axis=1)
         excess = cdf[1:] - cdf[:-1]
-        bad = excess > tol
+        bad = excess > 1e-10
         if bad.any():
             i, col = np.argwhere(bad)[0]
             return FosdCheck(ok=False, witness=(k, int(i), int(col)))

@@ -97,6 +97,9 @@ class CoefficientSpec:
             raise ConfigError(f"unknown coefficient kind {self.kind!r}")
         if self.role not in ROLES:
             raise ConfigError(f"unknown coefficient role {self.role!r}")
+        for name in ("value", "intercept", "slope", "theta", "level", "switch_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"coefficient {name} must be finite")
         if self.kind == "table":
             knots = np.asarray(self.knots, dtype=float)
             values = np.asarray(self.values, dtype=float)
@@ -219,8 +222,8 @@ def affine(intercept, slope, role="drift"):
                            slope=float(slope))
 
 
-def ou(theta, role="drift"):
-    return CoefficientSpec(kind="ou", role=role, theta=float(theta))
+def ou(theta):
+    return CoefficientSpec(kind="ou", theta=float(theta))
 
 
 def table(knots, values, role="drift"):
@@ -299,7 +302,7 @@ class TimeGrid:
     def index_of(self, t):
         """Grid index of time ``t``; errors if ``t`` is not (nearly) on the grid."""
         k = t * self.n_steps
-        k_round = int(round(k))
+        k_round = int(round(k)) if math.isfinite(k) else -1
         if abs(k - k_round) > 1e-9 * self.n_steps or not 0 <= k_round <= self.n_steps:
             raise ConfigError(f"time {t} is not on the grid with N={self.n_steps}")
         return k_round

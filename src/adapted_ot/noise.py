@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .model import ConfigError, TimeGrid
+from .model import ConfigError
 
 DEFAULT_SUBSTEPS = 16
 N_BATCHES = 20  # replicate ranges per run; they only split the work
@@ -93,11 +93,8 @@ class IncrementBlock:
     schemes step by their ``sde._step_increments``.
     """
 
-    grid: TimeGrid
     dW: np.ndarray
     dW_bar: np.ndarray
-    seed: object
-    m_sub: int
 
 
 def _split_seed(seed):
@@ -333,8 +330,7 @@ def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
         return a if n_replicates is not None else a[0]
     block_dw = replicate_major(dw)
     block_dw_bar = block_dw if dw_bar is dw else replicate_major(dw_bar)
-    return IncrementBlock(grid=grid, dW=block_dw, dW_bar=block_dw_bar, seed=seed,
-                          m_sub=m_sub)
+    return IncrementBlock(dW=block_dw, dW_bar=block_dw_bar)
 
 
 def truncate_increments(substeps, barrier):
@@ -397,9 +393,9 @@ class FourthMomentEstimate:
     no_exit: bool
 
 
-def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS,
-                                   seed=0):
-    """Monte Carlo estimate of E|dW - dW^h|^4 for the stopped increment.
+def fourth_moment_truncation_error(h, trunc_k, n_samples, seed=0):
+    """Monte Carlo estimate of E|dW - dW^h|^4 for the increment stopped on
+    ``DEFAULT_SUBSTEPS`` substeps.
 
     The error is nonzero only on exit events, so for large K the estimate is
     exactly zero and flagged; the analytic bound 6 h^2 h^{K^2/2} from the
@@ -408,7 +404,8 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, m_sub=DEFAULT_SUBSTEPS
     barrier = truncation_level(h, trunc_k)
 
     def run_batch(lo, hi, _ws):
-        sub = replicate_normals((seed, lo), m_sub, hi - lo) * math.sqrt(h / m_sub)
+        sub = (replicate_normals((seed, lo), DEFAULT_SUBSTEPS, hi - lo)
+               * math.sqrt(h / DEFAULT_SUBSTEPS))
         values, exited = truncate_increments(sub, barrier)
         # full increment via the same sequential accumulation as the
         # truncation, so unexited samples contribute exactly zero

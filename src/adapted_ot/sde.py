@@ -2,16 +2,15 @@
 variant, and the drift-removing change of variable with its transformed
 scheme for bounded measurable drifts: the one scheme layer.
 
-``_step_increments`` sums substep noise into per-step increments, or stops
-it at the barrier; one path's block is a batch of one.  One path runs on
-Python floats (``_run_scheme``): coefficients are read through
-``CoefficientSpec.float_evaluator`` and the transform tables through
-``DriftRemovingTransform.float_maps``, which do numpy's arithmetic without
-its per-call dispatch on 0-d values.  A batch of paths runs on numpy arrays
-(``_propagate``), step-major: row k holds every path's state at step k, so
-one path is a column.  On the same increments the two recursions give the
-same paths bit for bit.  The path-dependent ``sign_switch`` drift reads its
-switch-time state once per path.
+``_scheme_maps`` reads a scheme name; ``_step_increments`` sums substep
+noise into per-step increments, or stops it at the barrier.  A batch of
+paths runs on numpy arrays (``_propagate``), step-major: row k holds every
+path's state at step k, so one path is a column.  ``simulate``, the
+estimators and every ``sign_switch`` path run it.  A public single path
+with a Markovian drift runs on Python floats (``_run_scheme``), through
+``CoefficientSpec.float_evaluator`` and ``DriftRemovingTransform.float_maps``,
+which do numpy's arithmetic without its per-call dispatch on 0-d values: on
+the same increments, the same bits as its batch column.
 """
 
 from __future__ import annotations
@@ -22,36 +21,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, growth_bounds, table, table_lookup)
+                    SamplePath, TimeGrid, growth_bounds, table, table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
 # the scheme names of ``simulate --scheme`` and the Monte Carlo estimators
 _SCHEMES = ("em", "monotone-em", "zvonkin-em")
-_X_RANGE = "state left the tabulated transform range; enlarge it"
-_Y_RANGE = "transformed state left the tabulated range; enlarge it"
+_X_RANGE = "state left the tabulated transform range"
+_Y_RANGE = "transformed state left the tabulated range"
 
 
-def _path_drift(spec, grid):
-    """Drift of one ``sign_switch`` path as ``drift(k, values)``, where
-    ``values`` is the path up to step k.
-
-    It returns what ``eval_coefficient`` gives at time k h on that prefix:
-    0 up to the switch time, then ``level * sign(path(switch_time))``,
-    read once from the switch-time state.  An off-grid switch time raises
-    the same ``ConfigError``, here before the first step.
-    """
-    k_sw = grid.index_of(spec.switch_time)
-    h = grid.h
-    active = None
-
-    def drift(k, values):
-        nonlocal active
-        if k * h <= spec.switch_time:
-            return 0.0
-        if active is None:
-            active = float(spec.level * np.sign(values[k_sw]))
-        return active
-    return drift
+def _scheme_maps(scheme, grid, trunc_k, x0, marginals):
+    """The barrier K sqrt(-h log h) of ``scheme`` on ``grid`` (None for em)
+    and, for each (drift, diffusion) pair of ``marginals``, its transform
+    from x0 (None but for zvonkin-em).  ConfigError for an unknown scheme
+    or a non-finite x0."""
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0!r}")
+    barrier = None if scheme == "em" else truncation_level(grid.h, trunc_k)
+    transforms = [zvonkin_transform(b, sigma, x0) if scheme == "zvonkin-em"
+                  else None for b, sigma in marginals]
+    return barrier, transforms
 
 
 def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
@@ -66,23 +57,26 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n,):
         raise ConfigError("increments must match the grid (one per step)")
+    if transform is None and not b.is_markovian:
+        paths, _, stage = _propagate(b, sigma, h, deltas[:, None], x0)
+        if stage[0]:
+            raise DivergenceError(f"scheme diverged at stage {stage[0]}",
+                                  stage=int(stage[0]))
+        return SamplePath(grid=grid, values=paths[:, 0])
     x = float(x0)
     sig = sigma.float_evaluator()
     if transform is not None:
         forward, derivative, inverse = transform.float_maps()
         y = forward(x)
-    elif b.is_markovian:
-        drift = b.float_evaluator()
     else:
-        drift, path_drift = None, _path_drift(b, grid)
+        drift = b.float_evaluator()
     values = [x]
     for k, delta in enumerate(deltas.tolist()):
         if transform is not None:
             y = y + derivative(x) * sig(x) * delta
             x = inverse(y)
         else:
-            bk = drift(x) if drift is not None else path_drift(k, values)
-            x = x + h * bk + sig(x) * delta
+            x = x + h * drift(x) + sig(x) * delta
         if not math.isfinite(x) or abs(x) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"scheme diverged at stage {k + 1}", stage=k + 1)
         values.append(x)
@@ -93,34 +87,45 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     """Vectorized one-step recursion across a batch of replicates, step-major.
 
     ``deltas`` has one row of replicate increments per step, shape (N, B).
-    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta.  With
-    a drift-removing transform T it is the driftless step
-    y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by x = T^{-1}(y).
-    Returns (paths, sigma values, diverged mask) with paths (N + 1, B) and
-    sigma values (N, B), so each step reads and writes one contiguous row;
-    they are written to the arrays ``out``, if given, else to new ones.
-    Diverged replicates are frozen at x0 so the batch can finish.  A y
-    beyond the table of T^{-1} is no divergence: ``inverse`` raises
-    ConfigError for the whole call (at 64 steps, 5 of 1,000 single paths of
-    drift-gap's X marginal overshoot its sup T = 1/2).
+    Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta; a
+    ``sign_switch`` b is 0 while k h <= switch_time, then level times the
+    sign of the switch-time row, read once (an off-grid switch time raises
+    ConfigError first).  With a drift-removing transform T it is the
+    driftless step y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by
+    x = T^{-1}(y).  Returns paths (N + 1, B), sigma values (N, B) and each
+    replicate's first diverged stage (0 for none), written to the arrays
+    ``out``, if given, else to new ones; each step reads and writes one
+    contiguous row.  Diverged replicates are frozen at x0 so the batch can
+    finish.  A y beyond the table of T^{-1} is no divergence: ``inverse``
+    raises ConfigError for the whole call (at 64 steps, 5 of 1,000 single
+    paths of drift-gap's X marginal overshoot its sup T = 1/2).
     """
     n, n_rep = deltas.shape
     if out is None:
-        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)),
-               np.empty(n_rep, dtype=bool))
-    paths, sig, bad = out
+        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)), np.empty(n_rep, int))
+    paths, sig, stage = out
     paths[0] = x0
-    bad[:] = False
+    stage[:] = 0
     tmp = np.empty(n_rep)
     flags = np.empty(n_rep, dtype=bool)
+    markovian = b.is_markovian
     if transform is not None:
         y = np.full(n_rep, float(transform.forward(x0)))
+    elif not markovian:
+        k_sw = TimeGrid(n).index_of(b.switch_time)
+        # the first step with k h > switch_time
+        k_on = k_sw if k_sw * h > b.switch_time else k_sw + 1
+        drift = 0.0
     for k in range(n):
         x, x_next, sv = paths[k], paths[k + 1], sig[k]
         sv[:] = sigma.evaluate(x)
         if transform is None:
+            if markovian:
+                drift = b.evaluate(x)
+            elif k == k_on:
+                drift = b.level * np.sign(paths[k_sw])
             # x + h b(x) + sigma(x) delta, in that order
-            np.multiply(b.evaluate(x), h, out=x_next)
+            np.multiply(drift, h, out=x_next)
             x_next += x
             x_next += np.multiply(sv, deltas[k], out=tmp)
         else:
@@ -131,10 +136,10 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
         # NaN and +-inf fail the comparison too
         if not np.less_equal(np.abs(x_next, out=tmp), DIVERGENCE_THRESHOLD,
                              out=flags).all():
-            newly_bad = np.logical_not(flags, out=flags)
-            bad |= newly_bad
-            x_next[newly_bad] = x0
-    return paths, sig, bad
+            diverged = np.logical_not(flags, out=flags)
+            x_next[diverged] = x0
+            stage[diverged & (stage == 0)] = k + 1
+    return paths, sig, stage
 
 
 def _step_increments(substeps, barrier, out=None):
@@ -198,7 +203,6 @@ class DriftRemovingTransform:
     ``transformed_sigma(y) = (sigma T') (T^{-1}(y))``.
     """
 
-    x0: float
     xs: np.ndarray
     ts: np.ndarray
     t_prime: np.ndarray
@@ -225,8 +229,9 @@ class DriftRemovingTransform:
                 table_lookup(ts, xs, ConfigError, _Y_RANGE))
 
 
-def zvonkin_transform(b, sigma, x0, half_width=10.0, n_nodes=10001):
-    """Tabulate the drift-removing map on [x0 - R, x0 + R] by Simpson quadrature.
+def zvonkin_transform(b, sigma, x0):
+    """Tabulate the drift-removing map on [x0 - 10, x0 + 10] by Simpson
+    quadrature, on 10,001 nodes.
 
     Requires a bounded drift and a diffusion that is uniformly positive on
     the working interval.  Reports the Lipschitz certificate
@@ -234,11 +239,9 @@ def zvonkin_transform(b, sigma, x0, half_width=10.0, n_nodes=10001):
     """
     if not (b.is_markovian and sigma.is_markovian):
         raise ConfigError("transform needs Markovian coefficients")
-    if n_nodes < 3:
-        raise ConfigError("need at least 3 quadrature nodes")
     # refined grid: table nodes plus midpoints, so T accumulates per-interval
     # Simpson increments that are strictly positive (T' > 0 everywhere)
-    xs_fine = np.linspace(x0 - half_width, x0 + half_width, 2 * n_nodes - 1)
+    xs_fine = np.linspace(x0 - 10.0, x0 + 10.0, 2 * 10001 - 1)
     bs_fine = np.asarray(b.evaluate(xs_fine), dtype=float)
     ss_fine = np.asarray(sigma.evaluate(xs_fine), dtype=float)
     inf_sigma = float(ss_fine.min())
@@ -261,13 +264,13 @@ def zvonkin_transform(b, sigma, x0, half_width=10.0, n_nodes=10001):
     ts[i0 + 1:] = np.cumsum(increments[i0:])
     ts[:i0] = -np.cumsum(increments[:i0][::-1])[::-1]
     if np.any(np.diff(ts) <= 0):
-        raise ConfigError("transform table lost resolution; reduce half_width "
-                          "or the drift magnitude")
+        raise ConfigError("transform table lost resolution; reduce the drift "
+                          "magnitude")
     t_prime = t_prime_fine[::2]
     sigma_lip = growth_bounds(sigma).lipschitz
     certificate = sigma_lip + 2.0 * float(np.max(np.abs(bs_fine))) / inf_sigma
     transformed = table(ts, ss_fine[::2] * t_prime, role="diffusion")
-    return DriftRemovingTransform(x0=x0, xs=xs, ts=ts, t_prime=t_prime,
+    return DriftRemovingTransform(xs=xs, ts=ts, t_prime=t_prime,
                                   transformed_sigma=transformed,
                                   lipschitz_certificate=certificate)
 

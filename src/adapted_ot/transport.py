@@ -12,10 +12,10 @@ a block that fails goes to the transportation simplex.  The check runs once
 per stage on the stage cost; only a stage that fails it is checked block by
 block.
 
-A coupled stage is stored as a record (index_x, index_y, plans).  ``plans``
-is the dense (n_x, n_y, a, b) array of inner plans, or None when every
-inner plan is the quantile plan of its two kernel rows: the rearrangement's
-stages and the DP's certified stages keep their plans implicit.  Quantile
+A coupled stage is stored as its plans: the (n_x, n_y, a, b) array of inner
+plans on the lattices' padded kernel rows, or None when every inner plan is
+the quantile plan of its two kernel rows: the rearrangement's stages and
+the DP's certified stages keep their plans implicit.  Quantile
 plans come from one table per stage pair: a lattice row's masses are sums
 of equal atom weights, so a stage has few distinct weight rows (the row
 kinds of ``padded_rows``), and the plans are built once per pair of
@@ -101,7 +101,7 @@ def _northwest_corner(a, b):
     return x, basis
 
 
-def _transport_simplex(cost, a, b, pivot_tol):
+def _transport_simplex(cost, a, b):
     """Exact primal transportation simplex on strictly positive marginals.
 
     Returns (plan, value).  Dantzig pricing with a switch to Bland's rule
@@ -121,7 +121,7 @@ def _transport_simplex(cost, a, b, pivot_tol):
     for (i, j) in basis:
         rows[i].add(j)
         cols[j].add(i)
-    tol = pivot_tol * max(1.0, float(np.max(np.abs(cost))))
+    tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(cost))))
     max_iter = 200 + 40 * n * m
     bland_after = 100 + 20 * n * m
     u = np.empty(n)
@@ -200,7 +200,7 @@ def _transport_simplex(cost, a, b, pivot_tol):
     return x, float(np.sum(x * cost))
 
 
-def transportation_lp(cost, row_marginal, col_marginal, pivot_tol=PIVOT_TOL):
+def transportation_lp(cost, row_marginal, col_marginal):
     """Exact optimal plan for the transportation problem.
 
     Marginals must be probability vectors with matching sums (within 1e-9);
@@ -218,7 +218,7 @@ def transportation_lp(cost, row_marginal, col_marginal, pivot_tol=PIVOT_TOL):
         raise ConfigError("marginal sums differ by more than 1e-9; infeasible")
     ri = np.flatnonzero(a > 0)
     cj = np.flatnonzero(b > 0)
-    sub, value = _transport_simplex(cost[np.ix_(ri, cj)], a[ri], b[cj], pivot_tol)
+    sub, value = _transport_simplex(cost[np.ix_(ri, cj)], a[ri], b[cj])
     joint = np.zeros_like(cost)
     joint[np.ix_(ri, cj)] = sub
     return TransportPlan(joint=joint, row_marginal=a, col_marginal=b, cost=value)
@@ -595,7 +595,7 @@ def _solve_blocks(cost, rows_x, rows_y):
     for i, j in fallback:
         a, b = np.count_nonzero(wx[i]), np.count_nonzero(wy[j])
         plan, val = _transport_simplex(cost[np.ix_(index_x[i, :a], index_y[j, :b])],
-                                       wx[i, :a], wy[j, :b], PIVOT_TOL)
+                                       wx[i, :a], wy[j, :b])
         plans[i, j, :a, :b] = plan
         values[i, j] = val
     return plans, values, len(fallback)
@@ -812,7 +812,7 @@ class MetricSuiteResult:
     aw: float
 
 
-def metric_suite(mu, nu, p=2, ordering_tol=1e-10):
+def metric_suite(mu, nu, p=2):
     """All five values via the LP oracle, with the ordering
     AW >= SCW = max(CW, CW') >= W asserted on the way out."""
     w = causal_lp(mu, nu, p, "classical")
@@ -820,7 +820,7 @@ def metric_suite(mu, nu, p=2, ordering_tol=1e-10):
     cw_rev = causal_lp(mu, nu, p, "anticausal")
     aw = causal_lp(mu, nu, p, "bicausal")
     scw = max(cw, cw_rev)
-    if aw < scw - ordering_tol or scw < w - ordering_tol:
+    if aw < scw - 1e-10 or scw < w - 1e-10:
         raise AdaptedOTError(
             f"metric ordering violated: AW={aw} SCW={scw} W={w}")
     return MetricSuiteResult(w=w, cw=cw, cw_rev=cw_rev, scw=scw, aw=aw)

@@ -42,17 +42,40 @@ SIMULATE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("scheme,m_sub", sorted(SIMULATE_SHA256))
-def test_simulate_output_bytes_are_pinned(tmp_path, scheme, m_sub):
+# the sign_switch paths as the per-path float recursion wrote them (0.6.0);
+# in each file, paths are on both sides of 0 at the switch time
+SIGN_SWITCH_SHA256 = {
+    ("em", 1): "1e19a95a3d72ca382ac0aac0d6a6f143c938207696a24a665c5b4a0f3a72e8cb",
+    ("em", 16): "b165f8b1b343ae22aac8ce8002deca5ad0cbc98e23d5a82c420164dbdbefb8a1",
+    ("monotone-em", 1):
+        "76f6b4d5a099cc668692b84087219295f7807ede8db5fca05a7e4574158c32c2",
+    ("monotone-em", 16):
+        "86d2b9dd3a3db120d604de8bf7a02771e544b1e04102710f1501b85e3296fdaf",
+}
+
+
+def _simulate_sha256(tmp_path, drift, scheme, m_sub):
     # K = 1 puts the barrier at about 1.7 increment standard deviations, so
-    # the stopped schemes clamp some steps and all six files differ
+    # the stopped schemes clamp some steps and every file differs
     out = tmp_path / "paths.csv"
-    assert main(["simulate", "--drift", "kind=ou theta=1", "--vol",
+    assert main(["simulate", "--drift", drift, "--vol",
                  "kind=constant value=1", "--n-steps", "16", "--samples", "4",
                  "--seed", "5", "--scheme", scheme, "--trunc-k", "1",
                  "--substeps", str(m_sub), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == SIMULATE_SHA256[scheme, m_sub]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme,m_sub", sorted(SIMULATE_SHA256))
+def test_simulate_output_bytes_are_pinned(tmp_path, scheme, m_sub):
+    assert (_simulate_sha256(tmp_path, "kind=ou theta=1", scheme, m_sub)
+            == SIMULATE_SHA256[scheme, m_sub])
+
+
+@pytest.mark.parametrize("scheme,m_sub", sorted(SIGN_SWITCH_SHA256))
+def test_simulate_sign_switch_output_bytes_are_pinned(tmp_path, scheme, m_sub):
+    drift = "kind=sign_switch level=5 switch_time=0.25"
+    assert (_simulate_sha256(tmp_path, drift, scheme, m_sub)
+            == SIGN_SWITCH_SHA256[scheme, m_sub])
 
 
 def test_lattice_and_aw_distance_roundtrip(tmp_path):
@@ -301,6 +324,17 @@ CONFIG_ERRORS = {
     "stability-zero-levels": ["stability", "--levels", "0", "--samples", "10"],
     "stability-negative-levels": ["stability", "--levels=-1", "--samples",
                                   "10"],
+    "simulate-nan-x0": ["simulate", *OU_PATHS, "--n-steps", "4", "--x0", "nan"],
+    "simulate-nan-coefficient": ["simulate", "--drift",
+                                 "kind=constant value=nan", "--vol",
+                                 "kind=constant value=1", "--n-steps", "4"],
+    "lattice-nan-x0": ["lattice", *OU_PATHS, "--n-steps", "4", "--x0", "nan"],
+    "counterexample-nan-level": ["counterexample", "--level", "nan",
+                                 "--samples", "10"],
+    "counterexample-inf-level": ["counterexample", "--level", "inf",
+                                 "--samples", "10"],
+    "counterexample-nan-switch-time": ["counterexample", "--switch-time",
+                                       "nan", "--samples", "10"],
 }
 
 
@@ -421,14 +455,20 @@ def test_metrics_malformed_tree_exits_2(tmp_path, text, capsys):
     assert "malformed path measure JSON" in capsys.readouterr().err
 
 
-def test_divergence_exit_3(tmp_path):
+STEEP = ["--drift", "kind=affine intercept=0 slope=240", "--vol",
+         "kind=constant value=1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["rho-scan", *STEEP, "--drift-y", "kind=constant value=0", "--vol-y",
+     "kind=constant value=1", "--rhos", "1", "--samples", "200"],
+    ["simulate", *STEEP, "--samples", "3"],
+], ids=["rho-scan", "simulate"])
+def test_divergence_exit_3(tmp_path, args):
+    # x grows by a factor 31 per step: past 1e8 within 8 steps
     out = tmp_path / "div.csv"
-    code = main(["rho-scan", "--drift", "kind=affine intercept=0 slope=240",
-                 "--vol", "kind=constant value=1", "--drift-y",
-                 "kind=constant value=0", "--vol-y", "kind=constant value=1",
-                 "--rhos", "1", "--n-steps", "8", "--samples", "200",
-                 "--seed", "0", "--out", str(out)])
-    assert code == 3
+    assert main([*args, "--n-steps", "8", "--seed", "0", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

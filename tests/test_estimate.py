@@ -10,7 +10,7 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  em_expected_cost, rho_scan, stability_study,
                                  sync_distance_mc)
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
-                              constant, ou, table)
+                              constant, ou, sign_switch, table)
 from adapted_ot.noise import _resolve_threads
 from adapted_ot.presets import get_preset
 
@@ -90,6 +90,18 @@ def test_sync_deterministic_difference_is_exact():
     res = sync_distance_mc(constant(1.0), UNIT_VOL, constant(0.0), UNIT_VOL,
                            TimeGrid(32), 2, 200, seed=4)
     assert res.estimate == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+
+def test_sync_sign_switch_pair_is_the_em_ramp():
+    # common noise, so both paths switch on the same sign: the difference is
+    # 0 up to step 6 (the first k with k h > 0.1 at N = 50), then grows by
+    # 10 h per step; on 44 steps the segment costs add up to
+    # h (10 h)^2 sum_j (3 j^2 + 3 j + 1) / 3 = 100 * 44^3 / (3 * 50^3)
+    res = sync_distance_mc(sign_switch(5.0, 0.1), UNIT_VOL,
+                           sign_switch(-5.0, 0.1), UNIT_VOL, TimeGrid(50), 2,
+                           2000, seed=21)
+    assert res.stderr == 0.0
+    assert res.estimate == pytest.approx(100 * 44**3 / (3 * 50**3), rel=1e-13)
 
 
 def test_sync_oracle_vol_gap():

@@ -166,6 +166,17 @@ def test_coefficient_text_roundtrip():
         assert parse_coefficient(format_coefficient(spec)) == spec
 
 
+@pytest.mark.parametrize("make", [
+    lambda: constant(np.nan), lambda: ou(np.inf), lambda: affine(0.0, np.nan),
+    lambda: sign_switch(np.nan, 0.1), lambda: sign_switch(5.0, np.inf),
+    lambda: parse_coefficient("kind=constant value=nan"),
+], ids=["constant", "ou", "affine", "sign-switch-level",
+        "sign-switch-time", "parsed"])
+def test_non_finite_coefficients_are_rejected(make):
+    with pytest.raises(ConfigError, match="finite"):
+        make()
+
+
 def test_parse_coefficient_errors():
     with pytest.raises(ConfigError):
         parse_coefficient("value=1.5")
@@ -180,8 +191,9 @@ def test_time_grid():
     assert grid.h * grid.n_steps == 1.0
     assert np.all(np.diff(grid.times()) > 0)
     assert grid.index_of(0.75) == 3
-    with pytest.raises(ConfigError):
-        grid.index_of(0.1)
+    for t in (0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            grid.index_of(t)
     with pytest.raises(ConfigError):
         TimeGrid(0)
 

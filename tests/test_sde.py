@@ -37,11 +37,16 @@ def test_em_ou_hand_iteration():
     assert np.allclose(path.values, [1.0, 0.5, 0.25])
 
 
-def test_em_divergence_error_reports_stage():
+@pytest.mark.parametrize("drift,stage", [
+    (affine(0.0, 1e9), 1),
+    # no drift on steps 0 and 1 (k h <= 0.25), then 1e12 h from step 2 on
+    (sign_switch(1e12, 0.25), 3),
+], ids=["affine", "sign-switch"])
+def test_em_divergence_error_reports_stage(drift, stage):
     grid = TimeGrid(4)
     with pytest.raises(DivergenceError) as err:
-        euler_maruyama(affine(0.0, 1e9), UNIT_VOL, grid, np.zeros(4), x0=1.0)
-    assert err.value.stage is not None
+        euler_maruyama(drift, UNIT_VOL, grid, np.zeros(4), x0=1.0)
+    assert err.value.stage == stage
 
 
 def test_monotone_em_without_exits_matches_em():
@@ -227,17 +232,18 @@ def test_batch_divergence_matches_single_paths(case):
         b = constant(0.1)
         transform = zvonkin_transform(b, UNIT_VOL, x0)
         deltas[11, 3] = np.nan
-    paths, _, bad = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
+    paths, _, stage = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
     diverged = []
     for i in range(n_rep):
         try:
             path = _run_scheme(b, UNIT_VOL, grid, deltas[i], x0, transform)
         except DivergenceError as err:
             diverged.append(i)
+            assert stage[i] == err.stage, i
             assert paths[err.stage, i] == x0, i  # restarted from x0
         else:
             assert path.values.tobytes() == paths[:, i].tobytes(), i
-    assert np.flatnonzero(bad).tolist() == diverged
+    assert np.flatnonzero(stage).tolist() == diverged
     if case == "steep-drift":
         assert {3, 5, 7} < set(diverged) and len(diverged) < n_rep // 2
     else:
@@ -305,8 +311,8 @@ def test_transformed_em_rejects_wrong_block_shape():
 
 @pytest.mark.parametrize("case", ["direct", "transformed"])
 def test_propagate_reuses_buffers_like_fresh_arrays(case):
-    # a batch with inf and NaN increments leaves diverged rows and a set
-    # ``bad`` mask in the buffers; the clean batch after it must not see them
+    # a batch with inf and NaN increments leaves diverged rows and their
+    # stages in the buffers; the clean batch after it must not see them
     grid = TimeGrid(8)
     n_rep = 200
     x0 = 0.01
@@ -320,7 +326,7 @@ def test_propagate_reuses_buffers_like_fresh_arrays(case):
         transform = zvonkin_transform(b, UNIT_VOL, x0)
     clean = replicate_normals((30, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
     out = (np.empty((grid.n_steps + 1, n_rep)), np.empty((grid.n_steps, n_rep)),
-           np.empty(n_rep, dtype=bool))
+           np.empty(n_rep, dtype=np.int64))
     n_bad = []
     for deltas in (dirty, clean):
         fresh = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
@@ -328,5 +334,5 @@ def test_propagate_reuses_buffers_like_fresh_arrays(case):
         assert all(r is o for r, o in zip(reused, out))
         for f, r in zip(fresh, reused):
             assert f.tobytes() == r.tobytes()
-        n_bad.append(int(reused[2].sum()))
+        n_bad.append(int((reused[2] > 0).sum()))
     assert n_bad == ([3, 0] if case == "direct" else [1, 0])

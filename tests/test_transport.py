@@ -13,7 +13,7 @@ from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
-from adapted_ot.transport import (PIVOT_TOL, _cdfs, _quantile_plans,
+from adapted_ot.transport import (_cdfs, _quantile_plans,
                                   _quantile_stage, _solve_blocks,
                                   _solve_stage, _stage_certified, _stage_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
@@ -260,7 +260,7 @@ def test_monge_blocks_fast_path_matches_simplex_and_highs(raw_a, raw_b, data):
     assert np.abs(plan.sum(axis=1) - a).max() <= 1e-13
     assert np.abs(plan.sum(axis=0) - b).max() <= 1e-13
     assert value == pytest.approx(float(np.sum(plan * cost)), abs=1e-12)
-    assert value == pytest.approx(_transport_simplex(cost, a, b, PIVOT_TOL)[1],
+    assert value == pytest.approx(_transport_simplex(cost, a, b)[1],
                                   abs=1e-12)
     assert value == pytest.approx(_highs_value(cost, a, b), abs=1e-12)
 
@@ -274,7 +274,7 @@ def test_non_monge_blocks_take_the_simplex_solution(raw_a, raw_b, data):
                                        max_size=n * m))).reshape(n, m)
     cost[0, 0] += 1.0 + 4 * np.abs(cost).max()  # first mixed difference > 0
     plan, value, n_simplex = _one_block(cost, a, b)
-    ref_plan, ref_value = _transport_simplex(cost, a, b, PIVOT_TOL)
+    ref_plan, ref_value = _transport_simplex(cost, a, b)
     assert n_simplex == 1
     assert np.array_equal(plan, ref_plan)
     assert value == ref_value
