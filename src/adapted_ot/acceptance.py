@@ -19,7 +19,7 @@ from .estimate import (closed_form_cost, convergence_study,
                        stability_study, sync_distance_mc)
 from .lattice import build_lattice, check_fosd, fosd_sufficient_condition
 from .model import (DiscretePathMeasure, MarkovLattice, TimeGrid, affine,
-                    constant, growth_bounds, ou, table)
+                    constant, lipschitz_constant, ou, table)
 from .noise import (exit_probability_bounds, fourth_moment_truncation_error,
                     map_batches, replicate_normals, truncate_increments,
                     truncation_level)
@@ -64,8 +64,8 @@ def random_lipschitz_pair(rng, h, trunc_k=4):
             knots = np.linspace(-60, 60, 13)
             s = table(knots, np.maximum(base + slope * knots, 0.05),
                       role="diffusion")
-        c0 = growth_bounds(b).lipschitz
-        c1 = growth_bounds(s).lipschitz
+        c0 = lipschitz_constant(b)
+        c1 = lipschitz_constant(s)
         if fosd_sufficient_condition(c0, c1, h, trunc_k):
             return b, s
 

@@ -47,10 +47,13 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """Floats in FLOAT_FMT, anything else by ``str``; a column's type is
+    that of its entry in the first row."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    if rows:
+        row_fmt = ",".join(FLOAT_FMT if isinstance(v, float) else "%s"
+                           for v in rows[0])
+        lines += [row_fmt % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -321,6 +324,11 @@ def _run(parser, argv):
     args = parser.parse_args(argv)
     if args.command == "rerun":
         payload = json.loads(Path(args.sidecar).read_text())
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("command"), str)
+                and isinstance(payload.get("config"), dict)):
+            raise ConfigError(f"{args.sidecar} is not a sidecar: it needs a "
+                              f"\"command\" string and a \"config\" object")
         version = payload.get("version")
         if payload["command"] in STREAM_COMMANDS and version != __version__:
             raise ConfigError(

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import ConfigError, MarkovLattice, PROB_TOL, TimeGrid, growth_bounds
+from .model import (ConfigError, MarkovLattice, PROB_TOL, TimeGrid,
+                    lipschitz_constant)
 from .noise import truncation_level
 
 
@@ -154,7 +155,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0!r}")
     for spec in (b, sigma):
-        growth_bounds(spec)  # rejects path-dependent kinds
+        lipschitz_constant(spec)  # rejects path-dependent kinds
     h = TimeGrid(n_steps).h
     # the barrier formula degenerates at h = 1 (log 1 = 0); a single-step
     # chain uses the untruncated increment

@@ -2,8 +2,8 @@
 and finite path/Markov measures.
 
 Coefficients are a closed declarative family rather than arbitrary callbacks,
-so that Lipschitz and linear-growth constants are computable exactly (they
-feed the monotonicity certificate of the truncated scheme).
+so that Lipschitz constants are computable exactly (they feed the
+monotonicity certificate of the truncated scheme).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,49 +237,21 @@ def sign_switch(level, switch_time):
                            switch_time=float(switch_time))
 
 
-@dataclass(frozen=True)
-class GrowthBounds:
-    """Lipschitz / linear-growth constants of a coefficient.
+def lipschitz_constant(spec):
+    """Exact Lipschitz constant of a Markovian coefficient.
 
-    ``|phi(x) - phi(y)| <= lipschitz * |x - y|`` (when present) and
-    ``|phi(x)| <= linear_growth_K * (1 + |x|)`` on the coefficient's domain.
-    """
-
-    lipschitz: Optional[float]
-    linear_growth_K: float
-    value_at_zero_bound: float
-
-
-def growth_bounds(spec):
-    """Exact Lipschitz/growth constants for a Markovian coefficient.
-
-    Tables report the maximum inter-knot slope; ``sign_switch`` has no
+    A table's is its largest inter-knot slope; ``sign_switch`` has no
     state-Lipschitz constant and is rejected.
     """
     if not spec.is_markovian:
-        raise NotMarkovianError("growth bounds are undefined for sign_switch")
+        raise NotMarkovianError("sign_switch has no Lipschitz constant")
     if spec.kind == "constant":
-        c = abs(spec.value)
-        return GrowthBounds(lipschitz=0.0, linear_growth_K=c, value_at_zero_bound=c)
+        return 0.0
     if spec.kind == "affine":
-        lip = abs(spec.slope)
-        v0 = abs(spec.intercept)
-        return GrowthBounds(lipschitz=lip, linear_growth_K=max(lip, v0),
-                            value_at_zero_bound=v0)
+        return abs(spec.slope)
     if spec.kind == "ou":
-        return GrowthBounds(lipschitz=abs(spec.theta), linear_growth_K=abs(spec.theta),
-                            value_at_zero_bound=0.0)
-    # table: max slope between knots; growth bound anchored at the knot
-    # closest to the origin (the table domain need not contain 0).
-    knots = np.asarray(spec.knots, dtype=float)
-    values = np.asarray(spec.values, dtype=float)
-    slopes = np.diff(values) / np.diff(knots)
-    lip = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-    x_anchor = float(np.clip(0.0, knots[0], knots[-1]))
-    v_anchor = float(np.interp(x_anchor, knots, values))
-    k = max(lip, abs(v_anchor) + lip * abs(x_anchor))
-    return GrowthBounds(lipschitz=lip, linear_growth_K=k,
-                        value_at_zero_bound=abs(v_anchor) + lip * abs(x_anchor))
+        return abs(spec.theta)
+    return float(np.max(np.abs(np.diff(spec.values) / np.diff(spec.knots))))
 
 
 @dataclass(frozen=True)
@@ -476,13 +448,6 @@ class MarkovLattice:
         built once per lattice."""
         return tuple(padded_rows(t) for t in self.transitions)
 
-    def stage_marginals(self):
-        """Forward marginal probability vectors, one per stage."""
-        out = [np.array([1.0])]
-        for t in self.transitions:
-            out.append(out[-1] @ t)
-        return out
-
     def to_json(self):
         """Sparse-row JSON: per stage, the support and the kernel's positive
         entries row after row (``row_sizes``, column ``index``, ``weight``)."""
@@ -558,27 +523,6 @@ def _int_array(values):
 #   kind=sign_switch level=5 switch_time=0.1
 #
 # ``role`` is optional and defaults to "drift".
-
-def format_coefficient(spec):
-    """Serialize a CoefficientSpec to the key=value text schema."""
-    parts = [f"kind={spec.kind}"]
-    if spec.kind == "constant":
-        parts.append(f"value={spec.value!r}")
-    elif spec.kind == "affine":
-        parts.append(f"intercept={spec.intercept!r}")
-        parts.append(f"slope={spec.slope!r}")
-    elif spec.kind == "ou":
-        parts.append(f"theta={spec.theta!r}")
-    elif spec.kind == "table":
-        parts.append("knots=" + ",".join(repr(k) for k in spec.knots))
-        parts.append("values=" + ",".join(repr(v) for v in spec.values))
-    else:
-        parts.append(f"level={spec.level!r}")
-        parts.append(f"switch_time={spec.switch_time!r}")
-    if spec.role != "drift":
-        parts.append(f"role={spec.role}")
-    return " ".join(parts)
-
 
 def parse_coefficient(text, role=None):
     """Parse the key=value text schema back into a CoefficientSpec."""

@@ -355,17 +355,6 @@ def truncate_increments(substeps, barrier):
     return values, exited
 
 
-def sample_truncated_increment(h, barrier, m_sub, seed):
-    """One stopped Brownian increment over a step of size ``h``."""
-    if barrier <= 0:
-        raise ConfigError("barrier must be positive")
-    if m_sub < 1:
-        raise ConfigError("m_sub must be >= 1")
-    sub = replicate_normals(seed, m_sub)[0] * math.sqrt(h / m_sub)
-    values, exited = truncate_increments(sub, barrier)
-    return float(values), bool(exited)
-
-
 def _normal_upper_tail(x):
     return 0.5 * erfc(x / math.sqrt(2.0))
 
@@ -390,7 +379,6 @@ class FourthMomentEstimate:
     n_exits: int
     analytic_bound: float
     within_bound: bool
-    no_exit: bool
 
 
 def fourth_moment_truncation_error(h, trunc_k, n_samples, seed=0):
@@ -398,8 +386,8 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, seed=0):
     ``DEFAULT_SUBSTEPS`` substeps.
 
     The error is nonzero only on exit events, so for large K the estimate is
-    exactly zero and flagged; the analytic bound 6 h^2 h^{K^2/2} from the
-    truncation lemma is reported alongside.
+    exactly zero, with ``n_exits`` 0; the analytic bound 6 h^2 h^{K^2/2}
+    from the truncation lemma is reported alongside.
     """
     barrier = truncation_level(h, trunc_k)
 
@@ -418,5 +406,4 @@ def fourth_moment_truncation_error(h, trunc_k, n_samples, seed=0):
     bound = 6.0 * h**2 * h ** (trunc_k**2 / 2.0)
     within = estimate <= bound * (1.0 + 5.0 * (stderr / bound if bound > 0 else 0.0))
     return FourthMomentEstimate(estimate=estimate, stderr=stderr, n_exits=n_exits,
-                                analytic_bound=bound, within_bound=within,
-                                no_exit=(n_exits == 0))
+                                analytic_bound=bound, within_bound=within)

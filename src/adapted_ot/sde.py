@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, TimeGrid, growth_bounds, table, table_lookup)
+                    SamplePath, TimeGrid, lipschitz_constant, table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
 # the scheme names of ``simulate --scheme`` and the Monte Carlo estimators
@@ -200,13 +200,12 @@ class DriftRemovingTransform:
 
     ``T(x) = int_{x0}^x exp(-2 int_{x0}^z b / sigma^2)`` on a dense grid;
     the transformed state Y = T(X) solves a driftless SDE with coefficient
-    ``transformed_sigma(y) = (sigma T') (T^{-1}(y))``.
+    ``(sigma T') (T^{-1}(y))``.
     """
 
     xs: np.ndarray
     ts: np.ndarray
     t_prime: np.ndarray
-    transformed_sigma: object
     lipschitz_certificate: float
 
     def forward(self, x):
@@ -267,11 +266,9 @@ def zvonkin_transform(b, sigma, x0):
         raise ConfigError("transform table lost resolution; reduce the drift "
                           "magnitude")
     t_prime = t_prime_fine[::2]
-    sigma_lip = growth_bounds(sigma).lipschitz
-    certificate = sigma_lip + 2.0 * float(np.max(np.abs(bs_fine))) / inf_sigma
-    transformed = table(ts, ss_fine[::2] * t_prime, role="diffusion")
+    certificate = (lipschitz_constant(sigma)
+                   + 2.0 * float(np.max(np.abs(bs_fine))) / inf_sigma)
     return DriftRemovingTransform(xs=xs, ts=ts, t_prime=t_prime,
-                                  transformed_sigma=transformed,
                                   lipschitz_certificate=certificate)
 
 

@@ -26,7 +26,6 @@ plan built for its own pair of rows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,29 +41,6 @@ MAX_TREE_PATHS = 64
 # defaults the bicausal LP missed the exact tree DP by 1.07e-8 on a
 # 19 x 5-path pair, above the 1e-8 agreement the DP is checked to
 LP_FEASIBILITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A joint probability matrix with fixed marginals and its cost."""
-
-    joint: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    cost: float
-
-    def validate(self, cost_matrix=None, tol=1e-10):
-        joint = np.asarray(self.joint, dtype=float)
-        if joint.size and joint.min() < -tol:
-            raise ConfigError("transport plan has negative mass")
-        if np.max(np.abs(joint.sum(axis=1) - self.row_marginal)) > tol:
-            raise ConfigError("row sums do not match the row marginal")
-        if np.max(np.abs(joint.sum(axis=0) - self.col_marginal)) > tol:
-            raise ConfigError("column sums do not match the column marginal")
-        if cost_matrix is not None:
-            if abs(float(np.sum(joint * cost_matrix)) - self.cost) > tol:
-                raise ConfigError("stored cost does not match the plan")
-        return True
 
 
 # -- exact transportation simplex --------------------------------------------
@@ -200,54 +176,7 @@ def _transport_simplex(cost, a, b):
     return x, float(np.sum(x * cost))
 
 
-def transportation_lp(cost, row_marginal, col_marginal):
-    """Exact optimal plan for the transportation problem.
-
-    Marginals must be probability vectors with matching sums (within 1e-9);
-    zero-mass rows and columns are stripped before solving and restored as
-    zero rows in the returned plan.
-    """
-    cost = np.asarray(cost, dtype=float)
-    a = np.asarray(row_marginal, dtype=float)
-    b = np.asarray(col_marginal, dtype=float)
-    if cost.shape != (a.size, b.size):
-        raise ConfigError("cost matrix shape must match the marginals")
-    _check_weights(a, "row marginal")
-    _check_weights(b, "column marginal")
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise ConfigError("marginal sums differ by more than 1e-9; infeasible")
-    ri = np.flatnonzero(a > 0)
-    cj = np.flatnonzero(b > 0)
-    sub, value = _transport_simplex(cost[np.ix_(ri, cj)], a[ri], b[cj])
-    joint = np.zeros_like(cost)
-    joint[np.ix_(ri, cj)] = sub
-    return TransportPlan(joint=joint, row_marginal=a, col_marginal=b, cost=value)
-
-
 # -- quantile machinery -------------------------------------------------------
-
-def _check_weights(weights, what, atoms=None):
-    """Raise ConfigError unless ``weights`` are finite and nonnegative and,
-    with ``atoms``, the atoms are finite and one per weight."""
-    if weights.ndim != 1 or not np.isfinite(weights).all() or (
-            weights.size and weights.min() < 0):
-        raise ConfigError(f"{what} must be finite and nonnegative")
-    if atoms is not None and (atoms.shape != weights.shape
-                              or not np.isfinite(atoms).all()):
-        raise ConfigError(f"{what}: need one finite atom per weight")
-
-
-def quantile(atoms, weights, u):
-    """Left-continuous generalized inverse of the CDF at level u in (0, 1]."""
-    if not 0.0 < u <= 1.0:
-        raise ConfigError("quantile level must lie in (0, 1]")
-    atoms = np.asarray(atoms, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    _check_weights(weights, "quantile weights", atoms)
-    cdf = np.cumsum(weights)
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return float(atoms[min(idx, atoms.size - 1)])
-
 
 def _cdfs(w):
     """CDFs started at 0 of weight vectors along the last axis (zeros allowed)."""
@@ -287,23 +216,6 @@ def _stage_plans(plans, rows_x, rows_y, i=None, j=None):
     if plans is not None:
         return plans[i, j]
     return _plan_table(rows_x, rows_y)[rows_x.kind[i], rows_y.kind[j]]
-
-
-def monotone_rearrangement(x_atoms, x_weights, y_atoms, y_weights, p=2):
-    """Quantile coupling of two discrete measures on sorted supports."""
-    x_atoms = np.asarray(x_atoms, dtype=float)
-    y_atoms = np.asarray(y_atoms, dtype=float)
-    wx = np.asarray(x_weights, dtype=float)
-    wy = np.asarray(y_weights, dtype=float)
-    _check_weights(wx, "x weights", x_atoms)
-    _check_weights(wy, "y weights", y_atoms)
-    if np.any(np.diff(x_atoms) < 0) or np.any(np.diff(y_atoms) < 0):
-        raise ConfigError("supports must be sorted")
-    if abs(wx.sum() - 1.0) > 1e-9 or abs(wy.sum() - 1.0) > 1e-9:
-        raise ConfigError("weights must sum to 1")
-    joint = _quantile_plans(_cdfs(wx), _cdfs(wy))
-    cost = float(np.sum(joint * np.abs(x_atoms[:, None] - y_atoms[None, :]) ** p))
-    return TransportPlan(joint=joint, row_marginal=wx, col_marginal=wy, cost=cost)
 
 
 # -- coupled chains -----------------------------------------------------------
@@ -471,33 +383,6 @@ class BicausalSolution:
                            for i, a in enumerate(sizes_x)
                            for j, b in enumerate(sizes_y)})
         return tuple(policy)
-
-    def plan_at(self, stage, i, j):
-        """Inner plan of product state (i, j) at ``stage`` on the full child
-        supports.  ``stage`` lies in [0, n) and (i, j) indexes the stage's
-        two supports; anything else raises ConfigError."""
-        try:
-            stage, i, j = map(operator.index, (stage, i, j))
-        except TypeError:
-            raise ConfigError("plan_at needs integer stage and state indices") from None
-        if not 0 <= stage < len(self.plans):
-            raise ConfigError(f"stage {stage} outside [0, {len(self.plans)})")
-        n_i, n_j = self.values_x[stage].size, self.values_y[stage].size
-        if not (0 <= i < n_i and 0 <= j < n_j):
-            raise ConfigError(f"state ({i}, {j}) outside the {n_i} x {n_j} "
-                              f"product support of stage {stage}")
-        rows_x, rows_y = self.rows_x[stage], self.rows_y[stage]
-        index_x, index_y = rows_x.index, rows_y.index
-        wx, wy = rows_x.weights, rows_y.weights
-        n_x, n_y = self.values_x[stage + 1].size, self.values_y[stage + 1].size
-        joint = np.zeros((n_x, n_y))
-        # the padding repeats a support index with zero mass
-        np.add.at(joint, (index_x[i][:, None], index_y[j]),
-                  _stage_plans(self.plans[stage], rows_x, rows_y, i, j))
-        return TransportPlan(joint=joint,
-                             row_marginal=np.bincount(index_x[i], wx[i], n_x),
-                             col_marginal=np.bincount(index_y[j], wy[j], n_y),
-                             cost=float(self.inner_values[stage][i, j]))
 
     def forward_value(self):
         """Re-evaluate the stored policy forward; equals ``value`` up to

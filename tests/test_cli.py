@@ -338,12 +338,27 @@ CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
-def test_config_errors_exit_2(tmp_path, capsys, case):
+# sidecars that `rerun` cannot replay
+BAD_SIDECARS = {
+    "rerun-sidecar-without-command": '{"config": {}}',
+    "rerun-sidecar-without-config": '{"command": "lattice"}',
+    "rerun-sidecar-not-an-object": '[1, 2]',
+    "rerun-sidecar-config-not-an-object": '{"command": "lattice", "config": [1]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS) + sorted(BAD_SIDECARS))
+def test_config_errors_exit_2(tmp_path, tmp_path_factory, capsys, case):
     # no traceback, no exit 0 on an empty table: exit 2, one error line and
     # no output
     out = tmp_path / "out.csv"
-    assert main([*CONFIG_ERRORS[case], "--out", str(out)]) == 2
+    if case in BAD_SIDECARS:
+        sidecar = tmp_path_factory.mktemp("sidecar") / "out.csv.sidecar.json"
+        sidecar.write_text(BAD_SIDECARS[case])
+        argv = ["rerun", str(sidecar)]
+    else:
+        argv = [*CONFIG_ERRORS[case], "--out", str(out)]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 

@@ -15,6 +15,14 @@ from adapted_ot.noise import truncate_increments, truncation_level
 UNIT_VOL = constant(1.0, role="diffusion")
 
 
+def _stage_marginals(lattice):
+    """Forward marginal probability vectors of a lattice, one per stage."""
+    out = [np.array([1.0])]
+    for t in lattice.transitions:
+        out.append(out[-1] @ t)
+    return out
+
+
 def test_quantize_halves_of_standard_normal():
     q = quantize_increment(1.0, 1e9, 2)
     assert q.atoms == pytest.approx([-math.sqrt(2 / math.pi),
@@ -76,7 +84,7 @@ def test_build_lattice_keeps_means_and_stochastic_rows(drift, vol, n_steps, m,
     lattice = build_lattice(drift, constant(vol, role="diffusion"), n_steps,
                             m, m + extra)
     h = 1.0 / n_steps
-    marginals = lattice.stage_marginals()
+    marginals = _stage_marginals(lattice)
     for k, rows in enumerate(lattice.transitions):
         assert rows.min() >= 0.0
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
@@ -137,7 +145,7 @@ def _simulate_monotone_em(b, s, n_steps, seed, n_paths, m_sub=4):
 
 
 def _lattice_moments(lattice):
-    marginal = lattice.stage_marginals()[-1]
+    marginal = _stage_marginals(lattice)[-1]
     support = lattice.supports[-1]
     mean = float(marginal @ support)
     return mean, float(marginal @ support**2) - mean**2
@@ -173,7 +181,7 @@ def test_lattice_mean_matches_monotone_em():
     # OU(1), unit vol, N=4, m=3: stage-N means agree within 3 MC stderr
     # (conditional-mean quantization and contiguous merging preserve means)
     lattice = build_lattice(ou(1.0), UNIT_VOL, 4, 3, 30)
-    marginal = lattice.stage_marginals()[-1]
+    marginal = _stage_marginals(lattice)[-1]
     lat_mean = float(marginal @ lattice.supports[-1])
     n_paths = 100000
     x = _simulate_monotone_em(ou(1.0), UNIT_VOL, 4, (22, 0), n_paths)

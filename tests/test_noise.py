@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from adapted_ot.model import ConfigError, TimeGrid
-from adapted_ot.noise import (Workspace, batch_moments, constant_rho,
-                              exit_probability_bounds,
+from adapted_ot.noise import (DEFAULT_SUBSTEPS, Workspace, batch_moments,
+                              constant_rho, exit_probability_bounds,
                               fourth_moment_truncation_error, map_batches,
                               pool_moments, replicate_normals, rho_table,
-                              sample_correlated_pair,
-                              sample_truncated_increment, truncate_increments,
+                              sample_correlated_pair, truncate_increments,
                               truncation_level, _replicate_uniforms,
                               _split_seed, _stream_key, _uniforms_to_normals)
 from adapted_ot.sde import _step_increments
@@ -210,21 +209,29 @@ def test_rho_table_control():
     assert np.array_equal(block.dW_bar[2:], -block.dW[2:])
 
 
+def _stopped_increment(h, barrier, m_sub, seed):
+    """One increment over a step of size ``h``, from ``m_sub`` substeps of
+    replicate ``seed``, stopped at ``barrier``."""
+    values, exited = truncate_increments(
+        replicate_normals(seed, m_sub)[0] * math.sqrt(h / m_sub), barrier)
+    return float(values), bool(exited)
+
+
 def test_truncated_clamp_invariant():
     rng = np.random.default_rng(1)
     for _ in range(50):
         h = float(rng.uniform(0.01, 0.5))
         barrier = float(rng.uniform(0.05, 2.0))
         m_sub = int(rng.integers(1, 12))
-        value, exited = sample_truncated_increment(h, barrier, m_sub,
-                                                   (int(rng.integers(1 << 30)),))
+        value, exited = _stopped_increment(h, barrier, m_sub,
+                                           (int(rng.integers(1 << 30)),))
         assert abs(value) <= barrier + 1e-15
         if exited:
             assert abs(value) == pytest.approx(barrier)
 
 
 def test_huge_barrier_is_plain_gaussian():
-    value, exited = sample_truncated_increment(0.25, 1e9, 8, (3, 1))
+    value, exited = _stopped_increment(0.25, 1e9, 8, (3, 1))
     assert not exited
     sub = replicate_normals((3, 1), 8)[0] * math.sqrt(0.25 / 8)
     assert value == pytest.approx(np.cumsum(sub)[-1], abs=0.0)
@@ -233,7 +240,7 @@ def test_huge_barrier_is_plain_gaussian():
 def test_tiny_barrier_exits_immediately():
     n_exit = 0
     for i in range(200):
-        value, exited = sample_truncated_increment(0.25, 1e-4, 16, (4, i))
+        value, exited = _stopped_increment(0.25, 1e-4, 16, (4, i))
         n_exit += exited
         assert abs(value) <= 1e-4 + 1e-18
     assert n_exit == 200
@@ -326,7 +333,7 @@ def test_fourth_moment_fields_are_python_scalars():
     res = fourth_moment_truncation_error(0.1, 1, 2000, seed=3)
     assert type(res.estimate) is float and type(res.stderr) is float
     assert type(res.analytic_bound) is float and type(res.n_exits) is int
-    assert type(res.within_bound) is bool and type(res.no_exit) is bool
+    assert type(res.within_bound) is bool
     assert "np." not in repr(res)
 
 
@@ -334,7 +341,6 @@ def test_fourth_moment_no_truncation_is_exact_zero():
     res = fourth_moment_truncation_error(0.1, 4, 20000, seed=1)
     assert res.estimate == 0.0
     assert res.n_exits == 0
-    assert res.no_exit
     assert res.within_bound
 
 
@@ -343,3 +349,26 @@ def test_fourth_moment_k1_bound():
     assert res.n_exits > 0
     assert res.analytic_bound == pytest.approx(6 * 0.01 * math.sqrt(0.1), rel=1e-12)
     assert res.within_bound
+
+
+@pytest.mark.parametrize("trunc_k, exits", [(1, True), (4, False)],
+                         ids=["exits", "no-exits"])
+def test_fourth_moment_check_sums_substeps_as_the_schemes_do(trunc_k, exits):
+    # the check's full increment, a cumsum of 16 substeps, has the bits of
+    # the schemes' one substep-to-step reduction; on that reduction the
+    # check's estimate and exit count come out the same
+    h, n_samples, seed = 0.1, 4000, 5
+    barrier = truncation_level(h, trunc_k)
+
+    def run_batch(lo, hi, _ws):
+        sub = (replicate_normals((seed, lo), DEFAULT_SUBSTEPS, hi - lo)
+               * math.sqrt(h / DEFAULT_SUBSTEPS))
+        full = _step_increments(sub[:, None, :], None)[0]
+        assert np.array_equal(full, np.cumsum(sub, axis=1)[:, -1])
+        values, exited = truncate_increments(sub, barrier)
+        return batch_moments((full - values) ** 4), int(exited.sum())
+
+    moments, n_exits = zip(*map_batches(run_batch, n_samples))
+    res = fourth_moment_truncation_error(h, trunc_k, n_samples, seed=seed)
+    assert (sum(n_exits) > 0) == exits and res.n_exits == sum(n_exits)
+    assert (res.estimate, res.stderr) == pool_moments(moments)[:2]

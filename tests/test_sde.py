@@ -98,9 +98,10 @@ def test_zvonkin_identity_for_driftless():
     transform = zvonkin_transform(constant(0.0), UNIT_VOL, 0.0)
     xs = np.linspace(-5, 5, 11)
     assert np.allclose(transform.forward(xs), xs, atol=1e-9)
-    assert np.allclose(
-        transform.transformed_sigma.evaluate(np.linspace(-4, 4, 9)), 1.0,
-        atol=1e-9)
+    # the transformed coefficient (sigma T')(T^{-1}(y)) is 1
+    x = transform.inverse(np.linspace(-4, 4, 9))
+    assert np.allclose(UNIT_VOL.evaluate(x) * transform.derivative(x), 1.0,
+                       atol=1e-9)
 
 
 def test_zvonkin_closed_form_unit_drift():

@@ -13,15 +13,13 @@ from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
-from adapted_ot.transport import (_cdfs, _quantile_plans,
+from adapted_ot.transport import (CoupledChain, _cdfs, _quantile_plans,
                                   _quantile_stage, _solve_blocks,
                                   _solve_stage, _stage_certified, _stage_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
-                                  monotone_rearrangement, quantile,
-                                  synchronous_product_chain,
-                                  transportation_lp, tree_bicausal_dp)
+                                  synchronous_product_chain, tree_bicausal_dp)
 
 UNIT_VOL = constant(1.0, role="diffusion")
 
@@ -44,37 +42,37 @@ def random_tree(rng, n_stages, max_branch=3):
     return DiscretePathMeasure(paths=np.array(paths), weights=w / w.sum())
 
 
-# -- quantile machinery -------------------------------------------------------
+# -- quantile couplings --------------------------------------------------------
+#
+# The quantile coupling of two discrete laws is the KR coupling of two
+# one-step lattices from 0 to them.
 
-def test_quantile_left_continuity():
-    assert quantile([0, 1], [0.5, 0.5], 0.5) == 0
-    assert quantile([0, 1], [0.5, 0.5], 0.50001) == 1
-
-
-def test_quantile_single_atom_and_inversion():
-    assert quantile([3.5], [1.0], 0.2) == 3.5
-    assert quantile([-1, 2], [0.25, 0.75], 0.25) == -1
-    assert quantile([-1, 2], [0.25, 0.75], 0.3) == 2
-    with pytest.raises(ConfigError):
-        quantile([0], [1.0], 0.0)
-    with pytest.raises(ConfigError):
-        quantile([0], [1.0], 1.1)
+def _one_step(atoms, weights):
+    """The one-step lattice from 0 to the law of ``weights`` on ``atoms``."""
+    return MarkovLattice(initial_value=0.0,
+                         supports=(np.array([0.0]), np.asarray(atoms, dtype=float)),
+                         transitions=(np.asarray(weights, dtype=float)[None],))
 
 
-def test_monotone_rearrangement_example():
-    plan = monotone_rearrangement([0, 1], [0.5, 0.5], [-1, 2], [0.25, 0.75],
-                                  p=1)
-    assert np.allclose(plan.joint, [[0.25, 0.25], [0.0, 0.5]])
-    assert plan.cost == pytest.approx(1.25)
-    plan.validate()
+def _kr_plan(lat_x, lat_y):
+    """The root plan of the KR coupling of two one-step lattices."""
+    return _stage_plans(None, lat_x.kernel_rows[0], lat_y.kernel_rows[0])[0, 0]
 
 
-def test_monotone_rearrangement_identity_and_dirac():
-    plan = monotone_rearrangement([0, 1], [0.4, 0.6], [0, 1], [0.4, 0.6], p=2)
-    assert plan.cost == 0.0
-    assert np.allclose(plan.joint, np.diag([0.4, 0.6]))
-    plan = monotone_rearrangement([0.0], [1.0], [-1, 2], [0.25, 0.75], p=2)
-    assert np.allclose(plan.joint, [[0.25, 0.75]])
+def test_quantile_coupling_example():
+    lat_x, lat_y = _one_step([0, 1], [0.5, 0.5]), _one_step([-1, 2], [0.25, 0.75])
+    assert np.allclose(_kr_plan(lat_x, lat_y), [[0.25, 0.25], [0.0, 0.5]])
+    assert coupled_cost(kr_coupling(lat_x, lat_y), p=1,
+                        scaled=False) == pytest.approx(1.25)
+    kr_coupling(lat_x, lat_y).validate()
+
+
+def test_quantile_coupling_identity_and_dirac():
+    lat = _one_step([0, 1], [0.4, 0.6])
+    assert coupled_cost(kr_coupling(lat, lat), p=2, scaled=False) == 0.0
+    assert np.allclose(_kr_plan(lat, lat), np.diag([0.4, 0.6]))
+    plan = _kr_plan(_one_step([0.0], [1.0]), _one_step([-1, 2], [0.25, 0.75]))
+    assert np.allclose(plan, [[0.25, 0.75]])
 
 
 @pytest.mark.parametrize("x_atoms, x_weights", [
@@ -82,46 +80,63 @@ def test_monotone_rearrangement_identity_and_dirac():
     ([0.0, 1.0], [1.5, -0.5]),  # negative weight
     ([0.0, 1.0, 2.0], [0.5, 0.5]),  # one atom too many
 ])
-def test_monotone_rearrangement_rejects_bad_measures(x_atoms, x_weights):
+def test_one_step_lattice_rejects_bad_measures(x_atoms, x_weights):
     with pytest.raises(ConfigError):
-        monotone_rearrangement(x_atoms, x_weights, [0.0, 1.0], [0.5, 0.5])
+        _one_step(x_atoms, x_weights)
 
 
-def test_transportation_lp_rejects_nan_marginal():
-    with pytest.raises(ConfigError):
-        transportation_lp(np.ones((2, 2)), [np.nan, 1.0], [0.5, 0.5])
+def test_quantile_coupling_optimal_for_convex_costs():
+    rng = np.random.default_rng(9)
+    for p in (1, 2):
+        for _ in range(40):
+            nx = int(rng.integers(2, 13))
+            ny = int(rng.integers(2, 13))
+            xs = np.sort(rng.normal(size=nx)) * 3
+            ys = np.sort(rng.normal(size=ny)) * 3
+            wx = rng.random(nx)
+            wx /= wx.sum()
+            wy = rng.random(ny)
+            wy /= wy.sum()
+            kr = coupled_cost(kr_coupling(_one_step(xs, wx), _one_step(ys, wy)),
+                              p=p, scaled=False)
+            cost = np.abs(xs[:, None] - ys[None, :]) ** p
+            assert kr == pytest.approx(_highs_value(cost, wx, wy), abs=1e-10)
 
 
-def test_quantile_rejects_negative_weights():
-    with pytest.raises(ConfigError):
-        quantile([0.0, 1.0], [1.5, -0.5], 0.5)
+# -- exact transportation simplex ----------------------------------------------
+#
+# The DP calls the simplex on the positive masses of two kernel rows; HiGHS
+# is the reference.
+
+def _check_plan(plan, value, cost, a, b, tol=1e-10):
+    """A transport plan is nonnegative, has marginals ``a`` and ``b`` and
+    is worth ``value`` on ``cost``, each within ``tol``."""
+    assert plan.min() >= -tol
+    assert np.abs(plan.sum(axis=1) - a).max() <= tol
+    assert np.abs(plan.sum(axis=0) - b).max() <= tol
+    assert abs(float(np.sum(plan * cost)) - value) <= tol
 
 
-def test_transportation_lp_forced_and_diagonal():
-    plan = transportation_lp(np.array([[1.0, 2.0, 3.0]]), [1.0],
-                             [0.2, 0.3, 0.5])
-    assert np.allclose(plan.joint, [[0.2, 0.3, 0.5]])
-    plan = transportation_lp(np.array([[0.0, 4.0], [4.0, 0.0]]), [0.5, 0.5],
-                             [0.5, 0.5])
-    assert plan.cost == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(plan.joint, np.diag([0.5, 0.5]))
+def test_transport_simplex_forced_and_diagonal():
+    plan, _ = _transport_simplex(np.array([[1.0, 2.0, 3.0]]), np.array([1.0]),
+                                 np.array([0.2, 0.3, 0.5]))
+    assert np.allclose(plan, [[0.2, 0.3, 0.5]])
+    plan, value = _transport_simplex(np.array([[0.0, 4.0], [4.0, 0.0]]),
+                                     np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    assert value == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(plan, np.diag([0.5, 0.5]))
 
 
-def test_transportation_lp_start_stops_at_last_column():
-    # sums differ by 4e-12, inside the 1e-9 allowance: the northwest-corner
-    # start reaches the last column with row mass left and must stop there
+def test_transport_simplex_start_stops_at_last_column():
+    # sums differ by 4e-12: the northwest-corner start reaches the last
+    # column with row mass left and must stop there
     a = np.array([0.5, 0.5 - 1e-12, 1e-12])
     b = np.array([0.5, 0.5 - 3e-12])
     cost = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
-    plan = transportation_lp(cost, a, b)
-    plan.validate(cost_matrix=cost, tol=1e-10)
-    assert np.allclose(plan.joint, [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]],
+    plan, value = _transport_simplex(cost, a, b)
+    _check_plan(plan, value, cost, a, b, tol=1e-10)
+    assert np.allclose(plan, [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]],
                        rtol=0.0, atol=1e-11)
-
-
-def test_transportation_lp_infeasible_marginals():
-    with pytest.raises(ConfigError):
-        transportation_lp(np.zeros((2, 2)), [0.7, 0.4], [0.5, 0.5])
 
 
 def _highs_value(cost, a, b):
@@ -141,7 +156,7 @@ def _highs_value(cost, a, b):
     return res.fun
 
 
-def test_transportation_lp_matches_reference_solver():
+def test_transport_simplex_matches_reference_solver():
     rng = np.random.default_rng(5)
     for _ in range(120):
         n = int(rng.integers(1, 11))
@@ -151,15 +166,16 @@ def test_transportation_lp_matches_reference_solver():
         a /= a.sum()
         b = rng.random(m) + 1e-3
         b /= b.sum()
-        plan = transportation_lp(cost, a, b)
-        plan.validate(cost_matrix=cost)
-        assert plan.cost == pytest.approx(_highs_value(cost, a, b), abs=1e-9)
+        plan, value = _transport_simplex(cost, a, b)
+        _check_plan(plan, value, cost, a, b)
+        assert value == pytest.approx(_highs_value(cost, a, b), abs=1e-9)
 
 
-def test_transportation_lp_degenerate_marginals():
+def test_transport_simplex_degenerate_marginals():
     rng = np.random.default_rng(6)
     for _ in range(40):
-        # many ties and zero masses exercise degenerate pivots
+        # many ties and zero masses exercise degenerate pivots; the simplex
+        # gets the positive rows and columns, HiGHS all of them
         n, m = 6, 6
         cost = rng.integers(0, 3, size=(n, m)).astype(float)
         a = rng.integers(0, 3, size=n).astype(float)
@@ -172,34 +188,18 @@ def test_transportation_lp_degenerate_marginals():
         if b_raw.sum() == 0:
             continue
         b_raw /= b_raw.sum()
-        plan = transportation_lp(cost, a, b_raw)
-        plan.validate(cost_matrix=cost)
-        assert plan.cost == pytest.approx(_highs_value(cost, a, b_raw), abs=1e-9)
-
-
-def test_monotone_rearrangement_optimal_for_convex_costs():
-    rng = np.random.default_rng(9)
-    for p in (1, 2):
-        for _ in range(40):
-            nx = int(rng.integers(2, 13))
-            ny = int(rng.integers(2, 13))
-            xs = np.sort(rng.normal(size=nx)) * 3
-            ys = np.sort(rng.normal(size=ny)) * 3
-            wx = rng.random(nx)
-            wx /= wx.sum()
-            wy = rng.random(ny)
-            wy /= wy.sum()
-            plan = monotone_rearrangement(xs, wx, ys, wy, p=p)
-            cost = np.abs(xs[:, None] - ys[None, :]) ** p
-            lp = transportation_lp(cost, wx, wy)
-            assert plan.cost == pytest.approx(lp.cost, abs=1e-10)
+        ri, cj = np.flatnonzero(a > 0), np.flatnonzero(b_raw > 0)
+        sub = cost[np.ix_(ri, cj)]
+        plan, value = _transport_simplex(sub, a[ri], b_raw[cj])
+        _check_plan(plan, value, sub, a[ri], b_raw[cj])
+        assert value == pytest.approx(_highs_value(cost, a, b_raw), abs=1e-9)
 
 
 def test_non_finite_costs_are_rejected():
     for bad in (np.inf, -np.inf, np.nan):
         cost = np.array([[0.0, 1.0], [bad, 0.0]])
         with pytest.raises(ConfigError):
-            transportation_lp(cost, [0.5, 0.5], [0.5, 0.5])
+            _transport_simplex(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     # |x - y|^2 overflows here; an infinite block would pass the Monge
     # check and give a NaN value
     lat = MarkovLattice(initial_value=0.0,
@@ -626,25 +626,28 @@ def test_bicausal_dp_stage_mismatch():
         bicausal_dp(lat_x, lat_y)
 
 
-def test_plan_at_exposes_valid_transport_plans():
-    lat_x = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30)
-    lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
-    sol = bicausal_dp(lat_x, lat_y, p=2)
-    plan = sol.plan_at(1, 0, 0)
-    plan.validate()
+def _certified_pair():
+    return (build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30),
+            build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30))
 
 
-def test_plan_at_rejects_stages_and_states_out_of_range():
-    lat_x = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30)
-    lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30)
+def _theta_12_pair():
+    return (build_lattice(ou(12.0), UNIT_VOL, 4, 5, 60),
+            build_lattice(constant(0.0), constant(0.5, role="diffusion"), 4, 5, 60))
+
+
+@pytest.mark.parametrize("pair, explicit", [(_certified_pair, ()),
+                                            (_theta_12_pair, (0, 2))],
+                         ids=["certified", "theta-12"])
+def test_dp_solution_stages_keep_their_marginals(pair, explicit):
+    # every stage of the DP policy couples its two kernel rows: the implicit
+    # quantile plans of certified stages, and the explicit plans of the
+    # theta = 12 pair's stages 0 and 2, simplex blocks included
+    lat_x, lat_y = pair()
     sol = bicausal_dp(lat_x, lat_y, p=2)
-    n_x, n_y = lat_x.supports[2].size, lat_y.supports[2].size
-    sol.plan_at(2, n_x - 1, n_y - 1).validate()
-    for stage, i, j in [(-1, 0, 0), (3, 0, 0), (2, -1, 0), (2, 0, -1),
-                        (2, n_x, 0), (2, 0, n_y), (0, 1, 0), (1.0, 0, 0),
-                        (1, "0", 0)]:
-        with pytest.raises(ConfigError):
-            sol.plan_at(stage, i, j)
+    assert tuple(k for k, plans in enumerate(sol.plans)
+                 if plans is not None) == explicit
+    CoupledChain(lat_x, lat_y, sol.plans).validate(tol=1e-12)
 
 
 def test_bicausal_solution_validate_rejects_perturbed_plan():
