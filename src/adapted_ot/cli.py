@@ -28,7 +28,8 @@ from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     MarkovLattice, DiscretePathMeasure, TimeGrid,
                     check_p, parse_coefficient, constant)
 from .noise import constant_rho, map_batches, sample_correlated_pair
-from .presets import PRESETS, get_preset, mollified_abs_ladder
+from .presets import (MAX_LADDER_LEVELS, PRESETS, get_preset,
+                      mollified_abs_ladder)
 from .sde import _SCHEMES, _propagate, _scheme_maps, _step_increments
 from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
@@ -197,9 +198,8 @@ def _cmd_stability(args):
 
 def _cmd_counterexample(args):
     sync, asyn = counterexample_nonmarkov(args.level, args.switch_time,
-                                          TimeGrid(args.n_steps), p=2,
-                                          n_samples=args.samples,
-                                          seed=args.seed)
+                                          TimeGrid(args.n_steps),
+                                          n_samples=args.samples, seed=args.seed)
     _write_csv(args.out, ["coupling", "estimate", "stderr"],
                [("sync", sync.estimate, sync.stderr),
                 ("async", asyn.estimate, asyn.stderr)])
@@ -291,7 +291,9 @@ def build_parser():
     conv.set_defaults(func=_cmd_convergence)
 
     stab = subs.add_parser("stability", help="mollified-drift stability study")
-    stab.add_argument("--levels", type=int, default=6)
+    stab.add_argument("--levels", type=int, default=6,
+                      help=f"approximation levels, 1 to {MAX_LADDER_LEVELS} "
+                           f"(level j tabulates 16 * 2^j + 2 knots)")
     stab.add_argument("--p", type=float, default=2.0)
     stab.add_argument("--n-steps", type=int, default=32)
     stab.add_argument("--samples", type=int, default=20000)

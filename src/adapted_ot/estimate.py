@@ -269,16 +269,14 @@ def stability_study(b_target, sigma_target, approx_pairs, b_other, sigma_other,
     return rows, target
 
 
-def counterexample_nonmarkov(level, switch_time, grid, p=2, n_samples=100000, seed=0):
+def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0):
     """Both couplings of the sign-switch drift example, simulated exactly.
 
     The synchronous pair is (W + D, W - D) with the common ramp
     D_t = level * sign(W_switch) * (t - switch_time)_+; the anti-synchronous
     pair flips the Brownian part only, (W + D, -W + D).  Returns the two
-    integrated squared-difference costs.
+    integrated squared-difference costs (the experiment's cost is p = 2).
     """
-    if p != 2:
-        raise ConfigError("the counterexample is a quadratic-cost experiment")
     if not (math.isfinite(level) and level >= 0):
         raise ConfigError(f"drift level must be finite and nonnegative, got {level!r}")
     k_sw = grid.index_of(switch_time)

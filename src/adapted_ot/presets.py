@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import affine, constant, ou, table
+from .model import ConfigError, affine, constant, ou, table
 
 # name -> (drift_x, vol_x, drift_y, vol_y)
 PRESETS = {
@@ -26,14 +26,22 @@ PRESETS = {
                    constant(0.0), constant(0.5, role="diffusion")),
 }
 
+# level j tabulates 16 * 2^j + 2 knots, so each level doubles the ladder's
+# memory: 155 MB of peak RSS at 16 levels
+MAX_LADDER_LEVELS = 16
+
 
 def mollified_abs_ladder(levels):
     """Coefficients of the coefficient-stability study: the drift |x|
     tabulated on [-8, 8] with a knot at 0, and ``levels`` approximations
-    whose knots at spacing 2^-j straddle the kink, all with unit volatility.
+    whose knots at spacing 2^-j straddle the kink, all with unit volatility;
+    at most ``MAX_LADDER_LEVELS`` levels.
 
     Returns (target drift, volatility, [(drift_j, volatility), ...]).
     """
+    if levels > MAX_LADDER_LEVELS:
+        raise ConfigError(f"at most {MAX_LADDER_LEVELS} ladder levels, "
+                          f"got {levels}")
     knots = np.unique(np.concatenate([np.linspace(-8, 8, 33), [0.0]]))
     vol = constant(1.0, role="diffusion")
     approx = []
@@ -49,6 +57,5 @@ def get_preset(name):
     try:
         return PRESETS[name]
     except KeyError:
-        from .model import ConfigError
         raise ConfigError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None

@@ -546,29 +546,40 @@ def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
                       y_lattice.supports, y_lattice.kernel_rows, p, w)
 
 
+def _prefix_nodes(paths):
+    """Each path's node among the distinct prefixes of each length.
+
+    Returns a (T + 1, n_paths) index array: entry [t, i] is the node of
+    path i's t-prefix among the distinct t-prefixes, numbered in
+    lexicographic order (stage 0 is the empty prefix, node 0).  With the
+    paths in lexicographic order, a path starts a new t-prefix where it
+    differs from the path before it in one of its first t values.
+    """
+    # ties go by path index, a key that also sorts a measure of no stages
+    order = np.lexsort((np.arange(paths.shape[0]), *paths.T[::-1]))
+    new = np.logical_or.accumulate(np.diff(paths[order], axis=0) != 0, axis=1)
+    nodes = np.zeros((paths.shape[1] + 1, paths.shape[0]), dtype=np.intp)
+    nodes[1:, order[1:]] = np.cumsum(new, axis=0).T
+    return nodes
+
+
 def history_stage_system(measure):
     """Expand a path measure into history states: stage-k nodes are the
-    distinct k-prefixes (lexicographic order), stage 0 an artificial root."""
-    paths = measure.paths
-    weights = measure.weights
-    n_stages = measure.n_stages
+    distinct k-prefixes (``_prefix_nodes``), stage 0 an artificial root.
+    Only the paths of positive weight are expanded: a prefix of zero mass
+    would have no kernel row."""
+    keep = measure.weights > 0
+    paths, weights = measure.paths[keep], measure.weights[keep]
     values = [np.array([0.0])]
     kernels = []
-    prev_index = {(): 0}
-    for k in range(1, n_stages + 1):
-        masses = {}
-        for idx in range(paths.shape[0]):
-            pref = tuple(paths[idx, :k])
-            masses[pref] = masses.get(pref, 0.0) + weights[idx]
-        nodes = sorted(masses)
-        index = {pref: i for i, pref in enumerate(nodes)}
-        kern = np.zeros((len(prev_index), len(nodes)))
-        for pref, mass in masses.items():
-            kern[prev_index[pref[:-1]], index[pref]] += mass
+    nodes = _prefix_nodes(paths)
+    for column, parent, node in zip(paths.T, nodes, nodes[1:]):
+        _, first = np.unique(node, return_index=True)
+        kern = np.zeros((parent.max() + 1, first.size))
+        kern[parent[first], np.arange(first.size)] = np.bincount(node, weights)
         kern /= kern.sum(axis=1, keepdims=True)
-        values.append(np.array([pref[-1] for pref in nodes]))
+        values.append(column[first])
         kernels.append(kern)
-        prev_index = index
     return values, kernels
 
 
@@ -589,47 +600,26 @@ def tree_bicausal_dp(mu, nu, p=2):
 
 # -- causality-constrained LP oracle ------------------------------------------
 
-def _prefix_classes(paths, upto):
-    """Map each path index to its class of indices sharing the length-``upto``
-    prefix; classes returned in first-appearance order."""
-    groups = {}
-    for idx in range(paths.shape[0]):
-        groups.setdefault(tuple(paths[idx, :upto]), []).append(idx)
-    return list(groups.values())
+def _causality_rows(node_a, weights_a, node_b, flat_index):
+    """One stage's rows enforcing: conditional on the full a-path, the law
+    of the b-prefix depends only on the a-prefix.
 
-
-def _causality_rows(paths_a, weights_a, paths_b, flat_index):
-    """Sparse rows enforcing: conditional on the full a-path, the law of the
-    b-prefix depends only on the a-prefix.  ``flat_index(a_idx, b_idx)`` maps
-    a path-index pair to its variable in the (mu-major) joint grid."""
-    rows = []
-    n_paths_b = paths_b.shape[0]
-    n_stages = paths_a.shape[1]
-    for t in range(1, n_stages):
-        classes_a = _prefix_classes(paths_a, t)
-        classes_b = _prefix_classes(paths_b, t)
-        for class_a in classes_a:
-            if len(class_a) < 2:
-                continue  # constraint is an identity for singleton classes
-            mass_a = float(weights_a[class_a].sum())
-            if mass_a <= 0:
-                continue
-            for class_b in classes_b:
-                if len(class_b) == n_paths_b:
-                    continue  # full space: both sides reduce to mu masses
-                for i0 in class_a:
-                    # pi(i0, B) * mu(A) - mu(i0) * pi(A, B) = 0
-                    cols, coefs = [], []
-                    for jb in class_b:
-                        cols.append(flat_index(i0, jb))
-                        coefs.append(mass_a)
-                    w_i0 = float(weights_a[i0])
-                    for ia in class_a:
-                        for jb in class_b:
-                            cols.append(flat_index(ia, jb))
-                            coefs.append(-w_i0)
-                    rows.append((cols, coefs))
-    return rows
+    Path i0 of an a-prefix class A and a b-prefix class B give the row
+    pi(i0, B) mu(A) - mu(i0) pi(A, B) = 0: coefficient mu(A) - mu(i0) on the
+    cells (i0, B), -mu(i0) on the rest of A x B.  It is left out when A is
+    one path or massless, or B holds every b-path: it is then an identity.
+    ``node_*`` are the stage's ``_prefix_nodes`` of the two sides and
+    ``flat_index(a, b)`` maps path pairs to variables.  Returns (row,
+    column, coefficient) arrays, the rows numbered from 0.
+    """
+    size, mass = np.bincount(node_a), np.bincount(node_a, weights_a)
+    rowed = ((size > 1) & (mass > 0) & (node_b.max() > 0))[node_a]
+    # each path i0 that has rows, with each path a of its class
+    i0, a = np.nonzero(rowed[:, None] & (node_a[:, None] == node_a[None, :]))
+    row = (np.cumsum(rowed) - 1)[i0, None] * (node_b.max() + 1) + node_b
+    coef = np.where(i0 == a, mass[node_a[i0]] - weights_a[i0], -weights_a[i0])
+    return [x.ravel() for x in np.broadcast_arrays(
+        row, flat_index(a[:, None], np.arange(node_b.size)), coef[:, None])]
 
 
 def causal_lp(mu, nu, p=2, mode="bicausal"):
@@ -640,45 +630,35 @@ def causal_lp(mu, nu, p=2, mode="bicausal"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mu.n_stages != nu.n_stages:
         raise ConfigError("path measures must share the stage count")
-    n_mu = mu.paths.shape[0]
-    n_nu = nu.paths.shape[0]
+    n_mu, n_nu = mu.paths.shape[0], nu.paths.shape[0]
     if n_mu > MAX_TREE_PATHS or n_nu > MAX_TREE_PATHS:
         raise ConfigError(f"instance too large (> {MAX_TREE_PATHS} paths)")
     cost = np.abs(mu.paths[:, None, :] - nu.paths[None, :, :]) ** p
     cost = cost.sum(axis=2).ravel()
-    n_vars = n_mu * n_nu
-    rows = []
-    rhs = []
-    for i in range(n_mu):
-        rows.append(([i * n_nu + j for j in range(n_nu)], [1.0] * n_nu))
-        rhs.append(float(mu.weights[i]))
-    for j in range(n_nu):
-        rows.append(([i * n_nu + j for i in range(n_mu)], [1.0] * n_mu))
-        rhs.append(float(nu.weights[j]))
+    # the marginal rows: variable i * n_nu + j is in mu's row i and nu's row j
+    cells = np.arange(n_mu * n_nu)
+    ones = np.ones(cells.size)
+    entries = [(cells // n_nu, cells, ones), (n_mu + cells % n_nu, cells, ones)]
+    n_rows = n_mu + n_nu
+    nodes_mu, nodes_nu = _prefix_nodes(mu.paths)[1:-1], _prefix_nodes(nu.paths)[1:-1]
+    sides = []
     if mode in ("causal", "bicausal"):
-        extra = _causality_rows(mu.paths, mu.weights, nu.paths,
-                                lambda i, j: i * n_nu + j)
-        rows.extend(extra)
-        rhs.extend([0.0] * len(extra))
+        sides.append((nodes_mu, mu.weights, nodes_nu, lambda i, j: i * n_nu + j))
     if mode in ("anticausal", "bicausal"):
         # swapped roles: the a-side is nu, so (a, b) = (j, i) in the mu-major grid
-        extra = _causality_rows(nu.paths, nu.weights, mu.paths,
-                                lambda j, i: i * n_nu + j)
-        rows.extend(extra)
-        rhs.extend([0.0] * len(extra))
-    indptr = [0]
-    indices = []
-    data = []
-    for cols, coefs in rows:
-        indices.extend(cols)
-        data.extend(coefs)
-        indptr.append(len(indices))
+        sides.append((nodes_nu, nu.weights, nodes_mu, lambda j, i: i * n_nu + j))
+    for nodes_a, weights_a, nodes_b, flat_index in sides:
+        for node_a, node_b in zip(nodes_a, nodes_b):
+            row, col, coef = _causality_rows(node_a, weights_a, node_b, flat_index)
+            entries.append((row + n_rows, col, coef))
+            n_rows += row.max(initial=-1) + 1
+    rhs = np.concatenate([mu.weights, nu.weights, np.zeros(n_rows - n_mu - n_nu)])
+    row, col, coef = map(np.concatenate, zip(*entries))
     # imported here: slow, and used only here
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-    a_eq = csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
-    res = linprog(cost, A_eq=a_eq, b_eq=np.asarray(rhs), bounds=(0, None),
-                  method="highs",
+    from scipy.sparse import coo_matrix
+    a_eq = coo_matrix((coef, (row, col)), shape=(n_rows, cells.size))
+    res = linprog(cost, A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
                            "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
     if not res.success:

@@ -324,6 +324,10 @@ CONFIG_ERRORS = {
     "stability-zero-levels": ["stability", "--levels", "0", "--samples", "10"],
     "stability-negative-levels": ["stability", "--levels=-1", "--samples",
                                   "10"],
+    # rejected before the ladder's tables are built: 17 levels would take
+    # about 300 MB
+    "stability-too-many-levels": ["stability", "--levels", "17", "--samples",
+                                  "10"],
     "simulate-nan-x0": ["simulate", *OU_PATHS, "--n-steps", "4", "--x0", "nan"],
     "simulate-nan-coefficient": ["simulate", "--drift",
                                  "kind=constant value=nan", "--vol",
@@ -337,6 +341,11 @@ CONFIG_ERRORS = {
                                        "nan", "--samples", "10"],
 }
 
+# commands without --out, rejected before they print anything
+NO_OUT_ERRORS = {
+    "selftest-negative-seed": ["selftest", "--quick", "--seed=-1"],
+}
+
 
 # sidecars that `rerun` cannot replay
 BAD_SIDECARS = {
@@ -347,7 +356,8 @@ BAD_SIDECARS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS) + sorted(BAD_SIDECARS))
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS) + sorted(NO_OUT_ERRORS)
+                         + sorted(BAD_SIDECARS))
 def test_config_errors_exit_2(tmp_path, tmp_path_factory, capsys, case):
     # no traceback, no exit 0 on an empty table: exit 2, one error line and
     # no output
@@ -356,10 +366,13 @@ def test_config_errors_exit_2(tmp_path, tmp_path_factory, capsys, case):
         sidecar = tmp_path_factory.mktemp("sidecar") / "out.csv.sidecar.json"
         sidecar.write_text(BAD_SIDECARS[case])
         argv = ["rerun", str(sidecar)]
+    elif case in NO_OUT_ERRORS:
+        argv = NO_OUT_ERRORS[case]
     else:
         argv = [*CONFIG_ERRORS[case], "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out_text, err = capsys.readouterr()
+    assert err.startswith("error: ") and out_text == ""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -230,7 +230,7 @@ def test_divergence_abort():
 
 
 def test_counterexample_costs():
-    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20), p=2,
+    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20),
                                           n_samples=4000, seed=16)
     assert sync.estimate == pytest.approx(24.3, abs=1e-9)
     assert abs(asyn.estimate - 2.0) <= 4 * asyn.stderr
@@ -241,7 +241,7 @@ def test_counterexample_golden_values():
     # the exact repr of both results, so a change of replicate loop that
     # moves the last bit of an estimate or stderr fails here; the sync cost
     # is deterministic, so its stderr is 0.0
-    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20), p=2,
+    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20),
                                           n_samples=4000, seed=16)
     assert repr(sync) == ("MCResult(estimate=24.300000000000008, "
                           "stderr=0.0, n_samples=4000, "
@@ -252,14 +252,14 @@ def test_counterexample_golden_values():
 
 
 def test_counterexample_zero_level():
-    sync, asyn = counterexample_nonmarkov(0.0, 0.1, TimeGrid(20), p=2,
+    sync, asyn = counterexample_nonmarkov(0.0, 0.1, TimeGrid(20),
                                           n_samples=2000, seed=17)
     assert sync.estimate == 0.0
     assert abs(asyn.estimate - 2.0) <= 4 * asyn.stderr
 
 
 def test_counterexample_late_switch_kills_sync_cost():
-    sync, _ = counterexample_nonmarkov(5.0, 0.95, TimeGrid(20), p=2,
+    sync, _ = counterexample_nonmarkov(5.0, 0.95, TimeGrid(20),
                                        n_samples=500, seed=18)
     assert sync.estimate == pytest.approx(4 * 25 * 0.05**3 / 3, abs=1e-9)
 

@@ -13,7 +13,8 @@ from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
-from adapted_ot.transport import (CoupledChain, _cdfs, _quantile_plans,
+from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
+                                  _prefix_nodes, _quantile_plans,
                                   _quantile_stage, _solve_blocks,
                                   _solve_stage, _stage_certified, _stage_plans,
                                   _transport_simplex, bicausal_dp, causal_lp,
@@ -745,6 +746,22 @@ def test_bad_p_raises_promptly(p, tmp_path):
     assert not (tmp_path / "aw.json").exists()
 
 
+@pytest.mark.parametrize("measure", [
+    random_tree(np.random.default_rng(10), 3),
+    # recombining: the same values recur under different prefixes
+    DiscretePathMeasure(paths=[[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                               [1.0, 0.0, -1.0], [1.0, 2.0, 1.0]],
+                        weights=[0.25] * 4),
+], ids=["random", "recombining"])
+def test_prefix_nodes_number_prefixes_in_lexicographic_order(measure):
+    nodes = _prefix_nodes(measure.paths)
+    assert len(nodes) == measure.n_stages + 1 and not nodes[0].any()
+    for t, node in enumerate(nodes):
+        prefixes = [tuple(path[:t]) for path in measure.paths]
+        order = sorted(set(prefixes))
+        assert node.tolist() == [order.index(pref) for pref in prefixes]
+
+
 def test_history_stage_system_reconstructs_weights():
     rng = np.random.default_rng(11)
     measure = random_tree(rng, 3)
@@ -810,6 +827,34 @@ def test_causal_lp_accuracy_regression():
     for _ in range(81):
         mu, nu = random_tree(rng, 3, 4), random_tree(rng, 3, 4)
     assert (mu.paths.shape[0], nu.paths.shape[0]) == (19, 5)
+    dp = tree_bicausal_dp(mu, nu, p=2).value
+    assert causal_lp(mu, nu, p=2, mode="bicausal") == pytest.approx(dp, abs=1e-8)
+
+
+def test_zero_weight_paths_carry_no_tree_nodes():
+    # a path of weight 0 alone under its prefix made a node of zero mass,
+    # whose kernel row the expansion divided 0 by 0 to normalize
+    mu = DiscretePathMeasure(paths=[[1.0, 2.0], [-1.0, 0.0], [-1.0, 1.0]],
+                             weights=[0.5, 0.5, 0.0])
+    nu = DiscretePathMeasure(paths=[[0.0, 1.0], [3.0, -1.0]], weights=[1.0, 0.0])
+    values, _ = history_stage_system(nu)
+    assert [v.tolist() for v in values] == [[0.0], [0.0], [1.0]]
+    dp = tree_bicausal_dp(mu, nu, p=2).value  # RuntimeWarnings are errors here
+    assert dp == pytest.approx(causal_lp(mu, nu, p=2, mode="bicausal"), abs=1e-8)
+
+
+def _binomial_tree(drift, n_steps=6):
+    """The 2^n_steps equally likely paths of steps drift h +- sqrt(h)."""
+    h = 1.0 / n_steps
+    signs = 1.0 - 2.0 * ((np.arange(2**n_steps)[:, None]
+                          >> np.arange(n_steps)[::-1]) & 1)
+    paths = np.cumsum(drift * h + signs * np.sqrt(h), axis=1)
+    return DiscretePathMeasure(paths=paths, weights=np.full(2**n_steps, 2.0**-n_steps))
+
+
+def test_dp_matches_lp_at_the_path_limit():
+    mu, nu = _binomial_tree(0.0), _binomial_tree(1.0)
+    assert mu.paths.shape[0] == nu.paths.shape[0] == MAX_TREE_PATHS
     dp = tree_bicausal_dp(mu, nu, p=2).value
     assert causal_lp(mu, nu, p=2, mode="bicausal") == pytest.approx(dp, abs=1e-8)
 
