@@ -35,12 +35,11 @@ from .transport import bicausal_dp, coupled_cost, kr_coupling, metric_suite
 
 FLOAT_FMT = "%.17g"
 
-# commands whose output bytes depend on the random streams, which may change
-# between versions; their sidecars rerun only under the version that wrote them.
-# `lattice` is not one: its values do not depend on the version, so rerunning
-# an old `lattice` sidecar rewrites that lattice in this version's file layout
-STREAM_COMMANDS = ("simulate", "rho-scan", "convergence", "stability",
-                   "counterexample")
+# commands whose output bytes depend on the random streams or on the increment
+# quantizer, which may change between versions; their sidecars rerun only under
+# the version that wrote them
+STREAM_COMMANDS = ("simulate", "lattice", "rho-scan", "convergence",
+                   "stability", "counterexample")
 
 
 def _fmt(x):
@@ -336,8 +335,8 @@ def _run(parser, argv):
             raise ConfigError(
                 f"sidecar written by adapted-ot {version}, this is "
                 f"{__version__}; {payload['command']} output depends on the "
-                f"random streams of the version that wrote it, so rerun it "
-                f"with adapted-ot {version}")
+                f"random streams or the increment quantizer of the version "
+                f"that wrote it, so rerun it with adapted-ot {version}")
         replay = [payload["command"]]
         for key, value in payload["config"].items():
             # "scaled" was a no-op aw-distance flag that old sidecars carry

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import (ConfigError, MarkovLattice, PROB_TOL, TimeGrid,
                     lipschitz_constant)
@@ -49,24 +49,34 @@ class IncrementQuantization:
         return self.atoms.size
 
 
-def _gauss_pdf(z):
-    return np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+
+
+def _pdf_at_quantile(u):
+    """phi(Phi^-1(u)), the standard normal density at the u-quantile: 0 at
+    u in {0, 1}, where the quantile is infinite."""
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    z = _STANDARD_NORMAL.inv_cdf(u)
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def quantize_increment(h, barrier, m):
     """Conditional means of clamp(Z sqrt(h), -barrier, barrier) on its m
-    quantile cells, each carrying weight 1/m."""
+    quantile cells, each carrying weight 1/m.  The quantiles are
+    ``NormalDist.inv_cdf`` (Wichura's AS241)."""
     if m < 2:
         raise ConfigError("need at least 2 quantization atoms")
     if barrier <= 0 or h <= 0:
         raise ConfigError("need positive step and barrier")
     sd = math.sqrt(h)
-    u_lo = float(ndtr(-barrier / sd))  # mass clamped at the lower barrier
+    # mass clamped at the lower barrier (erfc keeps its relative accuracy
+    # in the tail, where 1 + erf(x) cancels)
+    u_lo = 0.5 * math.erfc(barrier / (sd * math.sqrt(2.0)))
     u_hi = 1.0 - u_lo
-    edges = np.arange(m + 1) / m
     atoms = np.empty(m)
     for j in range(m):
-        a, b = edges[j], edges[j + 1]
+        a, b = j / m, (j + 1) / m
         # contribution of the clamped tails plus the interior Gaussian part
         low_len = max(0.0, min(b, u_lo) - a)
         high_len = max(0.0, b - max(a, u_hi))
@@ -74,7 +84,7 @@ def quantize_increment(h, barrier, m):
         b_mid = min(max(b, u_lo), u_hi)
         total = 0.0
         if b_mid > a_mid:
-            total += sd * (_gauss_pdf(ndtri(a_mid)) - _gauss_pdf(ndtri(b_mid)))
+            total += sd * (_pdf_at_quantile(a_mid) - _pdf_at_quantile(b_mid))
         if low_len > 0.0:
             total -= barrier * low_len
         if high_len > 0.0:
@@ -116,14 +126,14 @@ def quantile_bins(masses, n_bins):
     r = masses.size
     if r < n_bins:
         raise ConfigError("cannot split fewer atoms than bins")
-    bins = np.empty(r, dtype=int)
+    bins = []
     b_idx = 0
     acc = 0.0
     mass_left = float(masses.sum())
     target = mass_left / n_bins
-    for i in range(r):
-        bins[i] = b_idx
-        acc += masses[i]
+    for i, mass in enumerate(masses.tolist()):
+        bins.append(b_idx)
+        acc += mass
         atoms_left = r - i - 1
         bins_left = n_bins - b_idx - 1
         if atoms_left == 0:
@@ -133,7 +143,7 @@ def quantile_bins(masses, n_bins):
             b_idx += 1
             acc = 0.0
             target = mass_left / bins_left
-    return bins
+    return np.array(bins)
 
 
 def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,

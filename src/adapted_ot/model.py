@@ -474,9 +474,9 @@ class MarkovLattice:
                 if "transition" in stage and "row_sizes" not in stage:
                     raise ConfigError(
                         f"lattice JSON stage {k} holds a dense \"transition\" "
-                        f"matrix, the layout of adapted-ot <= 0.5.0; rewrite "
-                        f"the file with `adapted-ot rerun <its sidecar>` or "
-                        f"`adapted-ot lattice`")
+                        f"matrix, the layout of adapted-ot <= 0.5.0; build "
+                        f"it again with `adapted-ot lattice` (its sidecar "
+                        f"reruns only under the version that wrote it)")
                 support = np.asarray(stage["support"], dtype=float)
                 sizes = _int_array(stage["row_sizes"])
                 index = _int_array(stage["index"])

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .model import ConfigError
 
@@ -158,6 +156,9 @@ def _uniforms_to_normals(u, out=None):
     ends are exact in double precision, so ``ndtri`` never sees 0 or 1 (a
     53-bit midpoint rounds to 1.0 at the top).  ``out`` may be ``u``.
     """
+    # imported here: scipy.special is a quarter of a second of start-up that
+    # only the noise draws need; once it is loaded the statement is cheap
+    from scipy.special import ndtri
     z = np.multiply(u, 2.0**52, out=out)
     np.floor(z, out=z)
     z += 0.5
@@ -243,6 +244,9 @@ def map_batches(run_batch, n_samples, threads=None):
 
     if n_workers == 1:
         return [run(r) for r in ranges]
+    # imported here: concurrent.futures also loads logging, which one
+    # thread never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run, ranges))
 
@@ -356,7 +360,7 @@ def truncate_increments(substeps, barrier):
 
 
 def _normal_upper_tail(x):
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def exit_probability_bounds(h, barrier):

@@ -229,7 +229,7 @@ def test_rerun_reproduces_bytes(tmp_path, command):
     assert out.read_bytes() == first
 
 
-@pytest.mark.parametrize("command", ["simulate", "counterexample"])
+@pytest.mark.parametrize("command", ["simulate", "lattice", "counterexample"])
 def test_rerun_refuses_stream_sidecar_from_another_version(tmp_path, command,
                                                            capsys):
     out = tmp_path / "out"
@@ -439,10 +439,11 @@ def test_aw_distance_and_metrics_refuse_nan_masses(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_dense_lattice_of_0_5_0_is_refused_and_rerun_rewrites_it(tmp_path,
-                                                                  capsys):
+def test_dense_lattice_of_0_5_0_is_refused_and_lattice_rewrites_it(tmp_path,
+                                                                    capsys):
     lat = tmp_path / "lx.json"
-    assert main(["lattice", *RERUN_ARGS["lattice"], "--out", str(lat)]) == 0
+    build = ["lattice", *RERUN_ARGS["lattice"], "--out", str(lat)]
+    assert main(build) == 0
     new_bytes = lat.read_bytes()
     # the file and sidecar as adapted-ot 0.5.0 wrote them
     lattice = MarkovLattice.from_json(lat.read_text())
@@ -461,8 +462,12 @@ def test_dense_lattice_of_0_5_0_is_refused_and_rerun_rewrites_it(tmp_path,
     capsys.readouterr()
     assert main(aw) == 2
     err = capsys.readouterr().err
-    assert "0.5.0" in err and "adapted-ot rerun" in err
-    assert main(["rerun", str(sidecar)]) == 0
+    assert "0.5.0" in err and "adapted-ot lattice" in err
+    # the quantizer may differ between versions: the 0.5.0 sidecar reruns
+    # only under 0.5.0, and this version's `lattice` rebuilds the file
+    assert main(["rerun", str(sidecar)]) == 2
+    assert "0.5.0" in capsys.readouterr().err
+    assert main(build) == 0
     assert lat.read_bytes() == new_bytes
     assert main(aw) == 0
 
@@ -499,16 +504,40 @@ def test_divergence_exit_3(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.stats, scipy.optimize and scipy.integrate cost about a second of
-    # start-up, scipy.sparse about 40 ms; each is imported only by the one
-    # function that needs it
+def _run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this source."""
     src = str(Path(adapted_ot.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, adapted_ot; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'], "
-            "['scipy', 'integrate'], ['scipy', 'sparse'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.special costs about a quarter of a second of start-up and
+    # scipy.stats and scipy.optimize about a second; each is imported only
+    # by the one function that needs it
+    out = _run_fresh(f"import sys, adapted_ot; print({SCIPY_LOADED}); "
+                     f"import adapted_ot.cli; print({SCIPY_LOADED})")
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_lattice_leg_runs_without_scipy_and_a_draw_loads_it(tmp_path):
+    out = _run_fresh(f"""
+import sys
+from adapted_ot import noise
+from adapted_ot.cli import main
+lat = {str(tmp_path / "lx.json")!r}
+assert main(["lattice", "--drift", "kind=ou theta=1", "--vol",
+             "kind=constant value=1", "--n-steps", "8", "--out", lat]) == 0
+assert main(["aw-distance", "--lattice-x", lat, "--lattice-y", lat,
+             "--out", {str(tmp_path / "aw.json")!r}]) == 0
+print({SCIPY_LOADED})
+noise.replicate_normals((1, 0), 4)
+print("scipy.special" in sys.modules)
+""")
+    assert out.splitlines()[-2:] == ["[]", "True"]

@@ -44,6 +44,40 @@ def test_quantize_mean_zero_and_clamped():
         assert np.allclose(q.atoms, -q.atoms[::-1])
 
 
+def _scipy_quantizer_atoms(h, barrier, m):
+    """Reference quantizer on scipy's ndtr/ndtri: the conditional means of
+    clamp(Z sqrt(h), -barrier, barrier) on its m quantile cells, made
+    symmetric as ``quantize_increment`` makes them."""
+    from scipy.special import ndtr, ndtri
+    sd = math.sqrt(h)
+    u_lo = float(ndtr(-barrier / sd))
+    pdf = [float(np.exp(-0.5 * z * z)) / math.sqrt(2.0 * math.pi) if
+           math.isfinite(z) else 0.0 for z in
+           ndtri(np.clip(np.arange(m + 1) / m, u_lo, 1.0 - u_lo)).tolist()]
+    atoms = np.empty(m)
+    for j in range(m):
+        a, b = j / m, (j + 1) / m
+        atoms[j] = m * sd * (pdf[j] - pdf[j + 1])
+        if u_lo > a:
+            atoms[j] -= m * barrier * (min(b, u_lo) - a)
+        if b > 1.0 - u_lo:
+            atoms[j] += m * barrier * (b - max(a, 1.0 - u_lo))
+    return 0.5 * (atoms - atoms[::-1])
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3] + [2**k for k in range(2, 13)])
+def test_quantizer_atoms_match_scipy_within_32_ulps(n_steps):
+    # n_steps = 1 has an infinite barrier: the outer cells reach u = 0 and 1
+    h = 1.0 / n_steps
+    barrier = truncation_level(h, 4) if n_steps > 1 else np.inf
+    for m in range(2, 16):
+        atoms = quantize_increment(h, barrier, m).atoms
+        reference = _scipy_quantizer_atoms(h, barrier, m)
+        assert np.all(np.abs(atoms - reference)
+                      <= 32 * np.spacing(np.abs(reference))), (m, atoms,
+                                                               reference)
+
+
 def test_quantile_bins_contiguous_equal_mass():
     masses = np.full(10, 0.1)
     bins = quantile_bins(masses, 5)
