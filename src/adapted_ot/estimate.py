@@ -9,27 +9,36 @@ segment; for quadratic cost a Brownian-bridge variance term corrects for the
 in-step diffusion mismatch, so the estimator is conditionally unbiased for
 the interpolant's integral cost.  Replicate ``i`` of master seed ``s`` owns
 a fixed block of the master's counter-based stream (see ``noise``); each
-batch of replicates is drawn in one call, and serial and threaded runs agree.
+chunk of a batch of replicates is drawn in one call, and serial and
+threaded runs agree.
 
-A batch's increments, paths and sigma values are step-major, as
+A chunk's increments, paths and sigma values are step-major, as
 ``sde._propagate`` steps them; the per-replicate cost sums run
 replicate-major: the path difference and the bridge variance are written
-transposed, once per batch, so numpy sums each replicate's contiguous row
-pairwise, the same additions in the same order whatever the batch layout.
+transposed, once per chunk, so numpy sums each replicate's contiguous row
+pairwise, the same additions in the same order whatever the chunk layout.
 
 The batches run on ``noise.map_batches``, which gives each worker thread one
-``noise.Workspace`` for all its batches.  Every step writes into it through
-``out=``, with the same operations in the same order as on fresh arrays, so
-after a worker's first batch a batch allocates nothing of size (N, B); the
-stopped schemes' ``truncate_increments`` and the p != 2 segment costs are
-the exceptions.  For N steps, m_sub substeps and B replicates it holds, in
-doubles: the draw's uniforms, B * stride (2 N m_sub rounded up to a
-multiple of 4); the step-major normals, N m_sub B, and as many for
-``dW_bar`` unless rho = 1 throughout; both paths, 2 (N + 1) B; both sigma
-arrays, 2 N B; and, where m_sub > 1, N B for each summed increment array.
-The cost stage reuses spent buffers.  The em scheme at rho = 1, m_sub = 1 and
-N = 64 takes about 7 N B doubles, 3.6 kB per replicate of batch width:
-18 MB at B = 5,000.
+``noise.Workspace`` for all its batches.  A batch runs in the fewest
+near-equal chunks whose workspace fits ``CHUNK_BYTES`` (8 MiB), so the
+memory of a run does not grow with its replicate count.  Each chunk is
+drawn, stepped and costed into the batch's per-replicate costs, and the
+batch's moments are taken over all of them, so chunking moves no bit.
+Every step writes into the workspace through ``out=``, with the same
+operations in the same order as on fresh arrays, so after a worker's widest
+chunk a chunk allocates nothing of size (N, B); the stopped schemes'
+``truncate_increments`` and the p != 2 segment costs are the exceptions.
+For N steps, m_sub substeps and B replicates a chunk holds, in doubles: the
+draw's uniforms, B * stride (2 N m_sub rounded up to a multiple of 4); the
+step-major normals, N m_sub B, and as many for ``dW_bar`` unless rho = 1
+throughout; both paths, 2 (N + 1) B; N B for each sigma that is not a
+constant (a constant one is an (N, 1) column); and N B for each increment
+array that is summed (m_sub > 1) or stopped.  The cost stage reuses spent
+buffers, and two constant sigmas share one bridge-variance row.  The em
+scheme at rho = 1, m_sub = 1 and N = 64 with constant sigmas takes 322
+doubles, 2.6 kB, per replicate: a batch of 5,000 runs as 2 chunks of 2,500
+(6.4 MB).  At N = 256 and m_sub = 16 a replicate takes 13,058 doubles
+(104 kB), 80 to a chunk.
 """
 
 from __future__ import annotations
@@ -41,10 +50,16 @@ import numpy as np
 
 from .lattice import build_lattice, check_fosd
 from .model import ConfigError, DivergenceError, TimeGrid, check_p
-from .noise import (batch_moments, constant_rho, map_batches, pool_moments,
-                    replicate_normals, sample_correlated_pair)
+from .noise import (_stride, batch_moments, constant_rho, map_batches,
+                    pool_moments, replicate_normals, sample_correlated_pair)
 from .sde import _propagate, _scheme_maps, _step_increments
 from .transport import bicausal_dp, coupled_cost, kr_coupling
+
+# per-worker workspace budget of the coupled estimator: a batch of replicates
+# runs in the fewest near-equal chunks whose workspace fits it.  Narrower
+# chunks pay the step loop's per-call cost more often: on 2 CPUs, 4 MiB made
+# 1e5 replicates at N = 64 a fifth slower, and 16 MiB was no faster
+CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -122,43 +137,64 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     n = grid.n_steps
     h = grid.h
     rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
+    # the draw's dW_bar is dW where rho = 1 on every step: one side of noise
+    sides = 1 if np.all(rho_k == 1.0) else 2
+    # the widest chunk whose workspace (module docstring) fits the budget
+    doubles = (_stride(2 * n * m_sub) + sides * n * m_sub + 2 * (n + 1)
+               + sum(s.kind != "constant" for s in (sigma_x, sigma_y)) * n
+               + (sides * n if barrier is not None or m_sub > 1 else 0))
+    chunk = max(1, CHUNK_BYTES // (8 * doubles))
 
-    def run_batch(lo, hi, ws):
+    def run_chunk(lo, hi, ws):
         n_rep = hi - lo
-
-        def array(name, shape, dtype=np.float64):
-            return ws.array(name, shape, n_rep, dtype)
 
         def increments(substeps, name):
             # only a sum over substeps is written to a buffer of its own
             summed = barrier is None and m_sub > 1
             return _step_increments(substeps, barrier,
-                                    out=array(name, (n, n_rep)) if summed else None)
+                                    out=ws.array(name, (n, n_rep)) if summed else None)
 
         block = sample_correlated_pair(grid, rho, (seed, lo), m_sub=m_sub,
                                        n_replicates=n_rep, workspace=ws)
         dx = increments(block.dW, "dx")
-        # at rho = 1 on every step the draw's dW_bar is dW: one set of increments
         dy = dx if block.dW_bar is block.dW else increments(block.dW_bar, "dy")
+        sig_out = [None if s.kind == "constant" else ws.array(name, (n, n_rep))
+                   for s, name in ((sigma_x, "sig_x"), (sigma_y, "sig_y"))]
         xp, sig_x, stage_x = _propagate(
             b_x, sigma_x, h, dx, x0, transforms[0],
-            out=(array("paths_x", (n + 1, n_rep)), array("sig_x", (n, n_rep)),
-                 array("stage_x", (n_rep,), np.int64)))
+            out=(ws.array("paths_x", (n + 1, n_rep)), sig_out[0],
+                 ws.array("stage_x", (n_rep,), np.int64)))
         yp, sig_y, stage_y = _propagate(
             b_y, sigma_y, h, dy, x0, transforms[1],
-            out=(array("paths_y", (n + 1, n_rep)), array("sig_y", (n, n_rep)),
-                 array("stage_y", (n_rep,), np.int64)))
+            out=(ws.array("paths_y", (n + 1, n_rep)), sig_out[1],
+                 ws.array("stage_y", (n_rep,), np.int64)))
         bad = (stage_x > 0) | (stage_y > 0)
         # replicate-major rows for the cost sums (module docstring), written
         # transposed into spent buffers: the draw's for the difference and
-        # the bridge variance, sigma_x for the variance's second term, and
-        # the y side's for the segment costs
-        diff = np.subtract(xp.T, yp.T, out=array("uniforms", (n_rep, n + 1)))
-        var = _bridge_variance(sig_x.T, sig_y.T, rho_k, out=array("dW", (n_rep, n)),
-                               scratch=sig_x.T)
+        # the bridge variance, the paths' for the variance's second term and
+        # the segment costs.  Two constant sigmas give every replicate the
+        # same variance row, formed once: a contiguous row sums to the same
+        # bits alone or in a batch.
+        diff = np.subtract(xp.T, yp.T, out=ws.array("uniforms", (n_rep, n + 1)))
+        var_shape = np.broadcast_shapes(sig_x.T.shape, sig_y.T.shape)
+        var = _bridge_variance(sig_x.T, sig_y.T, rho_k,
+                               out=ws.array("dW", var_shape),
+                               scratch=ws.array("paths_x", var_shape))
         costs = path_integral_cost(diff, h, p, bridge_var=var,
-                                   out=(array("paths_y", (n_rep, n)),
-                                        array("sig_y", (n_rep, n))))
+                                   out=(ws.array("paths_y", (n_rep, n)),
+                                        ws.array("paths_x", (n_rep, n))))
+        return costs, bad
+
+    def run_batch(lo, hi, ws):
+        # the fewest near-equal chunks of at most ``chunk`` replicates; the
+        # batch's moments are taken over all of them at once
+        n_chunks = -(-(hi - lo) // chunk)
+        edges = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
+        costs = np.empty(hi - lo)
+        bad = np.empty(hi - lo, dtype=bool)
+        for c_lo, c_hi in zip(edges[:-1], edges[1:]):
+            costs[c_lo - lo:c_hi - lo], bad[c_lo - lo:c_hi - lo] = run_chunk(
+                c_lo, c_hi, ws)
         return batch_moments(costs[~bad]), int(bad.sum())
 
     moments, n_bad = zip(*map_batches(run_batch, n_samples, threads))

@@ -101,8 +101,7 @@ class CoefficientSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"coefficient {name} must be finite")
         if self.kind == "table":
-            knots = np.asarray(self.knots, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+            knots, values = self._table_arrays
             if knots.ndim != 1 or knots.size < 2 or knots.size != values.size:
                 raise ConfigError("table needs >= 2 knots and matching values")
             if not np.all(np.diff(knots) > 0):
@@ -115,6 +114,13 @@ class CoefficientSpec:
     @property
     def is_markovian(self):
         return self.kind != "sign_switch"
+
+    @cached_property
+    def _table_arrays(self):
+        """A table's knots and values as float arrays, converted once per
+        spec: ``evaluate`` runs at every step of a batch of paths."""
+        return (np.asarray(self.knots, dtype=float),
+                np.asarray(self.values, dtype=float))
 
     def evaluate(self, x):
         """Evaluate a Markovian coefficient at state(s) ``x`` (scalar or array).
@@ -132,8 +138,7 @@ class CoefficientSpec:
         elif self.kind == "ou":
             out = -self.theta * x
         else:  # table
-            knots = np.asarray(self.knots, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+            knots, values = self._table_arrays
             if x.size and (x.min() < knots[0] or x.max() > knots[-1]):
                 raise ExtrapolationError(
                     f"table query outside knot range [{knots[0]}, {knots[-1]}]"

@@ -186,24 +186,22 @@ def truncation_level(h, trunc_k):
 class Workspace:
     """Arrays kept from one batch of replicates to the next.
 
-    ``array(name, shape, n)`` returns a C-contiguous array of ``shape``, for
-    a batch of ``n`` replicates, on the head of the buffer ``name``.  The
-    buffer is allocated on its first request, for ``width`` replicates:
-    ``prod(shape) / n * width`` elements.  Later requests that fit reuse it,
-    whatever their shape, so narrower batches allocate nothing.  What a
-    buffer held is garbage after the next request for it.
+    ``array(name, shape)`` returns a C-contiguous array of ``shape`` on the
+    head of the buffer ``name``.  A buffer is allocated for the first request
+    that outgrows it, to that request's size: it is as wide as the widest
+    batch (or chunk) drawn into it, and later requests that fit reuse it,
+    whatever their shape.  What a buffer held is garbage after the next
+    request for it.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self._buffers = {}
 
-    def array(self, name, shape, n, dtype=np.float64):
+    def array(self, name, shape, dtype=np.float64):
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = np.empty(size // n * max(n, self.width), dtype)
-            self._buffers[name] = buf
+            buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -226,20 +224,20 @@ def map_batches(run_batch, n_samples, threads=None):
     """``run_batch(lo, hi, workspace)`` on each of ``N_BATCHES`` near-equal
     replicate ranges [lo, hi) of ``n_samples``, on ``threads`` worker threads
     (default: the usable CPUs); the results come back in range order.  Each
-    worker owns one ``Workspace`` for the widest range, built on its first
-    batch and dropped when the call returns.
+    worker owns one ``Workspace``, built on its first batch and dropped when
+    the call returns; its buffers grow to the widest draw the worker makes,
+    a whole range or, in the coupled estimator, a chunk of one.
     """
     n_samples = _positive_int("n_samples", n_samples)
     edges = np.linspace(0, n_samples, N_BATCHES + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     n_workers = min(_resolve_threads(threads), len(ranges))
-    width = max(hi - lo for lo, hi in ranges)
     workspaces = threading.local()
 
     def run(lo_hi):
         ws = getattr(workspaces, "ws", None)
         if ws is None:
-            ws = workspaces.ws = Workspace(width)
+            ws = workspaces.ws = Workspace()
         return run_batch(*lo_hi, ws)
 
     if n_workers == 1:
@@ -305,7 +303,7 @@ def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
     count = 1 if n_replicates is None else int(n_replicates)
     if count < 1:
         raise ConfigError("n_replicates must be >= 1")
-    ws = Workspace(count) if workspace is None else workspace
+    ws = Workspace() if workspace is None else workspace
     n = grid.n_steps
     width = 2 * n * m_sub
     scale = math.sqrt(grid.h / m_sub)
@@ -314,15 +312,15 @@ def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
     # at |rho| = 1 the perpendicular half adds exact zeros and is not read
     halves = 2 if perp.any() else 1
     u = _replicate_uniforms(seed, width, count, n_used=halves * n * m_sub,
-                            out=ws.array("uniforms", (count, _stride(width)), count))
+                            out=ws.array("uniforms", (count, _stride(width))))
     # step-major (halves, N, m_sub, count): the first conversion reads transposed
     u = u.reshape(count, halves, n, m_sub).transpose(1, 2, 3, 0)
-    dw = _uniforms_to_normals(u[0], out=ws.array("dW", (n, m_sub, count), count))
+    dw = _uniforms_to_normals(u[0], out=ws.array("dW", (n, m_sub, count)))
     dw *= scale
     if np.all(rho_k == 1.0):
         dw_bar = dw  # 1.0 * dW
     else:
-        dw_bar = np.multiply(rho_k, dw, out=ws.array("dW_bar", (n, m_sub, count), count))
+        dw_bar = np.multiply(rho_k, dw, out=ws.array("dW_bar", (n, m_sub, count)))
         if halves == 2:
             z = _uniforms_to_normals(u[1], out=u[1])
             z *= scale

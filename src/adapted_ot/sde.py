@@ -83,6 +83,29 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
     return SamplePath(grid=grid, values=values)
 
 
+def _row_map(spec):
+    """``spec`` read once for ``_propagate``: a constant as its float (a
+    negative diffusion constant is refused here, once), else ``f(x, out)``,
+    which writes ``spec.evaluate(x)`` into the row ``out``.  Affine and OU
+    drifts are ``out=`` ufuncs in ``evaluate``'s order."""
+    if spec.kind == "constant":
+        return spec.evaluate(0.0)  # the value, after evaluate's sign check
+    if spec.role == "drift" and spec.kind == "affine":
+        intercept, slope = spec.intercept, spec.slope
+
+        def affine(x, out):
+            np.multiply(slope, x, out=out)
+            out += intercept
+        return affine
+    if spec.role == "drift" and spec.kind == "ou":
+        minus_theta = -spec.theta
+        return lambda x, out: np.multiply(minus_theta, x, out=out)
+
+    def evaluate(x, out):
+        out[...] = spec.evaluate(x)
+    return evaluate
+
+
 def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     """Vectorized one-step recursion across a batch of replicates, step-major.
 
@@ -92,40 +115,55 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     sign of the switch-time row, read once (an off-grid switch time raises
     ConfigError first).  With a drift-removing transform T it is the
     driftless step y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by
-    x = T^{-1}(y).  Returns paths (N + 1, B), sigma values (N, B) and each
-    replicate's first diverged stage (0 for none), written to the arrays
-    ``out``, if given, else to new ones; each step reads and writes one
-    contiguous row.  Diverged replicates are frozen at x0 so the batch can
-    finish.  A y beyond the table of T^{-1} is no divergence: ``inverse``
-    raises ConfigError for the whole call (at 64 steps, 5 of 1,000 single
-    paths of drift-gap's X marginal overshoot its sup T = 1/2).
+    x = T^{-1}(y).  Each coefficient is read once per call (``_row_map``).
+    Returns paths (N + 1, B), sigma values (N, B) and each replicate's first
+    diverged stage (0 for none), written to the arrays ``out``, if given,
+    else to new ones; each step reads and writes one contiguous row.  A
+    constant sigma writes no sigma array: its values are one (N, 1) column,
+    which broadcasts against (N, B), and the sigma slot of ``out`` may be
+    None.  Diverged replicates are frozen at x0 so the batch can finish.  A
+    y beyond the table of T^{-1} is no divergence: ``inverse`` raises
+    ConfigError for the whole call (at 64 steps, 5 of 1,000 single paths of
+    drift-gap's X marginal overshoot its sup T = 1/2).
     """
     n, n_rep = deltas.shape
     if out is None:
-        out = (np.empty((n + 1, n_rep)), np.empty((n, n_rep)), np.empty(n_rep, int))
+        out = (np.empty((n + 1, n_rep)), None, np.empty(n_rep, int))
     paths, sig, stage = out
+    vol = _row_map(sigma)
+    if not callable(vol):
+        sig = np.full((n, 1), vol)
+    elif sig is None:
+        sig = np.empty((n, n_rep))
     paths[0] = x0
     stage[:] = 0
     tmp = np.empty(n_rep)
     flags = np.empty(n_rep, dtype=bool)
-    markovian = b.is_markovian
+    k_on = None
     if transform is not None:
         y = np.full(n_rep, float(transform.forward(x0)))
-    elif not markovian:
+    elif b.is_markovian:
+        drift = _row_map(b)
+    else:
         k_sw = TimeGrid(n).index_of(b.switch_time)
         # the first step with k h > switch_time
         k_on = k_sw if k_sw * h > b.switch_time else k_sw + 1
         drift = 0.0
     for k in range(n):
-        x, x_next, sv = paths[k], paths[k + 1], sig[k]
-        sv[:] = sigma.evaluate(x)
+        x, x_next = paths[k], paths[k + 1]
+        sv = vol
+        if callable(vol):
+            sv = sig[k]
+            vol(x, sv)
         if transform is None:
-            if markovian:
-                drift = b.evaluate(x)
-            elif k == k_on:
-                drift = b.level * np.sign(paths[k_sw])
             # x + h b(x) + sigma(x) delta, in that order
-            np.multiply(drift, h, out=x_next)
+            if k == k_on:
+                drift = b.level * np.sign(paths[k_sw])
+            if callable(drift):
+                drift(x, x_next)
+                x_next *= h
+            else:
+                np.multiply(drift, h, out=x_next)
             x_next += x
             x_next += np.multiply(sv, deltas[k], out=tmp)
         else:

@@ -321,6 +321,10 @@ CONFIG_ERRORS = {
                                  "--n-list", ",", "--samples", "10"],
     "rho-scan-rhos-not-numbers": ["rho-scan", "--preset", "vol-gap", "--rhos",
                                   "abc", "--samples", "10"],
+    "rho-scan-negative-constant-vol": [
+        "rho-scan", "--drift", "kind=constant value=0", "--vol",
+        "kind=constant value=-0.5", "--drift-y", "kind=constant value=0",
+        "--vol-y", "kind=constant value=1", "--samples", "10"],
     "stability-zero-levels": ["stability", "--levels", "0", "--samples", "10"],
     "stability-negative-levels": ["stability", "--levels=-1", "--samples",
                                   "10"],

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, sign_switch, table)
 from adapted_ot.noise import _resolve_threads
-from adapted_ot.presets import get_preset
+from adapted_ot.presets import get_preset, mollified_abs_ladder
 
 UNIT_VOL = constant(1.0, role="diffusion")
 HALF_VOL = constant(0.5, role="diffusion")
@@ -300,3 +301,54 @@ def test_stability_study_gaps_shrink():
     assert rows[0].gap == pytest.approx(
         abs(rows[0].estimate - target.estimate), abs=1e-15)
     assert rows[1].gap < rows[0].gap
+
+
+# the repr of each row's estimate, stderr and gap, then the target's estimate
+# and stderr, of a three-level ladder at a fixed seed
+STABILITY_GOLDEN = (
+    [('0.169094439718258', '0.003143779825633062', '0.07226206855259218'),
+     ('0.11681495079658946', '0.00306445350974813', '0.019982579630923647'),
+     ('0.1036372000753463', '0.0029954207045499643', '0.006804828909680483')],
+    ('0.09683237116566581', '0.00291677457674442'))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stability_study_golden_values(threads):
+    b_target, vol, approx = mollified_abs_ladder(3)
+    rows, target = stability_study(b_target, vol, approx, constant(0.0), vol,
+                                   TimeGrid(16), 2, 2000, seed=11,
+                                   threads=threads)
+    assert [r.level for r in rows] == [0, 1, 2]
+    assert ([(repr(r.estimate), repr(r.stderr), repr(r.gap)) for r in rows],
+            (repr(target.estimate), repr(target.stderr))) == STABILITY_GOLDEN
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_negative_constant_volatility_is_refused(side, threads):
+    negative = constant(-0.5, role="diffusion")
+    pair = [constant(0.0), UNIT_VOL, constant(0.0), UNIT_VOL]
+    pair[1 if side == "x" else 3] = negative
+    with pytest.raises(ConfigError,
+                       match="^diffusion coefficient evaluated to a negative value$"):
+        sync_distance_mc(*pair, TimeGrid(8), 2, 100, seed=1, threads=threads)
+
+
+def test_mc_memory_does_not_grow_with_the_replicate_count():
+    # a worker's workspace holds one chunk of its batch, within
+    # estimate.CHUNK_BYTES: at N = 16 and m_sub = 16 a replicate's is 820
+    # doubles, so 10,000 replicates (batches of 500) draw each batch whole
+    # and 200,000 (batches of 10,000) draw 8 chunks per batch.  Drawn whole,
+    # the larger run's batches peaked 19 times higher
+    pair = get_preset("vol-gap")
+    grid = TimeGrid(16)
+    sync_distance_mc(*pair, grid, 2, 100, m_sub=16, threads=1)  # loads scipy
+    peaks = []
+    for n_samples in (10_000, 200_000):
+        tracemalloc.start()
+        try:
+            sync_distance_mc(*pair, grid, 2, n_samples, m_sub=16, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 * peaks[0], peaks

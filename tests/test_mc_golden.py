@@ -4,9 +4,9 @@ Each entry is the exact ``repr`` of what ``sync_distance_mc`` (rho = 1),
 ``rho_scan`` (one constant rho) or the coupled estimator under a rho table
 returned at a fixed seed, or the name of the exception it raised, so a
 change that moves the last bit of any estimate or stderr fails here.  The
-values are the same for one and for two threads.  A second table pins
-uneven batch widths, so each worker's workspace serves batches of more than
-one width.
+values are the same for one, two and three threads, and when every batch
+is drawn in chunks.  A second table pins uneven batch widths, so each
+worker's workspace serves batches of more than one width.
 """
 
 import pytest
@@ -182,8 +182,8 @@ def test_uneven_batches_reproduce_golden_values(scheme, threads):
     assert n_checked == 12
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_one_draw_per_batch(monkeypatch, threads):
+def _draw_widths(monkeypatch):
+    """The replicate counts of the estimator's draws, in the order made."""
     # the traced benchmark times the draw by wrapping this module attribute
     widths = []
     draw = estimate.sample_correlated_pair
@@ -193,5 +193,38 @@ def test_one_draw_per_batch(monkeypatch, threads):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(estimate, "sample_correlated_pair", counting)
+    return widths
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_draw_per_batch(monkeypatch, threads):
+    widths = _draw_widths(monkeypatch)
     _run_uneven("em", 1, 2, 0.5, threads)
+    # a batch whose workspace fits the budget is one draw
     assert sorted(widths) == [100] * 17 + [101] * 3
+    # a wider one is the fewest near-equal chunks that fit: here a
+    # replicate's workspace is 114 doubles (the draw's stride 32, dW and
+    # dW_bar 16 each, both paths 17 each, the table sigma_x 16), and the
+    # budget holds 30 replicates, so each batch is 4 chunks
+    widths.clear()
+    monkeypatch.setattr(estimate, "CHUNK_BYTES", 30 * 114 * 8)
+    _run_uneven("em", 1, 2, 0.5, threads)
+    assert sorted(widths) == [25] * 77 + [26] * 3
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_chunked_draws_reproduce_golden_values(monkeypatch, threads):
+    # a budget of 77 kB splits every batch into 2 or 3 chunks (a replicate's
+    # workspace is 98 to 274 doubles here); each replicate keeps its stream
+    # and its cost, and each batch's moments are still taken over the whole
+    # batch
+    widths = _draw_widths(monkeypatch)
+    monkeypatch.setattr(estimate, "CHUNK_BYTES", 77_000)
+    for table_, run in ((GOLDEN, _run), (GOLDEN_UNEVEN, _run_uneven)):
+        for key, want in table_.items():
+            scheme, m_sub, p, rho = key.split()
+            rho = rho.removeprefix("rho=")
+            got = run(scheme, int(m_sub[1:]), int(p[1:]),
+                      rho if run is _run else float(rho), threads)
+            assert got == want, key
+    assert max(widths) <= 51 and min(widths) >= 33

@@ -310,13 +310,17 @@ def test_transformed_em_rejects_wrong_block_shape():
                                 np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("vol", ["constant", "affine"])
 @pytest.mark.parametrize("case", ["direct", "transformed"])
-def test_propagate_reuses_buffers_like_fresh_arrays(case):
+def test_propagate_reuses_buffers_like_fresh_arrays(case, vol):
     # a batch with inf and NaN increments leaves diverged rows and their
-    # stages in the buffers; the clean batch after it must not see them
+    # stages in the buffers; the clean batch after it must not see them.  A
+    # constant sigma writes no sigma array, only its (N, 1) column; the
+    # affine one of slope 0 has the same values, written to the buffer
     grid = TimeGrid(8)
     n_rep = 200
     x0 = 0.01
+    sigma = UNIT_VOL if vol == "constant" else affine(1.0, 0.0, role="diffusion")
     dirty = replicate_normals((29, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
     dirty[7, 6] = np.nan
     b, transform = ou(1.0), None
@@ -324,15 +328,20 @@ def test_propagate_reuses_buffers_like_fresh_arrays(case):
         dirty[3, 0] = np.inf
         dirty[5, 2] = -np.inf
     else:
-        transform = zvonkin_transform(b, UNIT_VOL, x0)
+        transform = zvonkin_transform(b, sigma, x0)
     clean = replicate_normals((30, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
-    out = (np.empty((grid.n_steps + 1, n_rep)), np.empty((grid.n_steps, n_rep)),
+    out = (np.empty((grid.n_steps + 1, n_rep)),
+           None if vol == "constant" else np.empty((grid.n_steps, n_rep)),
            np.empty(n_rep, dtype=np.int64))
     n_bad = []
     for deltas in (dirty, clean):
-        fresh = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform)
-        reused = _propagate(b, UNIT_VOL, grid.h, deltas.T, x0, transform, out=out)
-        assert all(r is o for r, o in zip(reused, out))
+        fresh = _propagate(b, sigma, grid.h, deltas.T, x0, transform)
+        reused = _propagate(b, sigma, grid.h, deltas.T, x0, transform, out=out)
+        assert reused[0] is out[0] and reused[2] is out[2]
+        if vol == "constant":
+            assert reused[1].shape == (grid.n_steps, 1)
+        else:
+            assert reused[1] is out[1]
         for f, r in zip(fresh, reused):
             assert f.tobytes() == r.tobytes()
         n_bad.append(int((reused[2] > 0).sum()))
