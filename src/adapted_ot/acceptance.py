@@ -310,8 +310,8 @@ def criterion_9_fosd_certificate(seed=DEFAULT_SEED, quick=False):
     bad = MarkovLattice(initial_value=0.0,
                         supports=(np.array([0.0]), np.array([-1.0, 1.0]),
                                   np.array([-2.0, 2.0])),
-                        transitions=(np.array([[0.5, 0.5]]),
-                                     np.array([[0.0, 1.0], [1.0, 0.0]])))
+                        kernels=(([2], [0, 1], [0.5, 0.5]),
+                                 ([1, 1], [1, 0], [1.0, 1.0])))
     witness = check_fosd(bad)
     if witness.ok or witness.witness != (1, 0, 0):
         problems.append(f"violation witness wrong: {witness}")

@@ -38,7 +38,8 @@ buffers, and two constant sigmas share one bridge-variance row.  The em
 scheme at rho = 1, m_sub = 1 and N = 64 with constant sigmas takes 322
 doubles, 2.6 kB, per replicate: a batch of 5,000 runs as 2 chunks of 2,500
 (6.4 MB).  At N = 256 and m_sub = 16 a replicate takes 13,058 doubles
-(104 kB), 80 to a chunk.
+(104 kB), 80 to a chunk.  The counterexample draws and costs its batches
+in chunks of the same budget, on fresh arrays.
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ def _bridge_variance(sig_x, sig_y, rho_k, out=None, scratch=None):
     return var
 
 
+def _chunks(lo, hi, chunk):
+    """The fewest near-equal ranges of replicates [lo, hi) that hold at most
+    ``chunk`` replicates each, as (lo, hi) pairs."""
+    n_chunks = -(-(hi - lo) // chunk)
+    edges = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
+    return zip(edges[:-1], edges[1:])
+
+
 def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
                      scheme="em", m_sub=1, trunc_k=4, x0=0.0, threads=None):
     """Expected integral cost of the coupled pair driven by a rho-correlated
@@ -186,13 +195,10 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         return costs, bad
 
     def run_batch(lo, hi, ws):
-        # the fewest near-equal chunks of at most ``chunk`` replicates; the
-        # batch's moments are taken over all of them at once
-        n_chunks = -(-(hi - lo) // chunk)
-        edges = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
+        # the batch's moments are taken over all its chunks at once
         costs = np.empty(hi - lo)
         bad = np.empty(hi - lo, dtype=bool)
-        for c_lo, c_hi in zip(edges[:-1], edges[1:]):
+        for c_lo, c_hi in _chunks(lo, hi, chunk):
             costs[c_lo - lo:c_hi - lo], bad[c_lo - lo:c_hi - lo] = run_chunk(
                 c_lo, c_hi, ws)
         return batch_moments(costs[~bad]), int(bad.sum())
@@ -319,8 +325,12 @@ def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0)
     h = grid.h
     times = grid.times()
     ramp = np.maximum(times - switch_time, 0.0)
+    # a replicate holds at most its draw's words and eight rows of N + 1
+    # doubles at once
+    chunk = max(1, CHUNK_BYTES // (8 * (_stride(grid.n_steps)
+                                        + 8 * (grid.n_steps + 1))))
 
-    def run_batch(lo, hi, _ws):
+    def run_chunk(lo, hi):
         n_rep = hi - lo
         dw = replicate_normals((seed, lo), grid.n_steps, n_rep) * math.sqrt(h)
         w = np.concatenate([np.zeros((n_rep, 1)), np.cumsum(dw, axis=1)], axis=1)
@@ -333,7 +343,14 @@ def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0)
         d_async = 2.0 * w
         cost_async = (_segment_cost(d_async[:, :-1], d_async[:, 1:], h, 2).sum(axis=1)
                       + 4.0 * grid.n_steps * h * h / 6.0)
-        return batch_moments(cost_sync), batch_moments(cost_async)
+        return cost_sync, cost_async
+
+    def run_batch(lo, hi, _ws):
+        # replicate i's stream and cost do not depend on its chunk, and the
+        # batch's moments are taken over all its chunks at once
+        costs = np.concatenate([run_chunk(c_lo, c_hi) for c_lo, c_hi
+                                in _chunks(lo, hi, chunk)], axis=1)
+        return batch_moments(costs[0]), batch_moments(costs[1])
 
     sync, asyn = zip(*map_batches(run_batch, n_samples))
     return MCResult(*pool_moments(sync)), MCResult(*pool_moments(asyn))

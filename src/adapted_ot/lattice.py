@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (ConfigError, MarkovLattice, PROB_TOL, TimeGrid,
-                    lipschitz_constant)
+from .model import (ConfigError, KernelRows, MarkovLattice, PROB_TOL,
+                    TimeGrid, lipschitz_constant)
 from .noise import truncation_level
 
 
@@ -172,7 +172,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     barrier = truncation_level(h, trunc_k) if n_steps > 1 else np.inf
     quant = quantize_increment(h, barrier, m)
     supports = [np.array([float(x0)])]
-    transitions = []
+    kernels = []
     atom_maps = []
     marginal = np.array([1.0])
     for _ in range(n_steps):
@@ -200,16 +200,18 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
             n_next = raw_vals.size
             next_support = raw_vals
             child_bins = inverse
+        # a dense kernel for this step only, for the marginal's BLAS bits
         rows = np.zeros((support.size, n_next))
-        for a in range(quant.m):
-            np.add.at(rows, (np.arange(support.size), child_bins[:, a]),
-                      quant.weights[a])
+        np.add.at(rows, (np.arange(support.size)[:, None], child_bins),
+                  quant.weights)
         supports.append(next_support)
-        transitions.append(rows)
+        positive = rows > 0
+        kernels.append(KernelRows(positive.sum(axis=1), np.nonzero(positive)[1],
+                                  rows[positive]))
         atom_maps.append(child_bins)
         marginal = marginal @ rows
     lattice = MarkovLattice(initial_value=float(x0), supports=tuple(supports),
-                            transitions=tuple(transitions))
+                            kernels=tuple(kernels))
     if return_atom_maps:
         return lattice, atom_maps, quant.weights
     return lattice
@@ -233,17 +235,24 @@ def check_fosd(lattice):
 
     For each stage and each adjacent support pair x < x', the conditional CDF
     from x' must lie below the one from x (to 1e-10) at every next-support
-    point.
+    point.  The excess F_{x'} - F_x can rise only where F_{x'} jumps, so
+    each pair of rows is compared at the upper row's entries only.  A
+    cumulative sum over a row's entries has the bits of one over its full
+    dense row, whose other terms are exact zeros.
     """
-    for k, rows in enumerate(lattice.transitions):
-        if rows.shape[0] < 2:
-            continue
-        cdf = np.cumsum(rows, axis=1)
-        excess = cdf[1:] - cdf[:-1]
+    for k, rows in enumerate(lattice.kernel_rows):
+        n_rows, width = rows.index.shape
+        # cdf[i, c] is row i's mass on its first c entries
+        cdf = np.zeros((n_rows, width + 1))
+        np.cumsum(rows.weights, axis=1, out=cdf[:, 1:])
+        # entries of row i at or below each index of row i + 1
+        below = (rows.index[:-1, None, :] <= rows.index[1:, :, None]).sum(axis=2)
+        excess = cdf[1:, 1:] - cdf[np.arange(n_rows - 1)[:, None], below]
         bad = excess > 1e-10
         if bad.any():
-            i, col = np.argwhere(bad)[0]
-            return FosdCheck(ok=False, witness=(k, int(i), int(col)))
+            i, slot = np.argwhere(bad)[0]
+            return FosdCheck(ok=False,
+                             witness=(k, int(i), int(rows.index[i + 1, slot])))
     return FosdCheck(ok=True)
 
 

@@ -366,6 +366,16 @@ class DiscretePathMeasure:
             raise ConfigError(f"malformed path measure JSON: {exc!r}") from exc
 
 
+class KernelRows(NamedTuple):
+    """A kernel's positive entries, row after row: row r holds
+    ``row_sizes[r]`` entries, at increasing columns ``index`` and with masses
+    ``weight``.  The stored form of a ``MarkovLattice`` stage."""
+
+    row_sizes: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+
 class PaddedRows(NamedTuple):
     """A kernel's rows in the padded form of ``padded_rows``."""
 
@@ -376,24 +386,22 @@ class PaddedRows(NamedTuple):
 
 
 def padded_rows(kernel):
-    """Padded array form of a kernel's rows.
+    """Padded array form of a ``KernelRows`` kernel.
 
     Returns ``PaddedRows`` (index, weights, kind, distinct): row r of
-    ``index`` (rows x widest row) holds the ascending indices of the
-    positive entries of kernel row r and continues past its end by
-    repeating its last support index; ``weights`` holds the row's masses on
-    ``index``, 0 in the padding.  Rows whose padded weights have the same
-    bytes share a kind: row r is of kind ``kind[r]``, and ``distinct[c]``
-    is the padded weight row of kind c.  All four are read-only.
+    ``index`` (rows x widest row) holds the indices of kernel row r and
+    continues past its end by repeating its last index; ``weights`` holds
+    the row's masses on ``index``, 0 in the padding.  Rows whose padded
+    weights have the same bytes share a kind: row r is of kind ``kind[r]``,
+    and ``distinct[c]`` is the padded weight row of kind c.  All four are
+    read-only.
     """
-    positive = kernel > 0
-    cols = np.nonzero(positive)[1]
-    sizes = positive.sum(axis=1)
-    ends = np.cumsum(sizes)
+    sizes = kernel.row_sizes[:, None]
     slot = np.arange(sizes.max())
-    index = cols[ends[:, None] - sizes[:, None] + np.minimum(slot, sizes[:, None] - 1)]
-    weights = np.take_along_axis(kernel, index, axis=1)
-    weights[slot >= sizes[:, None]] = 0.0
+    entry = np.cumsum(sizes, axis=0) - sizes + np.minimum(slot, sizes - 1)
+    index = kernel.index[entry]
+    weights = kernel.weight[entry]
+    weights[slot >= sizes] = 0.0
     # one opaque item per row, so that rows match on their bytes
     row_bytes = weights.view(np.dtype((np.void, weights.itemsize * slot.size)))
     _, first, kind = np.unique(row_bytes.ravel(), return_index=True,
@@ -409,23 +417,27 @@ class MarkovLattice:
     """Finite-support, finite-stage Markov chain with explicit kernels.
 
     ``supports[k]`` is the sorted stage-k support (stage 0 is the single
-    initial value) and ``transitions[k]`` maps stage-k nodes to stage-(k+1)
-    nodes, one probability row per node.  ``kernel_rows[k]`` is the padded
-    form of ``transitions[k]``, with its row kinds, that the couplings and
-    the DP read.
+    initial value) and ``kernels[k]`` holds the positive entries of the
+    kernel from stage-k nodes to stage-(k+1) nodes, one row per node, as
+    ``KernelRows`` (a tuple ``(row_sizes, index, weight)`` is taken as
+    one): the lattice's one stored form, that of its JSON file.
+    ``kernel_rows[k]`` is its padded form, with its row kinds, that the
+    couplings and the DP read.
     """
 
     initial_value: float
     supports: tuple
-    transitions: tuple
+    kernels: tuple
 
     def __post_init__(self):
         supports = tuple(np.asarray(s, dtype=float) for s in self.supports)
-        transitions = tuple(np.asarray(t, dtype=float) for t in self.transitions)
+        kernels = tuple(KernelRows(np.asarray(sizes), np.asarray(index),
+                                   np.asarray(weight, dtype=float))
+                        for sizes, index, weight in self.kernels)
         object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "transitions", transitions)
-        if len(supports) != len(transitions) + 1:
-            raise ConfigError("need one transition matrix per stage")
+        object.__setattr__(self, "kernels", kernels)
+        if len(supports) != len(kernels) + 1:
+            raise ConfigError("need one kernel per stage")
         if supports[0].shape != (1,) or supports[0][0] != self.initial_value:
             raise ConfigError("stage-0 support must be the initial value alone")
         for k, s in enumerate(supports):
@@ -433,48 +445,71 @@ class MarkovLattice:
                 raise ConfigError(f"stage-{k} support must be finite 1-D")
             if (s[1:] <= s[:-1]).any():
                 raise ConfigError(f"stage-{k} support must be strictly increasing")
-        for k, t in enumerate(transitions):
-            if t.shape != (supports[k].size, supports[k + 1].size):
-                raise ConfigError(f"stage-{k} transition shape mismatch")
-            if not np.isfinite(t).all():
-                raise ConfigError(f"stage-{k} transition masses must be finite")
-            if t.size and t.min() < 0:
-                raise ConfigError(f"stage-{k} transition has negative mass")
-            if np.abs(t.sum(axis=1) - 1.0).max() > PROB_TOL:
-                raise ConfigError(f"stage-{k} transition rows must sum to 1")
+        # in this order every check sees nonempty arrays
+        for k, (sizes, index, weight) in enumerate(kernels):
+            n_rows, n_cols = supports[k].size, supports[k + 1].size
+            if sizes.dtype.kind != "i" or index.dtype.kind != "i":
+                raise ConfigError(f"stage-{k} row sizes and indices must be "
+                                  f"signed integers")
+            if sizes.shape != (n_rows,) or sizes.min() < 0:
+                raise ConfigError(f"stage-{k} needs one row size >= 0 for "
+                                  f"each of its {n_rows} rows")
+            if index.shape != (sizes.sum(),) or weight.shape != index.shape:
+                raise ConfigError(f"stage-{k} row sizes, index and weight "
+                                  f"disagree in length")
+            if not (np.isfinite(weight) & (weight > 0)).all():
+                raise ConfigError(f"stage-{k} kernel masses must be finite "
+                                  f"and positive")
+            row = np.repeat(np.arange(n_rows), sizes)
+            if np.abs(np.bincount(row, weight, n_rows) - 1.0).max() > PROB_TOL:
+                raise ConfigError(f"stage-{k} kernel rows must sum to 1")
+            # with every index in range, the row-major cell numbers
+            # increase exactly when each row's indices do
+            cells = row * n_cols + index
+            if (index.min() < 0 or index.max() >= n_cols
+                    or (cells[1:] <= cells[:-1]).any()):
+                raise ConfigError(f"stage-{k} indices must lie in "
+                                  f"[0, {n_cols}) and increase within a row")
 
     @property
     def n_steps(self):
-        return len(self.transitions)
+        return len(self.kernels)
 
     @cached_property
     def kernel_rows(self):
         """``padded_rows`` of every stage's kernel, row kinds included,
         built once per lattice."""
-        return tuple(padded_rows(t) for t in self.transitions)
+        return tuple(padded_rows(kernel) for kernel in self.kernels)
+
+    @property
+    def transitions(self):
+        """The dense (n_k, n_{k+1}) kernel matrices, expanded from
+        ``kernels`` on each access and stored nowhere.  The library does
+        not read them; the benchmark's next change (ROADMAP item 5)
+        deletes this view."""
+        dense = tuple(np.zeros((a.size, b.size))
+                      for a, b in zip(self.supports, self.supports[1:]))
+        for matrix, (sizes, index, weight) in zip(dense, self.kernels):
+            matrix[np.repeat(np.arange(sizes.size), sizes), index] = weight
+        return dense
 
     def to_json(self):
-        """Sparse-row JSON: per stage, the support and the kernel's positive
-        entries row after row (``row_sizes``, column ``index``, ``weight``)."""
-        stages = []
-        for s, t in zip(self.supports[1:], self.transitions):
-            positive = t > 0
-            stages.append({"support": s.tolist(),
-                           "row_sizes": positive.sum(axis=1).tolist(),
-                           "index": np.nonzero(positive)[1].tolist(),
-                           "weight": t[positive].tolist()})
+        """Sparse-row JSON: per stage, the support and ``kernels[k]``'s
+        arrays (``row_sizes``, column ``index``, ``weight``)."""
+        stages = [{"support": s.tolist(), **{key: array.tolist() for key, array
+                                              in kernel._asdict().items()}}
+                  for s, kernel in zip(self.supports[1:], self.kernels)]
         return json.dumps({"initial_value": self.initial_value,
                            "stages": stages})
 
     @classmethod
     def from_json(cls, text):
-        """Read ``to_json`` output; the row layout is checked here, the
-        masses by the constructor."""
+        """Read ``to_json`` output; the constructor checks what it read."""
         try:
             data = json.loads(text)
             x0 = float(data["initial_value"])
             supports = [np.array([x0])]
-            transitions = []
+            kernels = []
             for k, stage in enumerate(data["stages"]):
                 if "transition" in stage and "row_sizes" not in stage:
                     raise ConfigError(
@@ -482,32 +517,17 @@ class MarkovLattice:
                         f"matrix, the layout of adapted-ot <= 0.5.0; build "
                         f"it again with `adapted-ot lattice` (its sidecar "
                         f"reruns only under the version that wrote it)")
-                support = np.asarray(stage["support"], dtype=float)
-                sizes = _int_array(stage["row_sizes"])
-                index = _int_array(stage["index"])
-                weight = np.asarray(stage["weight"], dtype=float)
-                shape = (supports[-1].size, support.size)
-                if sizes.shape != shape[:1] or (sizes.size and sizes.min() < 0):
-                    raise ValueError(f"stage {k} needs one row size >= 0 for "
-                                     f"each of its {shape[0]} rows")
-                if sizes.sum() != index.size or weight.shape != index.shape:
-                    raise ValueError(f"stage {k} row sizes, index and weight "
-                                     f"disagree in length")
-                # with every index in range, the row-major cell numbers
-                # increase exactly when each row's indices do
-                cells = np.repeat(np.arange(shape[0]), sizes) * shape[1] + index
-                if index.size and (index.min() < 0 or index.max() >= shape[1]
-                                   or (cells[1:] <= cells[:-1]).any()):
-                    raise ValueError(f"stage {k} indices must lie in "
-                                     f"[0, {shape[1]}) and increase within a row")
-                dense = np.zeros(shape)
-                dense.ravel()[cells] = weight
-                supports.append(support)
-                transitions.append(dense)
-            return cls(initial_value=x0, supports=tuple(supports),
-                       transitions=tuple(transitions))
+                supports.append(np.asarray(stage["support"], dtype=float))
+                kernels.append(KernelRows(_int_array(stage["row_sizes"]),
+                                          _int_array(stage["index"]),
+                                          np.asarray(stage["weight"], dtype=float)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed lattice JSON: {exc!r}") from exc
+        try:
+            return cls(initial_value=x0, supports=tuple(supports),
+                       kernels=tuple(kernels))
+        except ConfigError as exc:
+            raise ConfigError(f"malformed lattice JSON: {exc}") from exc
 
 
 def _int_array(values):

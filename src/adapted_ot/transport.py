@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import build_lattice
-from .model import (AdaptedOTError, ConfigError, MarkovLattice, check_p,
-                    padded_rows)
+from .model import (AdaptedOTError, ConfigError, KernelRows, MarkovLattice,
+                    check_p, padded_rows)
 
 PIVOT_TOL = 1e-12
 MAX_TREE_PATHS = 64
@@ -304,17 +304,16 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
     lat_y, maps_y, _ = build_lattice(b_y, sigma_y, n_steps, m, max_support,
                                      trunc_k=trunc_k, x0=x0, return_atom_maps=True)
     plans = []
-    for kx, ky, mx, my, (index_x, *_), (index_y, *_) in zip(
-            lat_x.transitions, lat_y.transitions, maps_x, maps_y,
-            lat_x.kernel_rows, lat_y.kernel_rows):
-        # slot of each atom's child within its kernel row's support
-        slot_x = np.take_along_axis(np.cumsum(kx > 0, axis=1) - 1, mx, axis=1)
-        slot_y = np.take_along_axis(np.cumsum(ky > 0, axis=1) - 1, my, axis=1)
-        stage = np.zeros((kx.shape[0], ky.shape[0], index_x.shape[1],
-                          index_y.shape[1]))
+    for mx, my, (index_x, *_), (index_y, *_) in zip(
+            maps_x, maps_y, lat_x.kernel_rows, lat_y.kernel_rows):
+        # slot of each atom's child within its kernel row
+        slot_x = (index_x[:, None, :] < mx[:, :, None]).sum(axis=2)
+        slot_y = (index_y[:, None, :] < my[:, :, None]).sum(axis=2)
+        (n_x, a), (n_y, b) = index_x.shape, index_y.shape
+        stage = np.zeros((n_x, n_y, a, b))
         # atoms landing on the same product child add up
-        np.add.at(stage, (np.arange(kx.shape[0])[:, None, None],
-                          np.arange(ky.shape[0])[None, :, None],
+        np.add.at(stage, (np.arange(n_x)[:, None, None],
+                          np.arange(n_y)[None, :, None],
                           slot_x[:, None, :], slot_y[None, :, :]), weights)
         plans.append(stage)
     chain = CoupledChain(lattice_x=lat_x, lattice_y=lat_y, plans=tuple(plans))
@@ -575,11 +574,14 @@ def history_stage_system(measure):
     nodes = _prefix_nodes(paths)
     for column, parent, node in zip(paths.T, nodes, nodes[1:]):
         _, first = np.unique(node, return_index=True)
-        kern = np.zeros((parent.max() + 1, first.size))
-        kern[parent[first], np.arange(first.size)] = np.bincount(node, weights)
-        kern /= kern.sum(axis=1, keepdims=True)
+        # a node's children are a run of nodes (the numbering is
+        # lexicographic); its row is normalised by its sum as a dense row
+        owner, mass = parent[first], np.bincount(node, weights)
+        dense = np.zeros((parent.max() + 1, first.size))
+        dense[owner, np.arange(first.size)] = mass
         values.append(column[first])
-        kernels.append(kern)
+        kernels.append(KernelRows(np.bincount(owner), np.arange(first.size),
+                                  mass / dense.sum(axis=1)[owner]))
     return values, kernels
 
 

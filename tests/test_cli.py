@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adapted_ot
@@ -406,6 +407,7 @@ def _one_stage(row_sizes, index, weight, support="[0.0, 1.0]"):
     _one_stage("[2]", "[false, true]", "[0.5, 0.5]"),   # bool index
     _one_stage("[2.0]", "[0, 1]", "[0.5, 0.5]"),        # float size
     _one_stage("[2]", "[0, 1]", '["a", 0.5]'),          # non-numeric weight
+    _one_stage("[2]", "[0, 1]", "[0.0, 1.0]"),          # a listed zero mass
     # a negative size whose row sizes still add up to the entries
     '{"initial_value": 0.0, "stages": [{"support": [0.0, 1.0], '
     '"row_sizes": [2], "index": [0, 1], "weight": [0.5, 0.5]}, '
@@ -451,11 +453,14 @@ def test_dense_lattice_of_0_5_0_is_refused_and_lattice_rewrites_it(tmp_path,
     new_bytes = lat.read_bytes()
     # the file and sidecar as adapted-ot 0.5.0 wrote them
     lattice = MarkovLattice.from_json(lat.read_text())
-    lat.write_text(json.dumps({
-        "initial_value": lattice.initial_value,
-        "stages": [{"support": s.tolist(), "transition": t.tolist()}
-                   for s, t in zip(lattice.supports[1:],
-                                   lattice.transitions)]}) + "\n")
+    stages = []
+    for rows, s, (sizes, index, weight) in zip(
+            lattice.supports, lattice.supports[1:], lattice.kernels):
+        dense = np.zeros((rows.size, s.size))
+        dense[np.repeat(np.arange(rows.size), sizes), index] = weight
+        stages.append({"support": s.tolist(), "transition": dense.tolist()})
+    lat.write_text(json.dumps({"initial_value": lattice.initial_value,
+                               "stages": stages}) + "\n")
     sidecar = Path(str(lat) + ".sidecar.json")
     payload = json.loads(sidecar.read_text())
     payload["version"] = "0.5.0"

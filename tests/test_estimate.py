@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adapted_ot import estimate
 from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
                                  em_expected_cost, rho_scan, stability_study,
@@ -250,6 +251,41 @@ def test_counterexample_golden_values():
     assert repr(asyn) == ("MCResult(estimate=1.9862443459006953, "
                           "stderr=0.035968839533290435, n_samples=4000, "
                           "n_diverged=0)")
+
+
+def test_counterexample_chunks_keep_the_golden_values(monkeypatch):
+    # a 20 kB budget splits each batch of 200 replicates into chunks of at
+    # most a dozen; each replicate keeps its stream and its cost, and each
+    # batch's moments are still taken over the whole batch
+    monkeypatch.setattr(estimate, "CHUNK_BYTES", 20_000)
+    sync, asyn = counterexample_nonmarkov(5.0, 0.1, TimeGrid(20),
+                                          n_samples=4000, seed=16)
+    assert repr(sync) == ("MCResult(estimate=24.300000000000008, "
+                          "stderr=0.0, n_samples=4000, "
+                          "n_diverged=0)")
+    assert repr(asyn) == ("MCResult(estimate=1.9862443459006953, "
+                          "stderr=0.035968839533290435, n_samples=4000, "
+                          "n_diverged=0)")
+
+
+def test_counterexample_memory_does_not_grow_with_the_replicate_count(
+        monkeypatch):
+    # under a 1 MiB budget a chunk holds a few hundred 64-step replicates:
+    # 10,000 replicates (batches of 500) and 100,000 (batches of 5,000) both
+    # run in chunks of about that size.  Drawn whole, the larger run's
+    # batches peaked 10 times higher
+    monkeypatch.setattr(estimate, "CHUNK_BYTES", 2**20)
+    grid = TimeGrid(64)
+    counterexample_nonmarkov(5.0, 0.25, grid, n_samples=100)  # loads scipy
+    peaks = []
+    for n_samples in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            counterexample_nonmarkov(5.0, 0.25, grid, n_samples=n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_counterexample_zero_level():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from adapted_ot.lattice import (build_lattice, check_fosd,
 from adapted_ot.model import (ConfigError, MarkovLattice, NotMarkovianError,
                               affine, constant, ou, sign_switch, table)
 from adapted_ot.noise import truncate_increments, truncation_level
+from adapted_ot.presets import PRESETS, get_preset
+from kernels import sparse
 
 UNIT_VOL = constant(1.0, role="diffusion")
 
@@ -18,8 +21,9 @@ UNIT_VOL = constant(1.0, role="diffusion")
 def _stage_marginals(lattice):
     """Forward marginal probability vectors of a lattice, one per stage."""
     out = [np.array([1.0])]
-    for t in lattice.transitions:
-        out.append(out[-1] @ t)
+    for kernel, support in zip(lattice.kernels, lattice.supports[1:]):
+        mass = np.repeat(out[-1], kernel.row_sizes) * kernel.weight
+        out.append(np.bincount(kernel.index, mass, support.size))
     return out
 
 
@@ -119,9 +123,10 @@ def test_build_lattice_keeps_means_and_stochastic_rows(drift, vol, n_steps, m,
                             m, m + extra)
     h = 1.0 / n_steps
     marginals = _stage_marginals(lattice)
-    for k, rows in enumerate(lattice.transitions):
-        assert rows.min() >= 0.0
-        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+    for k, kernel in enumerate(lattice.kernels):
+        assert kernel.weight.min() > 0.0
+        row = np.repeat(np.arange(kernel.row_sizes.size), kernel.row_sizes)
+        assert np.abs(np.bincount(row, kernel.weight) - 1.0).max() <= 1e-12
         support = lattice.supports[k]
         pushed = marginals[k] @ (support + h * drift.evaluate(support))
         mean = marginals[k + 1] @ lattice.supports[k + 1]
@@ -133,7 +138,9 @@ def test_build_lattice_pure_noise_one_step():
     lattice = build_lattice(constant(0.0), UNIT_VOL, 1, 2, 10)
     assert lattice.supports[1] == pytest.approx(
         [-math.sqrt(2 / math.pi), math.sqrt(2 / math.pi)], abs=1e-12)
-    assert np.allclose(lattice.transitions[0], [[0.5, 0.5]])
+    sizes, index, weight = lattice.kernels[0]
+    assert sizes.tolist() == [2] and index.tolist() == [0, 1]
+    assert np.allclose(weight, 0.5)
 
 
 def test_build_lattice_deterministic_drift():
@@ -141,7 +148,9 @@ def test_build_lattice_deterministic_drift():
                             2, 2, 10)
     assert np.allclose(lattice.supports[1], [0.5])
     assert np.allclose(lattice.supports[2], [1.0])
-    assert all(np.allclose(t, 1.0) for t in lattice.transitions)
+    for sizes, index, weight in lattice.kernels:
+        assert sizes.tolist() == [1] and index.tolist() == [0]
+        assert np.allclose(weight, 1.0)
 
 
 def test_build_lattice_rejects_path_dependent():
@@ -244,11 +253,111 @@ def test_fosd_violation_witness():
         initial_value=0.0,
         supports=(np.array([0.0]), np.array([-1.0, 1.0]),
                   np.array([-2.0, 2.0])),
-        transitions=(np.array([[0.5, 0.5]]),
-                     np.array([[0.0, 1.0], [1.0, 0.0]])))
+        kernels=(sparse([[0.5, 0.5]]), sparse([[0.0, 1.0], [1.0, 0.0]])))
     res = check_fosd(crossing)
     assert not res.ok
     assert res.witness == (1, 0, 0)
+
+
+# the crossing kernel of acceptance criterion 9, read from its file
+CROSSING_JSON = (
+    '{"initial_value": 0.0, "stages": ['
+    '{"support": [-1.0, 1.0], "row_sizes": [2], "index": [0, 1], '
+    '"weight": [0.5, 0.5]}, '
+    '{"support": [-2.0, 2.0], "row_sizes": [1, 1], "index": [1, 0], '
+    '"weight": [1.0, 1.0]}]}')
+
+
+def _fosd_case(case):
+    """The lattice of one pinned FOSD case."""
+    if case == "crossing":
+        return MarkovLattice.from_json(CROSSING_JSON)
+    if case == "theta-12":
+        return build_lattice(ou(12.0), UNIT_VOL, 4, 5, 60)
+    if case == "steep":
+        return build_lattice(table([-12, -1e-3, 1e-3, 12], [2, 2, -2, -2]),
+                             UNIT_VOL, 8, 5, 40)
+    name, side, n_steps = case.rsplit("-", 2)
+    b_x, s_x, b_y, s_y = get_preset(name)
+    drift, vol = (b_x, s_x) if side == "x" else (b_y, s_y)
+    return build_lattice(drift, vol, int(n_steps), 5, 40)
+
+
+@pytest.mark.parametrize("case, want", [
+    ("theta-12", (False, (1, 0, 9))),
+    ("steep", (False, (1, 1, 2))),
+    ("crossing", (False, (1, 0, 0))),
+] + [(f"{name}-{side}-{n_steps}", (True, None)) for name in sorted(PRESETS)
+     for side in "xy" for n_steps in (16, 64)])
+def test_fosd_outcomes_are_pinned(case, want):
+    # the outcome and the first witness of the dense-kernel check, recorded
+    # before the kernels were stored as rows
+    res = check_fosd(_fosd_case(case))
+    assert (res.ok, res.witness) == want
+
+
+@st.composite
+def _small_lattices(draw):
+    """Lattices with arbitrary rows: gaps, single entries, equal masses on
+    shifted supports, so that adjacent CDFs tie, cross and dominate."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    kernels = []
+    for n_rows, n_cols in zip([1] + sizes, sizes):
+        dense = np.zeros((n_rows, n_cols))
+        for row in dense:
+            cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=1,
+                                 max_size=n_cols, unique=True))
+            mass = np.array(draw(st.lists(st.integers(1, 3), min_size=len(cols),
+                                          max_size=len(cols))), dtype=float)
+            row[sorted(cols)] = mass / mass.sum()
+        kernels.append(sparse(dense))
+    supports = [np.array([0.0])] + [np.arange(float(n)) for n in sizes]
+    return MarkovLattice(initial_value=0.0, supports=tuple(supports),
+                         kernels=tuple(kernels))
+
+
+@given(_small_lattices())
+def test_fosd_check_matches_the_dense_cdfs(lattice):
+    # the reference: conditional CDFs of adjacent rows on the full next
+    # support, the first crossing in row-major order as the witness
+    want = (True, None)
+    for k, kernel in enumerate(lattice.kernels):
+        dense = np.zeros((lattice.supports[k].size, lattice.supports[k + 1].size))
+        dense[np.repeat(np.arange(len(dense)), kernel.row_sizes),
+              kernel.index] = kernel.weight
+        cdf = np.cumsum(dense, axis=1)
+        bad = np.argwhere(cdf[1:] - cdf[:-1] > 1e-10)
+        if len(bad):
+            want = (False, (k, int(bad[0][0]), int(bad[0][1])))
+            break
+    res = check_fosd(lattice)
+    assert (res.ok, res.witness) == want
+
+
+def _array_bytes(value):
+    """Bytes of the numpy arrays in ``value``, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_array_bytes(item) for item in value)
+    return 0
+
+
+def test_lattice_keeps_its_rows_not_dense_kernels():
+    # vol-gap's X marginal at N = 64, m = 9, max_support = 200: its dense
+    # (200, 200) kernels alone would be 19.5 MiB; its rows hold at most 9
+    # entries each
+    drift, vol = get_preset("vol-gap")[:2]
+    tracemalloc.start()
+    try:
+        lattice = build_lattice(drift, vol, 64, 9, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lattice.kernel_rows
+    kept = sum(_array_bytes(value) for value in vars(lattice).values())
+    assert kept <= 4 * 2**20, kept
+    assert peak <= 8 * 2**20, peak
 
 
 def test_fosd_deterministic_increasing_is_certified():

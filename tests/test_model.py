@@ -13,6 +13,7 @@ from adapted_ot.model import (ConfigError, DiscretePathMeasure,
                               constant, eval_coefficient, interp_point,
                               lipschitz_constant, ou, parse_coefficient,
                               sign_switch, table)
+from kernels import sparse
 
 
 def make_prefix(n_steps, values):
@@ -229,25 +230,44 @@ def test_non_finite_masses_are_rejected(bad):
     with pytest.raises(ConfigError, match="finite"):
         MarkovLattice(initial_value=0.0,
                       supports=(np.array([0.0]), np.array([-1.0, 1.0])),
-                      transitions=(np.array([[bad, 0.5]]),))
+                      kernels=(sparse([[bad, 0.5]]),))
 
 
 def test_lattice_validation_and_json():
     lattice = MarkovLattice(
         initial_value=0.0,
         supports=(np.array([0.0]), np.array([-1.0, 1.0])),
-        transitions=(np.array([[0.5, 0.5]]),))
+        kernels=(sparse([[0.5, 0.5]]),))
     again = MarkovLattice.from_json(lattice.to_json())
     assert np.array_equal(again.supports[1], lattice.supports[1])
-    assert np.array_equal(again.transitions[0], lattice.transitions[0])
+    for array, array_again in zip(lattice.kernels[0], again.kernels[0]):
+        assert np.array_equal(array, array_again)
     with pytest.raises(ConfigError):
         MarkovLattice(initial_value=0.0,
                       supports=(np.array([0.0]), np.array([1.0, -1.0])),
-                      transitions=(np.array([[0.5, 0.5]]),))
+                      kernels=(sparse([[0.5, 0.5]]),))
     with pytest.raises(ConfigError):
         MarkovLattice(initial_value=0.0,
                       supports=(np.array([0.0]), np.array([-1.0, 1.0])),
-                      transitions=(np.array([[0.6, 0.5]]),))
+                      kernels=(sparse([[0.6, 0.5]]),))
+    # the row layout, as (row sizes, column index, weight)
+    for kernel, match in [
+            (([1, 1], [0, 1], [0.5, 0.5]), "one row size"),  # 2 sizes, 1 row
+            (([-1], [0], [1.0]), "one row size"),            # negative size
+            (([2], [0], [0.5, 0.5]), "disagree in length"),
+            (([2], [0, 1], [1.0]), "disagree in length"),
+            (([2], [0, 2], [0.5, 0.5]), "lie in"),           # out of range
+            (([2], [-1, 0], [0.5, 0.5]), "lie in"),          # negative index
+            (([2], [1, 1], [0.5, 0.5]), "increase within"),  # repeated index
+            (([2], [1, 0], [0.5, 0.5]), "increase within"),  # descending
+            (([2], [0, 1], [0.0, 1.0]), "positive"),         # a listed zero
+            (([2], [0, 1], [-0.5, 1.5]), "positive"),
+            (([2], [0.0, 1.0], [0.5, 0.5]), "integers"),     # float index
+            (([2.0], [0, 1], [0.5, 0.5]), "integers")]:      # float size
+        with pytest.raises(ConfigError, match=match):
+            MarkovLattice(initial_value=0.0,
+                          supports=(np.array([0.0]), np.array([-1.0, 1.0])),
+                          kernels=(kernel,))
 
 
 @pytest.mark.parametrize("cls", [MarkovLattice, DiscretePathMeasure])
@@ -262,12 +282,16 @@ def test_lattice_kernel_rows_are_built_once_and_read_only():
     rows = lattice.kernel_rows
     assert rows is lattice.kernel_rows and len(rows) == 3
     reread = MarkovLattice.from_json(lattice.to_json()).kernel_rows
-    for stage, kernel, again in zip(rows, lattice.transitions, reread):
+    for stage, kernel, again in zip(rows, lattice.kernels, reread):
         index, weights, kind, distinct = stage
         assert not any(array.flags.writeable for array in stage)
-        dense = np.zeros_like(kernel)
-        np.add.at(dense, (np.arange(kernel.shape[0])[:, None], index), weights)
-        assert np.array_equal(dense, kernel)
+        # each row's entries, then its last index again at zero mass
+        entry = np.arange(index.shape[1]) < kernel.row_sizes[:, None]
+        assert np.array_equal(index[entry], kernel.index)
+        assert np.array_equal(weights[entry], kernel.weight)
+        assert (weights[~entry] == 0.0).all()
+        last = index[np.arange(len(index)), kernel.row_sizes - 1]
+        assert (index == np.where(entry, index, last[:, None])).all()
         # the kinds number the distinct padded weight rows
         assert np.array_equal(distinct[kind], weights)
         assert len(np.unique(distinct, axis=0)) == len(distinct)
@@ -301,8 +325,8 @@ def test_lattice_json_is_plain_data():
         initial_value=0.5,
         supports=(np.array([0.5]), np.array([0.0, 1.0]),
                   np.array([-1.0, 0.0, 1.0])),
-        transitions=(np.array([[0.25, 0.75]]),
-                     np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])))
+        kernels=(sparse([[0.25, 0.75]]),
+                 sparse([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])))
     data = json.loads(lattice.to_json())
     assert data == {"initial_value": 0.5, "stages": [
         {"support": [0.0, 1.0], "row_sizes": [2], "index": [0, 1],
@@ -318,7 +342,7 @@ def markov_lattices(draw):
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
     x0 = draw(st.floats(-10, 10))
     supports = [np.array([x0])]
-    transitions = []
+    kernels = []
     for size in sizes:
         steps = draw(st.lists(st.floats(1e-3, 10), min_size=size,
                               max_size=size))
@@ -331,18 +355,19 @@ def markov_lattices(draw):
                                  max_size=size))
             row = np.where(mask, mass, 0.0)
             rows.append(row / row.sum())
-        transitions.append(np.array(rows))
+        kernels.append(sparse(rows))
     return MarkovLattice(initial_value=x0, supports=tuple(supports),
-                         transitions=tuple(transitions))
+                         kernels=tuple(kernels))
 
 
 @given(markov_lattices())
 def test_lattice_json_round_trip_keeps_every_kernel_bit(lattice):
     text = lattice.to_json()
     again = MarkovLattice.from_json(text)
-    for t, u in zip(lattice.transitions, again.transitions):
-        assert t.shape == u.shape
-        assert t.tobytes() == u.tobytes()
+    for kernel, kernel_again in zip(lattice.kernels, again.kernels):
+        for t, u in zip(kernel, kernel_again):
+            assert t.shape == u.shape
+            assert t.tobytes() == u.tobytes()
     for s, u in zip(lattice.supports, again.supports):
         assert s.tobytes() == u.tobytes()
     assert again.to_json() == text

@@ -21,6 +21,7 @@ from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
                                   synchronous_product_chain, tree_bicausal_dp)
+from kernels import sparse
 
 UNIT_VOL = constant(1.0, role="diffusion")
 
@@ -52,7 +53,7 @@ def _one_step(atoms, weights):
     """The one-step lattice from 0 to the law of ``weights`` on ``atoms``."""
     return MarkovLattice(initial_value=0.0,
                          supports=(np.array([0.0]), np.asarray(atoms, dtype=float)),
-                         transitions=(np.asarray(weights, dtype=float)[None],))
+                         kernels=(sparse([weights]),))
 
 
 def _kr_plan(lat_x, lat_y):
@@ -79,7 +80,7 @@ def test_quantile_coupling_identity_and_dirac():
 @pytest.mark.parametrize("x_atoms, x_weights", [
     ([0.0, np.nan], [0.5, 0.5]),  # NaN atom
     ([0.0, 1.0], [1.5, -0.5]),  # negative weight
-    ([0.0, 1.0, 2.0], [0.5, 0.5]),  # one atom too many
+    ([0.0, 1.0], [0.25, 0.25, 0.5]),  # one weight too many
 ])
 def test_one_step_lattice_rejects_bad_measures(x_atoms, x_weights):
     with pytest.raises(ConfigError):
@@ -205,7 +206,7 @@ def test_non_finite_costs_are_rejected():
     # check and give a NaN value
     lat = MarkovLattice(initial_value=0.0,
                         supports=(np.array([0.0]), np.array([-1e200, 1e200])),
-                        transitions=(np.array([[0.5, 0.5]]),))
+                        kernels=(sparse([[0.5, 0.5]]),))
     with np.errstate(over="ignore"), pytest.raises(ConfigError):
         bicausal_dp(lat, lat, p=2)
 
@@ -230,7 +231,7 @@ def _normalised(raw):
 
 def _one_block(cost, a, b):
     """The stage solver on a stage of one product state."""
-    rows_x, rows_y = padded_rows(a[None]), padded_rows(b[None])
+    rows_x, rows_y = padded_rows(sparse(a[None])), padded_rows(sparse(b[None]))
     plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y)
     return _stage_plans(plans, rows_x, rows_y)[0, 0], values[0, 0], n_simplex
 
@@ -305,8 +306,8 @@ def _kernel(draw, n_rows, n_children):
 @given(st.data())
 def test_stage_certificate_implies_every_block_passes(data):
     n_x, n_y = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
-    rows_x = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_x)))
-    rows_y = padded_rows(data.draw(_kernel(data.draw(st.integers(1, 4)), n_y)))
+    rows_x, rows_y = [padded_rows(sparse(data.draw(_kernel(
+        data.draw(st.integers(1, 4)), n)))) for n in (n_x, n_y)]
     # a stage cost w |x' - y'|^p + V on sorted supports, with V Monge (a
     # double cumulative sum of a nonpositive density, plus separable terms)
     # or arbitrary
@@ -360,7 +361,7 @@ def test_quantile_stage_values_keep_the_contiguous_einsum_bits():
             kernel = rng.random((rows, children)) * (rng.random((rows, children)) < 0.4)
             kernel[np.arange(rows), rng.integers(0, children, rows)] += 0.1
             kernels.append(kernel / kernel.sum(axis=1, keepdims=True))
-        rows_x, rows_y = padded_rows(kernels[0]), padded_rows(kernels[1])
+        rows_x, rows_y = [padded_rows(sparse(kernel)) for kernel in kernels]
         index_x, index_y = rows_x.index, rows_y.index
         cost = rng.normal(size=(kernels[0].shape[1], kernels[1].shape[1]))
         plans = _stage_plans(None, rows_x, rows_y)
@@ -396,7 +397,7 @@ def _same_bits(a, b):
 
 @given(_repeating_kernel(), _repeating_kernel(), st.data())
 def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky, data):
-    rows_x, rows_y = padded_rows(kx), padded_rows(ky)
+    rows_x, rows_y = padded_rows(sparse(kx)), padded_rows(sparse(ky))
     for rows in (rows_x, rows_y):
         # two rows share a kind exactly when their padded weights are equal
         equal = (rows.weights[:, None] == rows.weights[None]).all(axis=2)
@@ -483,10 +484,10 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
     chain.validate()
     lattice = lat_x if axis == "x" else lat_y
     # a kernel row narrower than its stage's padded width
-    k, row = next((k, r) for k, kernel in enumerate(lattice.transitions)
-                  for r, size in enumerate((kernel > 0).sum(axis=1))
-                  if size < (kernel > 0).sum(axis=1).max())
-    size = np.count_nonzero(lattice.transitions[k][row])
+    k, row = next((k, r) for k, kernel in enumerate(lattice.kernels)
+                  for r, size in enumerate(kernel.row_sizes)
+                  if size < kernel.row_sizes.max())
+    size = lattice.kernels[k].row_sizes[row]
     # the stage's quantile plans, made explicit so that they can be edited
     assert chain.plans[k] is None
     plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
@@ -547,10 +548,8 @@ def test_kr_coupling_deterministic_x_gives_product():
         # x-kernel is a Dirac, so the joint child law is the y-kernel
         assert index_x.shape[1] == 1
         assert plans.shape[2:] == (1, index_y.shape[1])
-        rows = np.zeros((*plans.shape[:2], lat_y.supports[k + 1].size))
-        np.add.at(rows, (slice(None), np.arange(index_y.shape[0])[:, None],
-                         index_y), plans[:, :, 0])
-        assert np.allclose(rows, lat_y.transitions[k][None], atol=1e-12)
+        assert np.allclose(plans[:, :, 0], lat_y.kernel_rows[k].weights[None],
+                           atol=1e-12)
 
 
 def test_synchronous_product_chain_equals_kr():
@@ -677,13 +676,15 @@ def test_policy_view_cuts_stage_records_to_true_supports():
     sol = bicausal_dp(lat_x, lat_y, p=2)
     assert sol.certified_stages == len(sol.plans)
     for k, stage in enumerate(sol.policy):
-        kx, ky = lat_x.transitions[k], lat_y.transitions[k]
+        # each row's support, from the stored kernels
+        kx, ky = [np.split(kernel.index, np.cumsum(kernel.row_sizes)[:-1])
+                  for kernel in (lat_x.kernels[k], lat_y.kernels[k])]
         # the stage's quantile plans, rebuilt from the padded rows
         plans = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
-        assert len(stage) == kx.shape[0] * ky.shape[0]
+        assert len(stage) == len(kx) * len(ky)
         for (i, j), (si, sj, plan, val) in stage.items():
-            assert np.array_equal(si, np.flatnonzero(kx[i]))
-            assert np.array_equal(sj, np.flatnonzero(ky[j]))
+            assert np.array_equal(si, kx[i])
+            assert np.array_equal(sj, ky[j])
             assert np.array_equal(plan, plans[i, j, :si.size, :sj.size])
             assert val == sol.inner_values[k][i, j]
 
@@ -768,7 +769,8 @@ def test_history_stage_system_reconstructs_weights():
     values, kernels = history_stage_system(measure)
     marginal = np.array([1.0])
     for kern in kernels:
-        marginal = marginal @ kern
+        marginal = np.bincount(kern.index, np.repeat(marginal, kern.row_sizes)
+                               * kern.weight)
     # leaf probabilities equal path weights aggregated by full path
     leaf_paths = {}
     for path, w in zip(map(tuple, measure.paths), measure.weights):
