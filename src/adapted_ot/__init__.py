@@ -31,4 +31,4 @@ from .estimate import (MCResult, closed_form_cost, convergence_study,
                        stability_study, sync_distance_mc)
 from .presets import PRESETS, get_preset
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

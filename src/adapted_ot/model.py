@@ -420,7 +420,8 @@ class MarkovLattice:
     initial value) and ``kernels[k]`` holds the positive entries of the
     kernel from stage-k nodes to stage-(k+1) nodes, one row per node, as
     ``KernelRows`` (a tuple ``(row_sizes, index, weight)`` is taken as
-    one): the lattice's one stored form, that of its JSON file.
+    one): the lattice's one stored form, that of its JSON file.  The
+    lattice keeps read-only copies of the arrays it is given.
     ``kernel_rows[k]`` is its padded form, with its row kinds, that the
     couplings and the DP read.
     """
@@ -430,10 +431,13 @@ class MarkovLattice:
     kernels: tuple
 
     def __post_init__(self):
-        supports = tuple(np.asarray(s, dtype=float) for s in self.supports)
-        kernels = tuple(KernelRows(np.asarray(sizes), np.asarray(index),
-                                   np.asarray(weight, dtype=float))
+        # copies, frozen: an edit to the caller's arrays would skip the checks
+        supports = tuple(np.array(s, dtype=float) for s in self.supports)
+        kernels = tuple(KernelRows(np.array(sizes), np.array(index),
+                                   np.array(weight, dtype=float))
                         for sizes, index, weight in self.kernels)
+        for array in (*supports, *(a for kernel in kernels for a in kernel)):
+            array.flags.writeable = False
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "kernels", kernels)
         if len(supports) != len(kernels) + 1:

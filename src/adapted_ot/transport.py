@@ -19,9 +19,16 @@ the DP's certified stages keep their plans implicit.  Quantile
 plans come from one table per stage pair: a lattice row's masses are sums
 of equal atom weights, so a stage has few distinct weight rows (the row
 kinds of ``padded_rows``), and the plans are built once per pair of
-distinct rows and gathered for the product states that need them.
-Identical rows have identical CDFs, so a gathered plan has the bits of the
-plan built for its own pair of rows.
+distinct rows.  Identical rows have identical CDFs, so a plan read from
+the table has the bits of the plan built for its own pair of rows.
+
+A None stage is read as a staircase: a quantile plan between rows of a and
+b atoms is a northwest-corner staircase of at most a + b - 1 positive
+cells, so the table is kept as each plan's positive cells (``_staircase``).
+The DP values a certified stage, and the forward pass scatters the
+product states that carry mass, from those cells alone; full-shape plans
+are built only where an array is stored or checked: the DP's uncertified
+stages, ``CoupledChain.validate`` and ``BicausalSolution.policy``.
 """
 
 from __future__ import annotations
@@ -205,17 +212,97 @@ def _plan_table(rows_x, rows_y):
                            _cdfs(rows_y.distinct)[None])
 
 
-def _stage_plans(plans, rows_x, rows_y, i=None, j=None):
-    """Inner plans of the product states (i, j) of a stage, a fresh
-    C-contiguous array: of every state, (n_x, n_y, a, b), by default, else
-    of index arrays ``i`` and ``j`` that broadcast against each other.
-    ``plans`` is the stage's stored array, or None for quantile plans,
-    gathered from the plan table of the padded kernel rows ``rows_*``."""
-    if i is None:
-        i, j = np.ix_(np.arange(rows_x.kind.size), np.arange(rows_y.kind.size))
+def _stage_plans(plans, rows_x, rows_y):
+    """Inner plans of every product state of a stage, (n_x, n_y, a, b):
+    ``plans`` itself when the stage stores them, else the quantile plans
+    of the padded kernel rows ``rows_*``, gathered from the stage's plan
+    table into a fresh C-contiguous array."""
     if plans is not None:
-        return plans[i, j]
-    return _plan_table(rows_x, rows_y)[rows_x.kind[i], rows_y.kind[j]]
+        return plans
+    return _plan_table(rows_x, rows_y)[rows_x.kind[:, None], rows_y.kind[None, :]]
+
+
+def _staircase(rows_x, rows_y):
+    """The plan table of a stage in staircase form.
+
+    Returns (slot_x, slot_y, mass), each (C_x, C_y, a + b - 1): entry
+    [c, d] lists the positive cells of ``_plan_table``'s plan (c, d) in
+    row-major order, as slots of the two padded rows, with their masses,
+    then cell (0, 0) at mass 0 up to the full length.  A plan's positive
+    cells are the overlaps of the steps of its two CDFs, so there are at
+    most a + b - 1 of them (Hoffman 1963), and they form a staircase.
+    """
+    table = _plan_table(rows_x, rows_y)
+    c_x, c_y, a, b = table.shape
+    length = a + b - 1
+    # flat positions of the positive cells, pair after pair, and of each
+    # one's place in its pair's staircase (nonzero is fastest on booleans)
+    positive = np.flatnonzero(table > 0.0)
+    pair, cell = np.divmod(positive, a * b)
+    size = np.bincount(pair, minlength=c_x * c_y)
+    place = np.arange(positive.size) + (
+        length * np.arange(c_x * c_y) - np.cumsum(size) + size)[pair]
+    slot_x = np.zeros((c_x, c_y, length), dtype=np.intp)
+    slot_y = np.zeros_like(slot_x)
+    mass = np.zeros(slot_x.shape)
+    slot_x.ravel()[place], slot_y.ravel()[place] = np.divmod(cell, b)
+    mass.ravel()[place] = table.ravel()[positive]
+    return slot_x, slot_y, mass
+
+
+def _staircases(stages, rows_x, rows_y):
+    """``_staircase`` of every stage of a chain whose plans ``stages[k]``
+    are None, and None for the others.  A staircase depends only on the
+    two sets of distinct rows, which a lattice's stages repeat, so it is
+    built once per such pair."""
+    built = {}
+    staircases = []
+    for plans, x, y in zip(stages, rows_x, rows_y):
+        key = (x.distinct.shape, x.distinct.tobytes(),
+               y.distinct.shape, y.distinct.tobytes())
+        if plans is None and key not in built:
+            built[key] = _staircase(x, y)
+        staircases.append(None if plans is not None else built[key])
+    return staircases
+
+
+def _staircase_cells(staircase, rows_x, rows_y, i, j):
+    """The cells of the quantile plans of the product states (i, j), two
+    index arrays of one length n, from the stage's ``staircase``:
+    (child_x, child_y, mass), each (n, a + b - 1), the cells' children on
+    the two supports and their masses."""
+    slot_x, slot_y, mass = (table.reshape(-1, table.shape[2])
+                            for table in staircase)
+    pair = rows_x.kind.take(i) * rows_y.distinct.shape[0] + rows_y.kind.take(j)
+    # flat positions in the padded index arrays
+    flat_x, flat_y = slot_x.take(pair, axis=0), slot_y.take(pair, axis=0)
+    flat_x += (rows_x.index.shape[1] * i)[:, None]
+    flat_y += (rows_y.index.shape[1] * j)[:, None]
+    return (rows_x.index.take(flat_x), rows_y.index.take(flat_y),
+            mass.take(pair, axis=0))
+
+
+def _quantile_values(cost, rows_x, rows_y, staircase):
+    """Every product state's quantile-plan value on the stage cost: mass
+    times cost summed over its staircase cells in their order, from the
+    first.  The one value rule of quantile plans, for certified stages and
+    for the blocks that pass the per-block check alike."""
+    (n_x, a), (n_y, b) = rows_x.index.shape, rows_y.index.shape
+    kind_x, kind_y = rows_x.kind, rows_y.kind
+    # cell-major (L, C_x, C_y) tables, so that the sum runs over the cells
+    slot_x, slot_y, mass = (table.transpose(2, 0, 1) for table in staircase)
+    # each row's cells against every row kind of the other side, (L, n_x,
+    # C_y) and (L, C_x, n_y), as flat positions in the padded index arrays
+    slot_x = slot_x.take(kind_x, axis=1)
+    slot_x += (a * np.arange(n_x))[:, None]
+    slot_y = slot_y.take(kind_y, axis=2)
+    slot_y += b * np.arange(n_y)
+    # then each state's cells, (L, n_x, n_y), as flat positions in the cost
+    cells = (rows_x.index.take(slot_x) * cost.shape[1]).take(kind_y, axis=2)
+    cells += rows_y.index.take(slot_y).take(kind_x, axis=1)
+    terms = mass.take(kind_x, axis=1).take(kind_y, axis=2)
+    terms *= cost.take(cells)
+    return terms.sum(axis=0)
 
 
 # -- coupled chains -----------------------------------------------------------
@@ -224,18 +311,29 @@ def _forward_cost(stages, rows_x, rows_y, values_x, values_y, stage_weights, p):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over a joint chain.
 
     ``stages[k]`` is stage k's plans (an array, or None for quantile plans)
-    and ``rows_*[k]`` the stage's padded kernel rows; each stage scatters
-    only the product states that carry mass, and gathers implicit plans for
-    those states only.
+    and ``rows_*[k]`` the stage's padded kernel rows.  Each stage scatters
+    only the product states that carry mass: the cells of their staircases
+    for quantile plans, every cell of their plans otherwise.  Either way a
+    state's masses are added in its plan's row-major order, so a staircase
+    adds the nonzero masses of the full plan to the same bins in the same
+    order; the cells it leaves out, and its padding, carry exact zeros.
     """
     pi = np.ones((1, 1))
     total = 0.0
-    for k, (plans, stage_x, stage_y) in enumerate(zip(stages, rows_x, rows_y)):
+    for k, (plans, staircase, stage_x, stage_y) in enumerate(
+            zip(stages, _staircases(stages, rows_x, rows_y), rows_x, rows_y)):
         n_y = values_y[k + 1].size
-        i, j = np.nonzero(pi)
-        cells = stage_x.index[i][:, :, None] * n_y + stage_y.index[j][:, None, :]
-        mass = _stage_plans(plans, stage_x, stage_y, i, j)
-        mass *= pi[i, j][:, None, None]
+        state = np.flatnonzero(pi != 0.0)  # nonzero is fastest on booleans
+        i, j = np.divmod(state, pi.shape[1])
+        if plans is None:
+            child_x, child_y, mass = _staircase_cells(staircase, stage_x,
+                                                      stage_y, i, j)
+        else:
+            child_x = stage_x.index[i][:, :, None]
+            child_y = stage_y.index[j][:, None, :]
+            mass = plans[i, j].reshape(i.size, -1)
+        cells = child_x * n_y + child_y
+        mass *= pi.take(state)[:, None]
         pi = np.bincount(cells.ravel(), weights=mass.ravel(),
                          minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
         diff = np.abs(values_x[k + 1][:, None] - values_y[k + 1][None, :])
@@ -252,8 +350,10 @@ class CoupledChain:
     whose entry [i, j, a, b] is the mass product state (i, j) sends to the
     child pair (index_x[i, a], index_y[j, b]), zero in the padding.  It is
     None when every product state takes the quantile plan of its two
-    kernel rows, as in every stage of ``kr_coupling``.  It is the format of
-    ``BicausalSolution.plans``.
+    kernel rows, as in every stage of ``kr_coupling``: such a stage is read
+    as a staircase (``_staircase``), whose positive cells alone the
+    forward pass scatters, and is gathered in full only by ``validate``.
+    It is the format of ``BicausalSolution.plans``.
     """
 
     lattice_x: MarkovLattice
@@ -342,9 +442,10 @@ class BicausalSolution:
     ``CoupledChain.plans``, on ``rows_*[k]``, the two kernels'
     ``padded_rows`` at stage k.  A stage that passed the stage Monge
     certificate stores None: each of its inner plans is the quantile plan
-    of its two kernel rows, gathered from the stage's plan table when read.
-    Otherwise ``plans[k][i, j]`` is the optimal inner plan of product state
-    (i, j) on the padded rows.  ``inner_values[k][i, j]`` is the inner value.
+    of its two kernel rows, read as a staircase of the stage's plan table
+    (``_staircase``) and gathered in full only for ``policy``.  Otherwise
+    ``plans[k][i, j]`` is the optimal inner plan of product state (i, j)
+    on the padded rows.  ``inner_values[k][i, j]`` is the inner value.
     ``n_simplex`` counts the inner blocks that failed the Monge check and
     were solved by the transportation simplex; the others took their
     quantile plan.
@@ -445,36 +546,26 @@ def _stage_certified(cost, index_x, index_y):
     return bool((mixed <= c00).all())
 
 
-def _quantile_stage(cost, rows_x, rows_y):
-    """(blocks, plans, values) of a stage's quantile plans: the padded
-    (n_x, n_y, a, b) blocks of the stage cost, every product state's
-    quantile plan, and each plan's value on its block."""
-    # two np.take gathers; the blocks are made contiguous because einsum's
-    # summation order, and so the values' last bits, follow the layout (the
-    # plans, gathered from the plan table, are contiguous too)
-    blocks = np.ascontiguousarray(cost.take(rows_y.index, axis=1)
-                                  .take(rows_x.index, axis=0).transpose(0, 2, 1, 3))
-    plans = _stage_plans(None, rows_x, rows_y)
-    return blocks, plans, np.einsum("ijab,ijab->ij", plans, blocks)
-
-
-def _solve_blocks(cost, rows_x, rows_y):
+def _solve_blocks(cost, rows_x, rows_y, staircase):
     """Optimal inner plans and values of a stage, checked block by block.
 
     ``rows_*`` are the two kernels' ``padded_rows``; the padding repeats a
     row's last support, so its mixed differences vanish.  A block whose
     adjacent mixed 2x2 differences are all within the simplex's optimality
-    tolerance is Monge and its quantile plan is optimal (Hoffman 1963); the
-    other blocks go to the simplex, whose plans overwrite the gathered
-    quantile plans.  Returns (plans, values, simplex count).
+    tolerance is Monge and its quantile plan is optimal (Hoffman 1963),
+    valued by ``_quantile_values`` on the two rows' ``staircase``; the
+    other blocks go to the simplex, whose plans and values overwrite the
+    quantile ones.  Returns (plans, values, simplex count).
     """
-    blocks, plans, values = _quantile_stage(cost, rows_x, rows_y)
     index_x, wx = rows_x.index, rows_x.weights
     index_y, wy = rows_y.index, rows_y.weights
+    blocks = cost[index_x[:, None, :, None], index_y[None, :, None, :]]
     mixed = (blocks[:, :, :-1, :-1] + blocks[:, :, 1:, 1:]
              - blocks[:, :, :-1, 1:] - blocks[:, :, 1:, :-1])
     tol = PIVOT_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(2, 3)))
     monge = (mixed <= tol[:, :, None, None]).all(axis=(2, 3))
+    plans = _stage_plans(None, rows_x, rows_y)
+    values = _quantile_values(cost, rows_x, rows_y, staircase)
     fallback = np.argwhere(~monge)
     for i, j in fallback:
         a, b = np.count_nonzero(wx[i]), np.count_nonzero(wy[j])
@@ -485,20 +576,21 @@ def _solve_blocks(cost, rows_x, rows_y):
     return plans, values, len(fallback)
 
 
-def _solve_stage(cost, rows_x, rows_y):
+def _solve_stage(cost, rows_x, rows_y, staircase):
     """Optimal inner plans and values of every product state of one stage.
 
-    ``cost`` is the stage cost on the two child supports and ``rows_*``
-    are the two kernels' ``padded_rows``.  A stage that passes
-    ``_stage_certified`` takes every quantile plan and returns None for its
-    plans; any other stage goes to ``_solve_blocks``.  Returns (plans,
-    values, simplex count).
+    ``cost`` is the stage cost on the two child supports, ``rows_*``
+    are the two kernels' ``padded_rows`` and ``staircase`` is their
+    ``_staircase``.  A stage that passes ``_stage_certified`` takes every
+    quantile plan, reads its values off the staircase
+    (``_quantile_values``) and returns None for its plans; any other stage
+    goes to ``_solve_blocks``.  Returns (plans, values, simplex count).
     """
     if not np.isfinite(cost).all():
         raise ConfigError("stage costs must be finite")
     if _stage_certified(cost, rows_x.index, rows_y.index):
-        return None, _quantile_stage(cost, rows_x, rows_y)[2], 0
-    return _solve_blocks(cost, rows_x, rows_y)
+        return None, _quantile_values(cost, rows_x, rows_y, staircase), 0
+    return _solve_blocks(cost, rows_x, rows_y, staircase)
 
 
 def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
@@ -509,11 +601,13 @@ def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
     plans = [None] * n
     inner_values = [None] * n
     n_simplex = 0
+    staircases = _staircases([None] * n, rows_x, rows_y)
     for k in range(n - 1, -1, -1):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
         cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
-        plans[k], v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k])
+        plans[k], v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k],
+                                                   staircases[k])
         n_simplex += fallbacks
         inner_values[k] = v_next
     return BicausalSolution(value=float(v_next[0, 0]), p=p,

@@ -176,6 +176,26 @@ def test_aw_distance_old_sidecar_reruns_to_same_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_aw_distance_sidecar_reruns_only_under_its_version(tmp_path, capsys):
+    # 0.8.0 sums each quantile plan's value over its staircase cells, which
+    # moves some DP values in their last bits: an aw-distance sidecar
+    # reruns only under the version that wrote it
+    lat = tmp_path / "lat.json"
+    assert main(["lattice", *RERUN_ARGS["lattice"], "--out", str(lat)]) == 0
+    out = tmp_path / "aw.json"
+    assert main(["aw-distance", "--lattice-x", str(lat), "--lattice-y",
+                 str(lat), "--out", str(out)]) == 0
+    sidecar = Path(str(out) + ".sidecar.json")
+    payload = json.loads(sidecar.read_text())
+    assert payload["version"] == __version__
+    payload["version"] = "0.7.0"
+    sidecar.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["rerun", str(sidecar)]) == 2
+    err = capsys.readouterr().err
+    assert "0.7.0" in err and __version__ in err and "aw-distance" in err
+
+
 def test_metrics_on_example_trees(tmp_path):
     mu = DiscretePathMeasure(paths=[[0.5, 1.0], [-0.5, -1.0]],
                              weights=[0.5, 0.5])

@@ -270,6 +270,26 @@ def test_lattice_validation_and_json():
                           kernels=(kernel,))
 
 
+def test_lattice_keeps_read_only_copies_of_the_callers_arrays():
+    # an edit to the caller's arrays after construction would skip every
+    # check: the lattice keeps its own copies, and they cannot be edited
+    support = np.array([-1.0, 1.0])
+    sizes, index, weight = np.array([2]), np.array([0, 1]), np.array([0.5, 0.5])
+    lattice = MarkovLattice(initial_value=0.0,
+                            supports=(np.array([0.0]), support),
+                            kernels=((sizes, index, weight),))
+    support[0], sizes[0], index[0], weight[0] = -5.0, 3, 1, 5.0
+    assert lattice.supports[1].tolist() == [-1.0, 1.0]
+    assert lattice.kernels[0].row_sizes.tolist() == [2]
+    assert lattice.kernels[0].index.tolist() == [0, 1]
+    assert lattice.kernels[0].weight.tolist() == [0.5, 0.5]
+    assert lattice.kernel_rows[0].weights.tolist() == [[0.5, 0.5]]
+    for array in (*lattice.supports, *lattice.kernels[0]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
 @pytest.mark.parametrize("cls", [MarkovLattice, DiscretePathMeasure])
 def test_truncated_json_raises_config_error(cls):
     # a JSON syntax error is malformed input too, not a JSONDecodeError

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
 from adapted_ot.presets import get_preset
 from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
-                                  _prefix_nodes, _quantile_plans,
-                                  _quantile_stage, _solve_blocks,
-                                  _solve_stage, _stage_certified, _stage_plans,
-                                  _transport_simplex, bicausal_dp, causal_lp,
+                                  _forward_cost, _prefix_nodes,
+                                  _quantile_plans, _quantile_values,
+                                  _solve_blocks, _solve_stage, _stage_certified,
+                                  _stage_plans, _staircase, _transport_simplex,
+                                  bicausal_dp, causal_lp,
                                   coupled_cost, history_stage_system,
                                   kr_coupling, metric_suite,
                                   synchronous_product_chain, tree_bicausal_dp)
@@ -232,7 +234,8 @@ def _normalised(raw):
 def _one_block(cost, a, b):
     """The stage solver on a stage of one product state."""
     rows_x, rows_y = padded_rows(sparse(a[None])), padded_rows(sparse(b[None]))
-    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y)
+    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y,
+                                            _staircase(rows_x, rows_y))
     return _stage_plans(plans, rows_x, rows_y)[0, 0], values[0, 0], n_simplex
 
 
@@ -332,28 +335,35 @@ def test_stage_certificate_implies_every_block_passes(data):
             max_size=n_x * n_y))).reshape(n_x, n_y)
     w = data.draw(st.sampled_from([1.0, 1.0 / 16]))
     cost = w * np.abs(xs[:, None] - ys[None, :]) ** p + v_next
-    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y)
-    block_plans, block_values, block_simplex = _solve_blocks(cost, rows_x, rows_y)
+    staircase = _staircase(rows_x, rows_y)
+    plans, values, n_simplex = _solve_stage(cost, rows_x, rows_y, staircase)
+    block_plans, block_values, block_simplex = _solve_blocks(cost, rows_x, rows_y,
+                                                             staircase)
     certified = _stage_certified(cost, rows_x.index, rows_y.index)
     event(f"certified={certified}, per-block simplex solves={block_simplex > 0}")
+    # the staircase rule values every quantile plan, on either path
+    quantile = _quantile_values(cost, rows_x, rows_y, staircase)
     if certified:
         # no block fails the per-block check, and the stage's values are
-        # the per-block path's, bit for bit
+        # the per-block path's and the staircase rule's, bit for bit
         assert block_simplex == 0
         assert plans is None and n_simplex == 0
-        assert np.array_equal(values, block_values)
+        assert _same_bits(values, block_values)
+        assert _same_bits(values, quantile)
         assert np.array_equal(_stage_plans(plans, rows_x, rows_y), block_plans)
     else:
         assert np.array_equal(plans, block_plans)
-        assert np.array_equal(values, block_values)
+        assert _same_bits(values, block_values)
         assert n_simplex == block_simplex
+        # only the simplex blocks leave the staircase rule's values
+        assert np.count_nonzero(values != quantile) <= block_simplex
 
 
-def test_quantile_stage_values_keep_the_contiguous_einsum_bits():
-    # the reference: einsum over contiguous (n_x, n_y, a, b) plans and
-    # fancy-indexed blocks; einsum's summation order follows the operands'
-    # layout, so gathering the blocks in another layout moves last bits
-    # (seen with a single x row or single-child rows)
+def test_quantile_values_sum_each_plans_positive_cells_in_row_major_order():
+    # the reference reads each product state's quantile plan in full and
+    # adds mass times cost over its positive cells one by one, in
+    # row-major order; the values must have its bits with a single x row,
+    # single-child rows, and rows of every width
     rng = np.random.default_rng(11)
     for _ in range(300):
         kernels = []
@@ -362,27 +372,35 @@ def test_quantile_stage_values_keep_the_contiguous_einsum_bits():
             kernel[np.arange(rows), rng.integers(0, children, rows)] += 0.1
             kernels.append(kernel / kernel.sum(axis=1, keepdims=True))
         rows_x, rows_y = [padded_rows(sparse(kernel)) for kernel in kernels]
-        index_x, index_y = rows_x.index, rows_y.index
+        (n_x, a), (n_y, b) = rows_x.index.shape, rows_y.index.shape
         cost = rng.normal(size=(kernels[0].shape[1], kernels[1].shape[1]))
         plans = _stage_plans(None, rows_x, rows_y)
-        reference = np.einsum("ijab,ijab->ij", plans,
-                              cost[index_x[:, None, :, None], index_y[None, :, None, :]])
-        values = _quantile_stage(cost, rows_x, rows_y)[2]
-        assert np.array_equal(values, reference)
+        reference = np.empty((n_x, n_y))
+        for i in range(n_x):
+            for j in range(n_y):
+                s, t = np.nonzero(plans[i, j])
+                assert s.size <= a + b - 1
+                value = 0.0
+                for term in (plans[i, j, s, t]
+                             * cost[rows_x.index[i, s], rows_y.index[j, t]]):
+                    value += term
+                reference[i, j] = value
+        assert _same_bits(_quantile_values(cost, rows_x, rows_y,
+                                           _staircase(rows_x, rows_y)), reference)
 
 
 @st.composite
-def _repeating_kernel(draw):
+def _repeating_kernel(draw, n_rows=st.integers(1, 8), n_children=st.integers(1, 6)):
     """A kernel whose rows reuse a few mass vectors, on supports of their
-    own: repeated rows, equal masses on different supports, and padding.
-    Masses are atom counts over their total, as on a lattice, and each mass
-    vector comes with its tail reversed: distinct rows with equal leading
-    masses."""
-    n_children = draw(st.integers(1, 6))
+    own: repeated rows, equal masses on different supports, padding, and
+    single-child rows.  Masses are atom counts over their total, as on a
+    lattice, and each mass vector comes with its tail reversed: distinct
+    rows with equal leading masses."""
+    n_children = draw(n_children)
     masses = draw(st.lists(st.lists(st.integers(1, 4), min_size=1,
                                     max_size=n_children), min_size=1, max_size=3))
     masses += [mass[:1] + mass[:0:-1] for mass in masses]
-    kernel = np.zeros((draw(st.integers(1, 8)), n_children))
+    kernel = np.zeros((draw(n_rows), n_children))
     for row in kernel:
         mass = np.array(draw(st.sampled_from(masses)))
         support = draw(st.lists(st.integers(0, n_children - 1), min_size=mass.size,
@@ -395,8 +413,8 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@given(_repeating_kernel(), _repeating_kernel(), st.data())
-def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky, data):
+@given(_repeating_kernel(), _repeating_kernel())
+def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky):
     rows_x, rows_y = padded_rows(sparse(kx)), padded_rows(sparse(ky))
     for rows in (rows_x, rows_y):
         # two rows share a kind exactly when their padded weights are equal
@@ -409,13 +427,70 @@ def test_plan_table_gathers_every_pairs_quantile_plan_bit_for_bit(kx, ky, data):
     stage = _stage_plans(None, rows_x, rows_y)
     assert stage.flags.c_contiguous
     assert _same_bits(stage, _quantile_plans(cx[:, None], cy[None]))
-    i = np.array(data.draw(st.lists(st.integers(0, len(kx) - 1), min_size=1,
-                                    max_size=10)))
-    j = np.array(data.draw(st.lists(st.integers(0, len(ky) - 1), min_size=i.size,
-                                    max_size=i.size)))
-    states = _stage_plans(None, rows_x, rows_y, i, j)
-    assert states.flags.c_contiguous
-    assert _same_bits(states, _quantile_plans(cx[i], cy[j]))
+
+
+@st.composite
+def _repeating_chain(draw, n_stages):
+    """``n_stages`` kernels of ``_repeating_kernel`` rows from one root
+    node, each stage's rows the children of the one before."""
+    kernels, n_rows = [], 1
+    for _ in range(n_stages):
+        kernels.append(draw(_repeating_kernel(n_rows=st.just(n_rows))))
+        n_rows = kernels[-1].shape[1]
+    return kernels
+
+
+def _full_gather_forward(rows_x, rows_y, values_x, values_y, p):
+    """The forward cost of the chain of quantile plans, each product state's
+    plan built in full from its own two rows and scattered cell by cell."""
+    pi, total = np.ones((1, 1)), 0.0
+    for k, (stage_x, stage_y) in enumerate(zip(rows_x, rows_y)):
+        n_y = values_y[k + 1].size
+        i, j = np.nonzero(pi)
+        cells = stage_x.index[i][:, :, None] * n_y + stage_y.index[j][:, None, :]
+        mass = _quantile_plans(_cdfs(stage_x.weights[i]), _cdfs(stage_y.weights[j]))
+        mass *= pi[i, j][:, None, None]
+        pi = np.bincount(cells.ravel(), weights=mass.ravel(),
+                         minlength=values_x[k + 1].size * n_y).reshape(-1, n_y)
+        diff = np.abs(values_x[k + 1][:, None] - values_y[k + 1][None, :])
+        total += float(np.sum(pi * diff**p))
+    return total
+
+
+@given(st.data())
+def test_staircases_list_each_plans_positive_cells_and_scatter_them(data):
+    n_stages = data.draw(st.integers(1, 3))
+    chain_x, chain_y = (data.draw(_repeating_chain(n_stages)) for _ in range(2))
+    rows_x = [padded_rows(sparse(kernel)) for kernel in chain_x]
+    rows_y = [padded_rows(sparse(kernel)) for kernel in chain_y]
+    for stage_x, stage_y in zip(rows_x, rows_y):
+        (_, a), (_, b) = stage_x.index.shape, stage_y.index.shape
+        plans = _stage_plans(None, stage_x, stage_y)
+        slot_x, slot_y, mass = _staircase(stage_x, stage_y)
+        assert mass.shape[2] == a + b - 1
+        for (i, j), plan in np.ndenumerate(plans[:, :, 0, 0]):
+            # the staircase of the two rows' kinds lists exactly the plan's
+            # positive cells, in row-major order and with their bits, then
+            # cell (0, 0) at mass +0.0
+            c, d = stage_x.kind[i], stage_y.kind[j]
+            s, t = np.nonzero(plans[i, j])
+            assert 1 <= s.size <= a + b - 1
+            assert np.array_equal(slot_x[c, d, :s.size], s)
+            assert np.array_equal(slot_y[c, d, :s.size], t)
+            assert _same_bits(mass[c, d, :s.size], plans[i, j, s, t])
+            assert not slot_x[c, d, s.size:].any() and not slot_y[c, d, s.size:].any()
+            assert _same_bits(mass[c, d, s.size:], np.zeros(a + b - 1 - s.size))
+    event(f"single-child rows: "
+          f"{any((np.count_nonzero(r.weights, axis=1) == 1).any() for r in rows_x)}")
+    # the forward pass scatters the staircases with the full plans' bits
+    values_x, values_y = ([np.array([0.0])] + [
+        np.cumsum(data.draw(st.lists(st.floats(0.1, 2.0), min_size=kernel.shape[1],
+                                     max_size=kernel.shape[1]))) - 2.0
+        for kernel in chain] for chain in (chain_x, chain_y))
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
+    assert _forward_cost((None,) * n_stages, rows_x, rows_y, values_x, values_y,
+                         np.ones(n_stages), p) == _full_gather_forward(
+        rows_x, rows_y, values_x, values_y, p)
 
 
 @pytest.mark.parametrize("name", ["drift-gap", "vol-gap", "ou-vol"])
@@ -705,6 +780,26 @@ def test_bicausal_dp_preset_pair_takes_no_simplex_solve():
         rebuilt = _stage_plans(None, lat_x.kernel_rows[k], lat_y.kernel_rows[k])
         for (i, j), (_, _, plan, _) in sol.policy[k].items():
             assert np.array_equal(plan, rebuilt[i, j, :plan.shape[0], :plan.shape[1]])
+
+
+def test_bicausal_dp_memory_stays_off_the_padded_blocks():
+    # vol-gap at N = 64, m = 9, max_support = 200: every stage certifies,
+    # and its values come from the staircases' at most 17 cells a state;
+    # gathering each stage's padded (200, 200, 9, 9) cost blocks and plans
+    # took the DP's traced peak to 68.1 MiB, the staircases keep it near
+    # 49 MiB, 20 MiB of it the inner values the solution keeps
+    b_x, s_x, b_y, s_y = get_preset("vol-gap")
+    lat_x = build_lattice(b_x, s_x, 64, 9, 200)
+    lat_y = build_lattice(b_y, s_y, 64, 9, 200)
+    lat_x.kernel_rows, lat_y.kernel_rows
+    tracemalloc.start()
+    try:
+        sol = bicausal_dp(lat_x, lat_y, p=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.certified_stages == 64
+    assert peak <= 56 * 2**20, peak
 
 
 def test_tree_dp_fallback_matches_lp():
