@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -926,6 +927,35 @@ def test_causal_lp_accuracy_regression():
     assert (mu.paths.shape[0], nu.paths.shape[0]) == (19, 5)
     dp = tree_bicausal_dp(mu, nu, p=2).value
     assert causal_lp(mu, nu, p=2, mode="bicausal") == pytest.approx(dp, abs=1e-8)
+
+
+def _tree_dp_record(mu, nu, p):
+    sol = tree_bicausal_dp(mu, nu, p=p)
+    return (f"{sol.value!r} {sol.n_simplex} {sol.certified_stages} "
+            f"{sol.forward_value()!r}")
+
+
+def test_tree_dp_bits_are_pinned():
+    # criterion 2's 50 pairs at seed 7, then the 81 pairs drawn from seed 15
+    # at p = 1, 2 and 3: value, simplex count, certified stages and forward
+    # value of each, pinned at 0.8.0
+    rng = np.random.default_rng((7, 2))
+    records = []
+    for _ in range(50):
+        stages = int(rng.integers(2, 4))
+        mu = acceptance_random_tree(rng, n_stages=stages)
+        nu = acceptance_random_tree(rng, n_stages=stages)
+        records.append(_tree_dp_record(mu, nu, 2))
+    rng = np.random.default_rng(15)
+    for _ in range(81):
+        mu, nu = random_tree(rng, 3, 4), random_tree(rng, 3, 4)
+        records += [_tree_dp_record(mu, nu, p) for p in (1, 2, 3)]
+    assert len(records) == 293
+    # 209 of them send some block to the simplex
+    assert sum(int(record.split()[1]) > 0 for record in records) == 209
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == ("20257e1d231d45ef5172acee4aaa7f769dd1fcad"
+                      "426f8d9c635993624d9030c4")
 
 
 def test_zero_weight_paths_carry_no_tree_nodes():
