@@ -25,7 +25,7 @@ from .lattice import (FosdCheck, IncrementQuantization, build_lattice,
 from .transport import (BicausalSolution, CoupledChain, MetricSuiteResult,
                         bicausal_dp, causal_lp, coupled_cost, kr_coupling,
                         metric_suite, synchronous_product_chain,
-                        tree_bicausal_dp)
+                        tree_bicausal_dp, tree_lattice)
 from .estimate import (MCResult, closed_form_cost, convergence_study,
                        counterexample_nonmarkov, em_expected_cost, rho_scan,
                        stability_study, sync_distance_mc)

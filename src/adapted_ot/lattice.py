@@ -235,11 +235,14 @@ def check_fosd(lattice):
 
     For each stage and each adjacent support pair x < x', the conditional CDF
     from x' must lie below the one from x (to 1e-10) at every next-support
-    point.  The excess F_{x'} - F_x can rise only where F_{x'} jumps, so
-    each pair of rows is compared at the upper row's entries only.  A
-    cumulative sum over a row's entries has the bits of one over its full
-    dense row, whose other terms are exact zeros.
+    point; a lattice not ``value_ordered`` is refused (``ConfigError``).
+    The excess F_{x'} - F_x can rise only where F_{x'} jumps, so each pair
+    of rows is compared at the upper row's entries only.  A cumulative sum
+    over a row's entries has the bits of one over its full dense row, whose
+    other terms are exact zeros.
     """
+    if not lattice.value_ordered:
+        raise ConfigError("check_fosd needs stages strictly increasing in value")
     for k, rows in enumerate(lattice.kernel_rows):
         n_rows, width = rows.index.shape
         # cdf[i, c] is row i's mass on its first c entries

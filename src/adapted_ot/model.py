@@ -414,10 +414,12 @@ def padded_rows(kernel):
 
 @dataclass(frozen=True)
 class MarkovLattice:
-    """Finite-support, finite-stage Markov chain with explicit kernels.
+    """Finite-state, finite-stage Markov chain with explicit kernels.
 
-    ``supports[k]`` is the sorted stage-k support (stage 0 is the single
-    initial value) and ``kernels[k]`` holds the positive entries of the
+    ``supports[k]`` holds the stage-k states' values (stage 0 is the single
+    initial value), finite, in any order, ties allowed; ``value_ordered``
+    tells whether each stage is strictly increasing, as the quantile
+    couplings need.  ``kernels[k]`` holds the positive entries of the
     kernel from stage-k nodes to stage-(k+1) nodes, one row per node, as
     ``KernelRows`` (a tuple ``(row_sizes, index, weight)`` is taken as
     one): the lattice's one stored form, that of its JSON file.  The
@@ -447,8 +449,6 @@ class MarkovLattice:
         for k, s in enumerate(supports):
             if s.ndim != 1 or not np.isfinite(s).all():
                 raise ConfigError(f"stage-{k} support must be finite 1-D")
-            if (s[1:] <= s[:-1]).any():
-                raise ConfigError(f"stage-{k} support must be strictly increasing")
         # in this order every check sees nonempty arrays
         for k, (sizes, index, weight) in enumerate(kernels):
             n_rows, n_cols = supports[k].size, supports[k + 1].size
@@ -478,6 +478,11 @@ class MarkovLattice:
     @property
     def n_steps(self):
         return len(self.kernels)
+
+    @cached_property
+    def value_ordered(self):
+        """Whether every stage's states are strictly increasing in value."""
+        return all((s[1:] > s[:-1]).all() for s in self.supports)
 
     @cached_property
     def kernel_rows(self):

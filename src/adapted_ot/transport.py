@@ -3,14 +3,14 @@ Markov lattices, exact bi-causal dynamic programming, a transportation
 simplex, a causality-constrained LP oracle for tiny trees, and the metric
 suite (classical / causal / symmetrised-causal / bi-causal values).
 
-Each inner DP subproblem couples two kernel rows on sorted child supports
+Each inner DP subproblem couples two kernel rows, children in index order,
 under the cost w |x' - y'|^p + V_{k+1}(x', y').  Whether that block is Monge
-(submodular) is checked, never assumed: the continuation value can break
-submodularity in general.  A block that passes is solved exactly by the
-quantile plan (Hoffman 1963), the same rule that builds the rearrangement;
-a block that fails goes to the transportation simplex.  The check runs once
-per stage on the stage cost; only a stage that fails it is checked block by
-block.
+(submodular) in that order is checked, never assumed: the continuation value
+can break submodularity in general.  A block that passes is solved exactly
+by the quantile plan in that order (Hoffman 1963), the rule that builds the
+rearrangement; a block that fails goes to the transportation simplex.  The
+check runs once per stage on the stage cost; only a stage that fails it is
+checked block by block.
 
 A coupled stage is stored as its plans: the (n_x, n_y, a, b) array of inner
 plans on the lattices' padded kernel rows, or None when every inner plan is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .lattice import build_lattice
 from .model import (AdaptedOTError, ConfigError, KernelRows, MarkovLattice,
-                    check_p, padded_rows)
+                    check_p)
 
 PIVOT_TOL = 1e-12
 MAX_TREE_PATHS = 64
@@ -383,9 +383,12 @@ class CoupledChain:
 
 def kr_coupling(x_lattice, y_lattice):
     """Stagewise quantile coupling of the two lattices' conditional kernels
-    (the common-uniform construction applied to every product state)."""
+    (the common-uniform construction applied to every product state), in
+    value order: a lattice not ``value_ordered`` is refused (``ConfigError``)."""
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
+    if not (x_lattice.value_ordered and y_lattice.value_ordered):
+        raise ConfigError("kr_coupling needs stages strictly increasing in value")
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,
                         plans=(None,) * x_lattice.n_steps)
 
@@ -593,10 +596,26 @@ def _solve_stage(cost, rows_x, rows_y, staircase):
     return _solve_blocks(cost, rows_x, rows_y, staircase)
 
 
-def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
-    """Backward induction over the stages' padded kernel rows; returns the
-    ``BicausalSolution``."""
-    n = len(rows_x)
+def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
+    """Backward induction for the bi-causal problem on two lattices.
+
+    V_N = 0 and V_k(i, j) minimises, over couplings of the two conditional
+    kernels, the expected stage cost w_{k+1} |x' - y'|^p plus continuation.
+    Each inner problem is solved exactly: by its quantile plan in index
+    order when its stage or its block passes the Monge check, by the
+    transportation simplex otherwise (``n_simplex`` on the result counts
+    these, and ``certified_stages`` the stages certified whole).  The state
+    is the current state pair, valid because lattices are Markov;
+    ``tree_lattice`` makes any path measure one.  ``p`` must be finite and
+    at least 1.
+    """
+    check_p(p)
+    if x_lattice.n_steps != y_lattice.n_steps:
+        raise ConfigError("lattices must share the stage count")
+    n = x_lattice.n_steps
+    w = np.full(n, (1.0 / n) if scaled else 1.0)
+    values_x, values_y = x_lattice.supports, y_lattice.supports
+    rows_x, rows_y = x_lattice.kernel_rows, y_lattice.kernel_rows
     v_next = np.zeros((values_x[n].size, values_y[n].size))
     plans = [None] * n
     inner_values = [None] * n
@@ -605,38 +624,16 @@ def _dp_engine(values_x, rows_x, values_y, rows_y, p, stage_weights):
     for k in range(n - 1, -1, -1):
         xv = values_x[k + 1]
         yv = values_y[k + 1]
-        cost = stage_weights[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
+        cost = w[k] * np.abs(xv[:, None] - yv[None, :]) ** p + v_next
         plans[k], v_next, fallbacks = _solve_stage(cost, rows_x[k], rows_y[k],
                                                    staircases[k])
         n_simplex += fallbacks
         inner_values[k] = v_next
-    return BicausalSolution(value=float(v_next[0, 0]), p=p,
-                            stage_weights=stage_weights,
-                            values_x=tuple(values_x), values_y=tuple(values_y),
-                            rows_x=tuple(rows_x), rows_y=tuple(rows_y),
+    return BicausalSolution(value=float(v_next[0, 0]), p=p, stage_weights=w,
+                            values_x=values_x, values_y=values_y,
+                            rows_x=rows_x, rows_y=rows_y,
                             plans=tuple(plans), inner_values=tuple(inner_values),
                             n_simplex=n_simplex)
-
-
-def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
-    """Backward induction for the bi-causal problem on two Markov lattices.
-
-    V_N = 0 and V_k(x, y) minimises, over couplings of the two conditional
-    kernels, the expected stage cost w_{k+1} |x' - y'|^p plus continuation.
-    Each inner problem is solved exactly: by its quantile plan when its
-    stage or its block passes the Monge check, by the transportation
-    simplex otherwise (``n_simplex`` on the result counts these, and
-    ``certified_stages`` the stages certified whole).  The state is the
-    current value pair, valid because lattices are Markov.  ``p`` must be
-    finite and at least 1.
-    """
-    check_p(p)
-    if x_lattice.n_steps != y_lattice.n_steps:
-        raise ConfigError("lattices must share the stage count")
-    n = x_lattice.n_steps
-    w = np.full(n, (1.0 / n) if scaled else 1.0)
-    return _dp_engine(x_lattice.supports, x_lattice.kernel_rows,
-                      y_lattice.supports, y_lattice.kernel_rows, p, w)
 
 
 def _prefix_nodes(paths):
@@ -656,14 +653,15 @@ def _prefix_nodes(paths):
     return nodes
 
 
-def history_stage_system(measure):
-    """Expand a path measure into history states: stage-k nodes are the
-    distinct k-prefixes (``_prefix_nodes``), stage 0 an artificial root.
-    Only the paths of positive weight are expanded: a prefix of zero mass
-    would have no kernel row."""
+def tree_lattice(measure):
+    """The history lattice of a path measure, rooted at 0.0: its stage-k
+    states are the distinct k-prefixes (``_prefix_nodes``), in lexicographic
+    order and valued at their last entry, so stages need not be in value
+    order.  Only the paths of positive weight are expanded: a prefix of
+    zero mass would have no kernel row."""
     keep = measure.weights > 0
     paths, weights = measure.paths[keep], measure.weights[keep]
-    values = [np.array([0.0])]
+    supports = [np.array([0.0])]
     kernels = []
     nodes = _prefix_nodes(paths)
     for column, parent, node in zip(paths.T, nodes, nodes[1:]):
@@ -673,25 +671,18 @@ def history_stage_system(measure):
         owner, mass = parent[first], np.bincount(node, weights)
         dense = np.zeros((parent.max() + 1, first.size))
         dense[owner, np.arange(first.size)] = mass
-        values.append(column[first])
+        supports.append(column[first])
         kernels.append(KernelRows(np.bincount(owner), np.arange(first.size),
                                   mass / dense.sum(axis=1)[owner]))
-    return values, kernels
+    return MarkovLattice(initial_value=0.0, supports=tuple(supports),
+                         kernels=tuple(kernels))
 
 
 def tree_bicausal_dp(mu, nu, p=2):
-    """Bi-causal DP on history-expanded trees (unscaled stage costs).
-
-    Valid for arbitrary (non-Markov) path measures; used to cross-check the
-    causality-constrained LP.
-    """
-    check_p(p)
-    vx, kx = history_stage_system(mu)
-    vy, ky = history_stage_system(nu)
-    if len(kx) != len(ky):
-        raise ConfigError("path measures must share the stage count")
-    return _dp_engine(vx, [padded_rows(k) for k in kx], vy,
-                      [padded_rows(k) for k in ky], p, np.ones(len(kx)))
+    """Bi-causal DP between two path measures, Markov or not: ``bicausal_dp``
+    on their history lattices, with the unscaled stage costs of
+    ``causal_lp``, which it cross-checks."""
+    return bicausal_dp(tree_lattice(mu), tree_lattice(nu), p, scaled=False)
 
 
 # -- causality-constrained LP oracle ------------------------------------------

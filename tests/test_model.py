@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adapted_ot.acceptance import random_tree
-from adapted_ot.lattice import build_lattice
+from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure,
                               ExtrapolationError, MarkovLattice,
                               NotMarkovianError, SamplePath, TimeGrid, affine,
                               constant, eval_coefficient, interp_point,
                               lipschitz_constant, ou, parse_coefficient,
                               sign_switch, table)
+from adapted_ot.transport import kr_coupling
 from kernels import sparse
 
 
@@ -242,10 +243,17 @@ def test_lattice_validation_and_json():
     assert np.array_equal(again.supports[1], lattice.supports[1])
     for array, array_again in zip(lattice.kernels[0], again.kernels[0]):
         assert np.array_equal(array, array_again)
-    with pytest.raises(ConfigError):
-        MarkovLattice(initial_value=0.0,
-                      supports=(np.array([0.0]), np.array([1.0, -1.0])),
-                      kernels=(sparse([[0.5, 0.5]]),))
+    assert lattice.value_ordered
+    # states in any order, ties allowed: only the quantile couplings refuse
+    for support in ([1.0, -1.0], [1.0, 1.0]):
+        unordered = MarkovLattice(initial_value=0.0,
+                                  supports=(np.array([0.0]), np.array(support)),
+                                  kernels=(sparse([[0.5, 0.5]]),))
+        assert not unordered.value_ordered
+        with pytest.raises(ConfigError, match="increasing in value"):
+            kr_coupling(unordered, lattice)
+        with pytest.raises(ConfigError, match="increasing in value"):
+            check_fosd(unordered)
     with pytest.raises(ConfigError):
         MarkovLattice(initial_value=0.0,
                       supports=(np.array([0.0]), np.array([-1.0, 1.0])),

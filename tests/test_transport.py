@@ -21,7 +21,7 @@ from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
                                   _solve_blocks, _solve_stage, _stage_certified,
                                   _stage_plans, _staircase, _transport_simplex,
                                   bicausal_dp, causal_lp,
-                                  coupled_cost, history_stage_system,
+                                  coupled_cost, tree_lattice,
                                   kr_coupling, metric_suite,
                                   synchronous_product_chain, tree_bicausal_dp)
 from kernels import sparse
@@ -859,12 +859,13 @@ def test_prefix_nodes_number_prefixes_in_lexicographic_order(measure):
         assert node.tolist() == [order.index(pref) for pref in prefixes]
 
 
-def test_history_stage_system_reconstructs_weights():
+def test_tree_lattice_reconstructs_weights():
     rng = np.random.default_rng(11)
     measure = random_tree(rng, 3)
-    values, kernels = history_stage_system(measure)
+    lattice = tree_lattice(measure)
+    assert lattice.initial_value == 0.0
     marginal = np.array([1.0])
-    for kern in kernels:
+    for kern in lattice.kernels:
         marginal = np.bincount(kern.index, np.repeat(marginal, kern.row_sizes)
                                * kern.weight)
     # leaf probabilities equal path weights aggregated by full path
@@ -964,8 +965,8 @@ def test_zero_weight_paths_carry_no_tree_nodes():
     mu = DiscretePathMeasure(paths=[[1.0, 2.0], [-1.0, 0.0], [-1.0, 1.0]],
                              weights=[0.5, 0.5, 0.0])
     nu = DiscretePathMeasure(paths=[[0.0, 1.0], [3.0, -1.0]], weights=[1.0, 0.0])
-    values, _ = history_stage_system(nu)
-    assert [v.tolist() for v in values] == [[0.0], [0.0], [1.0]]
+    supports = tree_lattice(nu).supports
+    assert [v.tolist() for v in supports] == [[0.0], [0.0], [1.0]]
     dp = tree_bicausal_dp(mu, nu, p=2).value  # RuntimeWarnings are errors here
     assert dp == pytest.approx(causal_lp(mu, nu, p=2, mode="bicausal"), abs=1e-8)
 
