@@ -125,9 +125,10 @@ def _cmd_lattice(args):
 def _cmd_aw_distance(args):
     lat_x = MarkovLattice.from_json(Path(args.lattice_x).read_text())
     lat_y = MarkovLattice.from_json(Path(args.lattice_y).read_text())
+    # the KR chain first: it refuses lattices not in value order
+    chain = kr_coupling(lat_x, lat_y)
     solution = bicausal_dp(lat_x, lat_y, p=args.p, scaled=not args.unscaled)
-    kr = coupled_cost(kr_coupling(lat_x, lat_y), p=args.p,
-                      scaled=not args.unscaled)
+    kr = coupled_cost(chain, p=args.p, scaled=not args.unscaled)
     fosd_x = check_fosd(lat_x)
     fosd_y = check_fosd(lat_y)
     result = {
@@ -136,7 +137,8 @@ def _cmd_aw_distance(args):
         "kr_cost": kr,
         "p": args.p,
         "scaled": not args.unscaled,
-        "policy_size": sum(vals.size for vals in solution.inner_values),
+        "policy_size": sum(sx.size * sy.size for sx, sy in
+                           zip(lat_x.supports[:-1], lat_y.supports[:-1])),
         "n_simplex": solution.n_simplex,
         "certified_stages": solution.certified_stages,
         "fosd_x": fosd_x.ok,

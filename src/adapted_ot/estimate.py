@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import build_lattice, check_fosd
-from .model import ConfigError, DivergenceError, TimeGrid, check_p
+from .model import (ConfigError, DivergenceError, TimeGrid, check_p,
+                    positive_int)
 from .noise import (_stride, batch_moments, constant_rho, map_batches,
                     pool_moments, replicate_normals, sample_correlated_pair)
 from .sde import _propagate, _scheme_maps, _step_increments
@@ -420,6 +421,7 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     ((s_x - s_y)^2 + 2 (1 - rho) s_x s_y) h^2 / 6, a quadratic form in those
     moments.  Against ``closed_form_cost`` this is the scheme's exact bias.
     """
+    positive_int("n_steps", n_steps)
     if not -1.0 <= rho <= 1.0:
         raise ConfigError("rho must lie in [-1, 1]")
     drifts = (_affine_drift(b_x), _affine_drift(b_y))

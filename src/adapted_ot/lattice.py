@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (ConfigError, KernelRows, MarkovLattice, PROB_TOL,
-                    TimeGrid, lipschitz_constant)
+                    TimeGrid, lipschitz_constant, positive_int)
 from .noise import truncation_level
 
 
@@ -65,7 +65,7 @@ def quantize_increment(h, barrier, m):
     """Conditional means of clamp(Z sqrt(h), -barrier, barrier) on its m
     quantile cells, each carrying weight 1/m.  The quantiles are
     ``NormalDist.inv_cdf`` (Wichura's AS241)."""
-    if m < 2:
+    if positive_int("m", m) < 2:
         raise ConfigError("need at least 2 quantization atoms")
     if barrier <= 0 or h <= 0:
         raise ConfigError("need positive step and barrier")
@@ -160,7 +160,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     the atom weights are also returned; they realize the common-increment
     coupling of two lattices built from one shared quantization.
     """
-    if max_support < m:
+    if positive_int("max_support", max_support) < m:
         raise ConfigError("max_support must be at least the atom count m")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0!r}")

@@ -58,6 +58,14 @@ def check_p(p):
         raise ConfigError(f"cost exponent p must be finite and >= 1, got {p!r}")
 
 
+def positive_int(name, value):
+    """``value`` as an int; a float, a bool or a number below 1 is refused
+    (numpy integers are taken)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 COEFFICIENT_KINDS = ("constant", "affine", "ou", "table", "sign_switch")
 ROLES = ("drift", "diffusion")
 
@@ -266,8 +274,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be a positive integer")
+        positive_int("n_steps", self.n_steps)
 
     @property
     def h(self):

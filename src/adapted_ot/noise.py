@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ConfigError
+from .model import ConfigError, positive_int
 
 DEFAULT_SUBSTEPS = 16
 N_BATCHES = 20  # replicate ranges per run; they only split the work
@@ -205,16 +205,10 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def _positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _resolve_threads(threads):
     """Worker count: ``threads`` itself, or the CPUs this process may use."""
     if threads is not None:
-        return _positive_int("threads", threads)
+        return positive_int("threads", threads)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -228,7 +222,7 @@ def map_batches(run_batch, n_samples, threads=None):
     the call returns; its buffers grow to the widest draw the worker makes,
     a whole range or, in the coupled estimator, a chunk of one.
     """
-    n_samples = _positive_int("n_samples", n_samples)
+    n_samples = positive_int("n_samples", n_samples)
     edges = np.linspace(0, n_samples, N_BATCHES + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     n_workers = min(_resolve_threads(threads), len(ranges))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import adapted_ot
-from adapted_ot import __version__
+from adapted_ot import __version__, cli
 from adapted_ot.cli import main
 from adapted_ot.model import DiscretePathMeasure, MarkovLattice
 
@@ -463,6 +463,24 @@ def test_aw_distance_and_metrics_refuse_nan_masses(tmp_path, capsys):
     nu.write_text('{"paths": [[0.0], [1.0]], "weights": [NaN, 1.0]}')
     assert main(["metrics", "--tree-mu", str(mu), "--tree-nu", str(nu)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_aw_distance_refuses_a_lattice_out_of_value_order_before_the_dp(
+        tmp_path, capsys, monkeypatch):
+    # a lattice may hold its states in any order, but the KR chain, built
+    # first, needs value order
+    good = tmp_path / "good.json"
+    good.write_text(_one_stage("[2]", "[0, 1]", "[0.5, 0.5]"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(_one_stage("[2]", "[0, 1]", "[0.5, 0.5]",
+                              support="[1.0, 0.0]"))
+    dp_calls = []
+    monkeypatch.setattr(cli, "bicausal_dp", lambda *args, **kw: dp_calls.append(args))
+    assert main(["aw-distance", "--lattice-x", str(good), "--lattice-y",
+                 str(bad), "--out", str(tmp_path / "aw.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: kr_coupling needs stages strictly increasing in value\n")
+    assert dp_calls == [] and not (tmp_path / "aw.json").exists()
 
 
 def test_dense_lattice_of_0_5_0_is_refused_and_lattice_rewrites_it(tmp_path,

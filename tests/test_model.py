@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adapted_ot.acceptance import random_tree
-from adapted_ot.lattice import build_lattice, check_fosd
+from adapted_ot.estimate import em_expected_cost
+from adapted_ot.lattice import build_lattice, check_fosd, quantize_increment
 from adapted_ot.model import (ConfigError, DiscretePathMeasure,
                               ExtrapolationError, MarkovLattice,
                               NotMarkovianError, SamplePath, TimeGrid, affine,
@@ -202,6 +203,30 @@ def test_time_grid():
             grid.index_of(t)
     with pytest.raises(ConfigError):
         TimeGrid(0)
+
+
+@pytest.mark.parametrize("size", [0, -2, 2.5, 2.0, True, "2"])
+def test_sizes_must_be_positive_integers(size):
+    # a float or a bool was taken as a size, or failed outside ConfigError
+    unit = constant(1.0, role="diffusion")
+    calls = [lambda: TimeGrid(size),
+             lambda: build_lattice(ou(1.0), unit, size, 3, 9),
+             lambda: build_lattice(ou(1.0), unit, 2, 3, size),
+             lambda: quantize_increment(0.1, 1.0, size),
+             lambda: em_expected_cost(ou(1.0), unit, ou(1.0), unit, size)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="positive integer"):
+            call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    unit = constant(1.0, role="diffusion")
+    assert TimeGrid(np.int64(4)).h == 0.25
+    assert (build_lattice(ou(1.0), unit, np.int64(2), np.int64(3),
+                          np.int64(9)).to_json()
+            == build_lattice(ou(1.0), unit, 2, 3, 9).to_json())
+    assert (em_expected_cost(ou(1.0), unit, ou(1.0), unit, np.int64(8))
+            == em_expected_cost(ou(1.0), unit, ou(1.0), unit, 8))
 
 
 def test_sample_path_validation():

@@ -14,7 +14,7 @@ from adapted_ot.estimate import rho_scan, sync_distance_mc
 from adapted_ot.lattice import build_lattice, check_fosd
 from adapted_ot.model import (ConfigError, DiscretePathMeasure, MarkovLattice,
                               TimeGrid, constant, ou, padded_rows, table)
-from adapted_ot.presets import get_preset
+from adapted_ot.presets import PRESETS, get_preset
 from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
                                   _forward_cost, _prefix_nodes,
                                   _quantile_plans, _quantile_values,
@@ -874,6 +874,54 @@ def test_tree_lattice_reconstructs_weights():
         leaf_paths[path] = leaf_paths.get(path, 0.0) + w
     assert marginal == pytest.approx(
         [leaf_paths[p] for p in sorted(leaf_paths)], abs=1e-12)
+
+
+# -- one lattice for Markov chains and trees ----------------------------------
+#
+# The paths of a Markov lattice, listed as a path measure, are a tree: the
+# DP on the lattice, the DP on the tree's history lattice and the causality
+# LP on the tree must agree.
+
+def lattice_paths(lattice):
+    """The law of a lattice's paths as a path measure: one path per run of
+    states from the root, weighted by the product of its kernel masses (at
+    most ``MAX_TREE_PATHS`` paths, the LP's limit)."""
+    paths = [((), 1.0, 0)]  # (values, weight, current state)
+    for support, (sizes, index, weight) in zip(lattice.supports[1:],
+                                               lattice.kernels):
+        start = np.cumsum(sizes) - sizes
+        paths = [(values + (support[index[e]],), w * weight[e], index[e])
+                 for values, w, state in paths
+                 for e in range(start[state], start[state] + sizes[state])]
+    assert len(paths) <= MAX_TREE_PATHS
+    values, weights, _ = zip(*paths)
+    return DiscretePathMeasure(paths=np.array(values), weights=np.array(weights))
+
+
+GATE_PAIRS = {**PRESETS, **{
+    f"ou({theta:g})-vs-flat": (ou(theta), UNIT_VOL, constant(0.0),
+                               constant(0.5, role="diffusion"))
+    for theta in (12.0, 30.0)}}
+
+
+@pytest.mark.parametrize("pair", sorted(GATE_PAIRS))
+def test_markov_dp_equals_tree_dp_and_lp_on_enumerated_lattices(pair):
+    b_x, s_x, b_y, s_y = GATE_PAIRS[pair]
+    simplex = []
+    for n_steps, m in ((2, 3), (3, 3), (2, 4), (2, 8), (3, 4)):
+        lat_x = build_lattice(b_x, s_x, n_steps, m, m**n_steps)
+        lat_y = build_lattice(b_y, s_y, n_steps, m, m**n_steps)
+        mu, nu = lattice_paths(lat_x), lattice_paths(lat_y)
+        # the history states are in prefix order, not in value order
+        assert not tree_lattice(mu).value_ordered
+        for p in (1, 2, 3):
+            sol = bicausal_dp(lat_x, lat_y, p=p, scaled=False)
+            tree = tree_bicausal_dp(mu, nu, p=p).value
+            assert abs(sol.value - tree) <= 1e-12
+            assert abs(sol.value - causal_lp(mu, nu, p=p)) <= 1e-8
+            simplex.append(sol.n_simplex)
+    # the non-monotone pairs send blocks to the simplex, the presets none
+    assert (max(simplex) > 0) == pair.startswith("ou(")
 
 
 # -- causality LP and the metric suite ----------------------------------------
