@@ -5,19 +5,16 @@ estimation of the synchronous-coupling cost.
 
 The names below are the public surface: each is read by the command line,
 the acceptance suite or the benchmark, or is kept for the tests: the
-references ``eval_coefficient`` and ``synchronous_product_chain``, and
-``rho_table``, the time-varying correlation the Monte Carlo golden tables
-pin."""
+references ``eval_coefficient`` and ``synchronous_product_chain``."""
 
 from .model import (AdaptedOTError, CoefficientSpec, ConfigError,
                     DiscretePathMeasure, DivergenceError, ExtrapolationError,
                     MarkovLattice, NotMarkovianError, SamplePath, TimeGrid,
                     affine, constant, eval_coefficient, lipschitz_constant, ou,
                     parse_coefficient, sign_switch, table)
-from .noise import (IncrementBlock, RhoControl, constant_rho,
-                    exit_probability_bounds, fourth_moment_truncation_error,
-                    replicate_normals, rho_table, sample_correlated_pair,
-                    truncation_level)
+from .noise import (IncrementBlock, constant_rho, exit_probability_bounds,
+                    fourth_moment_truncation_error, replicate_normals,
+                    sample_correlated_pair, truncation_level)
 from .sde import (DriftRemovingTransform, euler_maruyama, monotone_em,
                   transformed_monotone_em, zvonkin_transform)
 from .lattice import (FosdCheck, IncrementQuantization, build_lattice,

@@ -27,7 +27,7 @@ from .lattice import build_lattice, check_fosd
 from .model import (AdaptedOTError, ConfigError, DivergenceError,
                     MarkovLattice, DiscretePathMeasure, TimeGrid,
                     check_p, parse_coefficient, constant)
-from .noise import constant_rho, map_batches, sample_correlated_pair
+from .noise import map_batches, sample_correlated_pair
 from .presets import (MAX_LADDER_LEVELS, PRESETS, get_preset,
                       mollified_abs_ladder)
 from .sde import _SCHEMES, _propagate, _scheme_maps, _step_increments
@@ -93,7 +93,7 @@ def _cmd_simulate(args):
                                          args.x0, ((drift, vol),))
 
     def run_batch(lo, hi, _ws):
-        block = sample_correlated_pair(grid, constant_rho(1.0), (args.seed, lo),
+        block = sample_correlated_pair(grid, 1.0, (args.seed, lo),
                                        m_sub=args.substeps, n_replicates=hi - lo)
         paths, _, stage = _propagate(drift, vol, grid.h,
                                      _step_increments(block.dW, barrier),
@@ -342,8 +342,7 @@ def _run(parser, argv):
                 f"{version}")
         replay = [payload["command"]]
         for key, value in payload["config"].items():
-            # "scaled" was a no-op aw-distance flag that old sidecars carry
-            if key in ("command", "func", "scaled"):
+            if key in ("command", "func"):
                 continue
             flag = "--" + key.replace("_", "-")
             if isinstance(value, bool):

@@ -30,10 +30,10 @@ chunk a chunk allocates nothing of size (N, B); the stopped schemes'
 ``truncate_increments`` and the p != 2 segment costs are the exceptions.
 For N steps, m_sub substeps and B replicates a chunk holds, in doubles: the
 draw's uniforms, B * stride (2 N m_sub rounded up to a multiple of 4); the
-step-major normals, N m_sub B, and as many for ``dW_bar`` unless rho = 1
-throughout; both paths, 2 (N + 1) B; N B for each sigma that is not a
-constant (a constant one is an (N, 1) column); and N B for each increment
-array that is summed (m_sub > 1) or stopped.  The cost stage reuses spent
+step-major normals, N m_sub B, and as many for ``dW_bar`` unless rho = 1;
+both paths, 2 (N + 1) B; N B for each sigma that is not a constant (a
+constant one is an (N, 1) column); and N B for each increment array that
+is summed (m_sub > 1) or stopped.  The cost stage reuses spent
 buffers, and two constant sigmas share one bridge-variance row.  The em
 scheme at rho = 1, m_sub = 1 and N = 64 with constant sigmas takes 322
 doubles, 2.6 kB, per replicate: a batch of 5,000 runs as 2 chunks of 2,500
@@ -114,7 +114,7 @@ def path_integral_cost(diff, h, p, bridge_var=None, out=None):
     return cost
 
 
-def _bridge_variance(sig_x, sig_y, rho_k, out=None, scratch=None):
+def _bridge_variance(sig_x, sig_y, rho, out=None, scratch=None):
     """Variance rate of sigma_x dW - sigma_y dW_bar with corr(dW, dW_bar) = rho:
     (sigma_x - sigma_y)^2 + 2 (1 - rho) sigma_x sigma_y.
 
@@ -122,8 +122,8 @@ def _bridge_variance(sig_x, sig_y, rho_k, out=None, scratch=None):
     """
     var = np.subtract(sig_x, sig_y, out=out)
     var **= 2
-    if np.any(rho_k != 1.0):  # at rho = 1 the second term is exactly zero
-        cross = np.multiply(2.0 * (1.0 - rho_k), sig_x, out=scratch)
+    if rho != 1.0:  # at rho = 1 the second term is exactly zero
+        cross = np.multiply(2.0 * (1.0 - rho), sig_x, out=scratch)
         cross *= sig_y
         var += cross
     return var
@@ -142,13 +142,14 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
     """Expected integral cost of the coupled pair driven by a rho-correlated
     noise pair; the backbone of the synchronous estimator and the rho scan."""
     check_p(p)
+    rho = constant_rho(rho)
+    m_sub = positive_int("m_sub", m_sub)
     barrier, transforms = _scheme_maps(scheme, grid, trunc_k, x0,
                                        ((b_x, sigma_x), (b_y, sigma_y)))
     n = grid.n_steps
     h = grid.h
-    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)
-    # the draw's dW_bar is dW where rho = 1 on every step: one side of noise
-    sides = 1 if np.all(rho_k == 1.0) else 2
+    # the draw's dW_bar is dW at rho = 1: one side of noise
+    sides = 1 if rho == 1.0 else 2
     # the widest chunk whose workspace (module docstring) fits the budget
     doubles = (_stride(2 * n * m_sub) + sides * n * m_sub + 2 * (n + 1)
                + sum(s.kind != "constant" for s in (sigma_x, sigma_y)) * n
@@ -187,7 +188,7 @@ def _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho, n_samples, seed,
         # bits alone or in a batch.
         diff = np.subtract(xp.T, yp.T, out=ws.array("uniforms", (n_rep, n + 1)))
         var_shape = np.broadcast_shapes(sig_x.T.shape, sig_y.T.shape)
-        var = _bridge_variance(sig_x.T, sig_y.T, rho_k,
+        var = _bridge_variance(sig_x.T, sig_y.T, rho,
                                out=ws.array("dW", var_shape),
                                scratch=ws.array("paths_x", var_shape))
         costs = path_integral_cost(diff, h, p, bridge_var=var,
@@ -217,9 +218,8 @@ def sync_distance_mc(b_x, sigma_x, b_y, sigma_y, grid, p, n_samples, seed=0,
                      scheme="em", **kwargs):
     """Synchronous-coupling cost: both paths driven by identical increments
     per replicate (the rho = 1 control)."""
-    return _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p,
-                            constant_rho(1.0), n_samples, seed, scheme=scheme,
-                            **kwargs)
+    return _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, 1.0,
+                            n_samples, seed, scheme=scheme, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,13 @@ class RhoScanRow:
 def rho_scan(b_x, sigma_x, b_y, sigma_y, grid, p, rho_values, n_samples,
              seed=0, scheme="em", **kwargs):
     """Coupled cost for each constant correlation, with common random numbers
-    across the scan (the rho = 1 row reproduces sync_distance_mc exactly)."""
+    across the scan (the rho = 1 row reproduces sync_distance_mc exactly).
+    Every correlation is checked before the first row runs."""
     rows = []
-    for r in rho_values:
-        res = _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p,
-                               constant_rho(r), n_samples, seed, scheme=scheme,
-                               **kwargs)
-        rows.append(RhoScanRow(rho=float(r), estimate=res.estimate,
+    for rho in [constant_rho(r) for r in rho_values]:
+        res = _coupled_cost_mc(b_x, sigma_x, b_y, sigma_y, grid, p, rho,
+                               n_samples, seed, scheme=scheme, **kwargs)
+        rows.append(RhoScanRow(rho=rho, estimate=res.estimate,
                                stderr=res.stderr))
     return rows
 
@@ -422,8 +422,7 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     moments.  Against ``closed_form_cost`` this is the scheme's exact bias.
     """
     positive_int("n_steps", n_steps)
-    if not -1.0 <= rho <= 1.0:
-        raise ConfigError("rho must lie in [-1, 1]")
+    rho = constant_rho(rho)
     drifts = (_affine_drift(b_x), _affine_drift(b_y))
     vols = (_constant_value(sigma_x), _constant_value(sigma_y))
     if drifts[0] is None or drifts[1] is None or None in vols:

@@ -34,48 +34,16 @@ DEFAULT_SUBSTEPS = 16
 N_BATCHES = 20  # replicate ranges per run; they only split the work
 
 
-@dataclass(frozen=True)
-class RhoControl:
-    """Correlation control: a constant in [-1, 1] or a piecewise-constant
-    function of time (left-closed intervals, last value extends to t = 1)."""
-
-    kind: str = "constant"
-    value: float = 1.0
-    times: tuple = ()
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "table_of_time"):
-            raise ConfigError(f"unknown rho control kind {self.kind!r}")
-        if self.kind == "constant":
-            if not -1.0 <= self.value <= 1.0:
-                raise ConfigError("rho must lie in [-1, 1]")
-        else:
-            times = np.asarray(self.times, dtype=float)
-            values = np.asarray(self.values, dtype=float)
-            if times.size != values.size or times.size == 0:
-                raise ConfigError("table_of_time needs matching times and values")
-            if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-                raise ConfigError("rho table times must start at 0 and increase")
-            if values.size and (values.min() < -1.0 or values.max() > 1.0):
-                raise ConfigError("rho values must lie in [-1, 1]")
-
-    def value_at(self, t):
-        """Correlation at time(s) ``t``."""
-        if self.kind == "constant":
-            return np.full_like(np.asarray(t, dtype=float), self.value)
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, values.size - 1)
-        return values[idx]
-
-
 def constant_rho(value):
-    return RhoControl(kind="constant", value=float(value))
-
-
-def rho_table(times, values):
-    return RhoControl(kind="table_of_time", times=tuple(times), values=tuple(values))
+    """The noise correlation ``value`` as a float, refused outside [-1, 1]
+    (NaN included): the one check of every reader of a correlation."""
+    try:
+        rho = float(value)
+    except (TypeError, ValueError):
+        rho = math.nan
+    if not -1.0 <= rho <= 1.0:
+        raise ConfigError(f"rho must lie in [-1, 1], got {value!r}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -85,10 +53,10 @@ class IncrementBlock:
     ``dW`` and ``dW_bar`` have shape (N, m_sub) for one replicate, or
     (n_replicates, N, m_sub) for a batch; each substep increment has
     variance h/m_sub, and ``dW_bar = rho * dW + sqrt(1 - rho^2) * dW_perp``
-    with ``rho`` evaluated at the step's left endpoint.  Where rho = 1 on
-    every step, ``dW_bar`` is ``dW`` itself.  A batch's arrays are
-    transposed views of step-major (N, m_sub, n_replicates) arrays; the
-    schemes step by their ``sde._step_increments``.
+    for the constant correlation ``rho``.  At rho = 1, ``dW_bar`` is ``dW``
+    itself.  A batch's arrays are transposed views of step-major
+    (N, m_sub, n_replicates) arrays; the schemes step by their
+    ``sde._step_increments``.
     """
 
     dW: np.ndarray
@@ -169,8 +137,8 @@ def _uniforms_to_normals(u, out=None):
 def replicate_normals(seed, width, n_replicates=1):
     """``width`` standard normals for each of replicates ``[i, i + n_replicates)``
     of master ``s`` (``seed = (s, i)``), shape (n_replicates, width)."""
-    if width < 1 or n_replicates < 1:
-        raise ConfigError("need at least one normal and one replicate")
+    width = positive_int("width", width)
+    n_replicates = positive_int("n_replicates", n_replicates)
     return _uniforms_to_normals(_replicate_uniforms(seed, width, n_replicates))
 
 
@@ -283,7 +251,8 @@ def pool_moments(batches):
 
 def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
                            n_replicates=None, workspace=None):
-    """Draw correlated increment blocks, deterministic in (seed, grid, rho).
+    """Draw increment blocks correlated by the constant ``rho`` in [-1, 1],
+    deterministic in (seed, grid, rho).
 
     ``seed = (s, i)`` gives replicate ``i`` of master ``s``; with
     ``n_replicates`` the block holds replicates ``[i, i + n_replicates)``
@@ -292,29 +261,27 @@ def sample_correlated_pair(grid, rho, seed, m_sub=DEFAULT_SUBSTEPS,
     With a ``workspace`` the block's arrays live in its buffers
     ``uniforms``, ``dW`` and ``dW_bar``, until the next draw into them.
     """
-    if m_sub < 1:
-        raise ConfigError("m_sub must be >= 1")
-    count = 1 if n_replicates is None else int(n_replicates)
-    if count < 1:
-        raise ConfigError("n_replicates must be >= 1")
+    rho = constant_rho(rho)
+    m_sub = positive_int("m_sub", m_sub)
+    count = (1 if n_replicates is None
+             else positive_int("n_replicates", n_replicates))
     ws = Workspace() if workspace is None else workspace
     n = grid.n_steps
     width = 2 * n * m_sub
     scale = math.sqrt(grid.h / m_sub)
-    rho_k = np.asarray(rho.value_at(grid.times()[:-1]), dtype=float)[:, None, None]
-    perp = np.sqrt(1.0 - rho_k**2)
+    perp = math.sqrt(1.0 - rho * rho)
     # at |rho| = 1 the perpendicular half adds exact zeros and is not read
-    halves = 2 if perp.any() else 1
+    halves = 2 if perp else 1
     u = _replicate_uniforms(seed, width, count, n_used=halves * n * m_sub,
                             out=ws.array("uniforms", (count, _stride(width))))
     # step-major (halves, N, m_sub, count): the first conversion reads transposed
     u = u.reshape(count, halves, n, m_sub).transpose(1, 2, 3, 0)
     dw = _uniforms_to_normals(u[0], out=ws.array("dW", (n, m_sub, count)))
     dw *= scale
-    if np.all(rho_k == 1.0):
+    if rho == 1.0:
         dw_bar = dw  # 1.0 * dW
     else:
-        dw_bar = np.multiply(rho_k, dw, out=ws.array("dW_bar", (n, m_sub, count)))
+        dw_bar = np.multiply(rho, dw, out=ws.array("dW_bar", (n, m_sub, count)))
         if halves == 2:
             z = _uniforms_to_normals(u[1], out=u[1])
             z *= scale

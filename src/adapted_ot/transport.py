@@ -423,13 +423,21 @@ def synchronous_product_chain(b_x, sigma_x, b_y, sigma_y, n_steps, m,
     return lat_x, lat_y, chain
 
 
+def _stage_weights(n, scaled):
+    """Stage weights w_1..w_n: h = 1/n for the scaled cost, 1 otherwise.
+    A scaled cost of zero stages has no step size h and is refused."""
+    if scaled and n == 0:
+        raise ConfigError("a scaled cost needs at least one stage; "
+                          "a lattice of zero stages takes the unscaled cost")
+    return np.full(n, (1.0 / n) if scaled else 1.0)
+
+
 def coupled_cost(chain, p=2, scaled=True):
     """Forward expectation of sum_k w_k |x_k - y_k|^p over the joint chain
     (w_k = h for the scaled cost, 1 otherwise; the initial stage carries no
     cost term)."""
     check_p(p)
-    n = chain.lattice_x.n_steps
-    w = np.full(n, (1.0 / n) if scaled else 1.0)
+    w = _stage_weights(chain.lattice_x.n_steps, scaled)
     return _forward_cost(chain.plans, chain.lattice_x.kernel_rows,
                          chain.lattice_y.kernel_rows, chain.lattice_x.supports,
                          chain.lattice_y.supports, w, p)
@@ -613,7 +621,7 @@ def bicausal_dp(x_lattice, y_lattice, p=2, scaled=True):
     if x_lattice.n_steps != y_lattice.n_steps:
         raise ConfigError("lattices must share the stage count")
     n = x_lattice.n_steps
-    w = np.full(n, (1.0 / n) if scaled else 1.0)
+    w = _stage_weights(n, scaled)
     values_x, values_y = x_lattice.supports, y_lattice.supports
     rows_x, rows_y = x_lattice.kernel_rows, y_lattice.kernel_rows
     v_next = np.zeros((values_x[n].size, values_y[n].size))

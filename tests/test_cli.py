@@ -152,30 +152,6 @@ def test_aw_distance_output_bytes_are_pinned(tmp_path, pair):
                                          sort_keys=True) + "\n"
 
 
-def test_aw_distance_old_sidecar_reruns_to_same_bytes(tmp_path):
-    # sidecars from before the no-op --scaled flag was removed carry
-    # "scaled": true and must still reproduce the output bytes
-    lats = []
-    for name, drift in (("lx.json", "kind=ou theta=1"),
-                        ("ly.json", "kind=constant value=0.5")):
-        lats.append(str(tmp_path / name))
-        assert main(["lattice", "--drift", drift, "--vol",
-                     "kind=constant value=1", "--n-steps", "3", "--atoms",
-                     "3", "--max-support", "27", "--out", lats[-1]]) == 0
-    out = tmp_path / "aw.json"
-    assert main(["aw-distance", "--lattice-x", lats[0], "--lattice-y",
-                 lats[1], "--out", str(out)]) == 0
-    first = out.read_bytes()
-    sidecar = Path(str(out) + ".sidecar.json")
-    payload = json.loads(sidecar.read_text())
-    assert "scaled" not in payload["config"]
-    payload["config"]["scaled"] = True
-    sidecar.write_text(json.dumps(payload))
-    out.unlink()
-    assert main(["rerun", str(sidecar)]) == 0
-    assert out.read_bytes() == first
-
-
 def test_aw_distance_sidecar_reruns_only_under_its_version(tmp_path, capsys):
     # 0.8.0 sums each quantile plan's value over its staircase cells, which
     # moves some DP values in their last bits: an aw-distance sidecar
@@ -221,6 +197,8 @@ RERUN_ARGS = {
     "lattice": ["--drift", "kind=ou theta=1", "--vol",
                 "kind=constant value=0.5", "--n-steps", "3", "--atoms", "3",
                 "--max-support", "6", "--x0=-0.25"],
+    "aw-distance": ["--lattice-x", "{lx}", "--lattice-y", "{ly}", "--p",
+                    "1.5", "--unscaled"],
     "metrics": ["--tree-mu", "{mu}", "--tree-nu", "{nu}", "--p", "1.5"],
     "rho-scan": ["--preset", "vol-gap", "--rhos=-1,0,1", "--n-steps", "8",
                  "--samples", "400", "--seed", "9"],
@@ -241,8 +219,14 @@ def test_rerun_reproduces_bytes(tmp_path, command):
                                       weights=[0.5, 0.5]).to_json())
     nu.write_text(DiscretePathMeasure(paths=[[0.0, 1.0], [0.0, -1.0]],
                                       weights=[0.25, 0.75]).to_json())
+    lx = tmp_path / "lx.json"
+    ly = tmp_path / "ly.json"
+    for lat, drift in ((lx, "kind=ou theta=1"), (ly, "kind=constant value=0.5")):
+        assert main(["lattice", "--drift", drift, "--vol",
+                     "kind=constant value=1", "--n-steps", "3", "--atoms",
+                     "3", "--max-support", "27", "--out", str(lat)]) == 0
     out = tmp_path / "out"
-    args = [a.format(mu=mu, nu=nu) for a in RERUN_ARGS[command]]
+    args = [a.format(mu=mu, nu=nu, lx=lx, ly=ly) for a in RERUN_ARGS[command]]
     assert main([command, *args, "--out", str(out)]) == 0
     first = out.read_bytes()
     out.unlink()
@@ -342,6 +326,8 @@ CONFIG_ERRORS = {
                                  "--n-list", ",", "--samples", "10"],
     "rho-scan-rhos-not-numbers": ["rho-scan", "--preset", "vol-gap", "--rhos",
                                   "abc", "--samples", "10"],
+    "rho-scan-rho-out-of-range": ["rho-scan", "--preset", "vol-gap",
+                                  "--rhos=1.5", "--samples", "10"],
     "rho-scan-negative-constant-vol": [
         "rho-scan", "--drift", "kind=constant value=0", "--vol",
         "kind=constant value=-0.5", "--drift-y", "kind=constant value=0",
@@ -446,6 +432,21 @@ def test_aw_distance_malformed_lattice_exits_2(tmp_path, text, capsys):
     expected = ("layout of adapted-ot <= 0.5.0" if '"transition"' in text
                 else "malformed lattice JSON")
     assert expected in capsys.readouterr().err
+
+
+def test_aw_distance_on_zero_stages_needs_the_unscaled_cost(tmp_path, capsys):
+    # a lattice of zero stages has no step size h: the scaled cost exits 2
+    # (it was a ZeroDivisionError traceback), the unscaled one is 0
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"initial_value": 0.0, "stages": []}')
+    out = tmp_path / "aw.json"
+    argv = ["aw-distance", "--lattice-x", str(empty), "--lattice-y",
+            str(empty), "--out", str(out)]
+    assert main(argv) == 2
+    assert "zero stages" in capsys.readouterr().err and not out.exists()
+    assert main([*argv, "--unscaled"]) == 0
+    result = json.loads(out.read_text())
+    assert result["value"] == 0.0 and result["kr_cost"] == 0.0
 
 
 def test_aw_distance_and_metrics_refuse_nan_masses(tmp_path, capsys):

@@ -13,7 +13,8 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  sync_distance_mc)
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, sign_switch, table)
-from adapted_ot.noise import _resolve_threads
+from adapted_ot.noise import (_resolve_threads, constant_rho,
+                              sample_correlated_pair)
 from adapted_ot.presets import get_preset, mollified_abs_ladder
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -146,6 +147,38 @@ def test_em_expected_cost_with_correlation():
             1.0 / 3.0 + (2.0 - 2.0 * rho) / 2.0, abs=1e-14)
     with pytest.raises(ConfigError):
         em_expected_cost(*pair, 32, rho=1.5)
+
+
+def test_every_correlation_entry_refuses_out_of_range(monkeypatch):
+    # one check, constant_rho, at every entry that takes a correlation
+    pair = get_preset("drift-gap")
+    grid = TimeGrid(4)
+    for bad in (1.5, -1.01, math.nan):
+        with pytest.raises(ConfigError, match="rho"):
+            constant_rho(bad)
+    with pytest.raises(ConfigError, match="rho"):
+        sample_correlated_pair(grid, 1.5, (1, 0))
+    with pytest.raises(ConfigError, match="rho"):
+        estimate._coupled_cost_mc(*pair, grid, 2, rho=-2.0, n_samples=10, seed=0)
+    with pytest.raises(ConfigError, match="rho"):
+        em_expected_cost(*pair, 4, rho=math.nan)
+    # the scan checks its whole list before the first row runs
+    runs = []
+    monkeypatch.setattr(estimate, "_coupled_cost_mc",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ConfigError, match="rho"):
+        rho_scan(*pair, grid, 2, [1.5], 10)
+    with pytest.raises(ConfigError, match="rho"):
+        rho_scan(*pair, grid, 2, [0.0, 1.5], 10)
+    assert runs == []
+
+
+@pytest.mark.parametrize("m_sub", [2.5, True, 0])
+def test_mc_substeps_must_be_a_positive_integer(m_sub):
+    # 2.5 and True failed inside numpy with a TypeError
+    with pytest.raises(ConfigError, match="m_sub"):
+        sync_distance_mc(*get_preset("drift-gap"), TimeGrid(4), 2, 10,
+                         m_sub=m_sub)
 
 
 @pytest.mark.parametrize("name", ["drift-gap", "vol-gap", "ou-vol", "affine-mix"])

@@ -1,11 +1,10 @@
 """Golden values of the Monte Carlo estimators.
 
-Each entry is the exact ``repr`` of what ``sync_distance_mc`` (rho = 1),
-``rho_scan`` (one constant rho) or the coupled estimator under a rho table
-returned at a fixed seed, or the name of the exception it raised, so a
-change that moves the last bit of any estimate or stderr fails here.  The
-values are the same for one, two and three threads, and when every batch
-is drawn in chunks.  A second table pins uneven batch widths, so each
+Each entry is the exact ``repr`` of what ``sync_distance_mc`` (rho = 1) or
+``rho_scan`` (one constant rho) returned at a fixed seed, or the name of
+the exception it raised, so a change that moves the last bit of any
+estimate or stderr fails here.  The values are the same for one, two and
+three threads, and when every batch is drawn in chunks.  A second table pins uneven batch widths, so each
 worker's workspace serves batches of more than one width.
 """
 
@@ -14,7 +13,6 @@ import pytest
 from adapted_ot import estimate
 from adapted_ot.estimate import _coupled_cost_mc, rho_scan, sync_distance_mc
 from adapted_ot.model import AdaptedOTError, TimeGrid, constant, table
-from adapted_ot.noise import constant_rho, rho_table
 
 # state-dependent drift and volatility on X, a constant pair on Y; the
 # drifts are bounded, so the transformed scheme runs too
@@ -24,7 +22,6 @@ PAIR = (table([-10.0, 0.0, 10.0], [-0.5, 0.5, -0.5]),
 GRID = TimeGrid(16)
 N_SAMPLES = 2000
 SEED = 31
-RHO_TABLE = rho_table([0.0, 0.5], [0.5, -1.0])
 
 
 def _run(scheme, m_sub, p, rho, threads):
@@ -32,8 +29,6 @@ def _run(scheme, m_sub, p, rho, threads):
     try:
         if rho == "1":
             res = sync_distance_mc(*PAIR, GRID, p, N_SAMPLES, **kwargs)
-        elif rho == "table":
-            res = _coupled_cost_mc(*PAIR, GRID, p, RHO_TABLE, N_SAMPLES, **kwargs)
         else:
             (row,) = rho_scan(*PAIR, GRID, p, [float(rho)], N_SAMPLES, **kwargs)
             return (repr(row.estimate), repr(row.stderr))
@@ -46,75 +41,57 @@ GOLDEN = {
     'em m1 p1 rho=1': ('0.16378891323775405', '0.0022191011984610976', 2000, 0),
     'em m1 p1 rho=0.5': ('0.48516712882878077', '0.006537535635119954'),
     'em m1 p1 rho=-1': ('0.9413241521720039', '0.012717228072204729'),
-    'em m1 p1 rho=table': ('0.5910349074393513', '0.007125095993078858', 2000, 0),
     'em m1 p2 rho=1': ('0.050011127919811854', '0.0013234508418030863', 2000, 0),
     'em m1 p2 rho=0.5': ('0.43625474325424074', '0.011411795109522515'),
     'em m1 p2 rho=-1': ('1.638044830534922', '0.04371119314081486'),
-    'em m1 p2 rho=table': ('0.716594851910225', '0.017217687731221315', 2000, 0),
     'em m1 p3 rho=1': ('0.02026703052894076', '0.0008565482135190147', 2000, 0),
     'em m1 p3 rho=0.5': ('0.5129975173454172', '0.02128269113574023'),
     'em m1 p3 rho=-1': ('3.74302542192546', '0.16233146227322823'),
-    'em m1 p3 rho=table': ('1.176599961272512', '0.046318644695427555', 2000, 0),
     'em m3 p1 rho=1': ('0.1587032116097128', '0.002147572153067137', 2000, 0),
     'em m3 p1 rho=0.5': ('0.483277476502554', '0.006405513496406321'),
     'em m3 p1 rho=-1': ('0.9101510827126319', '0.012067311479149781'),
-    'em m3 p1 rho=table': ('0.5975670116014263', '0.007220597385586716', 2000, 0),
     'em m3 p2 rho=1': ('0.04782016925107018', '0.001279197291792753', 2000, 0),
     'em m3 p2 rho=0.5': ('0.43086215488354235', '0.011231907298219705'),
     'em m3 p2 rho=-1': ('1.5441726580058153', '0.04021396916266625'),
-    'em m3 p2 rho=table': ('0.7354890863480888', '0.018094110370490017', 2000, 0),
     'em m3 p3 rho=1': ('0.019454662478236368', '0.0008466701268473343', 2000, 0),
     'em m3 p3 rho=0.5': ('0.5046758269415954', '0.021390491082597378'),
     'em m3 p3 rho=-1': ('3.4552300270586347', '0.14504128711598183'),
-    'em m3 p3 rho=table': ('1.244220856404166', '0.053354952478049646', 2000, 0),
     'monotone-em m1 p1 rho=1': ('0.16378891323775405', '0.0022191011984610976', 2000, 0),
     'monotone-em m1 p1 rho=0.5': ('0.48516712882878077', '0.006537535635119954'),
     'monotone-em m1 p1 rho=-1': ('0.9413241521720039', '0.012717228072204729'),
-    'monotone-em m1 p1 rho=table': ('0.5910349074393513', '0.007125095993078858', 2000, 0),
     'monotone-em m1 p2 rho=1': ('0.050011127919811854', '0.0013234508418030863', 2000, 0),
     'monotone-em m1 p2 rho=0.5': ('0.43625474325424074', '0.011411795109522515'),
     'monotone-em m1 p2 rho=-1': ('1.638044830534922', '0.04371119314081486'),
-    'monotone-em m1 p2 rho=table': ('0.716594851910225', '0.017217687731221315', 2000, 0),
     'monotone-em m1 p3 rho=1': ('0.02026703052894076', '0.0008565482135190147', 2000, 0),
     'monotone-em m1 p3 rho=0.5': ('0.5129975173454172', '0.02128269113574023'),
     'monotone-em m1 p3 rho=-1': ('3.74302542192546', '0.16233146227322823'),
-    'monotone-em m1 p3 rho=table': ('1.176599961272512', '0.046318644695427555', 2000, 0),
     'monotone-em m3 p1 rho=1': ('0.1587032116097128', '0.002147572153067137', 2000, 0),
     'monotone-em m3 p1 rho=0.5': ('0.483277476502554', '0.006405513496406321'),
     'monotone-em m3 p1 rho=-1': ('0.9101510827126319', '0.012067311479149781'),
-    'monotone-em m3 p1 rho=table': ('0.5975670116014263', '0.007220597385586716', 2000, 0),
     'monotone-em m3 p2 rho=1': ('0.04782016925107018', '0.001279197291792753', 2000, 0),
     'monotone-em m3 p2 rho=0.5': ('0.43086215488354235', '0.011231907298219705'),
     'monotone-em m3 p2 rho=-1': ('1.5441726580058153', '0.04021396916266625'),
-    'monotone-em m3 p2 rho=table': ('0.7354890863480888', '0.018094110370490017', 2000, 0),
     'monotone-em m3 p3 rho=1': ('0.019454662478236368', '0.0008466701268473343', 2000, 0),
     'monotone-em m3 p3 rho=0.5': ('0.5046758269415954', '0.021390491082597378'),
     'monotone-em m3 p3 rho=-1': ('3.4552300270586347', '0.14504128711598183'),
-    'monotone-em m3 p3 rho=table': ('1.244220856404166', '0.053354952478049646', 2000, 0),
     'zvonkin-em m1 p1 rho=1': ('0.1803978927299409', '0.0027722286583632023', 2000, 0),
     'zvonkin-em m1 p1 rho=0.5': ('0.5135960181176392', '0.007117559741258963'),
     'zvonkin-em m1 p1 rho=-1': ('0.9816342154573303', '0.013407776670831055'),
-    'zvonkin-em m1 p1 rho=table': ('0.6205213331211737', '0.0076291663039779805', 2000, 0),
     'zvonkin-em m1 p2 rho=1': ('0.06421929684655482', '0.0020826714787262443', 2000, 0),
     'zvonkin-em m1 p2 rho=0.5': ('0.49308696749420594', '0.013669970647183768'),
     'zvonkin-em m1 p2 rho=-1': ('1.783883072195605', '0.048304374718561874'),
-    'zvonkin-em m1 p2 rho=table': ('0.7878862324960036', '0.01936219157345824', 2000, 0),
     'zvonkin-em m1 p3 rho=1': ('0.03143768653884448', '0.001786006051528543', 2000, 0),
     'zvonkin-em m1 p3 rho=0.5': ('0.6274260430929125', '0.02847363623060588'),
     'zvonkin-em m1 p3 rho=-1': ('4.267697946783377', '0.18772638705749198'),
-    'zvonkin-em m1 p3 rho=table': ('1.3583535033692193', '0.05452946861752082', 2000, 0),
     'zvonkin-em m3 p1 rho=1': ('0.17466748880626043', '0.0025688047402834505', 2000, 0),
     'zvonkin-em m3 p1 rho=0.5': ('0.5110676997546014', '0.006892539549793755'),
     'zvonkin-em m3 p1 rho=-1': ('0.9473937281577405', '0.012596246141787447'),
-    'zvonkin-em m3 p1 rho=table': ('0.6268163968813218', '0.007699133622520062', 2000, 0),
     'zvonkin-em m3 p2 rho=1': ('0.05975341207242681', '0.0017046764648577782', 2000, 0),
     'zvonkin-em m3 p2 rho=0.5': ('0.48415509861650874', '0.012945076933406548'),
     'zvonkin-em m3 p2 rho=-1': ('1.6700708356765632', '0.04347588127832436'),
-    'zvonkin-em m3 p2 rho=table': ('0.8075778135548783', '0.02019614539236862', 2000, 0),
     'zvonkin-em m3 p3 rho=1': ('0.027599298482311855', '0.0012231092277684256', 2000, 0),
     'zvonkin-em m3 p3 rho=0.5': ('0.6074890333865208', '0.026380237989109136'),
     'zvonkin-em m3 p3 rho=-1': ('3.885257034941608', '0.16171782245185498'),
-    'zvonkin-em m3 p3 rho=table': ('1.4345720205124293', '0.062377568599763594', 2000, 0),
 }
 
 
@@ -124,11 +101,11 @@ def test_mc_estimators_reproduce_golden_values(scheme, threads):
     n_checked = 0
     for m_sub in (1, 3):
         for p in (1, 2, 3):
-            for rho in ("1", "0.5", "-1", "table"):
+            for rho in ("1", "0.5", "-1"):
                 key = f"{scheme} m{m_sub} p{p} rho={rho}"
                 assert _run(scheme, m_sub, p, rho, threads) == GOLDEN[key], key
                 n_checked += 1
-    assert n_checked == 24
+    assert n_checked == 18
 
 
 # 2,003 samples in 20 batches are 17 batches of 100 replicates and 3 of 101;
@@ -163,7 +140,7 @@ GOLDEN_UNEVEN = {
 
 
 def _run_uneven(scheme, m_sub, p, rho, threads):
-    res = _coupled_cost_mc(*PAIR, GRID, p, constant_rho(rho), UNEVEN_SAMPLES,
+    res = _coupled_cost_mc(*PAIR, GRID, p, rho, UNEVEN_SAMPLES,
                            SEED, scheme=scheme, m_sub=m_sub, threads=threads,
                            trunc_k=1)
     return (repr(res.estimate), repr(res.stderr), res.n_samples, res.n_diverged)

@@ -8,7 +8,7 @@ from adapted_ot.model import ConfigError, TimeGrid
 from adapted_ot.noise import (DEFAULT_SUBSTEPS, Workspace, batch_moments,
                               constant_rho, exit_probability_bounds,
                               fourth_moment_truncation_error, map_batches,
-                              pool_moments, replicate_normals, rho_table,
+                              pool_moments, replicate_normals,
                               sample_correlated_pair, truncate_increments,
                               truncation_level, _replicate_uniforms,
                               _split_seed, _stream_key, _uniforms_to_normals)
@@ -36,19 +36,21 @@ def test_truncation_level_domain():
 
 def test_pair_determinism():
     grid = TimeGrid(8)
-    a = sample_correlated_pair(grid, constant_rho(0.3), (123, 5), m_sub=4)
-    b = sample_correlated_pair(grid, constant_rho(0.3), (123, 5), m_sub=4)
+    a = sample_correlated_pair(grid, 0.3, (123, 5), m_sub=4)
+    b = sample_correlated_pair(grid, 0.3, (123, 5), m_sub=4)
     assert np.array_equal(a.dW, b.dW)
     assert np.array_equal(a.dW_bar, b.dW_bar)
-    c = sample_correlated_pair(grid, constant_rho(0.3), (123, 6), m_sub=4)
+    c = sample_correlated_pair(grid, 0.3, (123, 6), m_sub=4)
     assert not np.array_equal(a.dW, c.dW)
 
 
 @pytest.mark.parametrize("master", [123, (7, 10)])
 @pytest.mark.parametrize("m_sub", [1, 16])
-def test_replicate_is_the_same_alone_or_in_any_batch(master, m_sub):
+@pytest.mark.parametrize("rho", [0.3, -1.0])
+def test_replicate_is_the_same_alone_or_in_any_batch(master, m_sub, rho):
+    # |rho| < 1 draws both halves of a replicate's words, rho = -1 only the
+    # first (dW_bar = -dW)
     grid = TimeGrid(5)
-    rho = rho_table([0.0, 0.4], [0.3, -0.8])
     master_t = master if isinstance(master, tuple) else (master,)
     alone = {i: sample_correlated_pair(grid, rho, master_t + (i,), m_sub=m_sub)
              for i in (0, 3, 7, 11)}
@@ -109,7 +111,7 @@ def test_workspace_reuses_its_buffers():
 def test_batch_draw_fills_the_workspace():
     grid = TimeGrid(8)
     ws = Workspace()
-    for rho in (constant_rho(0.3), constant_rho(1.0), rho_table([0.0, 0.5], [0.2, -1.0])):
+    for rho in (0.3, 1.0, -1.0):
         for lo, count in ((0, 40), (40, 31)):
             fresh = sample_correlated_pair(grid, rho, (6, lo), m_sub=3,
                                            n_replicates=count)
@@ -123,7 +125,7 @@ def test_batch_draw_fills_the_workspace():
 def test_map_batches_runs_uneven_ranges_in_order():
     # 2,003 replicates in 20 batches: 17 ranges of 100 and 3 of 101
     grid = TimeGrid(6)
-    rho = constant_rho(0.5)
+    rho = 0.5
     results = {}
     for threads in (1, 3):
         workers = {}  # thread -> the workspaces its batches were given
@@ -161,16 +163,53 @@ def test_bad_seeds_are_config_errors():
     grid = TimeGrid(2)
     for seed in [(-1, 0), (1, -2), (1.5, 0), "seed"]:
         with pytest.raises(ConfigError):
-            sample_correlated_pair(grid, constant_rho(1.0), seed)
+            sample_correlated_pair(grid, 1.0, seed)
     with pytest.raises(ConfigError):
-        sample_correlated_pair(grid, constant_rho(1.0), (1, 0), n_replicates=0)
+        sample_correlated_pair(grid, 1.0, (1, 0), n_replicates=0)
+
+
+def test_constant_rho_returns_a_float():
+    assert type(constant_rho(1)) is float and constant_rho(1) == 1.0
+    assert type(constant_rho(np.float32(0.5))) is float
+    assert constant_rho(-1.0) == -1.0
+    for bad in ("abc", None):
+        with pytest.raises(ConfigError, match="rho"):
+            constant_rho(bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("m_sub", 2.5), ("m_sub", True), ("n_replicates", 2.5),
+    ("n_replicates", True)])
+def test_draw_sizes_must_be_positive_integers(name, value):
+    # a float was truncated (2.5 replicates drew 2) or failed inside numpy,
+    # and True drew one replicate
+    with pytest.raises(ConfigError, match=name):
+        sample_correlated_pair(TimeGrid(2), 0.5, (1, 0), **{name: value})
+
+
+def test_numpy_integer_sizes_are_taken():
+    grid = TimeGrid(3)
+    block = sample_correlated_pair(grid, 0.5, (1, 0), m_sub=np.int64(2),
+                                   n_replicates=np.int32(4))
+    assert block.dW.shape == (4, 3, 2)
+    assert np.array_equal(
+        block.dW_bar, sample_correlated_pair(grid, 0.5, (1, 0), m_sub=2,
+                                             n_replicates=4).dW_bar)
+    assert replicate_normals(7, np.int64(3), np.int64(2)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("width, n_replicates", [(2.5, 1), (True, 1), (0, 1),
+                                                 (3, 2.5), (3, False)])
+def test_replicate_normals_sizes_must_be_positive_integers(width, n_replicates):
+    with pytest.raises(ConfigError, match="positive integer"):
+        replicate_normals(7, width, n_replicates)
 
 
 def test_perfect_correlations_are_exact():
     grid = TimeGrid(16)
-    block = sample_correlated_pair(grid, constant_rho(1.0), 0)
+    block = sample_correlated_pair(grid, 1.0, 0)
     assert block.dW_bar is block.dW
-    block = sample_correlated_pair(grid, constant_rho(-1.0), 0)
+    block = sample_correlated_pair(grid, -1.0, 0)
     assert np.array_equal(block.dW_bar, -block.dW)
 
 
@@ -180,7 +219,7 @@ def test_zero_correlation_statistics():
     w = np.empty(n)
     w_bar = np.empty(n)
     for i in range(n):
-        block = sample_correlated_pair(grid, constant_rho(0.0), (99, i), m_sub=1)
+        block = sample_correlated_pair(grid, 0.0, (99, i), m_sub=1)
         w[i] = _step_increments(block.dW[None], None)[0, 0]
         w_bar[i] = _step_increments(block.dW_bar[None], None)[0, 0]
     corr = np.corrcoef(w, w_bar)[0, 1]
@@ -194,20 +233,12 @@ def test_correlation_law():
     w = np.empty(n)
     w_bar = np.empty(n)
     for i in range(n):
-        block = sample_correlated_pair(grid, constant_rho(rho), (5, i), m_sub=2)
+        block = sample_correlated_pair(grid, rho, (5, i), m_sub=2)
         w[i] = _step_increments(block.dW[None], None).sum()
         w_bar[i] = _step_increments(block.dW_bar[None], None).sum()
     se = 1.0 / math.sqrt(n)
     assert abs(np.var(w_bar) - 1.0) < 4 * math.sqrt(2) * se
     assert abs(np.mean(w * w_bar) - rho) < 4 * 1.5 * se
-
-
-def test_rho_table_control():
-    control = rho_table([0.0, 0.5], [1.0, -1.0])
-    grid = TimeGrid(4)
-    block = sample_correlated_pair(grid, control, 11, m_sub=1)
-    assert np.array_equal(block.dW_bar[:2], block.dW[:2])
-    assert np.array_equal(block.dW_bar[2:], -block.dW[2:])
 
 
 def _stopped_increment(h, barrier, m_sub, seed):

@@ -6,8 +6,8 @@ import pytest
 from adapted_ot.model import (ConfigError, DivergenceError, SamplePath,
                               TimeGrid, affine, constant, eval_coefficient, ou,
                               sign_switch, table)
-from adapted_ot.noise import (sample_correlated_pair, constant_rho,
-                              replicate_normals, truncation_level)
+from adapted_ot.noise import (sample_correlated_pair, replicate_normals,
+                              truncation_level)
 from adapted_ot.presets import PRESETS
 from adapted_ot.sde import (_propagate, _run_scheme, _step_increments,
                             euler_maruyama, monotone_em,
@@ -51,7 +51,7 @@ def test_em_divergence_error_reports_stage(drift, stage):
 
 def test_monotone_em_without_exits_matches_em():
     grid = TimeGrid(10)
-    block = sample_correlated_pair(grid, constant_rho(1.0), (0, 3), m_sub=8)
+    block = sample_correlated_pair(grid, 1.0, (0, 3), m_sub=8)
     a = monotone_em(ou(0.5), UNIT_VOL, grid, 4, block, x0=0.2)
     b = euler_maruyama(ou(0.5), UNIT_VOL, grid, block, x0=0.2)
     assert np.array_equal(a.values, b.values)
@@ -87,7 +87,7 @@ def test_truncation_closeness_at_k4():
     grid = TimeGrid(10)
     n_same = 0
     for i in range(1000):
-        block = sample_correlated_pair(grid, constant_rho(1.0), (42, i), m_sub=4)
+        block = sample_correlated_pair(grid, 1.0, (42, i), m_sub=4)
         a = monotone_em(ou(1.0), UNIT_VOL, grid, 4, block)
         b = euler_maruyama(ou(1.0), UNIT_VOL, grid, block)
         n_same += np.array_equal(a.values, b.values)
@@ -139,7 +139,7 @@ def test_transformed_em_single_increment():
 
 def test_transformed_em_identity_transform_matches_monotone_em():
     grid = TimeGrid(6)
-    block = sample_correlated_pair(grid, constant_rho(1.0), (9, 0), m_sub=4)
+    block = sample_correlated_pair(grid, 1.0, (9, 0), m_sub=4)
     a = transformed_monotone_em(constant(0.0), UNIT_VOL, grid, 4, block.dW)
     b = monotone_em(constant(0.0), UNIT_VOL, grid, 4, block.dW)
     assert np.allclose(a.values, b.values, atol=1e-9)
@@ -184,9 +184,9 @@ def test_single_path_schemes_equal_batched_rows(m_sub):
     # em's single paths sum their own replicate's block (a batch of one)
     grid = TimeGrid(64)
     n_rep = 6
-    block = sample_correlated_pair(grid, constant_rho(1.0), (19, 0), m_sub=m_sub,
+    block = sample_correlated_pair(grid, 1.0, (19, 0), m_sub=m_sub,
                                    n_replicates=n_rep)
-    singles = [sample_correlated_pair(grid, constant_rho(1.0), (19, i), m_sub=m_sub)
+    singles = [sample_correlated_pair(grid, 1.0, (19, i), m_sub=m_sub)
                for i in range(n_rep)]
     summed = _step_increments(block.dW, None)
     stopped = _step_increments(block.dW, truncation_level(grid.h, 4))

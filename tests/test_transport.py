@@ -702,6 +702,18 @@ def test_bicausal_dp_stage_mismatch():
         bicausal_dp(lat_x, lat_y)
 
 
+def test_zero_stages_have_no_scaled_cost():
+    # the scaled weights are h = 1/N: the DP and the forward pass share one
+    # rule, which refuses N = 0; the unscaled cost of no stages is 0
+    lat = MarkovLattice(initial_value=0.0, supports=([0.0],), kernels=())
+    chain = kr_coupling(lat, lat)
+    for cost in (lambda s: bicausal_dp(lat, lat, scaled=s).value,
+                 lambda s: coupled_cost(chain, scaled=s)):
+        with pytest.raises(ConfigError, match="zero stages"):
+            cost(True)
+        assert cost(False) == 0.0
+
+
 def _certified_pair():
     return (build_lattice(ou(1.0), UNIT_VOL, 3, 3, 30),
             build_lattice(constant(0.0), UNIT_VOL, 3, 3, 30))
