@@ -17,8 +17,8 @@ from .noise import (IncrementBlock, constant_rho, exit_probability_bounds,
                     sample_correlated_pair, truncation_level)
 from .sde import (DriftRemovingTransform, euler_maruyama, monotone_em,
                   transformed_monotone_em, zvonkin_transform)
-from .lattice import (FosdCheck, IncrementQuantization, build_lattice,
-                      check_fosd, fosd_sufficient_condition, quantize_increment)
+from .lattice import (FosdCheck, build_lattice, check_fosd,
+                      fosd_sufficient_condition, quantize_increment)
 from .transport import (BicausalSolution, CoupledChain, MetricSuiteResult,
                         bicausal_dp, causal_lp, coupled_cost, kr_coupling,
                         metric_suite, synchronous_product_chain,

@@ -51,7 +51,7 @@ import numpy as np
 
 from .lattice import build_lattice, check_fosd
 from .model import (ConfigError, DivergenceError, TimeGrid, check_p,
-                    positive_int)
+                    positive_int, sign_switch)
 from .noise import (_stride, batch_moments, constant_rho, map_batches,
                     pool_moments, replicate_normals, sample_correlated_pair)
 from .sde import _propagate, _scheme_maps, _step_increments
@@ -322,6 +322,7 @@ def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0)
     """
     if not (math.isfinite(level) and level >= 0):
         raise ConfigError(f"drift level must be finite and nonnegative, got {level!r}")
+    sign_switch(level, switch_time)  # the drift's rule: switch_time in (0, 1)
     k_sw = grid.index_of(switch_time)
     h = grid.h
     times = grid.times()
@@ -338,12 +339,11 @@ def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0)
         sign = np.sign(w[:, k_sw])
         drift = level * sign[:, None] * ramp[None, :]
         # sync: difference 2*drift is piecewise linear, integrated exactly
-        d_sync = 2.0 * drift
-        cost_sync = _segment_cost(d_sync[:, :-1], d_sync[:, 1:], h, 2).sum(axis=1)
-        # async: difference 2*W, bridge-corrected so the estimator is unbiased
-        d_async = 2.0 * w
-        cost_async = (_segment_cost(d_async[:, :-1], d_async[:, 1:], h, 2).sum(axis=1)
-                      + 4.0 * grid.n_steps * h * h / 6.0)
+        cost_sync = path_integral_cost(2.0 * drift, h, 2)
+        # async: difference 2*W, whose noise 2 dW has variance rate 4:
+        # bridge-corrected so the estimator is unbiased
+        cost_async = path_integral_cost(2.0 * w, h, 2,
+                                        bridge_var=np.full((1, grid.n_steps), 4.0))
         return cost_sync, cost_async
 
     def run_batch(lo, hi, _ws):
@@ -372,8 +372,8 @@ def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
     """Closed-form synchronous cost for the registered families, else None.
 
     Constant pair (c1, s) / (c2, sbar): (c1-c2)^2/3 + (s-sbar)^2/2.
-    Mean-reverting pair with one rate theta and constant volatilities:
-    (s-sbar)^2 [1/(2 theta) - (1-e^{-2 theta})/(4 theta^2)].
+    Mean-reverting pair (two drifts affine(0, -theta), theta > 0) with constant
+    volatilities: (s-sbar)^2 [1/(2 theta) - (1-e^{-2 theta})/(4 theta^2)].
     Both require quadratic cost and initial value x0 = 0 for the constant
     family's drift term.
     """
@@ -387,9 +387,9 @@ def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
     c2 = _constant_value(b_y)
     if c1 is not None and c2 is not None:
         return (c1 - c2) ** 2 / 3.0 + (s1 - s2) ** 2 / 2.0
-    if (b_x.kind == "ou" and b_y.kind == "ou" and b_x.theta == b_y.theta
-            and b_x.theta > 0):
-        theta = b_x.theta
+    if (b_x.kind == b_y.kind == "affine" and b_x.intercept == b_y.intercept == 0.0
+            and b_x.slope == b_y.slope < 0.0):
+        theta = -b_x.slope
         return (s1 - s2) ** 2 * (1.0 / (2 * theta)
                                  - (1.0 - math.exp(-2 * theta)) / (4 * theta**2))
     return None
@@ -402,8 +402,6 @@ def _affine_drift(spec):
         return c, 0.0
     if spec.kind == "affine":
         return spec.intercept, spec.slope
-    if spec.kind == "ou":
-        return 0.0, -spec.theta
     return None
 
 

@@ -18,35 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (ConfigError, KernelRows, MarkovLattice, PROB_TOL,
-                    TimeGrid, lipschitz_constant, positive_int)
+from .model import (ConfigError, KernelRows, MarkovLattice, TimeGrid,
+                    lipschitz_constant, positive_int)
 from .noise import truncation_level
-
-
-@dataclass(frozen=True)
-class IncrementQuantization:
-    """Equal-weight atoms representing one step's truncated increment."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    h: float
-    barrier: float
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        if abs(weights.sum() - 1.0) > PROB_TOL:
-            raise ConfigError("quantization weights must sum to 1")
-        if np.any(np.diff(atoms) < 0):
-            raise ConfigError("quantization atoms must be sorted")
-        if np.max(np.abs(atoms)) > self.barrier + 1e-12:
-            raise ConfigError("quantization atoms must respect the barrier")
-
-    @property
-    def m(self):
-        return self.atoms.size
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -63,12 +37,13 @@ def _pdf_at_quantile(u):
 
 def quantize_increment(h, barrier, m):
     """Conditional means of clamp(Z sqrt(h), -barrier, barrier) on its m
-    quantile cells, each carrying weight 1/m.  The quantiles are
-    ``NormalDist.inv_cdf`` (Wichura's AS241)."""
+    quantile cells, each of weight 1/m, sorted; ``barrier = inf`` clamps
+    nothing.  The quantiles are ``NormalDist.inv_cdf`` (Wichura's AS241)."""
     if positive_int("m", m) < 2:
         raise ConfigError("need at least 2 quantization atoms")
-    if barrier <= 0 or h <= 0:
-        raise ConfigError("need positive step and barrier")
+    # NaN fails both comparisons
+    if not (0.0 < h < math.inf and barrier > 0.0):
+        raise ConfigError("need a finite positive step and a positive barrier")
     sd = math.sqrt(h)
     # mass clamped at the lower barrier (erfc keeps its relative accuracy
     # in the tail, where 1 + erf(x) cancels)
@@ -92,8 +67,7 @@ def quantize_increment(h, barrier, m):
         atoms[j] = m * total
     atoms = 0.5 * (atoms - atoms[::-1])  # enforce exact symmetry (mean 0)
     np.clip(atoms, -barrier, barrier, out=atoms)
-    return IncrementQuantization(atoms=atoms, weights=np.full(m, 1.0 / m),
-                                 h=h, barrier=barrier)
+    return atoms
 
 
 def _snap_duplicates(values, masses):
@@ -170,7 +144,8 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     # the barrier formula degenerates at h = 1 (log 1 = 0); a single-step
     # chain uses the untruncated increment
     barrier = truncation_level(h, trunc_k) if n_steps > 1 else np.inf
-    quant = quantize_increment(h, barrier, m)
+    atoms = quantize_increment(h, barrier, m)
+    weights = np.full(m, 1.0 / m)
     supports = [np.array([float(x0)])]
     kernels = []
     atom_maps = []
@@ -180,10 +155,10 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         drift = np.asarray(b.evaluate(support), dtype=float)
         vol = np.asarray(sigma.evaluate(support), dtype=float)
         children = (support[:, None] + h * drift[:, None]
-                    + vol[:, None] * quant.atoms[None, :])
+                    + vol[:, None] * atoms[None, :])
         raw_vals, inverse = np.unique(children, return_inverse=True)
         inverse = inverse.reshape(children.shape)
-        child_mass = (marginal[:, None] * quant.weights[None, :]).ravel()
+        child_mass = (marginal[:, None] * weights[None, :]).ravel()
         raw_masses = np.bincount(inverse.ravel(), weights=child_mass,
                                  minlength=raw_vals.size)
         raw_vals, raw_masses, groups = _snap_duplicates(raw_vals, raw_masses)
@@ -203,7 +178,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         # a dense kernel for this step only, for the marginal's BLAS bits
         rows = np.zeros((support.size, n_next))
         np.add.at(rows, (np.arange(support.size)[:, None], child_bins),
-                  quant.weights)
+                  weights)
         supports.append(next_support)
         positive = rows > 0
         kernels.append(KernelRows(positive.sum(axis=1), np.nonzero(positive)[1],
@@ -213,7 +188,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
     lattice = MarkovLattice(initial_value=float(x0), supports=tuple(supports),
                             kernels=tuple(kernels))
     if return_atom_maps:
-        return lattice, atom_maps, quant.weights
+        return lattice, atom_maps, weights
     return lattice
 
 
@@ -262,6 +237,6 @@ def check_fosd(lattice):
 def fosd_sufficient_condition(c0, c1, h, trunc_k):
     """Closed-form margin test 1 - h C0 - A_h C1 > 0 making every one-step
     map increasing (C0, C1 the drift/diffusion Lipschitz constants)."""
-    if c0 < 0 or c1 < 0:
-        raise ConfigError("Lipschitz constants must be nonnegative")
+    if not (0.0 <= c0 < math.inf and 0.0 <= c1 < math.inf):
+        raise ConfigError("Lipschitz constants must be finite and nonnegative")
     return 1.0 - h * c0 - truncation_level(h, trunc_k) * c1 > 0.0

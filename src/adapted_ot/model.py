@@ -66,7 +66,7 @@ def positive_int(name, value):
     return int(value)
 
 
-COEFFICIENT_KINDS = ("constant", "affine", "ou", "table", "sign_switch")
+COEFFICIENT_KINDS = ("constant", "affine", "table", "sign_switch")
 ROLES = ("drift", "diffusion")
 
 # Divergence threshold: anything beyond this is treated as a blow-up rather
@@ -81,8 +81,8 @@ class CoefficientSpec:
     Kinds and their parameters:
 
     - ``constant``:    value ``c``; evaluates to ``c`` everywhere.
-    - ``affine``:      ``intercept + slope * x``.
-    - ``ou``:          mean-reversion drift ``-theta * x``.
+    - ``affine``:      ``intercept + slope * x``; the mean-reversion drift
+                       ``-theta * x`` is ``affine(0, -theta)`` (``ou``).
     - ``table``:       piecewise-linear interpolation through ``knots`` /
                        ``values``; querying outside the knot range is an error.
     - ``sign_switch``: path-dependent drift ``level * sign(path(switch_time))``
@@ -94,7 +94,6 @@ class CoefficientSpec:
     value: float = 0.0
     intercept: float = 0.0
     slope: float = 0.0
-    theta: float = 0.0
     knots: tuple = ()
     values: tuple = ()
     level: float = 0.0
@@ -105,7 +104,7 @@ class CoefficientSpec:
             raise ConfigError(f"unknown coefficient kind {self.kind!r}")
         if self.role not in ROLES:
             raise ConfigError(f"unknown coefficient role {self.role!r}")
-        for name in ("value", "intercept", "slope", "theta", "level", "switch_time"):
+        for name in ("value", "intercept", "slope", "level", "switch_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"coefficient {name} must be finite")
         if self.kind == "table":
@@ -142,9 +141,10 @@ class CoefficientSpec:
         if self.kind == "constant":
             out = np.full_like(x, self.value)
         elif self.kind == "affine":
-            out = self.intercept + self.slope * x
-        elif self.kind == "ou":
-            out = -self.theta * x
+            # without an intercept, the one multiply of a mean-reverting drift
+            out = self.slope * x
+            if self.intercept:
+                out = self.intercept + out
         else:  # table
             knots, values = self._table_arrays
             if x.size and (x.min() < knots[0] or x.max() > knots[-1]):
@@ -169,10 +169,8 @@ class CoefficientSpec:
             f = lambda x: value
         elif self.kind == "affine":
             intercept, slope = self.intercept, self.slope
-            f = lambda x: intercept + slope * x
-        elif self.kind == "ou":
-            minus_theta = -self.theta
-            f = lambda x: minus_theta * x
+            f = ((lambda x: intercept + slope * x) if intercept
+                 else (lambda x: slope * x))
         else:
             f = table_lookup(self.knots, self.values, ExtrapolationError,
                              f"table query outside knot range "
@@ -236,7 +234,8 @@ def affine(intercept, slope, role="drift"):
 
 
 def ou(theta):
-    return CoefficientSpec(kind="ou", theta=float(theta))
+    """The mean-reverting drift ``-theta * x``."""
+    return affine(0.0, -float(theta))
 
 
 def table(knots, values, role="drift"):
@@ -262,8 +261,6 @@ def lipschitz_constant(spec):
         return 0.0
     if spec.kind == "affine":
         return abs(spec.slope)
-    if spec.kind == "ou":
-        return abs(spec.theta)
     return float(np.max(np.abs(np.diff(spec.values) / np.diff(spec.knots))))
 
 
@@ -559,7 +556,7 @@ def _int_array(values):
 #
 #   kind=constant value=1.5
 #   kind=affine intercept=0 slope=2
-#   kind=ou theta=1
+#   kind=ou theta=1            (read as kind=affine intercept=0 slope=-1)
 #   kind=table knots=0,1,2 values=3,4,5
 #   kind=sign_switch level=5 switch_time=0.1
 #
@@ -586,7 +583,7 @@ def parse_coefficient(text, role=None):
         if kind == "affine":
             return affine(float(fields["intercept"]), float(fields["slope"]), role=role)
         if kind == "ou":
-            return CoefficientSpec(kind="ou", role=role, theta=float(fields["theta"]))
+            return affine(0.0, -float(fields["theta"]), role=role)
         if kind == "table":
             knots = [float(v) for v in fields["knots"].split(",")]
             values = [float(v) for v in fields["values"].split(",")]

@@ -146,8 +146,8 @@ def truncation_level(h, trunc_k):
     """Barrier K * sqrt(-h log h) for the stopped-increment scheme."""
     if not 0.0 < h < 1.0:
         raise ConfigError("truncation level needs 0 < h < 1 (log h < 0)")
-    if trunc_k < 1:
-        raise ConfigError("truncation multiplier K must be >= 1")
+    if not 1 <= trunc_k < math.inf:
+        raise ConfigError("truncation multiplier K must be finite and >= 1")
     return trunc_k * math.sqrt(-h * math.log(h))
 
 
@@ -327,9 +327,11 @@ def exit_probability_bounds(h, barrier):
 
     Lower bound: P[|W_h| >= A] = 2 * Phibar(A / sqrt(h)) (one-sided
     reflection); upper bound: 4 * Phibar(A / sqrt(h)), clamped to 1.
+    The step must be finite and positive; an infinite barrier is never left.
     """
-    if barrier <= 0:
-        raise ConfigError("barrier must be positive")
+    # NaN fails both comparisons
+    if not (0.0 < h < math.inf and barrier > 0.0):
+        raise ConfigError("need a finite positive step and a positive barrier")
     a = barrier / math.sqrt(h)
     tail = _normal_upper_tail(a)
     return 2.0 * tail, min(1.0, 4.0 * tail)

@@ -86,20 +86,19 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
 def _row_map(spec):
     """``spec`` read once for ``_propagate``: a constant as its float (a
     negative diffusion constant is refused here, once), else ``f(x, out)``,
-    which writes ``spec.evaluate(x)`` into the row ``out``.  Affine and OU
-    drifts are ``out=`` ufuncs in ``evaluate``'s order."""
+    which writes ``spec.evaluate(x)`` into the row ``out``.  Affine drifts
+    are ``out=`` ufuncs in ``evaluate``'s order."""
     if spec.kind == "constant":
         return spec.evaluate(0.0)  # the value, after evaluate's sign check
     if spec.role == "drift" and spec.kind == "affine":
         intercept, slope = spec.intercept, spec.slope
+        if not intercept:
+            return lambda x, out: np.multiply(slope, x, out=out)
 
         def affine(x, out):
             np.multiply(slope, x, out=out)
             out += intercept
         return affine
-    if spec.role == "drift" and spec.kind == "ou":
-        minus_theta = -spec.theta
-        return lambda x, out: np.multiply(minus_theta, x, out=out)
 
     def evaluate(x, out):
         out[...] = spec.evaluate(x)
@@ -276,6 +275,8 @@ def zvonkin_transform(b, sigma, x0):
     """
     if not (b.is_markovian and sigma.is_markovian):
         raise ConfigError("transform needs Markovian coefficients")
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0!r}")
     # refined grid: table nodes plus midpoints, so T accumulates per-interval
     # Simpson increments that are strictly positive (T' > 0 everywhere)
     xs_fine = np.linspace(x0 - 10.0, x0 + 10.0, 2 * 10001 - 1)

@@ -350,6 +350,11 @@ CONFIG_ERRORS = {
                                  "--samples", "10"],
     "counterexample-nan-switch-time": ["counterexample", "--switch-time",
                                        "nan", "--samples", "10"],
+    # at 0 the drift's sign is sign(W_0) = 0, at 1 its ramp never starts
+    "counterexample-zero-switch-time": ["counterexample", "--switch-time",
+                                        "0", "--samples", "10"],
+    "counterexample-unit-switch-time": ["counterexample", "--switch-time",
+                                        "1", "--samples", "10"],
 }
 
 # commands without --out, rejected before they print anything

@@ -56,6 +56,21 @@ def test_closed_form_registry():
                             UNIT_VOL) is None
 
 
+def test_closed_form_mean_reverting_family_is_two_affine_drifts():
+    two = constant(2.0, role="diffusion")
+    target = 0.5 - (1 - math.exp(-2)) / 4
+    assert closed_form_cost(affine(0.0, -1.0), UNIT_VOL, affine(0.0, -1.0),
+                            two) == pytest.approx(target, abs=1e-12)
+    # equal slopes but an intercept: not mean-reverting to 0
+    for intercept in (0.5, -0.5):
+        assert closed_form_cost(affine(intercept, -1.0), UNIT_VOL,
+                                affine(intercept, -1.0), two) is None
+    assert closed_form_cost(affine(0.0, 1.0), UNIT_VOL, affine(0.0, 1.0),
+                            two) is None
+    # theta = 0 is the zero constant drift
+    assert closed_form_cost(ou(0.0), UNIT_VOL, ou(0.0), two) == 0.5
+
+
 def test_em_expected_cost_bias_is_first_order():
     # constant coefficients: the interpolated em pair is exact at any N
     for pair in ((constant(1.0), UNIT_VOL, constant(0.0), UNIT_VOL),
@@ -258,6 +273,14 @@ def test_numpy_integer_sample_counts_are_accepted():
     assert sync.n_samples == 100
 
 
+def test_monotone_em_refuses_a_nan_truncation_multiplier():
+    # every replicate was reported diverged
+    with pytest.raises(ConfigError, match="truncation multiplier"):
+        sync_distance_mc(ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL,
+                         TimeGrid(4), 2, 100, seed=1, scheme="monotone-em",
+                         trunc_k=np.nan)
+
+
 def test_divergence_abort():
     with pytest.raises(DivergenceError):
         sync_distance_mc(affine(0.0, 240.0), UNIT_VOL, constant(0.0), UNIT_VOL,
@@ -326,6 +349,14 @@ def test_counterexample_zero_level():
                                           n_samples=2000, seed=17)
     assert sync.estimate == 0.0
     assert abs(asyn.estimate - 2.0) <= 4 * asyn.stderr
+
+
+@pytest.mark.parametrize("switch_time", [0.0, 1.0, -0.5, 1.5])
+def test_counterexample_refuses_a_switch_time_outside_the_open_interval(
+        switch_time):
+    # at 0 the drift's sign was sign(W_0) = 0, at 1 its ramp never started
+    with pytest.raises(ConfigError, match=r"switch_time must lie in \(0, 1\)"):
+        counterexample_nonmarkov(5.0, switch_time, TimeGrid(20), n_samples=10)
 
 
 def test_counterexample_late_switch_kills_sync_cost():

@@ -28,24 +28,37 @@ def _stage_marginals(lattice):
 
 
 def test_quantize_halves_of_standard_normal():
-    q = quantize_increment(1.0, 1e9, 2)
-    assert q.atoms == pytest.approx([-math.sqrt(2 / math.pi),
-                                     math.sqrt(2 / math.pi)], abs=1e-12)
-    assert np.allclose(q.weights, 0.5)
+    atoms = quantize_increment(1.0, 1e9, 2)
+    assert atoms == pytest.approx([-math.sqrt(2 / math.pi),
+                                   math.sqrt(2 / math.pi)], abs=1e-12)
+    # the lattice's equal weights are the quantizer's
+    _, _, weights = build_lattice(constant(0.0), UNIT_VOL, 1, 2, 2,
+                                  return_atom_maps=True)
+    assert np.allclose(weights, 0.5)
 
 
 def test_quantize_scales_with_sqrt_h():
-    q = quantize_increment(0.01, 0.8584, 2)
-    assert q.atoms == pytest.approx([-0.1 * math.sqrt(2 / math.pi),
-                                     0.1 * math.sqrt(2 / math.pi)], abs=1e-9)
+    atoms = quantize_increment(0.01, 0.8584, 2)
+    assert atoms == pytest.approx([-0.1 * math.sqrt(2 / math.pi),
+                                   0.1 * math.sqrt(2 / math.pi)], abs=1e-9)
 
 
 def test_quantize_mean_zero_and_clamped():
     for m in (2, 3, 5, 8, 11):
-        q = quantize_increment(0.04, 0.15, m)
-        assert abs(float(q.weights @ q.atoms)) <= 1e-12
-        assert np.max(np.abs(q.atoms)) <= 0.15
-        assert np.allclose(q.atoms, -q.atoms[::-1])
+        atoms = quantize_increment(0.04, 0.15, m)
+        assert abs(float(np.full(m, 1.0 / m) @ atoms)) <= 1e-12
+        assert np.all(np.diff(atoms) >= 0)
+        assert np.max(np.abs(atoms)) <= 0.15
+        assert np.allclose(atoms, -atoms[::-1])
+
+
+@pytest.mark.parametrize("h, barrier", [(0.1, np.nan), (np.nan, 1.0),
+                                        (np.inf, 1.0), (0.0, 1.0),
+                                        (0.1, 0.0)])
+def test_quantize_refuses_bad_steps_and_barriers(h, barrier):
+    # a NaN step or barrier gave NaN atoms; h = inf failed as unsorted atoms
+    with pytest.raises(ConfigError, match="finite positive step"):
+        quantize_increment(h, barrier, 5)
 
 
 def _scipy_quantizer_atoms(h, barrier, m):
@@ -75,7 +88,7 @@ def test_quantizer_atoms_match_scipy_within_32_ulps(n_steps):
     h = 1.0 / n_steps
     barrier = truncation_level(h, 4) if n_steps > 1 else np.inf
     for m in range(2, 16):
-        atoms = quantize_increment(h, barrier, m).atoms
+        atoms = quantize_increment(h, barrier, m)
         reference = _scipy_quantizer_atoms(h, barrier, m)
         assert np.all(np.abs(atoms - reference)
                       <= 32 * np.spacing(np.abs(reference))), (m, atoms,
@@ -166,11 +179,11 @@ def test_build_lattice_rejects_small_support_budget():
 def _simulate_quantized_chain(b, s, n_steps, m, seed, n_paths):
     """Monte Carlo of the exact quantized chain (uniform atom choice)."""
     h = 1.0 / n_steps
-    q = quantize_increment(h, truncation_level(h, 4), m)
+    atoms = quantize_increment(h, truncation_level(h, 4), m)
     rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
     for _ in range(n_steps):
-        atom = q.atoms[rng.integers(0, m, size=n_paths)]
+        atom = atoms[rng.integers(0, m, size=n_paths)]
         x = x + h * np.asarray(b.evaluate(x)) + np.asarray(s.evaluate(x)) * atom
     return x
 
@@ -373,3 +386,17 @@ def test_fosd_sufficient_condition_values():
     assert not fosd_sufficient_condition(2.0, 2.0, 0.01, 4)
     for h in (0.9, 0.5, 0.01, 1e-6):
         assert fosd_sufficient_condition(0.0, 0.0, h, 4)
+
+
+@pytest.mark.parametrize("c0, c1", [(np.nan, 0.0), (0.0, np.nan),
+                                    (np.inf, 0.0), (-1.0, 0.0)])
+def test_fosd_sufficient_condition_refuses_bad_constants(c0, c1):
+    # a NaN constant answered False, as if the map had failed the test
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        fosd_sufficient_condition(c0, c1, 0.1, 4)
+
+
+def test_build_lattice_refuses_a_nan_truncation_multiplier():
+    # it failed later, as "stage-1 support must be finite"
+    with pytest.raises(ConfigError, match="truncation multiplier"):
+        build_lattice(ou(1.0), UNIT_VOL, 4, 3, 9, trunc_k=np.nan)

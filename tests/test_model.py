@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from adapted_ot.acceptance import random_tree
 from adapted_ot.estimate import em_expected_cost
 from adapted_ot.lattice import build_lattice, check_fosd, quantize_increment
-from adapted_ot.model import (ConfigError, DiscretePathMeasure,
+from adapted_ot.model import (COEFFICIENT_KINDS, CoefficientSpec,
+                              ConfigError, DiscretePathMeasure,
                               ExtrapolationError, MarkovLattice,
                               NotMarkovianError, SamplePath, TimeGrid, affine,
                               constant, eval_coefficient, interp_point,
@@ -182,6 +183,20 @@ def test_coefficient_text_parses_every_kind():
              "kind=sign_switch level=5.0 switch_time=0.1": sign_switch(5.0, 0.1)}
     for text, spec in texts.items():
         assert parse_coefficient(text) == spec
+
+
+@pytest.mark.parametrize("theta", [0.7, 12.0, -1.0])
+def test_ou_is_the_affine_drift_through_zero(theta):
+    assert ou(theta) == affine(0.0, -theta) \
+        == parse_coefficient(f"kind=ou theta={theta}")
+    assert (parse_coefficient(f"kind=ou theta={theta} role=diffusion")
+            == affine(0.0, -theta, role="diffusion"))
+
+
+def test_ou_is_no_coefficient_kind():
+    assert COEFFICIENT_KINDS == ("constant", "affine", "table", "sign_switch")
+    with pytest.raises(ConfigError, match="unknown coefficient kind 'ou'"):
+        CoefficientSpec(kind="ou")
 
 
 def test_parse_coefficient_errors():

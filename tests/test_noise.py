@@ -32,6 +32,10 @@ def test_truncation_level_domain():
         truncation_level(1.0, 4)
     with pytest.raises(ConfigError):
         truncation_level(0.1, 0)
+    # a NaN or infinite K returned a NaN or infinite barrier
+    for trunc_k in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and >= 1"):
+            truncation_level(0.1, trunc_k)
 
 
 def test_pair_determinism():
@@ -288,6 +292,14 @@ def test_exit_probability_bounds_values():
     assert upper == 1.0  # clamped
     _, tail = exit_probability_bounds(0.01, truncation_level(0.01, 4))
     assert tail < 1e-16  # ~1.8e-17: the h^10-scale certificate
+
+
+@pytest.mark.parametrize("h, barrier", [(0.0, 1.0), (-0.1, 1.0), (np.inf, 1.0),
+                                        (np.nan, 1.0), (0.1, np.nan)])
+def test_exit_probability_bounds_refuse_bad_steps_and_barriers(h, barrier):
+    # h = 0 divided by zero, h < 0 took a square root, NaN gave (nan, 1.0)
+    with pytest.raises(ConfigError, match="finite positive step"):
+        exit_probability_bounds(h, barrier)
 
 
 def test_exit_frequency_sandwich():

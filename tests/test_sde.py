@@ -113,6 +113,13 @@ def test_zvonkin_closed_form_unit_drift():
         transform.inverse(0.75)  # beyond sup T = 1/2: tabulated range error
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf])
+def test_zvonkin_rejects_a_non_finite_anchor(x0):
+    # the table was all NaN but its anchor entry
+    with pytest.raises(ConfigError, match="x0 must be finite"):
+        zvonkin_transform(constant(1.0), UNIT_VOL, x0)
+
+
 def test_zvonkin_rejects_vanishing_diffusion():
     # zero diffusion at the edge of the tabulation interval
     with pytest.raises(ConfigError):
