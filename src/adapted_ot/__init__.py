@@ -8,10 +8,10 @@ the acceptance suite or the benchmark, or is kept for the tests: the
 references ``eval_coefficient`` and ``synchronous_product_chain``."""
 
 from .model import (AdaptedOTError, CoefficientSpec, ConfigError,
-                    DiscretePathMeasure, DivergenceError, ExtrapolationError,
-                    MarkovLattice, NotMarkovianError, SamplePath, TimeGrid,
-                    affine, constant, eval_coefficient, lipschitz_constant, ou,
-                    parse_coefficient, sign_switch, table)
+                    DiscretePathMeasure, DivergenceError, MarkovLattice,
+                    SamplePath, TimeGrid, affine, constant, eval_coefficient,
+                    lipschitz_constant, ou, parse_coefficient, sign_switch,
+                    table)
 from .noise import (IncrementBlock, constant_rho, exit_probability_bounds,
                     fourth_moment_truncation_error, replicate_normals,
                     sample_correlated_pair, truncation_level)

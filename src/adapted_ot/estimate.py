@@ -377,6 +377,7 @@ def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
     Both require quadratic cost and initial value x0 = 0 for the constant
     family's drift term.
     """
+    check_p(p)
     if p != 2:
         return None
     s1 = _constant_value(sigma_x)

@@ -30,14 +30,6 @@ class ConfigError(AdaptedOTError):
     """Invalid parameters or inconsistent configuration."""
 
 
-class ExtrapolationError(AdaptedOTError):
-    """A piecewise-linear table was queried outside its knot range."""
-
-
-class NotMarkovianError(AdaptedOTError):
-    """A path-dependent coefficient was used where a Markovian one is required."""
-
-
 class DivergenceError(AdaptedOTError):
     """A simulated path left the admissible range (|x| > threshold)."""
 
@@ -47,11 +39,11 @@ class DivergenceError(AdaptedOTError):
 
 
 def check_p(p):
-    """Reject a cost exponent that is not a finite number >= 1: the cost
-    |x - y|^p is convex only there, which the KR = DP theorem needs, and a
-    negative p makes transport costs infinite."""
+    """Reject a cost exponent that is not a finite number >= 1 (a bool
+    included): the cost |x - y|^p is convex only there, which the KR = DP
+    theorem needs, and a negative p makes transport costs infinite."""
     try:
-        ok = math.isfinite(p) and p >= 1
+        ok = not isinstance(p, (bool, np.bool_)) and math.isfinite(p) and p >= 1
     except TypeError:
         ok = False
     if not ok:
@@ -68,6 +60,9 @@ def positive_int(name, value):
 
 COEFFICIENT_KINDS = ("constant", "affine", "table", "sign_switch")
 ROLES = ("drift", "diffusion")
+
+_KNOT_RANGE = "table query outside knot range [{}, {}]"
+_PATH_DEPENDENT = "sign_switch is path-dependent; use eval_coefficient"
 
 # Divergence threshold: anything beyond this is treated as a blow-up rather
 # than silently propagating to inf/nan.
@@ -115,6 +110,9 @@ class CoefficientSpec:
                 raise ConfigError("table knots must be strictly increasing")
             if not (np.isfinite(knots).all() and np.isfinite(values).all()):
                 raise ConfigError("table knots/values must be finite")
+        if self.kind == "sign_switch" and self.role != "drift":
+            raise ConfigError(f"sign_switch is a path-dependent drift; it cannot "
+                              f"be a {self.role} coefficient")
         if self.kind == "sign_switch" and not 0.0 < self.switch_time < 1.0:
             raise ConfigError("sign_switch switch_time must lie in (0, 1)")
 
@@ -136,7 +134,7 @@ class CoefficientSpec:
         points; tables refuse to extrapolate.
         """
         if not self.is_markovian:
-            raise NotMarkovianError("sign_switch is path-dependent; use eval_coefficient")
+            raise ConfigError(_PATH_DEPENDENT)
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             out = np.full_like(x, self.value)
@@ -146,12 +144,7 @@ class CoefficientSpec:
             if self.intercept:
                 out = self.intercept + out
         else:  # table
-            knots, values = self._table_arrays
-            if x.size and (x.min() < knots[0] or x.max() > knots[-1]):
-                raise ExtrapolationError(
-                    f"table query outside knot range [{knots[0]}, {knots[-1]}]"
-                )
-            out = np.interp(x, knots, values)
+            out = np.asarray(checked_interp(x, *self._table_arrays, _KNOT_RANGE))
         if self.role == "diffusion" and out.size and out.min() < 0:
             raise ConfigError("diffusion coefficient evaluated to a negative value")
         return out if out.ndim else float(out)
@@ -163,7 +156,7 @@ class CoefficientSpec:
         call (extrapolation, negative diffusion).  Build it once per path.
         """
         if not self.is_markovian:
-            raise NotMarkovianError("sign_switch is path-dependent; use eval_coefficient")
+            raise ConfigError(_PATH_DEPENDENT)
         if self.kind == "constant":
             value = self.value
             f = lambda x: value
@@ -172,9 +165,7 @@ class CoefficientSpec:
             f = ((lambda x: intercept + slope * x) if intercept
                  else (lambda x: slope * x))
         else:
-            f = table_lookup(self.knots, self.values, ExtrapolationError,
-                             f"table query outside knot range "
-                             f"[{self.knots[0]}, {self.knots[-1]}]")
+            f = table_lookup(self.knots, self.values, _KNOT_RANGE)
         if self.role == "drift":
             return f
 
@@ -212,14 +203,24 @@ def interp_point(x, xs, ys):
     return out
 
 
-def table_lookup(xs, ys, error, message):
-    """``interp_point`` through (xs, ys) that raises ``error(message)`` for a
-    query outside [xs[0], xs[-1]]."""
+def checked_interp(v, xs, ys, message):
+    """``np.interp(v, xs, ys)``, a float for a scalar ``v``; a query outside
+    [xs[0], xs[-1]] raises ``ConfigError(message.format(xs[0], xs[-1]))``.
+    The one range-checked lookup of the numpy tables."""
+    v = np.asarray(v, dtype=float)
+    if v.size and (v.min() < xs[0] or v.max() > xs[-1]):
+        raise ConfigError(message.format(xs[0], xs[-1]))
+    out = np.interp(v, xs, ys)
+    return out if out.ndim else float(out)
+
+
+def table_lookup(xs, ys, message):
+    """``checked_interp`` for one Python float, through ``interp_point``."""
     lo, hi = xs[0], xs[-1]
 
     def lookup(x):
         if x < lo or x > hi:
-            raise error(message)
+            raise ConfigError(message.format(lo, hi))
         return interp_point(x, xs, ys)
     return lookup
 
@@ -256,7 +257,7 @@ def lipschitz_constant(spec):
     state-Lipschitz constant and is rejected.
     """
     if not spec.is_markovian:
-        raise NotMarkovianError("sign_switch has no Lipschitz constant")
+        raise ConfigError("sign_switch has no Lipschitz constant")
     if spec.kind == "constant":
         return 0.0
     if spec.kind == "affine":
@@ -589,7 +590,9 @@ def parse_coefficient(text, role=None):
             values = [float(v) for v in fields["values"].split(",")]
             return table(knots, values, role=role)
         if kind == "sign_switch":
-            return sign_switch(float(fields["level"]), float(fields["switch_time"]))
+            return CoefficientSpec(kind="sign_switch", role=role,
+                                   level=float(fields["level"]),
+                                   switch_time=float(fields["switch_time"]))
     except KeyError as exc:
         raise ConfigError(f"missing coefficient field {exc}") from exc
     except ValueError as exc:

@@ -36,12 +36,13 @@ N_BATCHES = 20  # replicate ranges per run; they only split the work
 
 def constant_rho(value):
     """The noise correlation ``value`` as a float, refused outside [-1, 1]
-    (NaN included): the one check of every reader of a correlation."""
+    (NaN included) or as a bool: the one check of every reader of a
+    correlation."""
     try:
         rho = float(value)
     except (TypeError, ValueError):
         rho = math.nan
-    if not -1.0 <= rho <= 1.0:
+    if isinstance(value, (bool, np.bool_)) or not -1.0 <= rho <= 1.0:
         raise ConfigError(f"rho must lie in [-1, 1], got {value!r}")
     return rho
 
@@ -78,7 +79,8 @@ def _split_seed(seed):
         master, index = seed, 0
     master = tuple(master) if isinstance(master, (tuple, list)) else (master,)
     parts = master + (index,)
-    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in parts):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and v >= 0 for v in parts):
         raise ConfigError(f"seed {seed!r} must be made of non-negative integers")
     return tuple(int(v) for v in master), int(index)
 
@@ -146,7 +148,7 @@ def truncation_level(h, trunc_k):
     """Barrier K * sqrt(-h log h) for the stopped-increment scheme."""
     if not 0.0 < h < 1.0:
         raise ConfigError("truncation level needs 0 < h < 1 (log h < 0)")
-    if not 1 <= trunc_k < math.inf:
+    if isinstance(trunc_k, (bool, np.bool_)) or not 1 <= trunc_k < math.inf:
         raise ConfigError("truncation multiplier K must be finite and >= 1")
     return trunc_k * math.sqrt(-h * math.log(h))
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, TimeGrid, lipschitz_constant, table_lookup)
+                    SamplePath, TimeGrid, checked_interp, lipschitz_constant,
+                    table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
 # the scheme names of ``simulate --scheme`` and the Monte Carlo estimators
@@ -50,8 +51,10 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
 
     Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta; with
     a drift-removing transform T it is y <- y + T'(x) sigma(x) delta in
-    y = T(x), mapped back by x = T^{-1}(y).
+    y = T(x), mapped back by x = T^{-1}(y).  ConfigError for a non-finite x0.
     """
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0!r}")
     n = grid.n_steps
     h = grid.h
     deltas = np.asarray(deltas, dtype=float)
@@ -222,15 +225,6 @@ def monotone_em(b, sigma, grid, trunc_k, block, x0=0.0):
     return _run_scheme(b, sigma, grid, _path_increments(grid, block, trunc_k), x0)
 
 
-def _lookup(v, xp, fp, message):
-    """Range-checked ``np.interp`` through (xp, fp); a scalar gives a float."""
-    v = np.asarray(v, dtype=float)
-    if v.size and (v.min() < xp[0] or v.max() > xp[-1]):
-        raise ConfigError(message)
-    out = np.interp(v, xp, fp)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class DriftRemovingTransform:
     """Tabulated increasing map T with T(x0) = 0 that removes the drift.
@@ -246,13 +240,13 @@ class DriftRemovingTransform:
     lipschitz_certificate: float
 
     def forward(self, x):
-        return _lookup(x, self.xs, self.ts, _X_RANGE)
+        return checked_interp(x, self.xs, self.ts, _X_RANGE)
 
     def inverse(self, y):
-        return _lookup(y, self.ts, self.xs, _Y_RANGE)
+        return checked_interp(y, self.ts, self.xs, _Y_RANGE)
 
     def derivative(self, x):
-        return _lookup(x, self.xs, self.t_prime, _X_RANGE)
+        return checked_interp(x, self.xs, self.t_prime, _X_RANGE)
 
     def float_maps(self):
         """``forward``, ``derivative`` and ``inverse`` for one Python float,
@@ -260,9 +254,8 @@ class DriftRemovingTransform:
         through memoryviews, not copies."""
         xs, ts, t_prime = (memoryview(np.asarray(a, dtype=float))
                            for a in (self.xs, self.ts, self.t_prime))
-        return (table_lookup(xs, ts, ConfigError, _X_RANGE),
-                table_lookup(xs, t_prime, ConfigError, _X_RANGE),
-                table_lookup(ts, xs, ConfigError, _Y_RANGE))
+        return (table_lookup(xs, ts, _X_RANGE), table_lookup(xs, t_prime, _X_RANGE),
+                table_lookup(ts, xs, _Y_RANGE))
 
 
 def zvonkin_transform(b, sigma, x0):

@@ -309,6 +309,7 @@ def test_rho_scan_with_zero_threads_exits_2(tmp_path, capsys):
 
 
 OU_PATHS = ["--drift", "kind=ou theta=1", "--vol", "kind=constant value=1"]
+SIGN_SWITCH = "kind=sign_switch level=1 switch_time=0.5"
 CONFIG_ERRORS = {
     "rho-scan-without-pair": ["rho-scan"],
     "metrics-missing-trees": ["metrics", "--tree-mu", "missing.json",
@@ -355,6 +356,22 @@ CONFIG_ERRORS = {
                                         "0", "--samples", "10"],
     "counterexample-unit-switch-time": ["counterexample", "--switch-time",
                                         "1", "--samples", "10"],
+    # a coefficient used outside its domain: a path-dependent drift where a
+    # Markovian one is needed, or a table queried outside its knots
+    "lattice-sign-switch-drift": ["lattice", "--drift", SIGN_SWITCH, "--vol",
+                                  "kind=constant value=1", "--n-steps", "4"],
+    "convergence-sign-switch-drift": [
+        "convergence", "--drift", SIGN_SWITCH, "--vol", "kind=constant value=1",
+        "--drift-y", "kind=constant value=0", "--vol-y",
+        "kind=constant value=1", "--samples", "100"],
+    "simulate-sign-switch-vol": ["simulate", "--drift", "kind=constant value=0",
+                                 "--vol", SIGN_SWITCH, "--n-steps", "4"],
+    "simulate-table-outside-knots": [
+        "simulate", "--drift", "kind=table knots=-0.1,0.1 values=0,0", "--vol",
+        "kind=constant value=1", "--n-steps", "4"],
+    "simulate-zvonkin-table-outside-knots": [
+        "simulate", "--drift", "kind=table knots=-1,1 values=0,0", "--vol",
+        "kind=constant value=1", "--n-steps", "4", "--scheme", "zvonkin-em"],
 }
 
 # commands without --out, rejected before they print anything

@@ -13,8 +13,10 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  sync_distance_mc)
 from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
                               constant, ou, sign_switch, table)
+from adapted_ot.lattice import build_lattice
 from adapted_ot.noise import (_resolve_threads, constant_rho,
-                              sample_correlated_pair)
+                              sample_correlated_pair, truncation_level)
+from adapted_ot.transport import bicausal_dp
 from adapted_ot.presets import get_preset, mollified_abs_ladder
 
 UNIT_VOL = constant(1.0, role="diffusion")
@@ -69,6 +71,29 @@ def test_closed_form_mean_reverting_family_is_two_affine_drifts():
                             two) is None
     # theta = 0 is the zero constant drift
     assert closed_form_cost(ou(0.0), UNIT_VOL, ou(0.0), two) == 0.5
+
+
+@pytest.mark.parametrize("p", [np.nan, 0.5, True])
+def test_closed_form_cost_checks_p(p):
+    # NaN and 0.5 returned None ("no closed form"), True the p = 1 answer
+    with pytest.raises(ConfigError, match="cost exponent p"):
+        closed_form_cost(constant(1.0), UNIT_VOL, constant(0.0), UNIT_VOL, p=p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sync_distance_mc(constant(0.0), UNIT_VOL, constant(0.0), UNIT_VOL,
+                              TimeGrid(4), 2, 10, seed=True), "non-negative integers"),
+    (lambda: bicausal_dp(*[build_lattice(constant(0.0), UNIT_VOL, 2, 2, 10)] * 2,
+                         p=True), "cost exponent p"),
+    (lambda: truncation_level(0.1, True), "truncation multiplier K"),
+    (lambda: build_lattice(constant(0.0), UNIT_VOL, 2, 2, 10, trunc_k=True),
+     "truncation multiplier K"),
+    (lambda: constant_rho(True), "rho must lie"),
+], ids=["seed", "p", "truncation-level", "lattice-trunc-k", "rho"])
+def test_bools_are_refused_where_sizes_refuse_them(call, message):
+    # each ran as 1 (seed 1, p = 1, K = 1, rho = 1)
+    with pytest.raises(ConfigError, match=message):
+        call()
 
 
 def test_em_expected_cost_bias_is_first_order():

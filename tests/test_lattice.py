@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from adapted_ot.lattice import (build_lattice, check_fosd,
                                 fosd_sufficient_condition, quantile_bins,
                                 quantize_increment)
-from adapted_ot.model import (ConfigError, MarkovLattice, NotMarkovianError,
-                              affine, constant, ou, sign_switch, table)
+from adapted_ot.model import (ConfigError, MarkovLattice, affine, constant,
+                              ou, sign_switch, table)
 from adapted_ot.noise import truncate_increments, truncation_level
 from adapted_ot.presets import PRESETS, get_preset
 from kernels import sparse
@@ -167,7 +167,7 @@ def test_build_lattice_deterministic_drift():
 
 
 def test_build_lattice_rejects_path_dependent():
-    with pytest.raises(NotMarkovianError):
+    with pytest.raises(ConfigError, match="sign_switch has no Lipschitz constant"):
         build_lattice(sign_switch(5.0, 0.1), UNIT_VOL, 4, 3, 20)
 
 

@@ -9,10 +9,9 @@ from adapted_ot.acceptance import random_tree
 from adapted_ot.estimate import em_expected_cost
 from adapted_ot.lattice import build_lattice, check_fosd, quantize_increment
 from adapted_ot.model import (COEFFICIENT_KINDS, CoefficientSpec,
-                              ConfigError, DiscretePathMeasure,
-                              ExtrapolationError, MarkovLattice,
-                              NotMarkovianError, SamplePath, TimeGrid, affine,
-                              constant, eval_coefficient, interp_point,
+                              ConfigError, DiscretePathMeasure, MarkovLattice,
+                              SamplePath, TimeGrid, affine, constant,
+                              eval_coefficient, interp_point,
                               lipschitz_constant, ou, parse_coefficient,
                               sign_switch, table)
 from adapted_ot.transport import kr_coupling
@@ -44,15 +43,31 @@ def test_eval_sign_switch_after_switch_time():
 
 def test_sign_switch_is_not_markovian():
     spec = sign_switch(5.0, 0.1)
-    with pytest.raises(NotMarkovianError):
+    with pytest.raises(ConfigError, match="sign_switch is path-dependent; "
+                                          "use eval_coefficient"):
         spec.evaluate(1.0)
-    with pytest.raises(NotMarkovianError):
+    with pytest.raises(ConfigError, match="sign_switch has no Lipschitz constant"):
         lipschitz_constant(spec)
+
+
+def test_sign_switch_is_no_diffusion():
+    # it constructed, and the parser returned a drift for role="diffusion"
+    message = ("sign_switch is a path-dependent drift; it cannot be a "
+               "diffusion coefficient")
+    with pytest.raises(ConfigError, match=message):
+        CoefficientSpec(kind="sign_switch", role="diffusion", level=1.0,
+                        switch_time=0.5)
+    for text, role in [("kind=sign_switch level=1 switch_time=0.5", "diffusion"),
+                       ("kind=sign_switch level=1 switch_time=0.5 role=diffusion",
+                        None)]:
+        with pytest.raises(ConfigError, match=message):
+            parse_coefficient(text, role=role)
 
 
 def test_table_refuses_extrapolation():
     spec = table([0.0, 1.0], [0.0, 2.0])
-    with pytest.raises(ExtrapolationError):
+    with pytest.raises(ConfigError,
+                       match=r"^table query outside knot range \[0\.0, 1\.0\]$"):
         spec.evaluate(1.5)
 
 
@@ -103,10 +118,11 @@ def test_float_evaluator_matches_evaluate_bit_for_bit(spec):
 def test_float_evaluator_raises_what_evaluate_raises():
     spec = table([0.0, 1.0], [0.0, 2.0])
     f = spec.float_evaluator()
+    message = r"^table query outside knot range \[0\.0, 1\.0\]$"
     for x in (-1e-300, 1.0 + 2**-52, -5.0, 7.0):
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(ConfigError, match=message):
             spec.evaluate(x)
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(ConfigError, match=message):
             f(x)
     negative = affine(0.0, 1.0, role="diffusion")
     f = negative.float_evaluator()
@@ -118,7 +134,8 @@ def test_float_evaluator_raises_what_evaluate_raises():
     assert f(0.25) == 0.5
     with pytest.raises(ConfigError):
         f(0.75)
-    with pytest.raises(NotMarkovianError):
+    with pytest.raises(ConfigError, match="sign_switch is path-dependent; "
+                                          "use eval_coefficient"):
         sign_switch(5.0, 0.1).float_evaluator()
 
 

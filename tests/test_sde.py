@@ -120,6 +120,20 @@ def test_zvonkin_rejects_a_non_finite_anchor(x0):
         zvonkin_transform(constant(1.0), UNIT_VOL, x0)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf])
+@pytest.mark.parametrize("run", [
+    lambda x0: euler_maruyama(ou(1.0), UNIT_VOL, TimeGrid(4), np.zeros(4), x0=x0),
+    lambda x0: monotone_em(ou(1.0), UNIT_VOL, TimeGrid(4), 4, np.zeros((4, 2)),
+                           x0=x0),
+    lambda x0: euler_maruyama(sign_switch(1.0, 0.5), UNIT_VOL, TimeGrid(4),
+                              np.zeros(4), x0=x0),
+], ids=["em", "monotone-em", "em-sign-switch"])
+def test_single_path_schemes_reject_a_non_finite_start(run, x0):
+    # "scheme diverged at stage 1" (DivergenceError) before
+    with pytest.raises(ConfigError, match="x0 must be finite"):
+        run(x0)
+
+
 def test_zvonkin_rejects_vanishing_diffusion():
     # zero diffusion at the edge of the tabulation interval
     with pytest.raises(ConfigError):
