@@ -206,7 +206,7 @@ def criterion_5_scaling_limit(seed=DEFAULT_SEED, quick=False):
 
 def criterion_6_sync_oracles(seed=DEFAULT_SEED, quick=False):
     """Monte Carlo synchronous costs match the scheme's exact expectation,
-    and the scheme converges to the closed-form registry at first order."""
+    and the scheme converges to the closed-form cost at first order."""
     n_samples = 10000 if quick else 100000
     n_steps = 64
     grid = TimeGrid(n_steps)

@@ -1,8 +1,8 @@
 """Monte Carlo estimators and experiment drivers: synchronous-coupling
 distance, correlation-control scans, the scaled-DP convergence study, the
-coefficient-stability study, the non-Markovian counterexample, and a
-closed-form oracle registry.  The step increments and the batch recursion
-``_propagate`` they run come from ``sde``, the one scheme layer.
+coefficient-stability study, the non-Markovian counterexample, and the
+exact costs of affine pairs, continuous and ``em``.  The step increments
+and the batch recursion ``_propagate`` come from ``sde``, the scheme layer.
 
 Costs integrate the scheme's piecewise-linear interpolant exactly on each
 segment; for quadratic cost a Brownian-bridge variance term corrects for the
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_lattice, check_fosd
+from .lattice import build_lattice, check_fosd, require_markovian
 from .model import (ConfigError, DivergenceError, TimeGrid, check_p,
                     positive_int, sign_switch)
 from .noise import (_stride, batch_moments, constant_rho, map_batches,
@@ -266,6 +266,7 @@ def convergence_study(b_x, sigma_x, b_y, sigma_y, p, n_list, m, max_support,
     the row, which is still computed.
     """
     grids = [TimeGrid(n) for n in n_list]  # checked before the MC column runs
+    require_markovian(b_x, sigma_x, b_y, sigma_y)  # and so are these
     mc = sync_distance_mc(b_x, sigma_x, b_y, sigma_y, TimeGrid(mc_n_steps), p,
                           mc_samples, seed=seed, x0=x0, threads=threads)
     rows = []
@@ -357,60 +358,53 @@ def counterexample_nonmarkov(level, switch_time, grid, n_samples=100000, seed=0)
     return MCResult(*pool_moments(sync)), MCResult(*pool_moments(asyn))
 
 
-def _constant_value(spec):
-    """The constant a coefficient reduces to, or None."""
-    if spec.kind == "constant":
-        return spec.value
-    if spec.kind == "affine" and spec.slope == 0.0:
-        return spec.intercept
-    if spec.kind == "table" and len(set(spec.values)) == 1:
-        return spec.values[0]
-    return None
+def _affine_pair(b_x, sigma_x, b_y, sigma_y):
+    """((c_x, c_y), (a_x, a_y), (s_x, s_y)) for two drifts c + a x with
+    constant volatilities s (a constant-valued table is a constant), or
+    None for any other pair.  A negative volatility is refused."""
+    forms = []
+    for k, spec in enumerate((b_x, b_y, sigma_x, sigma_y)):
+        if spec.kind == "constant":
+            forms.append((spec.value, 0.0))
+        elif spec.kind == "affine" and (k < 2 or spec.slope == 0.0):
+            forms.append((spec.intercept, spec.slope))
+        elif spec.kind == "table" and len(set(spec.values)) == 1:
+            forms.append((spec.values[0], 0.0))
+        else:
+            return None
+    (c_x, a_x), (c_y, a_y), (s_x, _), (s_y, _) = forms
+    if min(s_x, s_y) < 0:
+        raise ConfigError("diffusion coefficient evaluated to a negative value")
+    return (c_x, c_y), (a_x, a_y), (s_x, s_y)
 
 
 def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
-    """Closed-form synchronous cost for the registered families, else None.
-
-    Constant pair (c1, s) / (c2, sbar): (c1-c2)^2/3 + (s-sbar)^2/2.
-    Mean-reverting pair (two drifts affine(0, -theta), theta > 0) with constant
-    volatilities: (s-sbar)^2 [1/(2 theta) - (1-e^{-2 theta})/(4 theta^2)].
-    Both require quadratic cost and initial value x0 = 0 for the constant
-    family's drift term.
-    """
+    """Synchronous cost at p = 2 of an ``_affine_pair`` from x0 = 0, else
+    None: D = X - Y is Gaussian, and 32-node Gauss-Legendre integrates its
+    mean^2 + variance over [0, 1], with g(r, t) = int_0^t e^{r u} du."""
     check_p(p)
-    if p != 2:
+    pair = _affine_pair(b_x, sigma_x, b_y, sigma_y)
+    if p != 2 or pair is None:
         return None
-    s1 = _constant_value(sigma_x)
-    s2 = _constant_value(sigma_y)
-    if s1 is None or s2 is None:
-        return None
-    c1 = _constant_value(b_x)
-    c2 = _constant_value(b_y)
-    if c1 is not None and c2 is not None:
-        return (c1 - c2) ** 2 / 3.0 + (s1 - s2) ** 2 / 2.0
-    if (b_x.kind == b_y.kind == "affine" and b_x.intercept == b_y.intercept == 0.0
-            and b_x.slope == b_y.slope < 0.0):
-        theta = -b_x.slope
-        return (s1 - s2) ** 2 * (1.0 / (2 * theta)
-                                 - (1.0 - math.exp(-2 * theta)) / (4 * theta**2))
-    return None
-
-
-def _affine_drift(spec):
-    """(intercept, slope) of a drift that is affine in the state, or None."""
-    c = _constant_value(spec)
-    if c is not None:
-        return c, 0.0
-    if spec.kind == "affine":
-        return spec.intercept, spec.slope
-    return None
+    (c_x, c_y), (a_x, a_y), (s_x, s_y) = pair
+    from numpy.polynomial.legendre import leggauss  # numpy only, on first call
+    t, weights = leggauss(32)
+    t = 0.5 * (t + 1.0)
+    # below 1e-20, g is t to the last bit, and r t may be subnormal
+    g = lambda r: t if abs(r) < 1e-20 else np.expm1(r * t) / r
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = c_x * g(a_x) - c_y * g(a_y)
+        var = s_x**2 * g(2 * a_x) - 2 * s_x * s_y * g(a_x + a_y) + s_y**2 * g(2 * a_y)
+        cost = 0.5 * float(weights @ (mean * mean + var))
+    if not math.isfinite(cost):
+        raise ConfigError(f"closed-form cost overflows a float (slopes {a_x}, {a_y})")
+    return cost
 
 
 def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     """Exact expectation of the quadratic coupled-cost estimator for the
-    ``em`` scheme on ``n_steps`` steps with noise correlation ``rho``, or
-    None outside affine drifts with constant volatilities.  Like
-    ``closed_form_cost``, it assumes x0 = 0.
+    ``em`` scheme on ``n_steps`` steps with noise correlation ``rho``, from
+    x0 = 0, or None unless the pair is an ``_affine_pair``.
 
     There the scheme pair Z = (X, Y) is linear Gaussian,
     Z' = A Z + c + g * (dW, dW_bar), whose noise has covariance
@@ -422,13 +416,13 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     """
     positive_int("n_steps", n_steps)
     rho = constant_rho(rho)
-    drifts = (_affine_drift(b_x), _affine_drift(b_y))
-    vols = (_constant_value(sigma_x), _constant_value(sigma_y))
-    if drifts[0] is None or drifts[1] is None or None in vols:
+    pair = _affine_pair(b_x, sigma_x, b_y, sigma_y)
+    if pair is None:
         return None
+    intercepts, slopes, vols = pair
     h = 1.0 / n_steps
-    a = np.diag([1.0 + h * drifts[0][1], 1.0 + h * drifts[1][1]])
-    c = h * np.array([drifts[0][0], drifts[1][0]], dtype=float)
+    a = np.diag([1.0 + h * slopes[0], 1.0 + h * slopes[1]])
+    c = h * np.array(intercepts, dtype=float)
     g = np.array(vols, dtype=float)
     noise_cov = h * np.outer(g, g) * np.array([[1.0, rho], [rho, 1.0]])
     e = np.array([1.0, -1.0])

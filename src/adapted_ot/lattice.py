@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (ConfigError, KernelRows, MarkovLattice, TimeGrid,
-                    lipschitz_constant, positive_int)
+                    positive_int)
 from .noise import truncation_level
 
 
@@ -120,6 +120,13 @@ def quantile_bins(masses, n_bins):
     return np.array(bins)
 
 
+def require_markovian(*specs):
+    """Refuse a path-dependent coefficient: a lattice node is a state."""
+    if not all(spec.is_markovian for spec in specs):
+        raise ConfigError("a lattice needs Markovian coefficients; "
+                          "sign_switch reads the path")
+
+
 def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
                   return_atom_maps=False):
     """Forward-construct the lattice of the quantized truncated scheme.
@@ -138,8 +145,7 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         raise ConfigError("max_support must be at least the atom count m")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0!r}")
-    for spec in (b, sigma):
-        lipschitz_constant(spec)  # rejects path-dependent kinds
+    require_markovian(b, sigma)
     h = TimeGrid(n_steps).h
     # the barrier formula degenerates at h = 1 (log 1 = 0); a single-step
     # chain uses the untruncated increment

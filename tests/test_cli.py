@@ -364,6 +364,11 @@ CONFIG_ERRORS = {
         "convergence", "--drift", SIGN_SWITCH, "--vol", "kind=constant value=1",
         "--drift-y", "kind=constant value=0", "--vol-y",
         "kind=constant value=1", "--samples", "100"],
+    # refused before the MC column, which took 2.5 s at a million samples
+    "convergence-sign-switch-drift-million-samples": [
+        "convergence", "--drift", SIGN_SWITCH, "--vol", "kind=constant value=1",
+        "--drift-y", "kind=constant value=0", "--vol-y",
+        "kind=constant value=1", "--samples", "1000000"],
     "simulate-sign-switch-vol": ["simulate", "--drift", "kind=constant value=0",
                                  "--vol", SIGN_SWITCH, "--n-steps", "4"],
     "simulate-table-outside-knots": [
@@ -407,6 +412,18 @@ def test_config_errors_exit_2(tmp_path, tmp_path_factory, capsys, case):
     out_text, err = capsys.readouterr()
     assert err.startswith("error: ") and out_text == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["lattice-sign-switch-drift",
+                                  "convergence-sign-switch-drift",
+                                  "convergence-sign-switch-drift-million-samples"])
+def test_a_lattice_refuses_a_path_dependent_drift_by_name(tmp_path, capsys,
+                                                          case):
+    # it named the Lipschitz certificate that build_lattice computes
+    assert main([*CONFIG_ERRORS[case], "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: a lattice needs Markovian "
+                                       "coefficients; sign_switch reads the "
+                                       "path\n")
 
 
 def _one_stage(row_sizes, index, weight, support="[0.0, 1.0]"):
@@ -594,6 +611,21 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     out = _run_fresh(f"import sys, adapted_ot; print({SCIPY_LOADED}); "
                      f"import adapted_ot.cli; print({SCIPY_LOADED})")
     assert out.splitlines() == ["[]", "[]"]
+
+
+def test_the_affine_oracles_leave_scipy_unloaded():
+    # a benchmark set-up calls them in a cold interpreter, where
+    # scipy.linalg alone would cost about 0.16 s and 26 MB
+    out = _run_fresh(f"""
+import sys
+from adapted_ot.estimate import closed_form_cost, em_expected_cost
+from adapted_ot.presets import PRESETS
+for pair in PRESETS.values():
+    closed_form_cost(*pair)
+    em_expected_cost(*pair, 8)
+print({SCIPY_LOADED})
+""")
+    assert out.splitlines() == ["[]"]
 
 
 def test_lattice_leg_runs_without_scipy_and_a_draw_loads_it(tmp_path):

@@ -53,9 +53,14 @@ def test_closed_form_registry():
     assert closed_form_cost(ou(1.0), UNIT_VOL, ou(1.0),
                             constant(2.0, role="diffusion")) \
         == pytest.approx(target, abs=1e-12)
-    assert closed_form_cost(ou(1.0), UNIT_VOL, ou(2.0), UNIT_VOL) is None
+    # int_0^1 g(r, t) dt = (e^r - 1 - r) / r^2, one term per variance term
+    assert closed_form_cost(ou(1.0), UNIT_VOL, ou(2.0), UNIT_VOL) \
+        == pytest.approx(0.5 - (1 - math.exp(-2)) / 4
+                         - 2 / 3 + 2 * (1 - math.exp(-3)) / 9
+                         + 0.25 - (1 - math.exp(-4)) / 16, abs=1e-15)
     assert closed_form_cost(affine(0.0, 1.0), UNIT_VOL, constant(0.0),
-                            UNIT_VOL) is None
+                            UNIT_VOL) \
+        == pytest.approx((math.exp(2) - 1) / 4 - 2 * math.e + 4, abs=1e-15)
 
 
 def test_closed_form_mean_reverting_family_is_two_affine_drifts():
@@ -63,14 +68,89 @@ def test_closed_form_mean_reverting_family_is_two_affine_drifts():
     target = 0.5 - (1 - math.exp(-2)) / 4
     assert closed_form_cost(affine(0.0, -1.0), UNIT_VOL, affine(0.0, -1.0),
                             two) == pytest.approx(target, abs=1e-12)
-    # equal slopes but an intercept: not mean-reverting to 0
+    # equal drifts: the intercept cancels from the mean of X - Y, and the
+    # cost is (s_x - s_y)^2 int_0^1 g(2a, t) dt
     for intercept in (0.5, -0.5):
         assert closed_form_cost(affine(intercept, -1.0), UNIT_VOL,
-                                affine(intercept, -1.0), two) is None
+                                affine(intercept, -1.0), two) \
+            == pytest.approx(target, abs=1e-15)
     assert closed_form_cost(affine(0.0, 1.0), UNIT_VOL, affine(0.0, 1.0),
-                            two) is None
+                            two) == pytest.approx((math.exp(2) - 3) / 4,
+                                                  abs=1e-15)
     # theta = 0 is the zero constant drift
     assert closed_form_cost(ou(0.0), UNIT_VOL, ou(0.0), two) == 0.5
+
+
+@pytest.mark.parametrize("name, value", [
+    ("drift-gap", 1 / 3), ("vol-gap", 1 / 8),
+    ("ou-vol", 0.5 - (1 - math.exp(-2)) / 4),
+    # mpmath quadrature of the same integrand at 40 digits
+    ("ou-vs-flat", 0.0480749384662685),
+    # the exponential terms cancel
+    ("affine-mix", 0.125)])
+def test_closed_form_cost_on_the_presets(name, value):
+    assert closed_form_cost(*get_preset(name)) == pytest.approx(value,
+                                                                abs=1e-12)
+
+
+def _van_loan_cost(c_x, a_x, s_x, c_y, a_y, s_y):
+    """int_0^1 E[(X_t - Y_t)^2] dt of the synchronous affine pair, from the
+    linear ODE of its first and second moments and the running integral,
+    by a matrix exponential.  State: E X, E Y, E X^2, E XY, E Y^2, 1, cost."""
+    from scipy.linalg import expm
+    ode = np.zeros((7, 7))
+    ode[0, [0, 5]] = a_x, c_x
+    ode[1, [1, 5]] = a_y, c_y
+    ode[2, [2, 0, 5]] = 2 * a_x, 2 * c_x, s_x * s_x
+    ode[3, [3, 1, 0, 5]] = a_x + a_y, c_x, c_y, s_x * s_y
+    ode[4, [4, 1, 5]] = 2 * a_y, 2 * c_y, s_y * s_y
+    ode[6, [2, 3, 4]] = 1.0, -2.0, 1.0
+    # eight steps of 1/8: one step of 1 lost up to 1e-12 on positive slopes
+    return np.linalg.matrix_power(expm(ode / 8), 8)[6, 5]
+
+
+def test_closed_form_cost_matches_a_van_loan_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        (a_x, a_y), (c_x, c_y), (s_x, s_y) = (
+            rng.uniform(-30, 3, 2), rng.uniform(-2, 2, 2), rng.uniform(0, 2, 2))
+        got = closed_form_cost(affine(c_x, a_x), constant(s_x, role="diffusion"),
+                               affine(c_y, a_y), constant(s_y, role="diffusion"))
+        assert got == pytest.approx(
+            _van_loan_cost(c_x, a_x, s_x, c_y, a_y, s_y), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ou-vs-flat", "affine-mix"])
+def test_em_expected_cost_bias_halves_on_affine_pairs(name):
+    pair = get_preset(name)
+    target = closed_form_cost(*pair)
+    bias = [em_expected_cost(*pair, n) - target for n in (64, 128, 256)]
+    assert 0.45 <= bias[1] / bias[0] <= 0.55
+    assert 0.45 <= bias[2] / bias[1] <= 0.55
+
+
+def test_oracles_refuse_a_negative_volatility():
+    # they returned 2.0 and 1.9999999999999998; the MC leg refuses the pair
+    pair = (constant(0.0), constant(-1.0, role="diffusion"), constant(0.0),
+            UNIT_VOL)
+    for oracle in (lambda: closed_form_cost(*pair),
+                   lambda: em_expected_cost(*pair, 8),
+                   lambda: sync_distance_mc(*pair, TimeGrid(4), 2, 10)):
+        with pytest.raises(ConfigError, match="negative value"):
+            oracle()
+
+
+def test_closed_form_cost_at_a_subnormal_slope():
+    # e^{r t} - 1 over r lost r t to underflow, and g(r, t) read 1, not t
+    assert closed_form_cost(affine(1.0, 5e-324), UNIT_VOL, constant(0.0),
+                            HALF_VOL) \
+        == closed_form_cost(constant(1.0), UNIT_VOL, constant(0.0), HALF_VOL)
+
+
+def test_closed_form_cost_refuses_overflow():
+    # e^{2 * 400} overflows: a ConfigError, not a RuntimeWarning or inf
+    with pytest.raises(ConfigError, match="overflows a float"):
+        closed_form_cost(affine(0.0, 400.0), UNIT_VOL, constant(0.0), UNIT_VOL)
 
 
 @pytest.mark.parametrize("p", [np.nan, 0.5, True])
@@ -399,6 +479,17 @@ def test_convergence_study_small():
         assert row.fosd_x and row.fosd_y
         assert row.dp_scaled <= row.kr_cost + 1e-9
     assert rows[1].dp_scaled < rows[0].dp_scaled
+
+
+def test_convergence_refuses_a_path_dependent_drift_before_the_mc(
+        monkeypatch):
+    runs = []
+    monkeypatch.setattr(estimate, "sync_distance_mc",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ConfigError, match="a lattice needs Markovian"):
+        convergence_study(sign_switch(1.0, 0.5), UNIT_VOL, constant(0.0),
+                          UNIT_VOL, 2, [2], 3, 20, mc_samples=10**6)
+    assert runs == []
 
 
 def test_convergence_mc_column_starts_at_x0():

@@ -167,7 +167,7 @@ def test_build_lattice_deterministic_drift():
 
 
 def test_build_lattice_rejects_path_dependent():
-    with pytest.raises(ConfigError, match="sign_switch has no Lipschitz constant"):
+    with pytest.raises(ConfigError, match="a lattice needs Markovian coefficients"):
         build_lattice(sign_switch(5.0, 0.1), UNIT_VOL, 4, 3, 20)
 
 
