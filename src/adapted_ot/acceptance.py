@@ -57,13 +57,12 @@ def random_lipschitz_pair(rng, h, trunc_k=4):
         else:
             b = constant(float(rng.uniform(-1, 1)))
         if rng.integers(0, 2) == 0:
-            s = constant(float(rng.uniform(0.3, 1.5)), role="diffusion")
+            s = constant(float(rng.uniform(0.3, 1.5)))
         else:
             slope = float(rng.uniform(-0.15, 0.15))
             base = float(rng.uniform(0.5, 1.5))
             knots = np.linspace(-60, 60, 13)
-            s = table(knots, np.maximum(base + slope * knots, 0.05),
-                      role="diffusion")
+            s = table(knots, np.maximum(base + slope * knots, 0.05))
         c0 = lipschitz_constant(b)
         c1 = lipschitz_constant(s)
         if fosd_sufficient_condition(c0, c1, h, trunc_k):
@@ -329,7 +328,7 @@ def criterion_10_zvonkin(seed=DEFAULT_SEED, quick=False):
     n_samples = 10000 if quick else 100000
     ks_tol = 0.03 if quick else 0.01
     b = constant(1.0)
-    s = constant(1.0, role="diffusion")
+    s = constant(1.0)
     transform = zvonkin_transform(b, s, 0.0)
     cert_ok = transform.lipschitz_certificate == 2.0
     n_steps = 512  # keeps the truncated step inside the transform's range

@@ -71,10 +71,7 @@ def _coeff_pair(args):
     if any(v is None for v in needed):
         raise ConfigError("provide --preset or all of --drift/--vol/"
                           "--drift-y/--vol-y")
-    return (parse_coefficient(args.drift, role="drift"),
-            parse_coefficient(args.vol, role="diffusion"),
-            parse_coefficient(args.drift_y, role="drift"),
-            parse_coefficient(args.vol_y, role="diffusion"))
+    return tuple(map(parse_coefficient, needed))
 
 
 def _number_list(text, convert, flag):
@@ -86,8 +83,8 @@ def _number_list(text, convert, flag):
 
 
 def _cmd_simulate(args):
-    drift = parse_coefficient(args.drift, role="drift")
-    vol = parse_coefficient(args.vol, role="diffusion")
+    drift = parse_coefficient(args.drift)
+    vol = parse_coefficient(args.vol)
     grid = TimeGrid(args.n_steps)
     barrier, (transform,) = _scheme_maps(args.scheme, grid, args.trunc_k,
                                          args.x0, ((drift, vol),))
@@ -113,8 +110,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_lattice(args):
-    drift = parse_coefficient(args.drift, role="drift")
-    vol = parse_coefficient(args.vol, role="diffusion")
+    drift = parse_coefficient(args.drift)
+    vol = parse_coefficient(args.vol)
     lattice = build_lattice(drift, vol, args.n_steps, args.atoms,
                             args.max_support, trunc_k=args.trunc_k, x0=args.x0)
     Path(args.out).write_text(lattice.to_json() + "\n")

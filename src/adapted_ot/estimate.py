@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import build_lattice, check_fosd, require_markovian
-from .model import (ConfigError, DivergenceError, TimeGrid, check_p,
-                    positive_int, sign_switch)
+from .model import (ConfigError, DivergenceError, NEGATIVE_VOLATILITY,
+                    TimeGrid, check_p, positive_int, sign_switch)
 from .noise import (_stride, batch_moments, constant_rho, map_batches,
                     pool_moments, replicate_normals, sample_correlated_pair)
 from .sde import _propagate, _scheme_maps, _step_increments
@@ -374,7 +374,7 @@ def _affine_pair(b_x, sigma_x, b_y, sigma_y):
             return None
     (c_x, a_x), (c_y, a_y), (s_x, _), (s_y, _) = forms
     if min(s_x, s_y) < 0:
-        raise ConfigError("diffusion coefficient evaluated to a negative value")
+        raise ConfigError(NEGATIVE_VOLATILITY)
     return (c_x, c_y), (a_x, a_y), (s_x, s_y)
 
 
@@ -401,6 +401,7 @@ def closed_form_cost(b_x, sigma_x, b_y, sigma_y, p=2):
     return cost
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     """Exact expectation of the quadratic coupled-cost estimator for the
     ``em`` scheme on ``n_steps`` steps with noise correlation ``rho``, from
@@ -413,15 +414,16 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
     D = X - Y, plus the bridge term
     ((s_x - s_y)^2 + 2 (1 - rho) s_x s_y) h^2 / 6, a quadratic form in those
     moments.  Against ``closed_form_cost`` this is the scheme's exact bias.
+    A cost that overflows a float is refused (ConfigError).
     """
     positive_int("n_steps", n_steps)
     rho = constant_rho(rho)
     pair = _affine_pair(b_x, sigma_x, b_y, sigma_y)
     if pair is None:
         return None
-    intercepts, slopes, vols = pair
+    intercepts, (a_x, a_y), vols = pair
     h = 1.0 / n_steps
-    a = np.diag([1.0 + h * slopes[0], 1.0 + h * slopes[1]])
+    a = np.diag([1.0 + h * a_x, 1.0 + h * a_y])
     c = h * np.array(intercepts, dtype=float)
     g = np.array(vols, dtype=float)
     noise_cov = h * np.outer(g, g) * np.array([[1.0, rho], [rho, 1.0]])
@@ -436,4 +438,6 @@ def em_expected_cost(b_x, sigma_x, b_y, sigma_y, n_steps, rho=1.0):
         total += h * (e @ (second + cross + second_next) @ e) / 3.0
         mean = a @ mean + c
         second = second_next
+    if not math.isfinite(total):
+        raise ConfigError(f"em expected cost overflows a float (slopes {a_x}, {a_y})")
     return float(total)

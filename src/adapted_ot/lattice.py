@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (ConfigError, KernelRows, MarkovLattice, TimeGrid,
-                    positive_int)
+from .model import (ConfigError, KernelRows, MarkovLattice, NEGATIVE_VOLATILITY,
+                    TimeGrid, positive_int, require_volatility)
 from .noise import truncation_level
 
 
@@ -145,7 +145,8 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         raise ConfigError("max_support must be at least the atom count m")
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0!r}")
-    require_markovian(b, sigma)
+    require_volatility(sigma)
+    require_markovian(b)
     h = TimeGrid(n_steps).h
     # the barrier formula degenerates at h = 1 (log 1 = 0); a single-step
     # chain uses the untruncated increment
@@ -160,6 +161,8 @@ def build_lattice(b, sigma, n_steps, m, max_support, trunc_k=4, x0=0.0,
         support = supports[-1]
         drift = np.asarray(b.evaluate(support), dtype=float)
         vol = np.asarray(sigma.evaluate(support), dtype=float)
+        if vol.min() < 0:
+            raise ConfigError(NEGATIVE_VOLATILITY)
         children = (support[:, None] + h * drift[:, None]
                     + vol[:, None] * atoms[None, :])
         raw_vals, inverse = np.unique(children, return_inverse=True)

@@ -59,10 +59,10 @@ def positive_int(name, value):
 
 
 COEFFICIENT_KINDS = ("constant", "affine", "table", "sign_switch")
-ROLES = ("drift", "diffusion")
 
 _KNOT_RANGE = "table query outside knot range [{}, {}]"
 _PATH_DEPENDENT = "sign_switch is path-dependent; use eval_coefficient"
+NEGATIVE_VOLATILITY = "diffusion coefficient evaluated to a negative value"
 
 # Divergence threshold: anything beyond this is treated as a blow-up rather
 # than silently propagating to inf/nan.
@@ -85,7 +85,6 @@ class CoefficientSpec:
     """
 
     kind: str
-    role: str = "drift"
     value: float = 0.0
     intercept: float = 0.0
     slope: float = 0.0
@@ -97,8 +96,6 @@ class CoefficientSpec:
     def __post_init__(self):
         if self.kind not in COEFFICIENT_KINDS:
             raise ConfigError(f"unknown coefficient kind {self.kind!r}")
-        if self.role not in ROLES:
-            raise ConfigError(f"unknown coefficient role {self.role!r}")
         for name in ("value", "intercept", "slope", "level", "switch_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"coefficient {name} must be finite")
@@ -110,9 +107,6 @@ class CoefficientSpec:
                 raise ConfigError("table knots must be strictly increasing")
             if not (np.isfinite(knots).all() and np.isfinite(values).all()):
                 raise ConfigError("table knots/values must be finite")
-        if self.kind == "sign_switch" and self.role != "drift":
-            raise ConfigError(f"sign_switch is a path-dependent drift; it cannot "
-                              f"be a {self.role} coefficient")
         if self.kind == "sign_switch" and not 0.0 < self.switch_time < 1.0:
             raise ConfigError("sign_switch switch_time must lie in (0, 1)")
 
@@ -128,11 +122,9 @@ class CoefficientSpec:
                 np.asarray(self.values, dtype=float))
 
     def evaluate(self, x):
-        """Evaluate a Markovian coefficient at state(s) ``x`` (scalar or array).
-
-        Diffusion coefficients are checked to be nonnegative on the queried
-        points; tables refuse to extrapolate.
-        """
+        """Evaluate a Markovian coefficient at state(s) ``x`` (scalar or array);
+        tables refuse to extrapolate.  The sign of a volatility is checked
+        where it is evaluated as one (``NEGATIVE_VOLATILITY``)."""
         if not self.is_markovian:
             raise ConfigError(_PATH_DEPENDENT)
         x = np.asarray(x, dtype=float)
@@ -145,36 +137,32 @@ class CoefficientSpec:
                 out = self.intercept + out
         else:  # table
             out = np.asarray(checked_interp(x, *self._table_arrays, _KNOT_RANGE))
-        if self.role == "diffusion" and out.size and out.min() < 0:
-            raise ConfigError("diffusion coefficient evaluated to a negative value")
         return out if out.ndim else float(out)
 
     def float_evaluator(self):
         """``evaluate`` for one Python float, without numpy dispatch.
 
-        Same arithmetic, so the same bits, and the same checks on every
-        call (extrapolation, negative diffusion).  Build it once per path.
+        Same arithmetic, so the same bits, and the same extrapolation check
+        on every call.  Build it once per path.
         """
         if not self.is_markovian:
             raise ConfigError(_PATH_DEPENDENT)
         if self.kind == "constant":
             value = self.value
-            f = lambda x: value
-        elif self.kind == "affine":
+            return lambda x: value
+        if self.kind == "affine":
             intercept, slope = self.intercept, self.slope
-            f = ((lambda x: intercept + slope * x) if intercept
-                 else (lambda x: slope * x))
-        else:
-            f = table_lookup(self.knots, self.values, _KNOT_RANGE)
-        if self.role == "drift":
-            return f
+            return ((lambda x: intercept + slope * x) if intercept
+                    else (lambda x: slope * x))
+        return table_lookup(self.knots, self.values, _KNOT_RANGE)
 
-        def diffusion(x):
-            out = f(x)
-            if out < 0:
-                raise ConfigError("diffusion coefficient evaluated to a negative value")
-            return out
-        return diffusion
+
+def require_volatility(sigma):
+    """Refuse a path-dependent volatility; each evaluation of a volatility
+    runs this, then refuses a negative value with ``NEGATIVE_VOLATILITY``."""
+    if not sigma.is_markovian:
+        raise ConfigError("sign_switch is a path-dependent drift; it cannot "
+                          "be a volatility")
 
 
 def interp_point(x, xs, ys):
@@ -225,12 +213,12 @@ def table_lookup(xs, ys, message):
     return lookup
 
 
-def constant(c, role="drift"):
-    return CoefficientSpec(kind="constant", role=role, value=float(c))
+def constant(c):
+    return CoefficientSpec(kind="constant", value=float(c))
 
 
-def affine(intercept, slope, role="drift"):
-    return CoefficientSpec(kind="affine", role=role, intercept=float(intercept),
+def affine(intercept, slope):
+    return CoefficientSpec(kind="affine", intercept=float(intercept),
                            slope=float(slope))
 
 
@@ -239,14 +227,13 @@ def ou(theta):
     return affine(0.0, -float(theta))
 
 
-def table(knots, values, role="drift"):
-    return CoefficientSpec(kind="table", role=role,
-                           knots=tuple(float(k) for k in knots),
+def table(knots, values):
+    return CoefficientSpec(kind="table", knots=tuple(float(k) for k in knots),
                            values=tuple(float(v) for v in values))
 
 
 def sign_switch(level, switch_time):
-    return CoefficientSpec(kind="sign_switch", role="drift", level=float(level),
+    return CoefficientSpec(kind="sign_switch", level=float(level),
                            switch_time=float(switch_time))
 
 
@@ -561,9 +548,18 @@ def _int_array(values):
 #   kind=table knots=0,1,2 values=3,4,5
 #   kind=sign_switch level=5 switch_time=0.1
 #
-# ``role`` is optional and defaults to "drift".
+# Each kind reads exactly the keys shown; any other key is refused.  The
+# text says nothing of drift or volatility: where the spec is passed does.
 
-def parse_coefficient(text, role=None):
+# kind -> (constructor, the keys it reads, in its argument order)
+_TEXT_FORMS = {"constant": (constant, ("value",)),
+               "affine": (affine, ("intercept", "slope")),
+               "ou": (ou, ("theta",)),
+               "table": (table, ("knots", "values")),
+               "sign_switch": (sign_switch, ("level", "switch_time"))}
+
+
+def parse_coefficient(text):
     """Parse the key=value text schema back into a CoefficientSpec."""
     fields = {}
     for token in text.split():
@@ -574,27 +570,17 @@ def parse_coefficient(text, role=None):
     if "kind" not in fields:
         raise ConfigError("coefficient text needs a kind= token")
     kind = fields.pop("kind")
-    if role is None:
-        role = fields.pop("role", "drift")
-    else:
-        fields.pop("role", None)
+    if kind not in _TEXT_FORMS:
+        raise ConfigError(f"unknown coefficient kind {kind!r}")
+    make, keys = _TEXT_FORMS[kind]
+    for key in fields:
+        if key not in keys:
+            raise ConfigError(f"coefficient kind {kind!r} reads no key {key!r}")
     try:
-        if kind == "constant":
-            return constant(float(fields["value"]), role=role)
-        if kind == "affine":
-            return affine(float(fields["intercept"]), float(fields["slope"]), role=role)
-        if kind == "ou":
-            return affine(0.0, -float(fields["theta"]), role=role)
-        if kind == "table":
-            knots = [float(v) for v in fields["knots"].split(",")]
-            values = [float(v) for v in fields["values"].split(",")]
-            return table(knots, values, role=role)
-        if kind == "sign_switch":
-            return CoefficientSpec(kind="sign_switch", role=role,
-                                   level=float(fields["level"]),
-                                   switch_time=float(fields["switch_time"]))
+        args = [[float(v) for v in fields[key].split(",")] if kind == "table"
+                else float(fields[key]) for key in keys]
     except KeyError as exc:
         raise ConfigError(f"missing coefficient field {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad coefficient value: {exc}") from exc
-    raise ConfigError(f"unknown coefficient kind {kind!r}")
+    return make(*args)

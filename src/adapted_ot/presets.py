@@ -10,20 +10,16 @@ from .model import ConfigError, affine, constant, ou, table
 # name -> (drift_x, vol_x, drift_y, vol_y)
 PRESETS = {
     # constant drift gap, common unit volatility: sync cost 1/3 at p=2
-    "drift-gap": (constant(1.0), constant(1.0, role="diffusion"),
-                  constant(0.0), constant(1.0, role="diffusion")),
+    "drift-gap": (constant(1.0), constant(1.0), constant(0.0), constant(1.0)),
     # driftless, volatility 1 vs 0.5: sync cost 0.125 at p=2
-    "vol-gap": (constant(0.0), constant(1.0, role="diffusion"),
-                constant(0.0), constant(0.5, role="diffusion")),
+    "vol-gap": (constant(0.0), constant(1.0), constant(0.0), constant(0.5)),
     # mean reversion with a volatility gap: sync cost 0.283834 at p=2
-    "ou-vol": (ou(1.0), constant(1.0, role="diffusion"),
-               ou(1.0), constant(2.0, role="diffusion")),
+    "ou-vol": (ou(1.0), constant(1.0), ou(1.0), constant(2.0)),
     # mean-reverting versus driftless diffusion: sync cost 0.048075 at p=2
-    "ou-vs-flat": (ou(1.0), constant(1.0, role="diffusion"),
-                   constant(0.0), constant(1.0, role="diffusion")),
+    "ou-vs-flat": (ou(1.0), constant(1.0), constant(0.0), constant(1.0)),
     # gentle affine drift against a constant pair: sync cost 0.125 at p=2
-    "affine-mix": (affine(0.5, -0.5), constant(1.0, role="diffusion"),
-                   constant(0.0), constant(0.5, role="diffusion")),
+    "affine-mix": (affine(0.5, -0.5), constant(1.0),
+                   constant(0.0), constant(0.5)),
 }
 
 # level j tabulates 16 * 2^j + 2 knots, so each level doubles the ladder's
@@ -44,7 +40,7 @@ def mollified_abs_ladder(levels):
         raise ConfigError(f"at most {MAX_LADDER_LEVELS} ladder levels, "
                           f"got {levels}")
     knots = np.unique(np.concatenate([np.linspace(-8, 8, 33), [0.0]]))
-    vol = constant(1.0, role="diffusion")
+    vol = constant(1.0)
     approx = []
     for level in range(levels):
         spacing = 2.0 ** (-level)

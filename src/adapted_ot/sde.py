@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, DivergenceError, DIVERGENCE_THRESHOLD,
-                    SamplePath, TimeGrid, checked_interp, lipschitz_constant,
-                    table_lookup)
+                    NEGATIVE_VOLATILITY, SamplePath, TimeGrid, checked_interp,
+                    lipschitz_constant, require_volatility, table_lookup)
 from .noise import IncrementBlock, truncate_increments, truncation_level
 
 # the scheme names of ``simulate --scheme`` and the Monte Carlo estimators
@@ -51,7 +51,8 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
 
     Without ``transform`` the step is x <- x + h b(x) + sigma(x) delta; with
     a drift-removing transform T it is y <- y + T'(x) sigma(x) delta in
-    y = T(x), mapped back by x = T^{-1}(y).  ConfigError for a non-finite x0.
+    y = T(x), mapped back by x = T^{-1}(y).  ConfigError for a non-finite x0
+    and, at the step that meets it, for a negative sigma(x).
     """
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0!r}")
@@ -67,6 +68,7 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
                                   stage=int(stage[0]))
         return SamplePath(grid=grid, values=paths[:, 0])
     x = float(x0)
+    require_volatility(sigma)
     sig = sigma.float_evaluator()
     if transform is not None:
         forward, derivative, inverse = transform.float_maps()
@@ -75,11 +77,14 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
         drift = b.float_evaluator()
     values = [x]
     for k, delta in enumerate(deltas.tolist()):
+        s = sig(x)
+        if s < 0:
+            raise ConfigError(NEGATIVE_VOLATILITY)
         if transform is not None:
-            y = y + derivative(x) * sig(x) * delta
+            y = y + derivative(x) * s * delta
             x = inverse(y)
         else:
-            x = x + h * drift(x) + sig(x) * delta
+            x = x + h * drift(x) + s * delta
         if not math.isfinite(x) or abs(x) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(f"scheme diverged at stage {k + 1}", stage=k + 1)
         values.append(x)
@@ -87,13 +92,12 @@ def _run_scheme(b, sigma, grid, deltas, x0, transform=None):
 
 
 def _row_map(spec):
-    """``spec`` read once for ``_propagate``: a constant as its float (a
-    negative diffusion constant is refused here, once), else ``f(x, out)``,
-    which writes ``spec.evaluate(x)`` into the row ``out``.  Affine drifts
-    are ``out=`` ufuncs in ``evaluate``'s order."""
+    """``spec`` read once for ``_propagate``: a constant as its float, else
+    ``f(x, out)``, which writes ``spec.evaluate(x)`` into the row ``out``.
+    Affine coefficients are ``out=`` ufuncs in ``evaluate``'s order."""
     if spec.kind == "constant":
-        return spec.evaluate(0.0)  # the value, after evaluate's sign check
-    if spec.role == "drift" and spec.kind == "affine":
+        return spec.value
+    if spec.kind == "affine":
         intercept, slope = spec.intercept, spec.slope
         if not intercept:
             return lambda x, out: np.multiply(slope, x, out=out)
@@ -117,10 +121,12 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     sign of the switch-time row, read once (an off-grid switch time raises
     ConfigError first).  With a drift-removing transform T it is the
     driftless step y <- y + T'(x) sigma(x) delta in y = T(x), mapped back by
-    x = T^{-1}(y).  Each coefficient is read once per call (``_row_map``).
-    Returns paths (N + 1, B), sigma values (N, B) and each replicate's first
-    diverged stage (0 for none), written to the arrays ``out``, if given,
-    else to new ones; each step reads and writes one contiguous row.  A
+    x = T^{-1}(y).  Each coefficient is read once per call (``_row_map``);
+    a negative sigma raises ConfigError, checked once for a constant, at
+    every step otherwise.  Returns paths (N + 1, B), sigma values (N, B)
+    and each replicate's first diverged stage (0 for none), written to the
+    arrays ``out``, if given, else to new ones; each step reads and writes
+    one contiguous row.  A
     constant sigma writes no sigma array: its values are one (N, 1) column,
     which broadcasts against (N, B), and the sigma slot of ``out`` may be
     None.  Diverged replicates are frozen at x0 so the batch can finish.  A
@@ -132,8 +138,11 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
     if out is None:
         out = (np.empty((n + 1, n_rep)), None, np.empty(n_rep, int))
     paths, sig, stage = out
+    require_volatility(sigma)
     vol = _row_map(sigma)
     if not callable(vol):
+        if vol < 0:
+            raise ConfigError(NEGATIVE_VOLATILITY)
         sig = np.full((n, 1), vol)
     elif sig is None:
         sig = np.empty((n, n_rep))
@@ -157,6 +166,8 @@ def _propagate(b, sigma, h, deltas, x0, transform=None, out=None):
         if callable(vol):
             sv = sig[k]
             vol(x, sv)
+            if n_rep and sv.min() < 0:
+                raise ConfigError(NEGATIVE_VOLATILITY)
         if transform is None:
             # x + h b(x) + sigma(x) delta, in that order
             if k == k_on:

@@ -360,11 +360,15 @@ class CoupledChain:
     lattice_y: MarkovLattice
     plans: tuple
 
-    def validate(self, tol=1e-10):
-        """Check one stage of plans per step, implicit ones gathered, against
-        the lattices' kernel rows: the rows' shape and the rows' masses."""
+    def __post_init__(self):
+        if self.lattice_x.n_steps != self.lattice_y.n_steps:
+            raise ConfigError("lattices must share the stage count")
         if len(self.plans) != self.lattice_x.n_steps:
             raise ConfigError(f"{len(self.plans)} stages of plans, not one a step")
+
+    def validate(self, tol=1e-10):
+        """Check each stage of plans, implicit ones gathered, against the
+        lattices' kernel rows: the rows' shape and the rows' masses."""
         for k, (plans, rows_x, rows_y) in enumerate(
                 zip(self.plans, self.lattice_x.kernel_rows,
                     self.lattice_y.kernel_rows)):
@@ -385,8 +389,6 @@ def kr_coupling(x_lattice, y_lattice):
     """Stagewise quantile coupling of the two lattices' conditional kernels
     (the common-uniform construction applied to every product state), in
     value order: a lattice not ``value_ordered`` is refused (``ConfigError``)."""
-    if x_lattice.n_steps != y_lattice.n_steps:
-        raise ConfigError("lattices must share the stage count")
     if not (x_lattice.value_ordered and y_lattice.value_ordered):
         raise ConfigError("kr_coupling needs stages strictly increasing in value")
     return CoupledChain(lattice_x=x_lattice, lattice_y=y_lattice,

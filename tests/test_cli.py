@@ -371,6 +371,12 @@ CONFIG_ERRORS = {
         "kind=constant value=1", "--samples", "1000000"],
     "simulate-sign-switch-vol": ["simulate", "--drift", "kind=constant value=0",
                                  "--vol", SIGN_SWITCH, "--n-steps", "4"],
+    # a key its kind does not read: this parsed to constant(1), and role=
+    # is no key of any kind
+    "simulate-unread-key": ["simulate", "--drift", "kind=constant value=1 slope=3",
+                            "--vol", "kind=constant value=1", "--n-steps", "4"],
+    "simulate-role-key": ["simulate", *OU_PATHS[:3],
+                          "kind=constant value=1 role=diffusion", "--n-steps", "4"],
     "simulate-table-outside-knots": [
         "simulate", "--drift", "kind=table knots=-0.1,0.1 values=0,0", "--vol",
         "kind=constant value=1", "--n-steps", "4"],
@@ -424,6 +430,13 @@ def test_a_lattice_refuses_a_path_dependent_drift_by_name(tmp_path, capsys,
     assert capsys.readouterr().err == ("error: a lattice needs Markovian "
                                        "coefficients; sign_switch reads the "
                                        "path\n")
+
+
+def test_simulate_refuses_a_path_dependent_volatility_by_name(tmp_path, capsys):
+    assert main([*CONFIG_ERRORS["simulate-sign-switch-vol"],
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: sign_switch is a path-dependent "
+                                       "drift; it cannot be a volatility\n")
 
 
 def _one_stage(row_sizes, index, weight, support="[0.0, 1.0]"):

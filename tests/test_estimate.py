@@ -11,16 +11,18 @@ from adapted_ot.estimate import (_segment_cost, closed_form_cost,
                                  convergence_study, counterexample_nonmarkov,
                                  em_expected_cost, rho_scan, stability_study,
                                  sync_distance_mc)
-from adapted_ot.model import (ConfigError, DivergenceError, TimeGrid, affine,
-                              constant, ou, sign_switch, table)
+from adapted_ot.model import (ConfigError, DivergenceError,
+                              NEGATIVE_VOLATILITY, TimeGrid, affine, constant,
+                              ou, sign_switch, table)
 from adapted_ot.lattice import build_lattice
 from adapted_ot.noise import (_resolve_threads, constant_rho,
                               sample_correlated_pair, truncation_level)
-from adapted_ot.transport import bicausal_dp
+from adapted_ot.sde import euler_maruyama, monotone_em, transformed_monotone_em
+from adapted_ot.transport import bicausal_dp, synchronous_product_chain
 from adapted_ot.presets import get_preset, mollified_abs_ladder
 
-UNIT_VOL = constant(1.0, role="diffusion")
-HALF_VOL = constant(0.5, role="diffusion")
+UNIT_VOL = constant(1.0)
+HALF_VOL = constant(0.5)
 
 
 def test_segment_cost_matches_quadrature():
@@ -51,7 +53,7 @@ def test_closed_form_registry():
         == pytest.approx(0.125)
     target = 0.5 - (1 - math.exp(-2)) / 4
     assert closed_form_cost(ou(1.0), UNIT_VOL, ou(1.0),
-                            constant(2.0, role="diffusion")) \
+                            constant(2.0)) \
         == pytest.approx(target, abs=1e-12)
     # int_0^1 g(r, t) dt = (e^r - 1 - r) / r^2, one term per variance term
     assert closed_form_cost(ou(1.0), UNIT_VOL, ou(2.0), UNIT_VOL) \
@@ -64,7 +66,7 @@ def test_closed_form_registry():
 
 
 def test_closed_form_mean_reverting_family_is_two_affine_drifts():
-    two = constant(2.0, role="diffusion")
+    two = constant(2.0)
     target = 0.5 - (1 - math.exp(-2)) / 4
     assert closed_form_cost(affine(0.0, -1.0), UNIT_VOL, affine(0.0, -1.0),
                             two) == pytest.approx(target, abs=1e-12)
@@ -114,8 +116,8 @@ def test_closed_form_cost_matches_a_van_loan_reference():
     for _ in range(200):
         (a_x, a_y), (c_x, c_y), (s_x, s_y) = (
             rng.uniform(-30, 3, 2), rng.uniform(-2, 2, 2), rng.uniform(0, 2, 2))
-        got = closed_form_cost(affine(c_x, a_x), constant(s_x, role="diffusion"),
-                               affine(c_y, a_y), constant(s_y, role="diffusion"))
+        got = closed_form_cost(affine(c_x, a_x), constant(s_x),
+                               affine(c_y, a_y), constant(s_y))
         assert got == pytest.approx(
             _van_loan_cost(c_x, a_x, s_x, c_y, a_y, s_y), rel=1e-12)
 
@@ -131,7 +133,7 @@ def test_em_expected_cost_bias_halves_on_affine_pairs(name):
 
 def test_oracles_refuse_a_negative_volatility():
     # they returned 2.0 and 1.9999999999999998; the MC leg refuses the pair
-    pair = (constant(0.0), constant(-1.0, role="diffusion"), constant(0.0),
+    pair = (constant(0.0), constant(-1.0), constant(0.0),
             UNIT_VOL)
     for oracle in (lambda: closed_form_cost(*pair),
                    lambda: em_expected_cost(*pair, 8),
@@ -182,7 +184,7 @@ def test_em_expected_cost_bias_is_first_order():
                  (constant(0.0), UNIT_VOL, constant(0.0), HALF_VOL)):
         assert em_expected_cost(*pair, 64) == pytest.approx(
             closed_form_cost(*pair), abs=1e-14)
-    two = constant(2.0, role="diffusion")
+    two = constant(2.0)
     target = closed_form_cost(ou(1.0), UNIT_VOL, ou(1.0), two)
     bias = [em_expected_cost(ou(1.0), UNIT_VOL, ou(1.0), two, n) - target
             for n in (64, 128, 256)]
@@ -191,7 +193,7 @@ def test_em_expected_cost_bias_is_first_order():
     assert 0.49 < bias[2] / bias[1] < 0.51
     assert em_expected_cost(table([0, 1], [0, 1]), UNIT_VOL, ou(1.0), two,
                             8) is None
-    assert em_expected_cost(ou(1.0), table([0, 1], [1, 2], role="diffusion"),
+    assert em_expected_cost(ou(1.0), table([0, 1], [1, 2]),
                             ou(1.0), two, 8) is None
 
 
@@ -542,12 +544,78 @@ def test_stability_study_golden_values(threads):
 @pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_negative_constant_volatility_is_refused(side, threads):
-    negative = constant(-0.5, role="diffusion")
+    negative = constant(-0.5)
     pair = [constant(0.0), UNIT_VOL, constant(0.0), UNIT_VOL]
     pair[1 if side == "x" else 3] = negative
     with pytest.raises(ConfigError,
                        match="^diffusion coefficient evaluated to a negative value$"):
         sync_distance_mc(*pair, TimeGrid(8), 2, 100, seed=1, threads=threads)
+
+
+def _each_side(run):
+    """A one-coefficient entry point run on the x pair, then the y pair."""
+    def both(b_x, s_x, b_y, s_y):
+        run(b_x, s_x)
+        run(b_y, s_y)
+    return both
+
+
+GRID = TimeGrid(4)
+# every entry point that takes a volatility, on (b_x, sigma_x, b_y, sigma_y)
+VOLATILITY_ENTRY_POINTS = {
+    "sync_distance_mc": lambda *pair: sync_distance_mc(*pair, GRID, 2, 10),
+    "rho_scan": lambda *pair: rho_scan(*pair, GRID, 2, [0.5], 10),
+    "convergence_study": lambda *pair: convergence_study(
+        *pair, 2, [2], 3, 9, mc_samples=10, mc_n_steps=4),
+    "build_lattice": _each_side(lambda b, s: build_lattice(b, s, 2, 3, 9)),
+    "synchronous_product_chain": lambda *pair: synchronous_product_chain(
+        *pair, 2, 3, 9),
+    "euler_maruyama": _each_side(
+        lambda b, s: euler_maruyama(b, s, GRID, np.zeros(4))),
+    "monotone_em": _each_side(
+        lambda b, s: monotone_em(b, s, GRID, 4, np.zeros((4, 1)))),
+    "transformed_monotone_em": _each_side(
+        lambda b, s: transformed_monotone_em(b, s, GRID, 4, np.zeros((4, 1)))),
+    "closed_form_cost": closed_form_cost,
+    "em_expected_cost": lambda *pair: em_expected_cost(*pair, 8),
+}
+# an oracle returns None for a non-constant table (the test below)
+ORACLES = ("closed_form_cost", "em_expected_cost")
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("entry, vol", [
+    (entry, vol) for entry in sorted(VOLATILITY_ENTRY_POINTS)
+    for vol in ("constant", "table") if vol == "constant" or entry not in ORACLES])
+def test_every_entry_point_refuses_a_negative_volatility(entry, vol, side):
+    # a spec is a volatility because it is passed as one; constant(-1.0)
+    # was taken as one by every entry point but the oracles
+    # negative at x0 = 0 (-0.25), and tabulated past the transform's range
+    negative = constant(-1.0) if vol == "constant" else table([-20.0, 20.0],
+                                                              [-1.0, 0.5])
+    pair = [ou(1.0), UNIT_VOL, constant(0.0), HALF_VOL]
+    pair[1 if side == "x" else 3] = negative
+    # the transform refuses a sigma that is not positive in its own words
+    match = ("uniformly positive" if entry == "transformed_monotone_em"
+             else f"^{NEGATIVE_VOLATILITY}$")
+    with pytest.raises(ConfigError, match=match):
+        VOLATILITY_ENTRY_POINTS[entry](*pair)
+
+
+def test_an_oracle_takes_no_non_constant_table_volatility():
+    vol = table([-20.0, 20.0], [-1.0, 0.5])
+    for pair in ((ou(1.0), vol, constant(0.0), HALF_VOL),
+                 (ou(1.0), UNIT_VOL, constant(0.0), vol)):
+        assert closed_form_cost(*pair) is None
+        assert em_expected_cost(*pair, 8) is None
+
+
+@pytest.mark.parametrize("slope, n_steps", [(1e3, 1000), (1e30, 8)])
+def test_em_expected_cost_refuses_an_overflow(slope, n_steps):
+    # the first returned nan after RuntimeWarnings, the second warned
+    with pytest.raises(ConfigError, match="em expected cost overflows a float"):
+        em_expected_cost(affine(0.0, slope), UNIT_VOL, constant(0.0), UNIT_VOL,
+                         n_steps)
 
 
 def test_mc_memory_does_not_grow_with_the_replicate_count():

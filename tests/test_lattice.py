@@ -15,7 +15,7 @@ from adapted_ot.noise import truncate_increments, truncation_level
 from adapted_ot.presets import PRESETS, get_preset
 from kernels import sparse
 
-UNIT_VOL = constant(1.0, role="diffusion")
+UNIT_VOL = constant(1.0)
 
 
 def _stage_marginals(lattice):
@@ -132,7 +132,7 @@ def test_build_lattice_keeps_means_and_stochastic_rows(drift, vol, n_steps, m,
     # merging replaces bins by their probability-weighted means, and the
     # quantized increment has mean zero, so each stage mean is exactly the
     # previous mean pushed through one drift step
-    lattice = build_lattice(drift, constant(vol, role="diffusion"), n_steps,
+    lattice = build_lattice(drift, constant(vol), n_steps,
                             m, m + extra)
     h = 1.0 / n_steps
     marginals = _stage_marginals(lattice)
@@ -157,7 +157,7 @@ def test_build_lattice_pure_noise_one_step():
 
 
 def test_build_lattice_deterministic_drift():
-    lattice = build_lattice(constant(1.0), constant(0.0, role="diffusion"),
+    lattice = build_lattice(constant(1.0), constant(0.0),
                             2, 2, 10)
     assert np.allclose(lattice.supports[1], [0.5])
     assert np.allclose(lattice.supports[2], [1.0])
@@ -223,7 +223,7 @@ def test_merged_lattice_marginals_track_quantized_chain():
     # contiguous quantile merging preserves stage means exactly but loses the
     # within-bin variance (about 2% here for a wide state-dependent vol)
     b = constant(0.5)
-    s = table([-60, 0, 60], [13.0, 1.0, 13.0], role="diffusion")
+    s = table([-60, 0, 60], [13.0, 1.0, 13.0])
     lattice = build_lattice(b, s, 4, 5, 30)
     lat_mean, lat_var = _lattice_moments(lattice)
     n_paths = 100000
@@ -247,7 +247,7 @@ def test_lattice_mean_matches_monotone_em():
 def test_fosd_certificate_on_certified_pair():
     # margin 1 - h C0 - A_h C1 > 0 with no merging (3^3 = 27 <= 40)
     b = ou(0.8)
-    s = table([-60, 60], [0.4, 24.4], role="diffusion")  # slope 0.2
+    s = table([-60, 60], [0.4, 24.4])  # slope 0.2
     assert fosd_sufficient_condition(0.8, 0.2, 1.0 / 3, 4)
     lattice = build_lattice(b, s, 3, 3, 40)
     assert max(len(sup) for sup in lattice.supports) <= 27
@@ -256,7 +256,7 @@ def test_fosd_certificate_on_certified_pair():
 
 def test_fosd_survives_contiguous_merging():
     b = ou(0.8)
-    s = table([-60, 60], [0.4, 24.4], role="diffusion")
+    s = table([-60, 60], [0.4, 24.4])
     merged = build_lattice(b, s, 5, 5, 12)  # raw supports exceed 12
     assert check_fosd(merged).ok
 
@@ -374,7 +374,7 @@ def test_lattice_keeps_its_rows_not_dense_kernels():
 
 
 def test_fosd_deterministic_increasing_is_certified():
-    lattice = build_lattice(constant(1.0), constant(0.0, role="diffusion"),
+    lattice = build_lattice(constant(1.0), constant(0.0),
                             3, 2, 10)
     assert check_fosd(lattice).ok
 

@@ -17,8 +17,8 @@ from adapted_ot.model import AdaptedOTError, TimeGrid, constant, table
 # state-dependent drift and volatility on X, a constant pair on Y; the
 # drifts are bounded, so the transformed scheme runs too
 PAIR = (table([-10.0, 0.0, 10.0], [-0.5, 0.5, -0.5]),
-        table([-10.0, 0.0, 10.0], [1.5, 1.0, 1.5], role="diffusion"),
-        constant(0.25), constant(0.75, role="diffusion"))
+        table([-10.0, 0.0, 10.0], [1.5, 1.0, 1.5]),
+        constant(0.25), constant(0.75))
 GRID = TimeGrid(16)
 N_SAMPLES = 2000
 SEED = 31

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from adapted_ot.acceptance import random_tree
 from adapted_ot.estimate import em_expected_cost
 from adapted_ot.lattice import build_lattice, check_fosd, quantize_increment
-from adapted_ot.model import (COEFFICIENT_KINDS, CoefficientSpec,
-                              ConfigError, DiscretePathMeasure, MarkovLattice,
-                              SamplePath, TimeGrid, affine, constant,
-                              eval_coefficient, interp_point,
-                              lipschitz_constant, ou, parse_coefficient,
-                              sign_switch, table)
+from adapted_ot.model import (COEFFICIENT_KINDS, NEGATIVE_VOLATILITY,
+                              CoefficientSpec, ConfigError,
+                              DiscretePathMeasure, MarkovLattice, SamplePath,
+                              TimeGrid, affine, constant, eval_coefficient,
+                              interp_point, lipschitz_constant, ou,
+                              parse_coefficient, sign_switch, table)
+from adapted_ot.sde import _propagate, euler_maruyama
 from adapted_ot.transport import kr_coupling
 from kernels import sparse
 
@@ -51,17 +52,18 @@ def test_sign_switch_is_not_markovian():
 
 
 def test_sign_switch_is_no_diffusion():
-    # it constructed, and the parser returned a drift for role="diffusion"
-    message = ("sign_switch is a path-dependent drift; it cannot be a "
-               "diffusion coefficient")
-    with pytest.raises(ConfigError, match=message):
-        CoefficientSpec(kind="sign_switch", role="diffusion", level=1.0,
-                        switch_time=0.5)
-    for text, role in [("kind=sign_switch level=1 switch_time=0.5", "diffusion"),
-                       ("kind=sign_switch level=1 switch_time=0.5 role=diffusion",
-                        None)]:
+    # a spec is a volatility because it is passed as one: each place that
+    # evaluates a volatility refuses a path-dependent one by that name
+    message = "^sign_switch is a path-dependent drift; it cannot be a volatility$"
+    vol = parse_coefficient("kind=sign_switch level=1 switch_time=0.5")
+    assert vol == sign_switch(1.0, 0.5)
+    grid = TimeGrid(4)
+    for run in (lambda: build_lattice(constant(0.0), vol, 4, 3, 9),
+                lambda: _propagate(constant(0.0), vol, grid.h, np.zeros((4, 3)), 0.0),
+                lambda: euler_maruyama(constant(0.0), vol, grid, np.zeros(4)),
+                lambda: euler_maruyama(vol, vol, grid, np.zeros(4))):
         with pytest.raises(ConfigError, match=message):
-            parse_coefficient(text, role=role)
+            run()
 
 
 def test_table_refuses_extrapolation():
@@ -72,9 +74,16 @@ def test_table_refuses_extrapolation():
 
 
 def test_diffusion_must_be_nonnegative():
-    spec = affine(0.0, 1.0, role="diffusion")
-    with pytest.raises(ConfigError):
-        spec.evaluate(-1.0)
+    # the spec evaluates anywhere; passed as a volatility, it is refused
+    # where it is negative, by the lattice, the batch and the single path
+    spec = affine(0.0, 1.0)
+    assert spec.evaluate(-1.0) == -1.0
+    grid = TimeGrid(4)
+    for run in (lambda: build_lattice(constant(0.0), spec, 4, 3, 9, x0=-1.0),
+                lambda: _propagate(constant(0.0), spec, grid.h, np.zeros((4, 3)), -1.0),
+                lambda: euler_maruyama(constant(0.0), spec, grid, np.zeros(4), x0=-1.0)):
+        with pytest.raises(ConfigError, match=f"^{NEGATIVE_VOLATILITY}$"):
+            run()
 
 
 def _same_bits(a, b):
@@ -82,15 +91,17 @@ def _same_bits(a, b):
 
 
 FLOAT_EVALUATOR_SPECS = [
-    constant(1.5), constant(-0.25, role="diffusion"), constant(0.7, role="diffusion"),
-    affine(0.5, -0.5), affine(0.3, 0.1, role="diffusion"), ou(1.0), ou(-0.7),
+    constant(1.5), constant(-0.25), constant(0.7),
+    affine(0.5, -0.5), affine(0.3, 0.1), ou(1.0), ou(-0.7),
     table(np.linspace(-3, 3, 13), np.sin(np.linspace(-3, 3, 13))),
-    table([-2.0, -0.5, 0.1, 2.5], [1.0, 0.2, 0.2, 3.0], role="diffusion"),
+    table([-2.0, -0.5, 0.1, 2.5], [1.0, 0.2, 0.2, 3.0]),
     table([0.0, 1e-3, 1.0], [0.0, 1e3, -1e3]),
 ]
-FLOAT_EVALUATOR_IDS = ["constant", "constant-negative-diffusion",
-                       "constant-diffusion", "affine", "affine-diffusion", "ou",
-                       "ou-negative", "table-sin", "table-diffusion",
+# a negative value is a value here: a volatility's sign is checked where a
+# scheme or a lattice evaluates it (tests/test_sde.py, tests/test_estimate.py)
+FLOAT_EVALUATOR_IDS = ["constant", "constant-negative",
+                       "constant-positive", "affine", "affine-gentle", "ou",
+                       "ou-negative", "table-sin", "table-positive",
                        "table-steep"]
 
 
@@ -105,12 +116,7 @@ def test_float_evaluator_matches_evaluate_bit_for_bit(spec):
         points = list(rng.normal(0.0, 3.0, 200)) + [0.0, -0.0, 1e300]
     f = spec.float_evaluator()
     for x in map(float, points):
-        try:
-            want = spec.evaluate(x)
-        except ConfigError:  # a negative diffusion value
-            with pytest.raises(ConfigError):
-                f(x)
-            continue
+        want = spec.evaluate(x)
         got = f(x)
         assert type(got) is float and _same_bits(got, want), (x, got, want)
 
@@ -124,16 +130,9 @@ def test_float_evaluator_raises_what_evaluate_raises():
             spec.evaluate(x)
         with pytest.raises(ConfigError, match=message):
             f(x)
-    negative = affine(0.0, 1.0, role="diffusion")
-    f = negative.float_evaluator()
-    assert f(2.0) == 2.0
-    with pytest.raises(ConfigError):
-        f(-1.0)
-    negative_table = table([0.0, 1.0], [1.0, -1.0], role="diffusion")
-    f = negative_table.float_evaluator()
-    assert f(0.25) == 0.5
-    with pytest.raises(ConfigError):
-        f(0.75)
+    # a negative value is a value: only a volatility's evaluation refuses it
+    assert affine(0.0, 1.0).float_evaluator()(-1.0) == -1.0
+    assert table([0.0, 1.0], [1.0, -1.0]).float_evaluator()(0.75) == -0.5
     with pytest.raises(ConfigError, match="sign_switch is path-dependent; "
                                           "use eval_coefficient"):
         sign_switch(5.0, 0.1).float_evaluator()
@@ -195,8 +194,8 @@ def test_coefficient_text_parses_every_kind():
     texts = {"kind=constant value=1.5": constant(1.5),
              "kind=affine intercept=0.25 slope=-2.0": affine(0.25, -2.0),
              "kind=ou theta=0.7": ou(0.7),
-             "kind=table knots=-1.0,0.5,2.0 values=3.0,0.0,1.0 role=diffusion":
-                 table([-1.0, 0.5, 2.0], [3.0, 0.0, 1.0], role="diffusion"),
+             "kind=table knots=-1.0,0.5,2.0 values=3.0,0.0,1.0":
+                 table([-1.0, 0.5, 2.0], [3.0, 0.0, 1.0]),
              "kind=sign_switch level=5.0 switch_time=0.1": sign_switch(5.0, 0.1)}
     for text, spec in texts.items():
         assert parse_coefficient(text) == spec
@@ -206,8 +205,6 @@ def test_coefficient_text_parses_every_kind():
 def test_ou_is_the_affine_drift_through_zero(theta):
     assert ou(theta) == affine(0.0, -theta) \
         == parse_coefficient(f"kind=ou theta={theta}")
-    assert (parse_coefficient(f"kind=ou theta={theta} role=diffusion")
-            == affine(0.0, -theta, role="diffusion"))
 
 
 def test_ou_is_no_coefficient_kind():
@@ -225,6 +222,22 @@ def test_parse_coefficient_errors():
         parse_coefficient("kind=warp factor=9")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("kind=constant value=1 slope=3", "slope"),
+    ("kind=affine intercept=0 slope=1 knots=1", "knots"),
+    ("kind=ou theta=1 intercept=2", "intercept"),
+    ("kind=table knots=0,1 values=1,2 value=3", "value"),
+    ("kind=sign_switch level=1 switch_time=0.5 theta=1", "theta"),
+    # the text says nothing of drift or volatility: the retired role key
+    ("kind=constant value=1 role=diffusion", "role"),
+    ("kind=table knots=0,1 values=1,2 role=drift", "role"),
+])
+def test_parse_coefficient_refuses_a_key_its_kind_does_not_read(text, key):
+    # the first two parsed to constant(1) and to an affine
+    with pytest.raises(ConfigError, match=f"reads no key '{key}'$"):
+        parse_coefficient(text)
+
+
 def test_time_grid():
     grid = TimeGrid(4)
     assert grid.h * grid.n_steps == 1.0
@@ -240,7 +253,7 @@ def test_time_grid():
 @pytest.mark.parametrize("size", [0, -2, 2.5, 2.0, True, "2"])
 def test_sizes_must_be_positive_integers(size):
     # a float or a bool was taken as a size, or failed outside ConfigError
-    unit = constant(1.0, role="diffusion")
+    unit = constant(1.0)
     calls = [lambda: TimeGrid(size),
              lambda: build_lattice(ou(1.0), unit, size, 3, 9),
              lambda: build_lattice(ou(1.0), unit, 2, 3, size),
@@ -252,7 +265,7 @@ def test_sizes_must_be_positive_integers(size):
 
 
 def test_numpy_integer_sizes_are_accepted():
-    unit = constant(1.0, role="diffusion")
+    unit = constant(1.0)
     assert TimeGrid(np.int64(4)).h == 0.25
     assert (build_lattice(ou(1.0), unit, np.int64(2), np.int64(3),
                           np.int64(9)).to_json()
@@ -363,7 +376,7 @@ def test_truncated_json_raises_config_error(cls):
 
 
 def test_lattice_kernel_rows_are_built_once_and_read_only():
-    lattice = build_lattice(ou(1.0), constant(1.0, role="diffusion"), 3, 3, 27)
+    lattice = build_lattice(ou(1.0), constant(1.0), 3, 3, 27)
     rows = lattice.kernel_rows
     assert rows is lattice.kernel_rows and len(rows) == 3
     reread = MarkovLattice.from_json(lattice.to_json()).kernel_rows
@@ -392,7 +405,7 @@ def test_lattice_kernel_rows_are_built_once_and_read_only():
        st.integers(1, 5), st.integers(2, 6), st.integers(0, 20))
 def test_lattice_json_round_trip_is_byte_identical(theta, vol, x0, n_steps, m,
                                                     extra):
-    text = build_lattice(ou(theta), constant(vol, role="diffusion"), n_steps,
+    text = build_lattice(ou(theta), constant(vol), n_steps,
                          m, m + extra, x0=x0).to_json()
     assert MarkovLattice.from_json(text).to_json() == text
 

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from adapted_ot.model import (ConfigError, DivergenceError, SamplePath,
-                              TimeGrid, affine, constant, eval_coefficient, ou,
+from adapted_ot.model import (ConfigError, DivergenceError,
+                              NEGATIVE_VOLATILITY, SamplePath, TimeGrid,
+                              affine, constant, eval_coefficient, ou,
                               sign_switch, table)
 from adapted_ot.noise import (sample_correlated_pair, replicate_normals,
                               truncation_level)
 from adapted_ot.presets import PRESETS
-from adapted_ot.sde import (_propagate, _run_scheme, _step_increments,
-                            euler_maruyama, monotone_em,
+from adapted_ot.sde import (DriftRemovingTransform, _propagate, _run_scheme,
+                            _step_increments, euler_maruyama, monotone_em,
                             transformed_monotone_em, zvonkin_transform)
 
-UNIT_VOL = constant(1.0, role="diffusion")
+UNIT_VOL = constant(1.0)
 
 
 def test_em_pure_noise_is_cumsum():
@@ -26,7 +27,7 @@ def test_em_pure_noise_is_cumsum():
 
 def test_em_deterministic_drift():
     grid = TimeGrid(4)
-    path = euler_maruyama(constant(1.0), constant(0.0, role="diffusion"),
+    path = euler_maruyama(constant(1.0), constant(0.0),
                           grid, np.zeros(4), x0=0.0)
     assert np.allclose(path.values, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -71,7 +72,7 @@ def test_one_step_map_monotone_under_margin():
     barrier = truncation_level(h, trunc_k)
     assert 1 - h * 2 - barrier * 1 > 0
     b = affine(0.3, -2.0)
-    s = table([-50, 50], [1.0, 101.0], role="diffusion")  # slope 1, positive
+    s = table([-50, 50], [1.0, 101.0])  # slope 1, positive
     rng = np.random.default_rng(8)
     for _ in range(300):
         x = float(rng.uniform(-40, 40))
@@ -137,8 +138,33 @@ def test_single_path_schemes_reject_a_non_finite_start(run, x0):
 def test_zvonkin_rejects_vanishing_diffusion():
     # zero diffusion at the edge of the tabulation interval
     with pytest.raises(ConfigError):
-        zvonkin_transform(constant(1.0), table([-10, 11], [0.0, 2.1],
-                                               role="diffusion"), 0.0)
+        zvonkin_transform(constant(1.0), table([-10, 11], [0.0, 2.1]), 0.0)
+
+
+@pytest.mark.parametrize("transformed", [False, True])
+def test_a_negative_volatility_is_refused_at_the_step_that_meets_it(transformed):
+    # sigma = 1 - 2x is 0.5 at x0 = 0.25 and -0.5 at 0.75, where one unit
+    # increment takes the path; the float loop and the batch agree, with or
+    # without a transform (the identity here, built by hand: zvonkin_transform
+    # refuses such a sigma)
+    sigma = table([-1.0, 1.0], [3.0, -1.0])
+    xs = np.linspace(-5.0, 5.0, 101)
+    transform = (DriftRemovingTransform(xs=xs, ts=xs, t_prime=np.ones_like(xs),
+                                        lipschitz_certificate=2.0)
+                 if transformed else None)
+    grid = TimeGrid(4)
+    ok = _run_scheme(constant(0.0), sigma, grid, [0.5, 0.0, 0.0, 0.0], 0.25,
+                     transform)
+    assert ok.values[1] == 0.5
+    batch, _, _ = _propagate(constant(0.0), sigma, grid.h,
+                             np.array([[0.5], [0.0], [0.0], [0.0]]), 0.25, transform)
+    assert np.array_equal(batch[:, 0], ok.values)
+    deltas = [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ConfigError, match=f"^{NEGATIVE_VOLATILITY}$"):
+        _run_scheme(constant(0.0), sigma, grid, deltas, 0.25, transform)
+    with pytest.raises(ConfigError, match=f"^{NEGATIVE_VOLATILITY}$"):
+        _propagate(constant(0.0), sigma, grid.h,
+                   np.array(deltas)[:, None] * [1.0, 0.0], 0.25, transform)
 
 
 def test_transformed_em_zero_noise_freezes():
@@ -190,7 +216,7 @@ def _common_noise_self_difference(b, s, n_coarse, n_reps, seed):
 def test_strong_error_decay():
     # multiplicative volatility: strong order 1/2, so the self-difference
     # roughly halves as h halves
-    vol = table([-60, 0, 60], [15.6, 0.6, 15.6], role="diffusion")
+    vol = table([-60, 0, 60], [15.6, 0.6, 15.6])
     d_h, d_half = _common_noise_self_difference(ou(1.0), vol, 8, 4000, 13)
     assert 0.3 <= d_half / d_h <= 0.8
     # additive volatility: strong order 1, ratio near 1/4 (faster decay)
@@ -291,7 +317,7 @@ def _sign_switch_reference(b, sigma, grid, deltas, x0):
                                                  (10, 0.25)])
 def test_sign_switch_paths_match_eval_coefficient(n_steps, switch_time):
     grid = TimeGrid(n_steps)
-    vol = table([-50.0, 50.0], [0.5, 1.5], role="diffusion")
+    vol = table([-50.0, 50.0], [0.5, 1.5])
     dw = replicate_normals((37, 0), n_steps, 40) * math.sqrt(grid.h)
     dw[0] = 0.0  # a path still at 0 when the switch time comes: sign 0
     for level in (2.0, -1.5):
@@ -341,7 +367,7 @@ def test_propagate_reuses_buffers_like_fresh_arrays(case, vol):
     grid = TimeGrid(8)
     n_rep = 200
     x0 = 0.01
-    sigma = UNIT_VOL if vol == "constant" else affine(1.0, 0.0, role="diffusion")
+    sigma = UNIT_VOL if vol == "constant" else affine(1.0, 0.0)
     dirty = replicate_normals((29, 0), grid.n_steps, n_rep) * math.sqrt(grid.h)
     dirty[7, 6] = np.nan
     b, transform = ou(1.0), None

@@ -26,7 +26,7 @@ from adapted_ot.transport import (MAX_TREE_PATHS, CoupledChain, _cdfs,
                                   synchronous_product_chain, tree_bicausal_dp)
 from kernels import sparse
 
-UNIT_VOL = constant(1.0, role="diffusion")
+UNIT_VOL = constant(1.0)
 
 
 def example_trees(n=2):
@@ -522,7 +522,7 @@ def test_non_monotone_pair_fallback_golden():
     # inner blocks.  The values are the ones the block-by-block solver gave;
     # the stage certificate must reproduce them and the simplex count.
     lat_x = build_lattice(ou(12.0), UNIT_VOL, 4, 5, 60)
-    lat_y = build_lattice(constant(0.0), constant(0.5, role="diffusion"), 4, 5, 60)
+    lat_y = build_lattice(constant(0.0), constant(0.5), 4, 5, 60)
     assert not check_fosd(lat_x).ok and check_fosd(lat_y).ok
     sol = bicausal_dp(lat_x, lat_y, p=2)
     kr = coupled_cost(kr_coupling(lat_x, lat_y), p=2)
@@ -544,7 +544,7 @@ def test_non_monotone_pair_fallback_golden():
 
 def test_kr_coupling_marginal_preservation():
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 25)
-    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+    lat_y = build_lattice(constant(0.3), constant(0.5),
                           4, 4, 25)
     chain = kr_coupling(lat_x, lat_y)
     chain.validate(tol=1e-10)
@@ -554,7 +554,7 @@ def test_kr_coupling_marginal_preservation():
 def test_coupled_chain_validate_rejects_mass_in_padding(axis):
     # merging to 10 nodes gives the last two stages rows of 2 to 4 children
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
-    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+    lat_y = build_lattice(constant(0.3), constant(0.5),
                           4, 4, 10)
     chain = kr_coupling(lat_x, lat_y)
     chain.validate()
@@ -585,7 +585,7 @@ def test_coupled_chain_validate_rejects_mass_in_padding(axis):
 def test_coupled_chain_validate_rejects_wrong_shaped_stage(wrong):
     # stage records hold no index arrays: the kernel rows give the shape
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
-    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+    lat_y = build_lattice(constant(0.3), constant(0.5),
                           4, 4, 10)
     chain = kr_coupling(lat_x, lat_y)
     k = 2
@@ -606,6 +606,22 @@ def test_coupled_chain_validate_rejects_wrong_shaped_stage(wrong):
         dataclasses.replace(chain, plans=broken).validate()
 
 
+@pytest.mark.parametrize("n_y, n_plans, match", [
+    (4, 2, "^2 stages of plans, not one a step$"),
+    (2, 4, "^lattices must share the stage count$"),
+], ids=["plans", "lattices"])
+def test_coupled_chain_checks_its_stage_count_when_built(n_y, n_plans, match):
+    # coupled_cost zipped the stages and costed the shortest: two stages of
+    # plans on two 4-stage lattices cost a fraction of the KR cost
+    lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
+    lat_y = build_lattice(constant(0.3), constant(0.5), n_y, 4, 10)
+    with pytest.raises(ConfigError, match=match):
+        coupled_cost(CoupledChain(lat_x, lat_y, (None,) * n_plans))
+    if n_y != 4:
+        with pytest.raises(ConfigError, match=match):
+            kr_coupling(lat_x, lat_y)
+
+
 def test_kr_coupling_identical_lattices_is_diagonal():
     lat = build_lattice(ou(1.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat, lat)
@@ -613,7 +629,7 @@ def test_kr_coupling_identical_lattices_is_diagonal():
 
 
 def test_kr_coupling_deterministic_x_gives_product():
-    lat_x = build_lattice(constant(1.0), constant(0.0, role="diffusion"),
+    lat_x = build_lattice(constant(1.0), constant(0.0),
                           3, 3, 27)
     lat_y = build_lattice(constant(0.0), UNIT_VOL, 3, 3, 27)
     chain = kr_coupling(lat_x, lat_y)
@@ -633,7 +649,7 @@ def test_synchronous_product_chain_equals_kr():
     # quantile coupling plan for plan
     b_x, s_x = ou(0.9), UNIT_VOL
     b_y = constant(0.4)
-    s_y = table([-60, 60], [0.5, 18.5], role="diffusion")
+    s_y = table([-60, 60], [0.5, 18.5])
     lat_x, lat_y, sync_chain = synchronous_product_chain(b_x, s_x, b_y, s_y,
                                                          4, 4, 20)
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
@@ -652,7 +668,7 @@ def test_synchronous_product_chain_equals_kr():
 
 def test_synchronous_product_chain_one_step():
     # one step uses the untruncated increment, as build_lattice does
-    b_y, s_y = constant(0.4), constant(0.5, role="diffusion")
+    b_y, s_y = constant(0.4), constant(0.5)
     lat_x, lat_y, chain = synchronous_product_chain(ou(0.9), UNIT_VOL, b_y,
                                                     s_y, 1, 4, 20)
     assert lat_y.to_json() == build_lattice(b_y, s_y, 1, 4, 20).to_json()
@@ -663,8 +679,8 @@ def test_synchronous_product_chain_one_step():
 
 def test_coupled_cost_deterministic_pair():
     c1, c2 = 1.0, 0.25
-    lat_x = build_lattice(constant(c1), constant(0.0, role="diffusion"), 8, 2, 20)
-    lat_y = build_lattice(constant(c2), constant(0.0, role="diffusion"), 8, 2, 20)
+    lat_x = build_lattice(constant(c1), constant(0.0), 8, 2, 20)
+    lat_y = build_lattice(constant(c2), constant(0.0), 8, 2, 20)
     chain = kr_coupling(lat_x, lat_y)
     h = 1.0 / 8
     expected = sum(h * (k * h * (c1 - c2)) ** 2 for k in range(1, 9))
@@ -683,7 +699,7 @@ def test_bicausal_dp_zero_on_identical():
 
 def test_bicausal_dp_equals_kr_on_certified_pairs():
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 5, 4, 30)
-    lat_y = build_lattice(constant(0.2), constant(0.7, role="diffusion"),
+    lat_y = build_lattice(constant(0.2), constant(0.7),
                           5, 4, 30)
     assert check_fosd(lat_x).ok and check_fosd(lat_y).ok
     chain = kr_coupling(lat_x, lat_y)
@@ -721,7 +737,7 @@ def _certified_pair():
 
 def _theta_12_pair():
     return (build_lattice(ou(12.0), UNIT_VOL, 4, 5, 60),
-            build_lattice(constant(0.0), constant(0.5, role="diffusion"), 4, 5, 60))
+            build_lattice(constant(0.0), constant(0.5), 4, 5, 60))
 
 
 @pytest.mark.parametrize("pair, explicit", [(_certified_pair, ()),
@@ -759,7 +775,7 @@ def test_bicausal_solution_validate_rejects_perturbed_plan():
 
 def test_policy_view_cuts_stage_records_to_true_supports():
     lat_x = build_lattice(ou(1.0), UNIT_VOL, 4, 4, 10)
-    lat_y = build_lattice(constant(0.3), constant(0.5, role="diffusion"),
+    lat_y = build_lattice(constant(0.3), constant(0.5),
                           4, 4, 10)
     sol = bicausal_dp(lat_x, lat_y, p=2)
     assert sol.certified_stages == len(sol.plans)
@@ -912,7 +928,7 @@ def lattice_paths(lattice):
 
 GATE_PAIRS = {**PRESETS, **{
     f"ou({theta:g})-vs-flat": (ou(theta), UNIT_VOL, constant(0.0),
-                               constant(0.5, role="diffusion"))
+                               constant(0.5))
     for theta in (12.0, 30.0)}}
 
 
